@@ -26,10 +26,10 @@ from .checks import (
     check_lagrangian,
     check_legendrian,
     check_product_metric,
-    check_theorem_structure,
     check_umbilical_relation,
     fit_hypersphere,
     run_suite,
+    sample_frames,
 )
 from .dsl import ImmersionSpec, Param, parse, serialize
 from .errors import (
@@ -92,7 +92,6 @@ __all__ = [
     "check_lagrangian",
     "check_legendrian",
     "check_product_metric",
-    "check_theorem_structure",
     "check_umbilical_relation",
     "circle_product",
     "codazzi_residual",
@@ -104,6 +103,7 @@ __all__ = [
     "parse",
     "riemann_tensor",
     "run_suite",
+    "sample_frames",
     "sample_points",
     "sectional_curvature",
     "serialize",

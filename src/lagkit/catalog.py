@@ -1,9 +1,10 @@
 """Built-in immersion catalog.
 
-Base entries are written in the expression DSL; the product entries are
-derived from them with circle_product so the constructor path is exercised by
-the catalog itself.  Canonical serialized sources ship as package data under
-catalog_data/ and must stay byte-identical to serialize(catalog(name)).
+Base entries are parsed from the DSL sources shipped as package data under
+catalog_data/; the product entries are derived from them with circle_product
+so the constructor path is exercised by the catalog itself.  Every shipped
+source, products included, must stay byte-identical to
+serialize(catalog(name)).
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ __all__ = [
     "catalog_source",
 ]
 
-TWO_PI = "6.283185307179586"
-
 _SPHERE = AmbientQuadric("pseudo_sphere", 1.0)
 _HYPERBOLIC = AmbientQuadric("pseudo_hyperbolic", -1.0)
 
@@ -42,71 +41,28 @@ class CatalogEntry:
     expects: dict = field(default_factory=dict)
 
 
-def _base(name, text, expected_index=None):
-    return parse(text).with_metadata(name=name, expected_index=expected_index)
+def _read_source(name: str) -> str:
+    return (
+        resources.files("lagkit")
+        .joinpath(f"catalog_data/{name}.imm")
+        .read_text(encoding="utf-8")
+    )
 
 
-_REAL_CIRCLE = _base(
-    "real_circle_S3",
-    f"params u:[0,{TWO_PI}];\n"
-    "signature 2 0;\n"
-    "map cos(u), sin(u);\n",
-    expected_index=0,
-)
+def _base(name, expected_index=None):
+    return parse(_read_source(name)).with_metadata(
+        name=name, expected_index=expected_index
+    )
 
-_REAL_SPHERE = _base(
-    "real_sphere_S5",
-    f"params u:[-1.2,1.2], v:[0,{TWO_PI}];\n"
-    "signature 3 0;\n"
-    "map cos(u)*cos(v), cos(u)*sin(v), sin(u);\n",
-    expected_index=0,
-)
 
-_MINIMAL_TORUS = _base(
-    "minimal_legendrian_torus_S5",
-    f"params u:[0,{TWO_PI}], v:[0,{TWO_PI}];\n"
-    "signature 3 0;\n"
-    "map exp(i*u)/sqrt(3), exp(i*v)/sqrt(3), exp(-i*(u+v))/sqrt(3);\n",
-    expected_index=0,
-)
-
-_WHITNEY = _base(
-    "whitney_sphere",
-    f"params a:[-1.2,1.2], b:[0,{TWO_PI}];\n"
-    "signature 2 0;\n"
-    "map (1+i*sin(a))/(1+sin(a)^2)*cos(a)*cos(b),"
-    " (1+i*sin(a))/(1+sin(a)^2)*cos(a)*sin(b);\n",
-)
-
-_PSEUDO_H3 = _base(
-    "pseudo_legendrian_H3",
-    "params u:[-1.2,1.2];\n"
-    "signature 2 1;\n"
-    "map cosh(u), sinh(u);\n",
-    expected_index=0,
-)
-
-_PSEUDO_S3 = _base(
-    "pseudo_legendrian_S3_index1",
-    "params u:[-1.2,1.2];\n"
-    "signature 2 1;\n"
-    "map sinh(u), cosh(u);\n",
-    expected_index=1,
-)
-
-_NON_LAGRANGIAN = _base(
-    "control_non_lagrangian",
-    "params u:[-1,1], v:[-1,1];\n"
-    "signature 2 0;\n"
-    "map u+i*v, u+i*v;\n",
-)
-
-_NON_HORIZONTAL = _base(
-    "control_non_horizontal",
-    f"params u:[0,{TWO_PI}];\n"
-    "signature 2 0;\n"
-    "map exp(i*u), 0;\n",
-)
+_REAL_CIRCLE = _base("real_circle_S3", expected_index=0)
+_REAL_SPHERE = _base("real_sphere_S5", expected_index=0)
+_MINIMAL_TORUS = _base("minimal_legendrian_torus_S5", expected_index=0)
+_WHITNEY = _base("whitney_sphere")
+_PSEUDO_H3 = _base("pseudo_legendrian_H3", expected_index=0)
+_PSEUDO_S3 = _base("pseudo_legendrian_S3_index1", expected_index=1)
+_NON_LAGRANGIAN = _base("control_non_lagrangian")
+_NON_HORIZONTAL = _base("control_non_horizontal")
 
 
 def _product(base, name, expected_index):
@@ -244,8 +200,4 @@ def catalog(name: str) -> ImmersionSpec:
 def catalog_source(name: str) -> str:
     """Canonical DSL source text, from the shipped catalog_data files."""
     catalog_entry(name)
-    return (
-        resources.files("lagkit")
-        .joinpath(f"catalog_data/{name}.imm")
-        .read_text(encoding="utf-8")
-    )
+    return _read_source(name)

@@ -1,9 +1,11 @@
 """Residual checks certifying the defining identities of an immersion.
 
-Every check samples deterministic interior points, evaluates a named residual
-at each, and reports max/mean together with the worst offender.  run_suite
-wires the checks together in dependency order and emits a CheckReport whose
-JSON form is byte-stable for a fixed seed.
+sample_frames evaluates the immersion once at each deterministic interior
+sample point; every check is a pure function of that frame list, evaluates a
+named residual at each frame, and reports max/mean together with the worst
+offender.  run_suite builds the frames of a spec once, wires the checks
+together in dependency order and emits a CheckReport whose JSON form is
+byte-stable for a fixed seed.
 
 Check names are stable API: lagrangian, spherical, legendrian, horizontal,
 cubic_symmetry, gauss, codazzi, structure_v_tangent, structure_v_unit,
@@ -20,15 +22,16 @@ from typing import Mapping
 
 import numpy as np
 
-from .ambient import AmbientQuadric, apply_j_flat, inner_flat, metric_diagonal
+from .ambient import AmbientQuadric, apply_j_flat, inner_flat
 from .dsl import ImmersionSpec
 from .errors import DimensionMismatchError, LagkitError
 from .geometry import (
+    GeometryFrame,
     build_frame,
     codazzi_residual,
     gauss_residual,
     project,
-    tangent_field_jets,
+    tangent_field,
 )
 from .products import dilate, translate
 from .sampling import sample_points
@@ -39,12 +42,12 @@ __all__ = [
     "SphereFit",
     "Transform",
     "CheckReport",
+    "sample_frames",
     "check_lagrangian",
     "fit_hypersphere",
     "check_legendrian",
     "check_horizontal",
     "check_cubic_symmetry",
-    "check_theorem_structure",
     "check_product_metric",
     "check_umbilical_relation",
     "run_suite",
@@ -121,18 +124,20 @@ class Transform:
     scale: float
 
 
-def _finish(name, cfg, residuals, points, extra_details=None, tol=None) -> CheckEntry:
-    tol = cfg.tolerance_for(name) if tol is None else tol
+def _finish(name, cfg, residuals, frames, extra_details=None) -> CheckEntry:
+    tol = cfg.tolerance_for(name)
     arr = np.asarray(residuals, dtype=float)
-    worst = int(np.argmax(arr))
+    worst = int(np.argmax(arr))  # the first NaN, if there is one
+    if not math.isfinite(arr[worst]):
+        return _errored(name, cfg, f"non-finite residual at {frames[worst].point}")
     entry = CheckEntry(
         name=name,
         max_residual=float(arr[worst]),
         mean_residual=float(arr.mean()),
-        points_evaluated=len(points),
+        points_evaluated=len(frames),
         tolerance=tol,
         passed=bool(arr[worst] <= tol),
-        worst_point=tuple(points[worst]),
+        worst_point=frames[worst].point,
     )
     if extra_details:
         entry.details.update(extra_details)
@@ -165,51 +170,53 @@ def _errored(name, cfg, reason) -> CheckEntry:
     )
 
 
-def _samples(spec, cfg):
-    return sample_points(spec, cfg.num_points, cfg.seed, cfg.interior_margin)
+def sample_frames(
+    spec: ImmersionSpec, cfg: SampleConfig, need_third: bool = False
+) -> list[GeometryFrame]:
+    """Frames of spec at the configured sample points, one map evaluation each.
+
+    Translating or dilating a spec keeps its parameter box, so the frames of a
+    normalized spec sit at the same points as those of the original.
+    """
+    points = sample_points(spec, cfg.num_points, cfg.seed, cfg.interior_margin)
+    return [build_frame(spec, pt, need_third=need_third) for pt in points]
 
 
-def check_lagrangian(spec: ImmersionSpec, cfg: SampleConfig) -> CheckEntry:
+def check_lagrangian(frames: list[GeometryFrame], cfg: SampleConfig) -> CheckEntry:
     """Isotropy of the image: <J dL_i, dL_j> vanishes for all i, j.
 
-    Requires the half-dimensional parameter count and a nondegenerate induced
-    metric at every sampled point.
+    Requires the half-dimensional parameter count; the frames themselves
+    guarantee a nondegenerate induced metric at every sampled point.
     """
+    spec = frames[0].spec
     if spec.num_params != spec.signature.n:
         raise DimensionMismatchError(
             f"Lagrangian check needs n = {spec.signature.n} parameters, "
             f"spec has {spec.num_params} (not half-dimensional)"
         )
-    points = _samples(spec, cfg)
     residuals = []
-    for pt in points:
-        fr = build_frame(spec, pt)
+    for fr in frames:
         jfirst = apply_j_flat(fr.first)
         bracket = (jfirst * fr.eta) @ fr.first.T
         residuals.append(float(np.max(np.abs(bracket))))
-    return _finish("lagrangian", cfg, residuals, points)
+    return _finish("lagrangian", cfg, residuals, frames)
 
 
-def fit_hypersphere(spec: ImmersionSpec, cfg: SampleConfig):
+def fit_hypersphere(frames: list[GeometryFrame], cfg: SampleConfig):
     """Least-squares fit of <L - p, L - p> = r^2 (signed) over sampled points.
 
     <L, L> - 2 <L, p> = k is linear in (p, k); the signed square radius is
     k + <p, p>.  Returns (SphereFit | None, CheckEntry named "spherical").
     """
-    dim = spec.signature.real_dim
+    eta = frames[0].eta
+    dim = len(eta)
     needed = dim + 2
-    if cfg.num_points < needed:
+    if len(frames) < needed:
         return None, _errored(
-            "spherical", cfg, f"need at least {needed} sample points, have {cfg.num_points}"
+            "spherical", cfg, f"need at least {needed} sample points, have {len(frames)}"
         )
-    points = _samples(spec, cfg)
-    eta = metric_diagonal(spec.signature)
-    positions = []
-    for pt in points:
-        fr = build_frame(spec, pt)
-        positions.append(fr.position)
-    pos = np.array(positions)
-    rows = np.hstack([2.0 * pos * eta, np.ones((len(points), 1))])
+    pos = np.array([fr.position for fr in frames])
+    rows = np.hstack([2.0 * pos * eta, np.ones((len(frames), 1))])
     rhs = np.einsum("pa,a,pa->p", pos, eta, pos)
     sol, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
     if rank < dim + 1:
@@ -226,69 +233,67 @@ def fit_hypersphere(spec: ImmersionSpec, cfg: SampleConfig):
         "spherical",
         cfg,
         residuals,
-        points,
+        frames,
         extra_details={"rms_residual": rms, "radius_sq_signed": radius_sq},
     )
     return fit, entry
 
 
 def check_legendrian(
-    spec: ImmersionSpec, cfg: SampleConfig, quadric: AmbientQuadric
+    frames: list[GeometryFrame], cfg: SampleConfig, quadric: AmbientQuadric
 ) -> CheckEntry:
     """Legendrian conditions on a declared quadric: membership, J-position
     normal to the image, J of tangents normal to the image."""
+    spec = frames[0].spec
     if spec.num_params != spec.signature.n - 1:
         raise DimensionMismatchError(
             f"Legendrian check needs n-1 = {spec.signature.n - 1} parameters, "
             f"spec has {spec.num_params}"
         )
-    points = _samples(spec, cfg)
     target = quadric.radius_sq_signed
     residuals = []
-    for pt in points:
-        fr = build_frame(spec, pt)
+    for fr in frames:
         jpos = apply_j_flat(fr.position)
         membership = abs(inner_flat(fr.position, fr.position, fr.eta) - target)
         v_normal = np.abs(fr.first @ (fr.eta * jpos))
         jfirst = apply_j_flat(fr.first)
         p_normal = np.abs((jfirst * fr.eta) @ fr.first.T)
         residuals.append(max(membership, float(v_normal.max()), float(p_normal.max())))
-    return _finish("legendrian", cfg, residuals, points)
+    return _finish("legendrian", cfg, residuals, frames)
 
 
-def check_horizontal(spec: ImmersionSpec, cfg: SampleConfig) -> CheckEntry:
+def check_horizontal(frames: list[GeometryFrame], cfg: SampleConfig) -> CheckEntry:
     """Horizontality over the circle action: tangents orthogonal to J-position."""
-    points = _samples(spec, cfg)
     residuals = []
-    for pt in points:
-        fr = build_frame(spec, pt)
+    for fr in frames:
         jpos = apply_j_flat(fr.position)
         residuals.append(float(np.max(np.abs(fr.first @ (fr.eta * jpos)))))
-    return _finish("horizontal", cfg, residuals, points)
+    return _finish("horizontal", cfg, residuals, frames)
 
 
-def check_cubic_symmetry(spec: ImmersionSpec, cfg: SampleConfig) -> CheckEntry:
+def check_cubic_symmetry(frames: list[GeometryFrame], cfg: SampleConfig) -> CheckEntry:
     """Total symmetry of <h(X, Y), JZ> in its three slots.
 
     With h already symmetric it suffices to compare the cyclic rotation,
     <h_ij, J dL_k> = <h_jk, J dL_i>.
     """
-    points = _samples(spec, cfg)
     residuals = []
-    for pt in points:
-        fr = build_frame(spec, pt)
+    for fr in frames:
         jfirst = apply_j_flat(fr.first)
         cubic = np.einsum("ija,a,ka->ijk", fr.sff, fr.eta, jfirst)
         residuals.append(float(np.max(np.abs(cubic - np.einsum("jki->ijk", cubic)))))
-    return _finish("cubic_symmetry", cfg, residuals, points)
+    return _finish("cubic_symmetry", cfg, residuals, frames)
 
 
-def _structure_entries(spec_n, cfg, epsilon):
-    """Classification-structure residuals on a recentered, rescaled spec."""
-    points = _samples(spec_n, cfg)
+def _structure_entries(frames_n, cfg, epsilon):
+    """Classification-structure residuals on the frames of a normalized spec.
+
+    After recentering/rescaling via the quadric fit, the tangential part V of
+    J L must satisfy: V actually tangential, <V, V> = epsilon, h(Z, V) = JZ,
+    h(V, V) = -position, and nabla V = 0.
+    """
     res = {name: [] for name in STRUCTURE_CHECKS}
-    for pt in points:
-        fr = build_frame(spec_n, pt)
+    for fr in frames_n:
         jpos = apply_j_flat(fr.position)
         coeffs, normal = project(fr, jpos)
         res["structure_v_tangent"].append(float(np.max(np.abs(normal))))
@@ -299,13 +304,13 @@ def _structure_entries(spec_n, cfg, epsilon):
         res["structure_h_mixed"].append(float(np.max(np.abs(hv - jfirst))))
         hvv = np.einsum("j,k,jka->a", coeffs, coeffs, fr.sff)
         res["structure_h_vv"].append(float(np.max(np.abs(hvv + fr.position))))
-        values, grads = tangent_field_jets(spec_n, pt)
-        nabla_v = grads + np.einsum("kim,m->ik", fr.christoffels, values)
+        _, grads = tangent_field(fr)
+        nabla_v = grads + np.einsum("kim,m->ik", fr.christoffels, coeffs)
         res["structure_v_parallel"].append(float(np.max(np.abs(nabla_v))))
     entries = {}
     for name in STRUCTURE_CHECKS:
         extra = {"epsilon": epsilon} if name == "structure_v_unit" else None
-        entries[name] = _finish(name, cfg, res[name], points, extra_details=extra)
+        entries[name] = _finish(name, cfg, res[name], frames_n, extra_details=extra)
     return entries
 
 
@@ -319,27 +324,12 @@ def _normalized_spec(spec, fit):
     return normalized, Transform(center=fit.center.copy(), scale=scale)
 
 
-def check_theorem_structure(spec: ImmersionSpec, cfg: SampleConfig):
-    """Structural identities of unit-quadric Lagrangian immersions.
-
-    After recentering/rescaling via the quadric fit, the tangential part V of
-    J L must satisfy: V actually tangential, <V, V> = epsilon, h(Z, V) = JZ,
-    h(V, V) = -position, and nabla V = 0 (coefficient field differentiated
-    through the metric solve with jets).  Returns (entries dict, Transform or
-    None); failed prerequisites produce skipped entries, not exceptions.
-    """
-    try:
-        lag = check_lagrangian(spec, cfg)
-    except LagkitError as exc:
-        return (
-            {n: _skipped(n, cfg, f"Lagrangian check unavailable: {exc}") for n in STRUCTURE_CHECKS},
-            None,
-        )
-    fit, fit_entry = fit_hypersphere(spec, cfg)
-    return _structure_with_fit(spec, cfg, lag, fit, fit_entry)
-
-
 def _structure_with_fit(spec, cfg, lag_entry, fit, fit_entry):
+    """The structure bundle, run on the frames of the normalized spec.
+
+    Returns (entries, Transform or None, normalized frames or the LagkitError
+    that building them raised, or None when the bundle is skipped).
+    """
     reason = None
     if not lag_entry.passed:
         reason = "requires the Lagrangian check to pass"
@@ -348,23 +338,26 @@ def _structure_with_fit(spec, cfg, lag_entry, fit, fit_entry):
     elif abs(fit.radius_sq_signed) < 1e-6:
         reason = "fitted quadric is degenerate (signed r^2 ~ 0)"
     if reason is not None:
-        return {n: _skipped(n, cfg, reason) for n in STRUCTURE_CHECKS}, None
+        return {n: _skipped(n, cfg, reason) for n in STRUCTURE_CHECKS}, None, None
     epsilon = 1.0 if fit.radius_sq_signed > 0 else -1.0
     spec_n, transform = _normalized_spec(spec, fit)
-    return _structure_entries(spec_n, cfg, epsilon), transform
+    frames_n = _try_frames(spec_n, cfg)
+    if isinstance(frames_n, LagkitError):
+        entries = {n: _errored(n, cfg, str(frames_n)) for n in STRUCTURE_CHECKS}
+    else:
+        entries = _structure_entries(frames_n, cfg, epsilon)
+    return entries, transform, frames_n
 
 
-def check_product_metric(spec: ImmersionSpec, cfg: SampleConfig) -> CheckEntry:
+def check_product_metric(frames: list[GeometryFrame], cfg: SampleConfig) -> CheckEntry:
     """Product block structure in adapted coordinates (first parameter = angle).
 
     Checks g_{t u_j} = 0, the u-block independent of t, and g_tt constant of
     modulus one; the g_tt value lands in the entry details.
     """
-    points = _samples(spec, cfg)
     residuals = []
     gtt_values = []
-    for pt in points:
-        fr = build_frame(spec, pt)
+    for fr in frames:
         g, dg = fr.metric, fr.dmetric
         cross = float(np.max(np.abs(g[0, 1:]))) if fr.num_params > 1 else 0.0
         block_drift = (
@@ -378,13 +371,13 @@ def check_product_metric(spec: ImmersionSpec, cfg: SampleConfig) -> CheckEntry:
         "product_metric",
         cfg,
         residuals,
-        points,
+        frames,
         extra_details={"g_tt": float(np.mean(gtt_values))},
     )
 
 
 def check_umbilical_relation(
-    spec: ImmersionSpec, cfg: SampleConfig, quadric: AmbientQuadric
+    frames: list[GeometryFrame], cfg: SampleConfig, quadric: AmbientQuadric
 ) -> CheckEntry:
     """Consistency of the flat and in-quadric second fundamental forms.
 
@@ -392,43 +385,33 @@ def check_umbilical_relation(
     tangent to the quadric: <h_ij + c g_ij L, L> = 0.  Membership is verified
     first; the factor c equals the usual sign epsilon on unit quadrics.
     """
-    points = _samples(spec, cfg)
     c = quadric.c
     target = quadric.radius_sq_signed
     membership_tol = max(cfg.tolerance_for("umbilical"), 1e-10)
     residuals = []
-    for pt in points:
-        fr = build_frame(spec, pt)
+    for fr in frames:
         membership = abs(inner_flat(fr.position, fr.position, fr.eta) - target)
         if membership > 1e4 * membership_tol:
             return _errored(
                 "umbilical",
                 cfg,
-                f"membership failure at {pt}: |<L,L> - 1/c| = {membership:.3e}",
+                f"membership failure at {fr.point}: |<L,L> - 1/c| = {membership:.3e}",
             )
         inquadric = fr.sff + c * fr.metric[:, :, None] * fr.position[None, None, :]
         residuals.append(
             float(np.max(np.abs(np.einsum("ija,a,a->ij", inquadric, fr.eta, fr.position))))
         )
-    return _finish("umbilical", cfg, residuals, points)
+    return _finish("umbilical", cfg, residuals, frames)
 
 
-def _identity_check(spec, cfg, name, fn) -> CheckEntry:
-    """Shared driver for the curvature identities (need third derivatives)."""
-    points = _samples(spec, cfg)
-    residuals = []
-    for pt in points:
-        fr = build_frame(spec, pt, need_third=True)
-        residuals.append(fn(fr))
-    return _finish(name, cfg, residuals, points)
+def check_gauss(frames: list[GeometryFrame], cfg: SampleConfig) -> CheckEntry:
+    """Gauss equation residual; the frames need third derivatives."""
+    return _finish("gauss", cfg, [gauss_residual(fr) for fr in frames], frames)
 
 
-def check_gauss(spec: ImmersionSpec, cfg: SampleConfig) -> CheckEntry:
-    return _identity_check(spec, cfg, "gauss", gauss_residual)
-
-
-def check_codazzi(spec: ImmersionSpec, cfg: SampleConfig) -> CheckEntry:
-    return _identity_check(spec, cfg, "codazzi", codazzi_residual)
+def check_codazzi(frames: list[GeometryFrame], cfg: SampleConfig) -> CheckEntry:
+    """Codazzi equation residual; the frames need third derivatives."""
+    return _finish("codazzi", cfg, [codazzi_residual(fr) for fr in frames], frames)
 
 
 @dataclass
@@ -483,7 +466,7 @@ class CheckReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _plain(v):
@@ -501,12 +484,34 @@ def _quadric_from_fit(fit: SphereFit) -> AmbientQuadric | None:
     return AmbientQuadric("pseudo_hyperbolic", 1.0 / fit.radius_sq_signed)
 
 
-def _guard(entries, name, cfg, fn):
-    """Run one check, turning kernel errors into an error entry."""
+def _try_frames(spec, cfg, need_third=False):
+    """sample_frames, or the LagkitError it raised for each check to report."""
     try:
-        entries[name] = fn()
+        return sample_frames(spec, cfg, need_third)
+    except LagkitError as exc:
+        return exc
+
+
+def _guard(entries, name, cfg, check, frames, *args):
+    """Run check(frames, cfg, *args), turning kernel errors into an error entry.
+
+    frames may be the LagkitError that building them raised; the entry then
+    reports that error.
+    """
+    if isinstance(frames, LagkitError):
+        entries[name] = _errored(name, cfg, str(frames))
+        return
+    try:
+        entries[name] = check(frames, cfg, *args)
     except LagkitError as exc:
         entries[name] = _errored(name, cfg, str(exc))
+
+
+def _fit_entry(frames, cfg):
+    """fit_hypersphere, or no fit and an error entry when the frames failed."""
+    if isinstance(frames, LagkitError):
+        return None, _errored("spherical", cfg, str(frames))
+    return fit_hypersphere(frames, cfg)
 
 
 def run_suite(
@@ -516,6 +521,8 @@ def run_suite(
 ) -> CheckReport:
     """All applicable checks in dependency order.
 
+    The map is evaluated once per sample point, to third order; the structure
+    bundle evaluates the re-normalized spec once more at the same points.
     Half-dimensional specs run the Lagrangian chain (isotropy, quadric fit,
     curvature identities, cubic symmetry, then the structure bundle, product
     metric and umbilical relation on the re-normalized spec).  Specs with one
@@ -527,48 +534,38 @@ def run_suite(
     sphere_fit = None
     transform = None
     m, n = spec.num_params, spec.signature.n
+    frames = _try_frames(spec, cfg, need_third=True)
 
     fit = None
     if m == n:
-        _guard(entries, "lagrangian", cfg, lambda: check_lagrangian(spec, cfg))
+        _guard(entries, "lagrangian", cfg, check_lagrangian, frames)
         lag = entries["lagrangian"]
-        try:
-            fit, entries["spherical"] = fit_hypersphere(spec, cfg)
-        except LagkitError as exc:
-            entries["spherical"] = _errored("spherical", cfg, str(exc))
+        fit, entries["spherical"] = _fit_entry(frames, cfg)
         sphere_fit = fit
-        _guard(entries, "gauss", cfg, lambda: check_gauss(spec, cfg))
-        _guard(entries, "codazzi", cfg, lambda: check_codazzi(spec, cfg))
+        _guard(entries, "gauss", cfg, check_gauss, frames)
+        _guard(entries, "codazzi", cfg, check_codazzi, frames)
         if lag.status == "ok" and lag.passed:
-            _guard(entries, "cubic_symmetry", cfg, lambda: check_cubic_symmetry(spec, cfg))
+            _guard(entries, "cubic_symmetry", cfg, check_cubic_symmetry, frames)
         else:
             entries["cubic_symmetry"] = _skipped(
                 "cubic_symmetry", cfg, "requires the Lagrangian check to pass"
             )
-        bundle, transform = _structure_with_fit(
+        bundle, transform, frames_n = _structure_with_fit(
             spec, cfg, lag, fit, entries["spherical"]
         )
         entries.update(bundle)
-        structure_ok = transform is not None
-        if structure_ok:
-            spec_n, _ = _normalized_spec(spec, fit)
-            _guard(entries, "product_metric", cfg, lambda: check_product_metric(spec_n, cfg))
+        if transform is not None:
+            _guard(entries, "product_metric", cfg, check_product_metric, frames_n)
             unit_quadric = _quadric_for_epsilon(fit)
             _guard(
-                entries,
-                "umbilical",
-                cfg,
-                lambda: check_umbilical_relation(spec_n, cfg, unit_quadric),
+                entries, "umbilical", cfg, check_umbilical_relation, frames_n, unit_quadric
             )
         else:
             reason = "requires the quadric fit and Lagrangian check to pass"
             entries["product_metric"] = _skipped("product_metric", cfg, reason)
             if quadric is not None:
                 _guard(
-                    entries,
-                    "umbilical",
-                    cfg,
-                    lambda: check_umbilical_relation(spec, cfg, quadric),
+                    entries, "umbilical", cfg, check_umbilical_relation, frames, quadric
                 )
             else:
                 entries["umbilical"] = _skipped("umbilical", cfg, reason)
@@ -581,29 +578,24 @@ def run_suite(
                 "spherical", cfg, "quadric declared by the caller"
             )
         else:
-            try:
-                fit, entries["spherical"] = fit_hypersphere(spec, cfg)
-            except LagkitError as exc:
-                entries["spherical"] = _errored("spherical", cfg, str(exc))
+            fit, entries["spherical"] = _fit_entry(frames, cfg)
             sphere_fit = fit
             if fit is not None and entries["spherical"].passed:
                 q = _quadric_from_fit(fit)
         if q is not None:
-            _guard(entries, "legendrian", cfg, lambda: check_legendrian(spec, cfg, q))
+            _guard(entries, "legendrian", cfg, check_legendrian, frames, q)
             if q.kind == "pseudo_sphere":
-                _guard(entries, "horizontal", cfg, lambda: check_horizontal(spec, cfg))
-            _guard(
-                entries, "umbilical", cfg, lambda: check_umbilical_relation(spec, cfg, q)
-            )
+                _guard(entries, "horizontal", cfg, check_horizontal, frames)
+            _guard(entries, "umbilical", cfg, check_umbilical_relation, frames, q)
         else:
             reason = "no quadric declared and the fit found none"
             for name in ("legendrian", "horizontal", "umbilical"):
                 entries[name] = _skipped(name, cfg, reason)
-        _guard(entries, "gauss", cfg, lambda: check_gauss(spec, cfg))
-        _guard(entries, "codazzi", cfg, lambda: check_codazzi(spec, cfg))
+        _guard(entries, "gauss", cfg, check_gauss, frames)
+        _guard(entries, "codazzi", cfg, check_codazzi, frames)
     else:
-        _guard(entries, "gauss", cfg, lambda: check_gauss(spec, cfg))
-        _guard(entries, "codazzi", cfg, lambda: check_codazzi(spec, cfg))
+        _guard(entries, "gauss", cfg, check_gauss, frames)
+        _guard(entries, "codazzi", cfg, check_codazzi, frames)
 
     return CheckReport(
         spec_name=spec.name,

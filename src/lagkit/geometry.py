@@ -2,13 +2,15 @@
 
 A GeometryFrame bundles the derivative data of the immersion at one point,
 in interleaved real coordinates, together with the induced metric, the
-Christoffel symbols, and the second fundamental form of the flat ambient
-space.  Curvature and the classical compatibility identities (Gauss and
-Codazzi equations) are computed from the frame.
+Christoffel symbols (and their derivatives, at third order), and the second
+fundamental form of the flat ambient space.  Curvature, the classical
+compatibility identities (Gauss and Codazzi equations) and the tangent field
+of J L are computed from the frame alone, without evaluating the map again.
 
 Index conventions, pinned by tests on the round-sphere factor:
   dmetric[k, i, j]      = d_k g_ij
   christoffels[k, i, j] = Gamma^k_ij
+  dchristoffels[p, k, i, j] = d_p Gamma^k_ij
   riemann R[i, j, k, l] = <R(d_i, d_j) d_k, d_l>, so the Gauss identity reads
   R[i, j, k, l] = <h_il, h_jk> - <h_ik, h_jl>.
 """
@@ -19,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import metric_diagonal
+from .ambient import apply_j_flat, metric_diagonal
 from .dsl import ImmersionSpec, evaluate_map_jets
-from .errors import DegenerateMetricError
-from .jets import ComplexJet, Jet, derivative_jet, jet_solve, truncate
+from .errors import DegenerateMetricError, SingularEvaluationError
+from .jets import ComplexJet
 
 __all__ = [
     "GeometryFrame",
@@ -32,7 +34,7 @@ __all__ = [
     "gauss_residual",
     "codazzi_residual",
     "project",
-    "tangent_field_jets",
+    "tangent_field",
 ]
 
 DET_THRESHOLD = 1e-10
@@ -54,6 +56,7 @@ class GeometryFrame:
     dmetric: np.ndarray  # (m, m, m): d_k g_ij
     christoffels: np.ndarray  # (m, m, m): Gamma^k_ij
     sff: np.ndarray  # (m, m, 2n): second fundamental form vectors
+    dchristoffels: np.ndarray | None = None  # (m, m, m, m) when need_third
 
     @property
     def num_params(self) -> int:
@@ -84,23 +87,30 @@ def _real_blocks(cjets: list[ComplexJet], order: int):
 def build_frame(spec: ImmersionSpec, point, need_third: bool = False) -> GeometryFrame:
     """Evaluate the immersion at a point and assemble its geometric data.
 
-    Raises DegenerateMetricError when |det g| < 1e-10 * (max |g_ij|)^m.
+    Raises SingularEvaluationError when the map or its derivatives overflow or
+    are not finite, and DegenerateMetricError when
+    |det g| < 1e-10 * (max |g_ij|)^m.
     """
+    pt = tuple(float(x) for x in point)
     order = 3 if need_third else 2
-    cjets = evaluate_map_jets(spec, point, order)
+    try:
+        cjets = evaluate_map_jets(spec, point, order)
+    except OverflowError as exc:
+        raise SingularEvaluationError(f"map overflows at {pt}: {exc}") from exc
     position, first, second, third = _real_blocks(cjets, order)
     eta = metric_diagonal(spec.signature)
-    m = spec.num_params
 
-    weighted = first * eta
-    metric = weighted @ first.T
-    metric = 0.5 * (metric + metric.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        metric = (first * eta) @ first.T
+        metric = 0.5 * (metric + metric.T)
+    blocks = (position, first, second, metric) + ((third,) if need_third else ())
+    if not all(np.isfinite(b).all() for b in blocks):
+        raise SingularEvaluationError(f"map derivatives or metric not finite at {pt}")
+    # compare det(g / scale), since scale**m can overflow where det g does not
     scale = float(np.max(np.abs(metric)))
-    det = float(np.linalg.det(metric))
-    if scale == 0.0 or abs(det) < DET_THRESHOLD * scale**m:
-        raise DegenerateMetricError(
-            f"induced metric degenerate at {tuple(point)}: |det| = {abs(det):.3e}"
-        )
+    if scale == 0.0 or abs(np.linalg.det(metric / scale)) < DET_THRESHOLD:
+        det = abs(float(np.linalg.det(metric)))
+        raise DegenerateMetricError(f"induced metric degenerate at {pt}: |det| = {det:.3e}")
     metric_inv = np.linalg.inv(metric)
 
     # d_k g_ij = <L_ik, L_j> + <L_i, L_jk>
@@ -117,9 +127,9 @@ def build_frame(spec: ImmersionSpec, point, need_third: bool = False) -> Geometr
 
     sff = second - np.einsum("kij,ka->ija", christoffels, first)
 
-    return GeometryFrame(
+    frame = GeometryFrame(
         spec=spec,
-        point=tuple(float(x) for x in point),
+        point=pt,
         position=position,
         first=first,
         second=second,
@@ -131,16 +141,18 @@ def build_frame(spec: ImmersionSpec, point, need_third: bool = False) -> Geometr
         christoffels=christoffels,
         sff=sff,
     )
+    if need_third:
+        frame.dchristoffels = _christoffel_derivatives(frame)
+    return frame
 
 
 def _require_third(frame: GeometryFrame):
-    if frame.third is None:
+    if frame.dchristoffels is None:
         raise ValueError("frame was built without third derivatives; pass need_third=True")
 
 
 def _christoffel_derivatives(frame: GeometryFrame) -> np.ndarray:
-    """d_p Gamma^k_ij as array [p, k, i, j]; needs third derivatives."""
-    _require_third(frame)
+    """d_p Gamma^k_ij as array [p, k, i, j], from the third derivatives."""
     eta = frame.eta
     first, second, third = frame.first, frame.second, frame.third
     ginv, dg = frame.metric_inv, frame.dmetric
@@ -168,7 +180,8 @@ def _christoffel_derivatives(frame: GeometryFrame) -> np.ndarray:
 
 def riemann_tensor(frame: GeometryFrame) -> np.ndarray:
     """Fully lowered curvature R[i,j,k,l] = <R(d_i, d_j) d_k, d_l>."""
-    dgamma = _christoffel_derivatives(frame)
+    _require_third(frame)
+    dgamma = frame.dchristoffels
     gamma = frame.christoffels
     up = (
         np.einsum("iljk->ijkl", dgamma)
@@ -207,7 +220,7 @@ def codazzi_residual(frame: GeometryFrame) -> float:
     """
     _require_third(frame)
     gamma = frame.christoffels
-    dgamma = _christoffel_derivatives(frame)
+    dgamma = frame.dchristoffels
     first, second, third = frame.first, frame.second, frame.third
     h, eta, ginv = frame.sff, frame.eta, frame.metric_inv
 
@@ -239,39 +252,20 @@ def project(frame: GeometryFrame, v: np.ndarray):
     return coeffs, normal
 
 
-def tangent_field_jets(spec: ImmersionSpec, point) -> tuple[np.ndarray, np.ndarray]:
+def tangent_field(frame: GeometryFrame) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient field of the tangential part of J L, with first derivatives.
 
-    The coefficients a^k solve g_kl a^l = <J L, L_k>.  Building the solve out
-    of order-1 jets differentiates straight through it, giving d_i a^k without
-    any finite differencing.  Returns (values (m,), gradients (m, m) with
-    grad[i, k] = d_i a^k).
+    The coefficients a solve g a = r with r_k = <L_k, J L>.  Differentiating
+    the solve gives d_i a = g^-1 (d_i r - d_i g a), where
+    d_i r_k = <L_ik, J L> + <L_k, J L_i>, so no finite differencing and no
+    further map evaluation is needed.  Returns (values (m,), gradients (m, m)
+    with grad[i, k] = d_i a^k).
     """
-    cjets = evaluate_map_jets(spec, point, 2)
-    m = spec.num_params
-    eta = metric_diagonal(spec.signature)
-
-    flat: list[Jet] = []
-    for cj in cjets:
-        flat.append(cj.re)
-        flat.append(cj.im)
-    pos = [truncate(f, 1) for f in flat]
-    jpos = []
-    for j in range(len(cjets)):
-        jpos.append(-pos[2 * j + 1])
-        jpos.append(pos[2 * j])
-    firsts = [[derivative_jet(f, k) for f in flat] for k in range(m)]
-
-    def pair(u: list[Jet], v: list[Jet]) -> Jet:
-        acc = None
-        for w, a, b in zip(eta, u, v):
-            term = (a * b) * float(w)
-            acc = term if acc is None else acc + term
-        return acc
-
-    gram = [[pair(firsts[k], firsts[l]) for l in range(m)] for k in range(m)]
-    rhs = [pair(jpos, firsts[k]) for k in range(m)]
-    sol = jet_solve(gram, rhs)
-    values = np.array([s.value for s in sol])
-    grads = np.stack([s.gradient for s in sol], axis=1)  # grads[i, k] = d_i a^k
+    eta = frame.eta
+    jpos = apply_j_flat(frame.position)
+    values, _ = project(frame, jpos)
+    drhs = np.einsum("ika,a,a->ik", frame.second, eta, jpos) + np.einsum(
+        "ka,a,ia->ik", frame.first, eta, apply_j_flat(frame.first)
+    )
+    grads = (drhs - np.einsum("ikl,l->ik", frame.dmetric, values)) @ frame.metric_inv
     return values, grads

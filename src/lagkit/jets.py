@@ -21,16 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, SingularEvaluationError
 
-__all__ = [
-    "Jet",
-    "ComplexJet",
-    "jet_seed",
-    "jet_arith",
-    "jet_func",
-    "truncate",
-    "derivative_jet",
-    "jet_solve",
-]
+__all__ = ["Jet", "ComplexJet"]
 
 _DIV_GUARD = 1e-300
 _DIV_WARN = 1e-12
@@ -265,113 +256,6 @@ def ipow(u: Jet, k: int) -> Jet:
         base = base * base if k > 1 else base
         k >>= 1
     return out
-
-
-def truncate(u: Jet, order: int) -> Jet:
-    """Forget derivative blocks above `order`."""
-    if order > u.order:
-        raise DimensionMismatchError(f"cannot extend jet of order {u.order} to {order}")
-    return Jet(
-        u.num_vars,
-        order,
-        u.value,
-        u.gradient if order >= 1 else None,
-        u.hessian if order >= 2 else None,
-        u.third if order >= 3 else None,
-    )
-
-
-def derivative_jet(u: Jet, i: int) -> Jet:
-    """Jet of the partial derivative d_i u, one order lower."""
-    if u.order < 1:
-        raise DimensionMismatchError("need order >= 1 to take a derivative jet")
-    if not 0 <= i < u.num_vars:
-        raise DimensionMismatchError(f"axis {i} out of range")
-    return Jet(
-        u.num_vars,
-        u.order - 1,
-        u.gradient[i],
-        u.hessian[i] if u.order >= 2 else None,
-        u.third[i] if u.order >= 3 else None,
-    )
-
-
-# -- spec-surface wrappers --------------------------------------------------
-
-def jet_seed(var_index, value, num_vars, order) -> Jet:
-    return Jet.seed(var_index, value, num_vars, order)
-
-
-_ARITH = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-}
-
-_FUNCS = {
-    "exp": exp,
-    "sin": sin,
-    "cos": cos,
-    "sinh": sinh,
-    "cosh": cosh,
-    "sqrt": sqrt,
-    "neg": lambda u: -u,
-}
-
-
-def jet_arith(a: Jet, b: Jet, op: str) -> Jet:
-    try:
-        fn = _ARITH[op]
-    except KeyError:
-        raise ValueError(f"unknown jet operation {op!r}") from None
-    return fn(a, b)
-
-
-def jet_func(a: Jet, name: str, factor: float | None = None) -> Jet:
-    if name == "scale":
-        if factor is None:
-            raise ValueError("scale needs a factor")
-        return a * float(factor)
-    try:
-        fn = _FUNCS[name]
-    except KeyError:
-        raise ValueError(f"unknown jet function {name!r}") from None
-    return fn(a)
-
-
-def jet_solve(matrix: list[list[Jet]], rhs: list[Jet]) -> list[Jet]:
-    """Solve a small linear system with jet entries.
-
-    Gaussian elimination with partial pivoting on the value block; derivative
-    blocks ride along through the jet arithmetic, so the solution jets carry
-    the derivatives of the solution field.
-    """
-    n = len(rhs)
-    A = [row[:] for row in matrix]
-    b = list(rhs)
-    scale = max((abs(A[r][c].value) for r in range(n) for c in range(n)), default=0.0)
-    if scale == 0.0:
-        raise SingularEvaluationError("zero matrix in jet solve")
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(A[r][col].value))
-        if abs(A[pivot][col].value) < 1e-14 * scale:
-            raise SingularEvaluationError("jet solve pivot below threshold")
-        if pivot != col:
-            A[col], A[pivot] = A[pivot], A[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        for r in range(col + 1, n):
-            f = A[r][col] / A[col][col]
-            for c in range(col, n):
-                A[r][c] = A[r][c] - f * A[col][c]
-            b[r] = b[r] - f * b[col]
-    x: list[Jet | None] = [None] * n
-    for r in range(n - 1, -1, -1):
-        acc = b[r]
-        for c in range(r + 1, n):
-            acc = acc - A[r][c] * x[c]
-        x[r] = acc / A[r][r]
-    return x  # type: ignore[return-value]
 
 
 class ComplexJet:

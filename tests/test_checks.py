@@ -16,15 +16,23 @@ from lagkit.checks import (
     check_lagrangian,
     check_legendrian,
     check_product_metric,
-    check_theorem_structure,
     check_umbilical_relation,
     fit_hypersphere,
     run_suite,
+    sample_frames,
 )
+from lagkit.dsl import parse
 from lagkit.errors import DimensionMismatchError
 from lagkit.products import dilate, translate
+from lagkit.sampling import sample_points
 
 CFG = SampleConfig(num_points=12, seed=7)
+SPHERE = AmbientQuadric("pseudo_sphere", 1.0)
+
+
+def frames_of(name_or_spec, cfg=CFG):
+    spec = catalog(name_or_spec) if isinstance(name_or_spec, str) else name_or_spec
+    return sample_frames(spec, cfg)
 
 
 class TestSampleConfig:
@@ -47,52 +55,58 @@ class TestSampleConfig:
 
 class TestLagrangian:
     def test_passes_on_clifford(self):
-        entry = check_lagrangian(catalog("clifford_torus"), CFG)
+        entry = check_lagrangian(frames_of("clifford_torus"), CFG)
         assert entry.passed and entry.status == "ok"
         assert entry.max_residual < 1e-14
         assert entry.points_evaluated == 12
         assert len(entry.worst_point) == 2
 
     def test_complex_line_fails_by_two(self):
-        entry = check_lagrangian(catalog("control_non_lagrangian"), CFG)
+        entry = check_lagrangian(frames_of("control_non_lagrangian"), CFG)
         assert not entry.passed
         assert entry.max_residual == pytest.approx(2.0)
         assert entry.mean_residual == pytest.approx(2.0)
 
     def test_wrong_dimension_raises(self):
         with pytest.raises(DimensionMismatchError):
-            check_lagrangian(catalog("real_circle_S3"), CFG)
+            check_lagrangian(frames_of("real_circle_S3"), CFG)
+
+    def test_non_finite_residual_is_an_error(self):
+        frames = frames_of("clifford_torus")
+        frames[3].first[0, 0] = np.nan
+        entry = check_lagrangian(frames, CFG)
+        assert entry.status == "error" and entry.passed is False
+        assert entry.reason == f"non-finite residual at {frames[3].point}"
 
 
 class TestHypersphereFit:
     def test_recovers_translated_scaled_torus(self):
         moved = translate(dilate(catalog("clifford_torus"), 2.0), (1.0 + 0.5j, -2j))
-        fit, entry = fit_hypersphere(moved, CFG)
+        fit, entry = fit_hypersphere(frames_of(moved), CFG)
         assert entry.passed
         np.testing.assert_allclose(fit.center, [1.0, 0.5, 0.0, -2.0], atol=1e-9)
         assert fit.radius_sq_signed == pytest.approx(4.0)
         assert fit.rms_residual < 1e-12
 
     def test_negative_square_radius(self):
-        fit, entry = fit_hypersphere(catalog("theorem43_example"), CFG)
+        fit, entry = fit_hypersphere(frames_of("theorem43_example"), CFG)
         assert entry.passed
         assert fit.radius_sq_signed == pytest.approx(-1.0)
 
     def test_rank_deficient_image(self):
         # a purely real curve never determines the center
-        fit, entry = fit_hypersphere(catalog("real_circle_S3"), CFG)
+        fit, entry = fit_hypersphere(frames_of("real_circle_S3"), CFG)
         assert fit is None
         assert entry.status == "error" and entry.passed is False
         assert "rank" in entry.reason
 
     def test_not_enough_points(self):
-        fit, entry = fit_hypersphere(
-            catalog("clifford_torus"), SampleConfig(num_points=3)
-        )
+        cfg = SampleConfig(num_points=3)
+        fit, entry = fit_hypersphere(frames_of("clifford_torus", cfg), cfg)
         assert fit is None and entry.status == "error"
 
     def test_whitney_is_not_spherical(self):
-        fit, entry = fit_hypersphere(catalog("whitney_sphere"), CFG)
+        fit, entry = fit_hypersphere(frames_of("whitney_sphere"), CFG)
         assert entry.status == "ok"
         assert not entry.passed
         assert entry.max_residual > 0.05
@@ -111,36 +125,38 @@ class TestLegendrian:
     )
     def test_catalog_legendrians(self, name):
         entry = catalog_entry(name)
-        result = check_legendrian(entry.spec, CFG, entry.quadric)
+        result = check_legendrian(frames_of(entry.spec), CFG, entry.quadric)
         assert result.passed, (name, result.max_residual)
 
     def test_hopf_direction_fails(self):
         entry = catalog_entry("control_non_horizontal")
-        result = check_legendrian(entry.spec, CFG, entry.quadric)
+        result = check_legendrian(frames_of(entry.spec), CFG, entry.quadric)
         assert not result.passed
         assert result.max_residual == pytest.approx(1.0)
 
     def test_wrong_dimension_raises(self):
         with pytest.raises(DimensionMismatchError):
-            check_legendrian(
-                catalog("clifford_torus"), CFG, AmbientQuadric("pseudo_sphere", 1.0)
-            )
+            check_legendrian(frames_of("clifford_torus"), CFG, SPHERE)
 
 
 class TestHorizontal:
     def test_passes_on_real_circle(self):
-        assert check_horizontal(catalog("real_circle_S3"), CFG).passed
+        assert check_horizontal(frames_of("real_circle_S3"), CFG).passed
 
     def test_fails_by_one_on_hopf_direction(self):
-        entry = check_horizontal(catalog("control_non_horizontal"), CFG)
+        entry = check_horizontal(frames_of("control_non_horizontal"), CFG)
         assert not entry.passed
         assert entry.max_residual == pytest.approx(1.0)
 
 
+def structure_bundle(spec):
+    report = run_suite(spec, CFG)
+    return {n: report.checks[n] for n in STRUCTURE_CHECKS}, report.transform
+
+
 class TestStructureBundle:
     def test_clifford_all_pass_with_identity_transform(self):
-        entries, transform = check_theorem_structure(catalog("clifford_torus"), CFG)
-        assert set(entries) == set(STRUCTURE_CHECKS)
+        entries, transform = structure_bundle(catalog("clifford_torus"))
         for name, e in entries.items():
             assert e.passed, (name, e.max_residual)
         np.testing.assert_allclose(transform.center, 0.0, atol=1e-9)
@@ -148,58 +164,56 @@ class TestStructureBundle:
 
     def test_transform_found_after_moving(self):
         moved = translate(dilate(catalog("clifford_torus"), 3.0), (0.25, 0.125j))
-        entries, transform = check_theorem_structure(moved, CFG)
+        entries, transform = structure_bundle(moved)
         for name, e in entries.items():
             assert e.passed, (name, e.max_residual)
         np.testing.assert_allclose(transform.center, [0.25, 0, 0, 0.125], atol=1e-9)
         assert transform.scale == pytest.approx(3.0)
 
     def test_epsilon_is_minus_one_on_lorentzian_product(self):
-        entries, _ = check_theorem_structure(catalog("theorem43_example"), CFG)
+        entries, _ = structure_bundle(catalog("theorem43_example"))
         assert entries["structure_v_unit"].passed
         assert entries["structure_v_unit"].details["epsilon"] == -1.0
 
     def test_skipped_when_not_spherical(self):
-        entries, transform = check_theorem_structure(catalog("whitney_sphere"), CFG)
+        entries, transform = structure_bundle(catalog("whitney_sphere"))
         assert transform is None
         for e in entries.values():
             assert e.status == "skipped"
             assert "quadric" in e.reason
 
     def test_skipped_when_not_lagrangian(self):
-        entries, transform = check_theorem_structure(
-            catalog("control_non_lagrangian"), CFG
-        )
+        entries, transform = structure_bundle(catalog("control_non_lagrangian"))
         assert transform is None
         assert all(e.status == "skipped" for e in entries.values())
 
 
 class TestProductMetric:
     def test_clifford(self):
-        entry = check_product_metric(catalog("clifford_torus"), CFG)
+        entry = check_product_metric(frames_of("clifford_torus"), CFG)
         assert entry.passed
         assert entry.details["g_tt"] == pytest.approx(1.0)
 
     def test_lorentzian_angle_block(self):
-        entry = check_product_metric(catalog("theorem43_example"), CFG)
+        entry = check_product_metric(frames_of("theorem43_example"), CFG)
         assert entry.passed
         assert entry.details["g_tt"] == pytest.approx(-1.0)
 
     def test_whitney_is_not_a_product(self):
-        entry = check_product_metric(catalog("whitney_sphere"), CFG)
+        entry = check_product_metric(frames_of("whitney_sphere"), CFG)
         assert not entry.passed
 
 
 class TestUmbilical:
     def test_passes_on_unit_quadric_members(self):
         sphere = AmbientQuadric("pseudo_sphere", 1.0)
-        assert check_umbilical_relation(catalog("clifford_torus"), CFG, sphere).passed
+        assert check_umbilical_relation(frames_of("clifford_torus"), CFG, sphere).passed
         ads = AmbientQuadric("pseudo_hyperbolic", -1.0)
-        assert check_umbilical_relation(catalog("theorem43_example"), CFG, ads).passed
+        assert check_umbilical_relation(frames_of("theorem43_example"), CFG, ads).passed
 
     def test_membership_violation_is_an_error(self):
         sphere = AmbientQuadric("pseudo_sphere", 1.0)
-        entry = check_umbilical_relation(catalog("whitney_sphere"), CFG, sphere)
+        entry = check_umbilical_relation(frames_of("whitney_sphere"), CFG, sphere)
         assert entry.status == "error"
         assert "membership" in entry.reason
 
@@ -281,6 +295,26 @@ class TestRunSuite:
         assert not report.checks["lagrangian"].passed
 
 
+@pytest.mark.parametrize("name", catalog_names())
+def test_one_map_evaluation_per_point_per_spec(name, monkeypatch):
+    import lagkit.geometry as geometry
+
+    calls = []
+    evaluate = geometry.evaluate_map_jets
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(geometry, "evaluate_map_jets", counted)
+    entry = catalog_entry(name)
+    cfg = SampleConfig(num_points=20)
+    report = run_suite(entry.spec, cfg, quadric=entry.quadric)
+    # the structure bundle evaluates the normalized spec once more
+    specs = 2 if report.transform is not None else 1
+    assert len(calls) <= specs * cfg.num_points
+
+
 class TestReportSerialization:
     def test_schema(self):
         report = run_suite(catalog("theorem42_example"), CFG)
@@ -306,6 +340,62 @@ class TestReportSerialization:
         assert a == b
 
     def test_error_entry_fails_report(self):
-        fit, entry = fit_hypersphere(catalog("real_circle_S3"), CFG)
+        fit, entry = fit_hypersphere(frames_of("real_circle_S3"), CFG)
         report = CheckReport(spec_name="probe", checks={"spherical": entry})
         assert not report.passed
+
+
+class TestDegenerateSpecs:
+    """Statuses and reasons when the induced metric is degenerate everywhere."""
+
+    PLANE = "params u:[0,1], v:[0,1];\nsignature 2 0;\nmap u, u;\n"
+    CONSTANT = "params u:[0,1];\nsignature 2 0;\nmap 1, 2;\n"
+    LAG = "requires the Lagrangian check to pass"
+    FIT = "requires the quadric fit and Lagrangian check to pass"
+    NO_QUADRIC = "no quadric declared and the fit found none"
+
+    def _outcomes(self, text, quadric):
+        spec = parse(text)
+        report = run_suite(spec, CFG, quadric=quadric)
+        point = sample_points(spec, CFG.num_points, CFG.seed, CFG.interior_margin)[0]
+        degenerate = f"induced metric degenerate at {point}: |det| = 0.000e+00"
+        assert not report.passed and report.transform is None
+        got = [(n, e.status, e.reason) for n, e in report.checks.items()]
+        return got, degenerate
+
+    @pytest.mark.parametrize("declared", [False, True])
+    def test_half_dimensional(self, declared):
+        got, bad = self._outcomes(self.PLANE, SPHERE if declared else None)
+        umbilical = ("error", bad) if declared else ("skipped", self.FIT)
+        assert got == [
+            ("lagrangian", "error", bad),
+            ("spherical", "error", bad),
+            ("gauss", "error", bad),
+            ("codazzi", "error", bad),
+            ("cubic_symmetry", "skipped", self.LAG),
+            *[(n, "skipped", self.LAG) for n in STRUCTURE_CHECKS],
+            ("product_metric", "skipped", self.FIT),
+            ("umbilical", *umbilical),
+        ]
+
+    def test_legendrian_dimensions_without_quadric(self):
+        got, bad = self._outcomes(self.CONSTANT, None)
+        assert got == [
+            ("spherical", "error", bad),
+            ("legendrian", "skipped", self.NO_QUADRIC),
+            ("horizontal", "skipped", self.NO_QUADRIC),
+            ("umbilical", "skipped", self.NO_QUADRIC),
+            ("gauss", "error", bad),
+            ("codazzi", "error", bad),
+        ]
+
+    def test_legendrian_dimensions_with_quadric(self):
+        got, bad = self._outcomes(self.CONSTANT, SPHERE)
+        assert got == [
+            ("spherical", "skipped", "quadric declared by the caller"),
+            ("legendrian", "error", bad),
+            ("horizontal", "error", bad),
+            ("umbilical", "error", bad),
+            ("gauss", "error", bad),
+            ("codazzi", "error", bad),
+        ]

@@ -89,6 +89,29 @@ class TestCheckCommand:
             == 1
         )
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # cosh(u)^2 overflows the metric; the old degeneracy test overflowed too
+            "params u:[0,400], v:[0,1];\nsignature 2 0;\nmap cosh(u)+i*v, sinh(u)*v;\n",
+            # used to print NaN residuals
+            "params u:[0,700];\nsignature 2 0;\nmap cosh(u), sinh(u);\n",
+        ],
+        ids=["metric_overflow", "nan_residual"],
+    )
+    def test_non_finite_map_gives_error_entries(self, tmp_path, capsys, text):
+        path = tmp_path / "huge.imm"
+        path.write_text(text)
+        assert run_main("check", str(path), "--json") == 1
+        captured = capsys.readouterr()
+
+        def reject(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        doc = json.loads(captured.out, parse_constant=reject)
+        assert any(e["status"] == "error" for e in doc["checks"].values())
+        assert "Traceback" not in captured.err
+
 
 class TestConstructCommand:
     def test_writes_parseable_product(self, tmp_path):

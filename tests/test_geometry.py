@@ -20,7 +20,7 @@ from lagkit.geometry import (
     project,
     riemann_tensor,
     sectional_curvature,
-    tangent_field_jets,
+    tangent_field,
 )
 from lagkit.sampling import sample_points
 
@@ -172,16 +172,26 @@ class TestProjection:
         np.testing.assert_allclose(normal, fr.position, atol=1e-14)
 
     def test_tangent_field_jets_on_clifford(self):
-        values, grads = tangent_field_jets(catalog("clifford_torus"), (0.6, 2.0))
+        values, grads = tangent_field(build_frame(catalog("clifford_torus"), (0.6, 2.0)))
         np.testing.assert_allclose(values, [1.0, 0.0], atol=1e-13)
         np.testing.assert_allclose(grads, 0.0, atol=1e-13)
 
     def test_tangent_field_jets_on_lorentzian_product(self):
         # J L = dL_t for every circle product, regardless of metric signature
         spec = catalog("theorem43_example")
-        values, grads = tangent_field_jets(spec, (0.9, 0.4))
+        values, grads = tangent_field(build_frame(spec, (0.9, 0.4)))
         np.testing.assert_allclose(values, [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(grads, 0.0, atol=1e-12)
+
+    def test_tangent_field_gradient_matches_central_differences(self):
+        # the Whitney sphere's field is far from constant
+        spec, pt, h = catalog("whitney_sphere"), (0.4, 1.3), 1e-5
+        _, grads = tangent_field(build_frame(spec, pt))
+        for i in range(2):
+            step = np.eye(2)[i] * h
+            plus, _ = tangent_field(build_frame(spec, tuple(pt + step)))
+            minus, _ = tangent_field(build_frame(spec, tuple(pt - step)))
+            np.testing.assert_allclose(grads[i], (plus - minus) / (2 * h), atol=1e-8)
 
 
 class TestDegeneracy:

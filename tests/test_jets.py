@@ -19,10 +19,7 @@ from lagkit.jets import (
     cexp,
     cipow,
     csqrt,
-    derivative_jet,
     ipow,
-    jet_solve,
-    truncate,
 )
 
 
@@ -118,24 +115,6 @@ class TestStructure:
         c = Jet.constant(2.0, 2, 0)
         assert c.gradient is None and c.hessian is None and c.third is None
 
-    def test_truncate(self):
-        u, v = seeds_uv()
-        f = u * v
-        t = truncate(f, 1)
-        assert t.order == 1
-        assert t.value == f.value
-        np.testing.assert_array_equal(t.gradient, f.gradient)
-        assert t.hessian is None
-
-    def test_derivative_jet_shifts_blocks(self):
-        u, v = seeds_uv()
-        f = u * u * v
-        d = derivative_jet(f, 0)  # 2uv as an order-2 jet
-        assert d.order == 2
-        assert d.value == pytest.approx(2.0)
-        np.testing.assert_allclose(d.gradient, [4.0, 1.0])
-        np.testing.assert_allclose(d.hessian, [[0.0, 2.0], [2.0, 0.0]])
-
     def test_incompatible_jets_rejected(self):
         a = Jet.seed(0, 1.0, 2, 2)
         b = Jet.seed(0, 1.0, 3, 2)
@@ -175,44 +154,6 @@ class TestGuards:
         z = ComplexJet.constant(1 + 1j, 1, 1)
         with pytest.raises(SingularEvaluationError):
             csqrt(z)
-
-
-class TestJetSolve:
-    def test_diagonal_system(self):
-        u, v = seeds_uv(order=2)
-        two = Jet.constant(2.0, 2, 2)
-        four = Jet.constant(4.0, 2, 2)
-        zero = Jet.constant(0.0, 2, 2)
-        sol = jet_solve([[two, zero], [zero, four]], [u, v])
-        assert sol[0].value == pytest.approx(0.25)
-        np.testing.assert_allclose(sol[0].gradient, [0.5, 0.0])
-        assert sol[1].value == pytest.approx(0.5)
-        np.testing.assert_allclose(sol[1].gradient, [0.0, 0.25])
-
-    def test_recovers_known_solution(self):
-        u, v = seeds_uv(order=1)
-        one = Jet.constant(1.0, 2, 1)
-        a = [[u + 2.0, one], [one, v + 3.0]]
-        x = [jets.sin(u), u * v]
-        rhs = [a[0][0] * x[0] + a[0][1] * x[1], a[1][0] * x[0] + a[1][1] * x[1]]
-        sol = jet_solve(a, rhs)
-        for got, want in zip(sol, x):
-            assert got.value == pytest.approx(want.value)
-            np.testing.assert_allclose(got.gradient, want.gradient, atol=1e-12)
-
-    def test_pivoting(self):
-        # leading zero pivot forces a row swap
-        u, v = seeds_uv(order=1)
-        zero = Jet.constant(0.0, 2, 1)
-        one = Jet.constant(1.0, 2, 1)
-        sol = jet_solve([[zero, one], [one, zero]], [u, v])
-        assert sol[0].value == pytest.approx(2.0)  # second rhs component
-        assert sol[1].value == pytest.approx(0.5)
-
-    def test_singular_matrix(self):
-        u, _ = seeds_uv(order=1)
-        with pytest.raises(SingularEvaluationError):
-            jet_solve([[u, u], [u, u]], [u, u])
 
 
 class TestComplexJets:
