@@ -52,7 +52,7 @@ from .geometry import (
     riemann_tensor,
     sectional_curvature,
 )
-from .jets import ComplexJet, Jet
+from .jets import Jet
 from .products import circle_product, dilate, translate
 from .sampling import sample_points
 
@@ -63,7 +63,6 @@ __all__ = [
     "CatalogEntry",
     "CheckEntry",
     "CheckReport",
-    "ComplexJet",
     "ComplexVec",
     "DegenerateMetricError",
     "DimensionMismatchError",

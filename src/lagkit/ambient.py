@@ -4,8 +4,9 @@ The arena is C^n with the Hermitian form that negates the first s complex
 coordinates.  Its real part is a pseudo-Euclidean inner product of index 2s,
 and composing with the complex structure J (multiplication by i) gives the
 symplectic form.  Vectors are stored as interleaved real pairs
-(re_1, im_1, ..., re_n, im_n) so downstream derivative machinery never has to
-thread complex scalars.
+(re_1, im_1, ..., re_n, im_n), which is the memory layout of a complex128
+array: the complex derivative tensors of the map jets become real ambient
+vectors with a float view, without copying component by component.
 
 Everything here is immutable value math; functions are pure.
 """

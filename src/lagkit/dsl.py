@@ -25,16 +25,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .ambient import Signature
 from .errors import (
     ArityError,
     DomainError,
     DslSyntaxError,
+    SingularEvaluationError,
     UndeclaredParameterError,
     UnknownFunctionError,
 )
 from . import jets
-from .jets import ComplexJet, Jet
+from .jets import Jet
 
 __all__ = [
     "Num",
@@ -457,14 +460,17 @@ def serialize(spec: ImmersionSpec) -> str:
 
 # -- evaluation ----------------------------------------------------------------
 
-def eval_expr(e: Expr, env: dict[str, Jet], num_vars: int, order: int) -> ComplexJet:
-    """Evaluate an expression over a jet environment; result is a complex jet."""
+_FUNCTIONS = {name: getattr(jets, name) for name in FUNCTION_NAMES}
+
+
+def eval_expr(e: Expr, env: dict[str, Jet], num_vars: int, order: int) -> Jet:
+    """Evaluate an expression over a jet environment."""
     if isinstance(e, Num):
-        return ComplexJet.constant(e.value, num_vars, order)
+        return Jet.constant(e.value, num_vars, order)
     if isinstance(e, Imag):
-        return ComplexJet.constant(1j, num_vars, order)
+        return Jet.constant(1j, num_vars, order)
     if isinstance(e, Ref):
-        return ComplexJet.from_real(env[e.name])
+        return env[e.name]
     if isinstance(e, Neg):
         return -eval_expr(e.arg, env, num_vars, order)
     if isinstance(e, Bin):
@@ -478,18 +484,9 @@ def eval_expr(e: Expr, env: dict[str, Jet], num_vars: int, order: int) -> Comple
             return left * right
         return left / right
     if isinstance(e, Pow):
-        return jets.cipow(eval_expr(e.base, env, num_vars, order), e.exponent)
+        return jets.ipow(eval_expr(e.base, env, num_vars, order), e.exponent)
     if isinstance(e, Call):
-        arg = eval_expr(e.arg, env, num_vars, order)
-        fn = {
-            "exp": jets.cexp,
-            "sin": jets.csin,
-            "cos": jets.ccos,
-            "sinh": jets.csinh,
-            "cosh": jets.ccosh,
-            "sqrt": jets.csqrt,
-        }[e.fn]
-        return fn(arg)
+        return _FUNCTIONS[e.fn](eval_expr(e.arg, env, num_vars, order))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -506,11 +503,23 @@ def check_point_in_domain(spec: ImmersionSpec, point, slack: float = 1e-12):
             )
 
 
-def evaluate_map_jets(spec: ImmersionSpec, point, order: int) -> list[ComplexJet]:
-    """Jets of every component of the immersion at an interior point."""
+def evaluate_map_jets(spec: ImmersionSpec, point, order: int) -> list[Jet]:
+    """Jets of every component of the immersion at an interior point.
+
+    Raises SingularEvaluationError when the map or one of its derivatives
+    overflows or is not finite.
+    """
     check_point_in_domain(spec, point)
     m = spec.num_params
     env = {
         p.name: Jet.seed(k, point[k], m, order) for k, p in enumerate(spec.params)
     }
-    return [eval_expr(c, env, m, order) for c in spec.components]
+    pt = tuple(float(x) for x in point)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+            out = [eval_expr(c, env, m, order) for c in spec.components]
+    except OverflowError as exc:
+        raise SingularEvaluationError(f"map overflows at {pt}: {exc}") from exc
+    if not all(np.isfinite(b).all() for jet in out for b in jet.blocks):
+        raise SingularEvaluationError(f"map or its derivatives not finite at {pt}")
+    return out

@@ -17,7 +17,7 @@ import cmath
 import numpy as np
 
 from .dsl import Bin, Call, Imag, ImmersionSpec, Neg, Num, Pow, Ref, check_point_in_domain
-from .errors import DomainError
+from .errors import DomainError, SingularEvaluationError
 
 __all__ = [
     "eval_map_numeric",
@@ -68,10 +68,22 @@ def _ev(e, env) -> complex:
 
 
 def eval_map_numeric(spec: ImmersionSpec, point) -> np.ndarray:
-    """All components at a point, as a complex vector, via direct evaluation."""
+    """All components at a point, as a complex vector, via direct evaluation.
+
+    Raises SingularEvaluationError when a component overflows, divides by
+    zero or is not finite.
+    """
     check_point_in_domain(spec, point)
     env = {p.name: float(x) for p, x in zip(spec.params, point)}
-    return np.array([_ev(c, env) for c in spec.components], dtype=complex)
+    try:
+        values = [_ev(c, env) for c in spec.components]
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise SingularEvaluationError(
+            f"map cannot be evaluated at {tuple(env.values())}: {exc}"
+        ) from exc
+    if not all(map(cmath.isfinite, values)):
+        raise SingularEvaluationError(f"map not finite at {tuple(env.values())}")
+    return np.array(values, dtype=complex)
 
 
 def _central(f, x: np.ndarray, axes: tuple[int, ...], h: float) -> np.ndarray:
@@ -93,14 +105,15 @@ def finite_difference_oracle(
     """Derivative tensors of the component map by central differences.
 
     Returns {0: (n,), 1: (m, n), 2: (m, m, n), 3: (m, m, m, n)} up to `order`,
-    complex-valued.  The whole stencil must stay inside the domain box.
+    complex-valued.  The whole stencil must stay inside the domain box, and a
+    map or difference quotient that is not finite raises
+    SingularEvaluationError.
     """
     if order not in (1, 2, 3):
         raise ValueError(f"finite-difference order must be 1..3, got {order}")
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     m = spec.num_params
-    n = spec.signature.n
     x = np.asarray([float(v) for v in point], dtype=float)
     if x.shape != (m,):
         raise DomainError(f"point has {x.shape[0]} coordinates, spec has {m} parameters")
@@ -115,45 +128,30 @@ def finite_difference_oracle(
     def f(pt):
         return eval_map_numeric(spec, pt)
 
-    out: dict[int, np.ndarray] = {0: f(x)}
-    out[1] = np.array([_central(f, x, (i,), step) for i in range(m)])
-    if order >= 2:
-        out[2] = np.array(
-            [[_central(f, x, (i, j), step) for j in range(m)] for i in range(m)]
-        )
-    if order >= 3:
-        out[3] = np.array(
-            [
-                [[_central(f, x, (i, j, k), step) for k in range(m)] for j in range(m)]
-                for i in range(m)
-            ]
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        out: dict[int, np.ndarray] = {0: f(x)}
+        out[1] = np.array([_central(f, x, (i,), step) for i in range(m)])
+        if order >= 2:
+            out[2] = np.array(
+                [[_central(f, x, (i, j), step) for j in range(m)] for i in range(m)]
+            )
+        if order >= 3:
+            out[3] = np.array(
+                [
+                    [[_central(f, x, (i, j, k), step) for k in range(m)] for j in range(m)]
+                    for i in range(m)
+                ]
+            )
+    if not all(np.isfinite(t).all() for t in out.values()):
+        raise SingularEvaluationError(f"finite differences not finite at {tuple(x.tolist())}")
     return out
 
 
 def _jet_tensors(spec: ImmersionSpec, point, order: int) -> dict[int, np.ndarray]:
     from .dsl import evaluate_map_jets
 
-    cjets = evaluate_map_jets(spec, point, order)
-    m = spec.num_params
-    n = spec.signature.n
-    out = {0: np.array([cj.value for cj in cjets], dtype=complex)}
-    if order >= 1:
-        first = np.empty((m, n), dtype=complex)
-        for j, cj in enumerate(cjets):
-            first[:, j] = cj.re.gradient + 1j * cj.im.gradient
-        out[1] = first
-    if order >= 2:
-        second = np.empty((m, m, n), dtype=complex)
-        for j, cj in enumerate(cjets):
-            second[:, :, j] = cj.re.hessian + 1j * cj.im.hessian
-        out[2] = second
-    if order >= 3:
-        third = np.empty((m, m, m, n), dtype=complex)
-        for j, cj in enumerate(cjets):
-            third[:, :, :, j] = cj.re.third + 1j * cj.im.third
-        out[3] = third
-    return out
+    jets = evaluate_map_jets(spec, point, order)
+    return {k: np.stack([jet.blocks[k] for jet in jets], axis=-1) for k in range(order + 1)}
 
 
 def jet_fd_deviation(

@@ -24,7 +24,7 @@ import numpy as np
 from .ambient import apply_j_flat, metric_diagonal
 from .dsl import ImmersionSpec, evaluate_map_jets
 from .errors import DegenerateMetricError, SingularEvaluationError
-from .jets import ComplexJet
+from .jets import Jet
 
 __all__ = [
     "GeometryFrame",
@@ -63,49 +63,37 @@ class GeometryFrame:
         return self.first.shape[0]
 
 
-def _real_blocks(cjets: list[ComplexJet], order: int):
-    """Interleave (re, im) jets of each component into flat real tensors."""
-    n = len(cjets)
-    m = cjets[0].re.num_vars
-    position = np.empty(2 * n)
-    first = np.empty((m, 2 * n)) if order >= 1 else None
-    second = np.empty((m, m, 2 * n)) if order >= 2 else None
-    third = np.empty((m, m, m, 2 * n)) if order >= 3 else None
-    for j, cj in enumerate(cjets):
-        for off, part in ((0, cj.re), (1, cj.im)):
-            a = 2 * j + off
-            position[a] = part.value
-            if order >= 1:
-                first[:, a] = part.gradient
-            if order >= 2:
-                second[:, :, a] = part.hessian
-            if order >= 3:
-                third[:, :, :, a] = part.third
-    return position, first, second, third
+def _real_blocks(jets: list[Jet], order: int) -> list[np.ndarray]:
+    """Position and derivative tensors in interleaved (re, im) real coordinates.
+
+    A complex128 array is stored as (re, im) pairs, so stacking the component
+    jets along a last axis and viewing that as float gives the ambient layout.
+    """
+    return [
+        np.stack([jet.blocks[k] for jet in jets], axis=-1).view(float)
+        for k in range(order + 1)
+    ]
 
 
 def build_frame(spec: ImmersionSpec, point, need_third: bool = False) -> GeometryFrame:
     """Evaluate the immersion at a point and assemble its geometric data.
 
-    Raises SingularEvaluationError when the map or its derivatives overflow or
-    are not finite, and DegenerateMetricError when
+    Raises SingularEvaluationError when the map, its derivatives or the metric
+    overflow or are not finite, and DegenerateMetricError when
     |det g| < 1e-10 * (max |g_ij|)^m.
     """
     pt = tuple(float(x) for x in point)
     order = 3 if need_third else 2
-    try:
-        cjets = evaluate_map_jets(spec, point, order)
-    except OverflowError as exc:
-        raise SingularEvaluationError(f"map overflows at {pt}: {exc}") from exc
-    position, first, second, third = _real_blocks(cjets, order)
+    jets = evaluate_map_jets(spec, point, order)
+    position, first, second, *rest = _real_blocks(jets, order)
+    third = rest[0] if need_third else None
     eta = metric_diagonal(spec.signature)
 
     with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
         metric = (first * eta) @ first.T
         metric = 0.5 * (metric + metric.T)
-    blocks = (position, first, second, metric) + ((third,) if need_third else ())
-    if not all(np.isfinite(b).all() for b in blocks):
-        raise SingularEvaluationError(f"map derivatives or metric not finite at {pt}")
+    if not np.isfinite(metric).all():
+        raise SingularEvaluationError(f"induced metric not finite at {pt}")
     # compare det(g / scale), since scale**m can overflow where det g does not
     scale = float(np.max(np.abs(metric)))
     if scale == 0.0 or abs(np.linalg.det(metric / scale)) < DET_THRESHOLD:

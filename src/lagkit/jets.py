@@ -1,19 +1,17 @@
 """Truncated multivariate Taylor arithmetic up to third order.
 
-A Jet holds the value of a scalar quantity together with its partial
-derivatives with respect to m variables, up to a fixed order in {0, 1, 2, 3}.
-Blocks store plain partial derivatives: gradient (m,), symmetric Hessian
-(m, m), symmetric third-order tensor (m, m, m).  Arithmetic propagates the
-blocks exactly (Leibniz rule, Faa di Bruno), so any quantity assembled from
-jets carries exact derivatives up to rounding.
-
-ComplexJet is a pair of real jets (re, im); complex arithmetic is spelled out
-on the pair so derivative propagation never depends on a complex-number
-facility.
+A Jet holds the value of a complex scalar quantity together with its partial
+derivatives with respect to m real variables, up to a fixed order in
+{0, 1, 2, 3}.  Blocks store plain complex128 partial derivatives: gradient
+(m,), symmetric Hessian (m, m), symmetric third-order tensor (m, m, m).
+Arithmetic propagates the blocks exactly (Leibniz rule, Faa di Bruno), so any
+quantity assembled from jets carries exact derivatives up to rounding; a
+complex product is one jet product, not four real ones.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 
@@ -21,15 +19,16 @@ import numpy as np
 
 from .errors import DimensionMismatchError, SingularEvaluationError
 
-__all__ = ["Jet", "ComplexJet"]
+__all__ = ["Jet"]
 
 _DIV_GUARD = 1e-300
 _DIV_WARN = 1e-12
 _SQRT_GUARD = 1e-12
+_SQRT_IMAG = 1e-9
 
 
 class Jet:
-    """Value plus derivative blocks of a scalar function of m variables."""
+    """Complex value plus derivative blocks of a function of m real variables."""
 
     __slots__ = ("num_vars", "order", "value", "gradient", "hessian", "third")
 
@@ -41,7 +40,7 @@ class Jet:
         m = num_vars
         self.num_vars = m
         self.order = order
-        self.value = float(value)
+        self.value = complex(value)
         self.gradient = _block(gradient, (m,)) if order >= 1 else None
         self.hessian = _block(hessian, (m, m)) if order >= 2 else None
         self.third = _block(third, (m, m, m)) if order >= 3 else None
@@ -61,6 +60,11 @@ class Jet:
         if order >= 1:
             out.gradient[var_index] = 1.0
         return out
+
+    @property
+    def blocks(self) -> tuple:
+        """(value, gradient, hessian, third) up to the jet's order."""
+        return (self.value, self.gradient, self.hessian, self.third)[: self.order + 1]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -95,7 +99,7 @@ class Jet:
             return NotImplemented
         _check_compat(self, other)
         a, b = self, other
-        out = Jet(a.num_vars, a.order, a.value * b.value)
+        out = _new(a, a.value * b.value)
         if a.order >= 1:
             out.gradient = a.value * b.gradient + b.value * a.gradient
         if a.order >= 2:
@@ -132,18 +136,26 @@ class Jet:
 
 def _block(data, shape):
     if data is None:
-        return np.zeros(shape)
-    arr = np.asarray(data, dtype=float)
+        return np.zeros(shape, dtype=complex)
+    arr = np.asarray(data, dtype=complex)
     if arr.shape != shape:
         raise DimensionMismatchError(f"expected block shape {shape}, got {arr.shape}")
     return arr.copy()
 
 
+def _new(like: Jet, value, gradient=None, hessian=None, third=None) -> Jet:
+    """Jet shaped like `like` holding freshly computed blocks (no copy, no checks)."""
+    out = object.__new__(Jet)
+    out.num_vars, out.order = like.num_vars, like.order
+    out.value, out.gradient, out.hessian, out.third = value, gradient, hessian, third
+    return out
+
+
 def _coerce(other, like: Jet):
     if isinstance(other, Jet):
         return other
-    if isinstance(other, (int, float)):
-        return Jet.constant(float(other), like.num_vars, like.order)
+    if isinstance(other, (int, float, complex)):
+        return Jet.constant(other, like.num_vars, like.order)
     return NotImplemented
 
 
@@ -156,25 +168,11 @@ def _check_compat(a: Jet, b: Jet):
 
 
 def _combine(a: Jet, b: Jet, op) -> Jet:
-    out = Jet(a.num_vars, a.order, op(a.value, b.value))
-    if a.order >= 1:
-        out.gradient = op(a.gradient, b.gradient)
-    if a.order >= 2:
-        out.hessian = op(a.hessian, b.hessian)
-    if a.order >= 3:
-        out.third = op(a.third, b.third)
-    return out
+    return _new(a, *(op(x, y) for x, y in zip(a.blocks, b.blocks)))
 
 
 def _map_blocks(a: Jet, fn) -> Jet:
-    out = Jet(a.num_vars, a.order, fn(a.value))
-    if a.order >= 1:
-        out.gradient = fn(a.gradient)
-    if a.order >= 2:
-        out.hessian = fn(a.hessian)
-    if a.order >= 3:
-        out.third = fn(a.third)
-    return out
+    return _new(a, *(fn(x) for x in a.blocks))
 
 
 def _sym_hess_grad(H: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -185,7 +183,7 @@ def _sym_hess_grad(H: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _compose(u: Jet, f0, f1, f2=0.0, f3=0.0) -> Jet:
     """Chain rule for f(u) given derivatives of f at u.value."""
-    out = Jet(u.num_vars, u.order, f0)
+    out = _new(u, f0)
     if u.order >= 1:
         out.gradient = f1 * u.gradient
     if u.order >= 2:
@@ -202,9 +200,10 @@ def _compose(u: Jet, f0, f1, f2=0.0, f3=0.0) -> Jet:
 
 def _reciprocal(u: Jet) -> Jet:
     v = u.value
-    if abs(v) < _DIV_GUARD:
+    modsq = v.real * v.real + v.imag * v.imag
+    if modsq < _DIV_GUARD:
         raise SingularEvaluationError(f"division by {v!r}")
-    if abs(v) < _DIV_WARN:
+    if modsq < _DIV_WARN:
         warnings.warn(
             f"division by poorly conditioned value {v!r}", RuntimeWarning, stacklevel=3
         )
@@ -213,35 +212,48 @@ def _reciprocal(u: Jet) -> Jet:
 
 
 def exp(u: Jet) -> Jet:
-    e = math.exp(u.value)
+    e = cmath.exp(u.value)
     return _compose(u, e, e, e, e)
 
 
 def sin(u: Jet) -> Jet:
-    s, c = math.sin(u.value), math.cos(u.value)
+    s, c = cmath.sin(u.value), cmath.cos(u.value)
     return _compose(u, s, c, -s, -c)
 
 
 def cos(u: Jet) -> Jet:
-    s, c = math.sin(u.value), math.cos(u.value)
+    s, c = cmath.sin(u.value), cmath.cos(u.value)
     return _compose(u, c, -s, -c, s)
 
 
 def sinh(u: Jet) -> Jet:
-    s, c = math.sinh(u.value), math.cosh(u.value)
+    s, c = cmath.sinh(u.value), cmath.cosh(u.value)
     return _compose(u, s, c, s, c)
 
 
 def cosh(u: Jet) -> Jet:
-    s, c = math.sinh(u.value), math.cosh(u.value)
+    s, c = cmath.sinh(u.value), cmath.cosh(u.value)
     return _compose(u, c, s, c, s)
 
 
 def sqrt(u: Jet) -> Jet:
-    if u.value < _SQRT_GUARD:
-        raise SingularEvaluationError(f"sqrt at non-positive or tiny value {u.value!r}")
-    r = math.sqrt(u.value)
-    return _compose(u, r, 0.5 / r, -0.25 / r**3, 0.375 / r**5)
+    """Square root for numerically real, positive arguments.
+
+    The DSL only needs sqrt on positive real subexpressions (constants like
+    sqrt(3)); a general complex branch would not stay differentiable across
+    the cut, so an argument whose value or any derivative block has an
+    imaginary part above 1e-9 * max(1, |Re value|) is rejected loudly.  The
+    result is real: its imaginary parts are exactly zero.
+    """
+    x = u.value.real
+    imag = max(float(np.max(np.abs(np.imag(b)))) for b in u.blocks)
+    if imag > _SQRT_IMAG * max(1.0, abs(x)):
+        raise SingularEvaluationError("sqrt of a non-real expression")
+    if x < _SQRT_GUARD:
+        raise SingularEvaluationError(f"sqrt at non-positive or tiny value {x!r}")
+    r = math.sqrt(x)
+    real = _map_blocks(u, lambda a: a.real + 0j)
+    return _compose(real, complex(r), 0.5 / r, -0.25 / r**3, 0.375 / r**5)
 
 
 def ipow(u: Jet, k: int) -> Jet:
@@ -250,111 +262,6 @@ def ipow(u: Jet, k: int) -> Jet:
         return _reciprocal(ipow(u, -k))
     out = Jet.constant(1.0, u.num_vars, u.order)
     base = u
-    while k:
-        if k & 1:
-            out = out * base
-        base = base * base if k > 1 else base
-        k >>= 1
-    return out
-
-
-class ComplexJet:
-    """Complex scalar as a (re, im) pair of real jets."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Jet, im: Jet):
-        _check_compat(re, im)
-        self.re = re
-        self.im = im
-
-    @classmethod
-    def constant(cls, value: complex, num_vars, order) -> "ComplexJet":
-        value = complex(value)
-        return cls(
-            Jet.constant(value.real, num_vars, order),
-            Jet.constant(value.imag, num_vars, order),
-        )
-
-    @classmethod
-    def from_real(cls, re: Jet) -> "ComplexJet":
-        return cls(re, Jet.constant(0.0, re.num_vars, re.order))
-
-    @property
-    def value(self) -> complex:
-        return complex(self.re.value, self.im.value)
-
-    def __add__(self, other: "ComplexJet") -> "ComplexJet":
-        return ComplexJet(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexJet") -> "ComplexJet":
-        return ComplexJet(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "ComplexJet":
-        return ComplexJet(-self.re, -self.im)
-
-    def __mul__(self, other: "ComplexJet") -> "ComplexJet":
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return ComplexJet(a * c - b * d, a * d + b * c)
-
-    def __truediv__(self, other: "ComplexJet") -> "ComplexJet":
-        c, d = other.re, other.im
-        modsq = c * c + d * d
-        inv = _reciprocal(modsq)
-        num = self * ComplexJet(c, -d)
-        return ComplexJet(num.re * inv, num.im * inv)
-
-    def __repr__(self):
-        return f"ComplexJet(value={self.value})"
-
-
-def cexp(z: ComplexJet) -> ComplexJet:
-    er = exp(z.re)
-    return ComplexJet(er * cos(z.im), er * sin(z.im))
-
-
-def csin(z: ComplexJet) -> ComplexJet:
-    return ComplexJet(sin(z.re) * cosh(z.im), cos(z.re) * sinh(z.im))
-
-
-def ccos(z: ComplexJet) -> ComplexJet:
-    return ComplexJet(cos(z.re) * cosh(z.im), -(sin(z.re) * sinh(z.im)))
-
-
-def csinh(z: ComplexJet) -> ComplexJet:
-    return ComplexJet(sinh(z.re) * cos(z.im), cosh(z.re) * sin(z.im))
-
-
-def ccosh(z: ComplexJet) -> ComplexJet:
-    return ComplexJet(cosh(z.re) * cos(z.im), sinh(z.re) * sin(z.im))
-
-
-def csqrt(z: ComplexJet) -> ComplexJet:
-    """Square root for numerically real, positive arguments.
-
-    The DSL only needs sqrt on positive real subexpressions (constants like
-    sqrt(3)); a general complex branch would not stay differentiable across
-    the cut, so anything else is rejected loudly.
-    """
-    scale = max(1.0, abs(z.re.value))
-    im_mag = abs(z.im.value)
-    if z.im.order >= 1:
-        im_mag = max(im_mag, float(np.max(np.abs(z.im.gradient))))
-    if z.im.order >= 2:
-        im_mag = max(im_mag, float(np.max(np.abs(z.im.hessian))))
-    if z.im.order >= 3:
-        im_mag = max(im_mag, float(np.max(np.abs(z.im.third))))
-    if im_mag > 1e-9 * scale:
-        raise SingularEvaluationError("sqrt of a non-real expression")
-    return ComplexJet.from_real(sqrt(z.re))
-
-
-def cipow(z: ComplexJet, k: int) -> ComplexJet:
-    if k < 0:
-        one = ComplexJet.constant(1.0, z.re.num_vars, z.re.order)
-        return one / cipow(z, -k)
-    out = ComplexJet.constant(1.0, z.re.num_vars, z.re.order)
-    base = z
     while k:
         if k & 1:
             out = out * base

@@ -1,17 +1,40 @@
 """Command line behavior: exit codes, output formats, determinism."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from lagkit.ambient import Signature
 from lagkit.cli import main
-from lagkit.dsl import parse
+from lagkit.dsl import ImmersionSpec, Param, parse, serialize
+from test_dsl import _expr_strategy
 
 
 def run_main(*argv):
     return main(list(argv))
+
+
+def reject_constant(constant):
+    raise ValueError(f"non-strict JSON constant {constant}")
+
+
+# maps whose values or derivatives overflow, divide by zero or turn NaN
+SINGULAR = {
+    "nan_hessian": "params u:[1,2];\nsignature 1 0;\nmap exp(-1e200*u*u);\n",
+    "cosh_overflow": "params u:[0,800];\nsignature 2 0;\nmap cosh(u), sinh(u);\n",
+    "division_by_zero": "params u:[1,2];\nsignature 1 0;\nmap u/0;\n",
+    "power_overflow": "params u:[1,2];\nsignature 1 0;\nmap (1000000*u)^60;\n",
+    # finite values and jets, but the difference stencil overflows to NaN
+    "difference_overflow": "params u:[1,2];\nsignature 1 0;\nmap 2e307*u;\n",
+}
 
 
 class TestCheckCommand:
@@ -105,10 +128,7 @@ class TestCheckCommand:
         assert run_main("check", str(path), "--json") == 1
         captured = capsys.readouterr()
 
-        def reject(constant):
-            raise ValueError(f"non-strict JSON constant {constant}")
-
-        doc = json.loads(captured.out, parse_constant=reject)
+        doc = json.loads(captured.out, parse_constant=reject_constant)
         assert any(e["status"] == "error" for e in doc["checks"].values())
         assert "Traceback" not in captured.err
 
@@ -161,6 +181,51 @@ class TestCrosscheckCommand:
             "--points", "2",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("name", sorted(SINGULAR))
+    def test_singular_map_is_an_error(self, tmp_path, capsys, name):
+        path = tmp_path / "singular.imm"
+        path.write_text(SINGULAR[name])
+        assert run_main("crosscheck", str(path), "--points", "40") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lagkit: ") and "Traceback" not in err
+
+
+def _quiet_main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+_FUZZ_PARAMS = (Param("u", -1.0, 1.0), Param("v", 0.0, 2.0))
+
+
+def _fuzz_text(components) -> str:
+    return serialize(ImmersionSpec(_FUZZ_PARAMS, Signature(2, 0), components))
+
+
+class TestExitContract:
+    """Every spec yields exit 0, 1 or 2; check prints strict JSON on 0 and 1."""
+
+    @given(st.tuples(_expr_strategy(), _expr_strategy()).map(_fuzz_text))
+    @example(SINGULAR["nan_hessian"])
+    @example(SINGULAR["cosh_overflow"])
+    @example(SINGULAR["division_by_zero"])
+    @example(SINGULAR["power_overflow"])
+    @example(SINGULAR["difference_overflow"])
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    def test_any_spec_keeps_the_contract(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.imm")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            code, out = _quiet_main("check", path, "--json", "--samples", "5")
+            assert code in (0, 1, 2)
+            if code in (0, 1):
+                json.loads(out, parse_constant=reject_constant)
+            code, _ = _quiet_main("crosscheck", path, "--points", "2")
+            assert code in (0, 1, 2)
 
 
 class TestCatalogCommand:

@@ -25,6 +25,7 @@ from lagkit.errors import (
     ArityError,
     DomainError,
     DslSyntaxError,
+    SingularEvaluationError,
     UndeclaredParameterError,
     UnknownFunctionError,
 )
@@ -142,7 +143,7 @@ def _expr_strategy():
     return st.recursive(
         _leaf,
         lambda children: st.one_of(
-            st.tuples(st.sampled_from("+-*"), children, children).map(
+            st.tuples(st.sampled_from("+-*/"), children, children).map(
                 lambda t: Bin(t[0], t[1], t[2])
             ),
             children.map(Neg),
@@ -203,6 +204,24 @@ class TestEvaluation:
 
         with pytest.raises(DomainError):
             evaluate_map_jets(spec, (0.5, 2.0), order=1)
+
+    def test_non_finite_derivatives_rejected(self):
+        # the value underflows to 0 while the Hessian is 0 * inf = nan
+        spec = parse("params u:[1,2];\nsignature 1 0;\nmap exp(-1e200*u*u);\n")
+        from lagkit.dsl import evaluate_map_jets
+
+        assert evaluate_map_jets(spec, (1.5,), order=1)[0].value == 0
+        with pytest.raises(SingularEvaluationError, match="not finite"):
+            evaluate_map_jets(spec, (1.5,), order=2)
+
+    def test_overflow_rejected(self):
+        spec = parse("params u:[0,800];\nsignature 1 0;\nmap cosh(u);\n")
+        from lagkit.dsl import evaluate_map_jets
+
+        with pytest.raises(SingularEvaluationError, match="overflows"):
+            evaluate_map_jets(spec, (750.0,), order=1)
+        with pytest.raises(SingularEvaluationError, match="cannot be evaluated"):
+            eval_map_numeric(spec, (750.0,))
 
     def test_metadata_survives_transformations(self):
         spec = parse(GOOD).with_metadata(name="probe", expected_index=0)

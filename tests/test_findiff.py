@@ -9,6 +9,7 @@ import cmath
 import numpy as np
 import pytest
 
+from lagkit import jets
 from lagkit.catalog import catalog, catalog_names
 from lagkit.dsl import parse
 from lagkit.errors import DomainError
@@ -46,6 +47,18 @@ class TestOracleAgainstClosedForms:
         out = finite_difference_oracle(spec, (0.3, -0.2), order=2, step=1e-3)
         assert out[2][0, 1, 0] == pytest.approx(0.6, abs=1e-9)
         assert out[2][1, 0, 0] == pytest.approx(0.6, abs=1e-9)
+
+
+def test_oracle_runs_without_jet_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the finite-difference oracle multiplied jets")
+
+    monkeypatch.setattr(jets.Jet, "__mul__", refuse)
+    monkeypatch.setattr(jets.Jet, "__rmul__", refuse)
+    closed_forms = TestOracleAgainstClosedForms()
+    closed_forms.test_exponential_derivatives()
+    closed_forms.test_polynomial_first_derivative_is_near_exact()
+    closed_forms.test_mixed_partial()
 
 
 class TestDomainGuard:
