@@ -3,16 +3,27 @@
 This module is the independent second route: expressions are evaluated with
 plain complex arithmetic (cmath), and derivatives come from nested 4-point
 central difference stencils of order h^4.  Nothing here touches the jet code
-it is meant to check.
+it is meant to check, and the module imports no jet code.
 
 The 4-point stencil matters: third derivatives of some catalog maps are large
 (Whitney-type factors have fifth derivatives of order 10^2), and the plain
 3-point stencil would lose the order-3 agreement budget at step 1e-2.
+
+Stencils of different index tuples share many points, so one oracle call
+caches the map value of each point it evaluates, keyed on the exact bits of
+its coordinates, and evaluates every distinct point once.  The points of all
+order-k stencils form one array, built by adding the offsets one level at a
+time in the order the nested stencil adds them, and the difference quotients
+are formed by collapsing the stacked values one level at a time, innermost
+first, with the nested stencil's weighted sum.  Every coordinate and every
+floating-point operation is the one the nested stencils perform, so the
+tensors are bit-identical to evaluating each nested stencil on its own.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 
 import numpy as np
 
@@ -86,19 +97,6 @@ def eval_map_numeric(spec: ImmersionSpec, point) -> np.ndarray:
     return np.array(values, dtype=complex)
 
 
-def _central(f, x: np.ndarray, axes: tuple[int, ...], h: float) -> np.ndarray:
-    if not axes:
-        return f(x)
-    i, rest = axes[0], axes[1:]
-    acc = None
-    for off, w in zip(_OFFSETS, _WEIGHTS):
-        xp = x.copy()
-        xp[i] += off * h
-        term = w * _central(f, xp, rest, h)
-        acc = term if acc is None else acc + term
-    return acc / (_NORM * h)
-
-
 def finite_difference_oracle(
     spec: ImmersionSpec, point, order: int, step: float
 ) -> dict[int, np.ndarray]:
@@ -125,23 +123,36 @@ def finite_difference_oracle(
                 f"leaves [{p.lo}, {p.hi}]"
             )
 
+    values: dict[bytes, np.ndarray] = {}
+
     def f(pt):
-        return eval_map_numeric(spec, pt)
+        key = pt.tobytes()
+        if key not in values:
+            values[key] = eval_map_numeric(spec, pt)
+        return values[key]
 
     with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
         out: dict[int, np.ndarray] = {0: f(x)}
-        out[1] = np.array([_central(f, x, (i,), step) for i in range(m)])
-        if order >= 2:
-            out[2] = np.array(
-                [[_central(f, x, (i, j), step) for j in range(m)] for i in range(m)]
-            )
-        if order >= 3:
-            out[3] = np.array(
-                [
-                    [[_central(f, x, (i, j, k), step) for k in range(m)] for j in range(m)]
-                    for i in range(m)
-                ]
-            )
+        for k in range(1, order + 1):
+            # rows: ordered index tuples; columns: offset tuples of the stencil
+            axes = np.array(list(itertools.product(range(m), repeat=k)))
+            offsets = np.array(list(itertools.product(_OFFSETS, repeat=k)))
+            pts = np.tile(x, (len(axes), len(offsets), 1))
+            rows = np.arange(len(axes))[:, None]
+            cols = np.arange(len(offsets))
+            # outermost level first, as the nested stencil adds them: same floats
+            for level in range(k):
+                pts[rows, cols, axes[:, level, None]] += offsets[:, level] * step
+            v = np.array([f(pt) for pt in pts.reshape(-1, m)])
+            v = v.reshape((len(axes),) + (len(_OFFSETS),) * k + (-1,))
+            # innermost level first, with the nested stencil's operation order
+            for _ in range(k):
+                acc = None
+                for s, w in enumerate(_WEIGHTS):
+                    term = w * v[..., s, :]
+                    acc = term if acc is None else acc + term
+                v = acc / (_NORM * step)
+            out[k] = v.reshape((m,) * k + (-1,))
     if not all(np.isfinite(t).all() for t in out.values()):
         raise SingularEvaluationError(f"finite differences not finite at {tuple(x.tolist())}")
     return out
