@@ -7,7 +7,7 @@ builds new spherical Lagrangian immersions from Legendrian inputs via the
 circle product.
 """
 
-from .ambient import AmbientQuadric, ComplexVec, Signature
+from .ambient import AmbientQuadric, Signature
 from .catalog import (
     CatalogEntry,
     catalog,
@@ -45,7 +45,7 @@ from .errors import (
 )
 from .findiff import finite_difference_oracle, jet_fd_deviation
 from .geometry import (
-    GeometryFrame,
+    FrameBatch,
     build_frame,
     codazzi_residual,
     gauss_residual,
@@ -63,13 +63,12 @@ __all__ = [
     "CatalogEntry",
     "CheckEntry",
     "CheckReport",
-    "ComplexVec",
     "DegenerateMetricError",
     "DimensionMismatchError",
     "DomainError",
     "DslError",
     "DslSyntaxError",
-    "GeometryFrame",
+    "FrameBatch",
     "ImmersionSpec",
     "IndeterminateFitError",
     "Jet",

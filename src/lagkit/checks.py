@@ -1,11 +1,12 @@
 """Residual checks certifying the defining identities of an immersion.
 
-sample_frames evaluates the immersion once at each deterministic interior
-sample point; every check is a pure function of that frame list, evaluates a
-named residual at each frame, and reports max/mean together with the worst
-offender.  run_suite builds the frames of a spec once, wires the checks
-together in dependency order and emits a CheckReport whose JSON form is
-byte-stable for a fixed seed.
+sample_frames evaluates the immersion at the deterministic interior sample
+points, in chunks of at most CHUNK points, and joins the chunks into one
+FrameBatch; every check is a pure function of that batch, evaluates a named
+residual at all points as one array reduction over the point axis, and
+reports max/mean together with the worst offender.  run_suite builds the
+frames of a spec once, wires the checks together in dependency order and
+emits a CheckReport whose JSON form is byte-stable for a fixed seed.
 
 Check names are stable API: lagrangian, spherical, legendrian, horizontal,
 cubic_symmetry, gauss, codazzi, structure_v_tangent, structure_v_unit,
@@ -26,10 +27,11 @@ from .ambient import AmbientQuadric, apply_j_flat, inner_flat
 from .dsl import ImmersionSpec
 from .errors import DimensionMismatchError, LagkitError
 from .geometry import (
-    GeometryFrame,
+    FrameBatch,
     build_frame,
     codazzi_residual,
     gauss_residual,
+    point_max,
     project,
     tangent_field,
 )
@@ -52,6 +54,9 @@ __all__ = [
     "check_umbilical_relation",
     "run_suite",
 ]
+
+# points per map evaluation: bounds the memory of the batched jets and frames
+CHUNK = 64
 
 DEFAULT_TOL = 1e-8
 DEFAULT_TOL_THIRD = 1e-6
@@ -129,7 +134,7 @@ def _finish(name, cfg, residuals, frames, extra_details=None) -> CheckEntry:
     arr = np.asarray(residuals, dtype=float)
     worst = int(np.argmax(arr))  # the first NaN, if there is one
     if not math.isfinite(arr[worst]):
-        return _errored(name, cfg, f"non-finite residual at {frames[worst].point}")
+        return _errored(name, cfg, f"non-finite residual at {frames.point(worst)}")
     entry = CheckEntry(
         name=name,
         max_residual=float(arr[worst]),
@@ -137,7 +142,7 @@ def _finish(name, cfg, residuals, frames, extra_details=None) -> CheckEntry:
         points_evaluated=len(frames),
         tolerance=tol,
         passed=bool(arr[worst] <= tol),
-        worst_point=frames[worst].point,
+        worst_point=frames.point(worst),
     )
     if extra_details:
         entry.details.update(extra_details)
@@ -172,50 +177,72 @@ def _errored(name, cfg, reason) -> CheckEntry:
 
 def sample_frames(
     spec: ImmersionSpec, cfg: SampleConfig, need_third: bool = False
-) -> list[GeometryFrame]:
-    """Frames of spec at the configured sample points, one map evaluation each.
+) -> FrameBatch:
+    """Frames of spec at the configured sample points, one map evaluation per chunk.
 
     Translating or dilating a spec keeps its parameter box, so the frames of a
     normalized spec sit at the same points as those of the original.
     """
     points = sample_points(spec, cfg.num_points, cfg.seed, cfg.interior_margin)
-    return [build_frame(spec, pt, need_third=need_third) for pt in points]
+    chunks = (points[i : i + CHUNK] for i in range(0, len(points), CHUNK))
+    return FrameBatch.concatenate(
+        (_chunk_frames(spec, c, need_third) for c in chunks), len(points)
+    )
 
 
-def check_lagrangian(frames: list[GeometryFrame], cfg: SampleConfig) -> CheckEntry:
+def _chunk_frames(spec, points, need_third) -> FrameBatch:
+    """build_frame on one chunk.  When it raises, the chunk is built again one
+    point at a time, so the error names the first failing point, with its
+    message, exactly as a point-by-point walk would."""
+    try:
+        return build_frame(spec, points, need_third)
+    except LagkitError:
+        for pt in points:
+            build_frame(spec, [pt], need_third)
+        raise
+
+
+def check_lagrangian(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
     """Isotropy of the image: <J dL_i, dL_j> vanishes for all i, j.
 
     Requires the half-dimensional parameter count; the frames themselves
     guarantee a nondegenerate induced metric at every sampled point.
     """
-    spec = frames[0].spec
+    spec = frames.spec
     if spec.num_params != spec.signature.n:
         raise DimensionMismatchError(
             f"Lagrangian check needs n = {spec.signature.n} parameters, "
             f"spec has {spec.num_params} (not half-dimensional)"
         )
-    residuals = []
-    for fr in frames:
-        jfirst = apply_j_flat(fr.first)
-        bracket = (jfirst * fr.eta) @ fr.first.T
-        residuals.append(float(np.max(np.abs(bracket))))
-    return _finish("lagrangian", cfg, residuals, frames)
+    return _finish("lagrangian", cfg, point_max(_omega(frames)), frames)
 
 
-def fit_hypersphere(frames: list[GeometryFrame], cfg: SampleConfig):
+def _omega(frames: FrameBatch) -> np.ndarray:
+    """<J dL_i, dL_j> at each point, (B, m, m)."""
+    jfirst = apply_j_flat(frames.first)
+    return (jfirst * frames.eta) @ np.swapaxes(frames.first, 1, 2)
+
+
+def _v_pairing(frames: FrameBatch) -> np.ndarray:
+    """<dL_i, J L> at each point, (B, m)."""
+    jpos = apply_j_flat(frames.position)
+    return (frames.first @ (frames.eta * jpos)[..., None])[..., 0]
+
+
+def fit_hypersphere(frames: FrameBatch, cfg: SampleConfig):
     """Least-squares fit of <L - p, L - p> = r^2 (signed) over sampled points.
 
     <L, L> - 2 <L, p> = k is linear in (p, k); the signed square radius is
     k + <p, p>.  Returns (SphereFit | None, CheckEntry named "spherical").
     """
-    eta = frames[0].eta
+    eta = frames.eta
     dim = len(eta)
     needed = dim + 2
     if len(frames) < needed:
         return None, _errored(
             "spherical", cfg, f"need at least {needed} sample points, have {len(frames)}"
         )
-    pos = np.array([fr.position for fr in frames])
+    pos = frames.position
     rows = np.hstack([2.0 * pos * eta, np.ones((len(frames), 1))])
     rhs = np.einsum("pa,a,pa->p", pos, eta, pos)
     sol, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
@@ -225,7 +252,7 @@ def fit_hypersphere(frames: list[GeometryFrame], cfg: SampleConfig):
         )
     center = sol[:dim]
     k = float(sol[dim])
-    radius_sq = k + inner_flat(center, center, eta)
+    radius_sq = k + float(inner_flat(center, center, eta))
     residuals = np.abs(rows @ sol - rhs)
     rms = float(np.sqrt(np.mean(residuals**2)))
     fit = SphereFit(center=center, radius_sq_signed=radius_sq, rms_residual=rms)
@@ -240,48 +267,46 @@ def fit_hypersphere(frames: list[GeometryFrame], cfg: SampleConfig):
 
 
 def check_legendrian(
-    frames: list[GeometryFrame], cfg: SampleConfig, quadric: AmbientQuadric
+    frames: FrameBatch, cfg: SampleConfig, quadric: AmbientQuadric
 ) -> CheckEntry:
     """Legendrian conditions on a declared quadric: membership, J-position
     normal to the image, J of tangents normal to the image."""
-    spec = frames[0].spec
+    spec = frames.spec
     if spec.num_params != spec.signature.n - 1:
         raise DimensionMismatchError(
             f"Legendrian check needs n-1 = {spec.signature.n - 1} parameters, "
             f"spec has {spec.num_params}"
         )
-    target = quadric.radius_sq_signed
-    residuals = []
-    for fr in frames:
-        jpos = apply_j_flat(fr.position)
-        membership = abs(inner_flat(fr.position, fr.position, fr.eta) - target)
-        v_normal = np.abs(fr.first @ (fr.eta * jpos))
-        jfirst = apply_j_flat(fr.first)
-        p_normal = np.abs((jfirst * fr.eta) @ fr.first.T)
-        residuals.append(max(membership, float(v_normal.max()), float(p_normal.max())))
+    residuals = np.maximum.reduce(
+        [
+            _membership(frames, quadric),
+            point_max(_v_pairing(frames)),
+            point_max(_omega(frames)),
+        ]
+    )
     return _finish("legendrian", cfg, residuals, frames)
 
 
-def check_horizontal(frames: list[GeometryFrame], cfg: SampleConfig) -> CheckEntry:
+def _membership(frames: FrameBatch, quadric: AmbientQuadric) -> np.ndarray:
+    """|<L, L> - 1/c| at each point."""
+    pos = frames.position
+    return np.abs(inner_flat(pos, pos, frames.eta) - quadric.radius_sq_signed)
+
+
+def check_horizontal(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
     """Horizontality over the circle action: tangents orthogonal to J-position."""
-    residuals = []
-    for fr in frames:
-        jpos = apply_j_flat(fr.position)
-        residuals.append(float(np.max(np.abs(fr.first @ (fr.eta * jpos)))))
-    return _finish("horizontal", cfg, residuals, frames)
+    return _finish("horizontal", cfg, point_max(_v_pairing(frames)), frames)
 
 
-def check_cubic_symmetry(frames: list[GeometryFrame], cfg: SampleConfig) -> CheckEntry:
+def check_cubic_symmetry(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
     """Total symmetry of <h(X, Y), JZ> in its three slots.
 
     With h already symmetric it suffices to compare the cyclic rotation,
     <h_ij, J dL_k> = <h_jk, J dL_i>.
     """
-    residuals = []
-    for fr in frames:
-        jfirst = apply_j_flat(fr.first)
-        cubic = np.einsum("ija,a,ka->ijk", fr.sff, fr.eta, jfirst)
-        residuals.append(float(np.max(np.abs(cubic - np.einsum("jki->ijk", cubic)))))
+    jfirst = apply_j_flat(frames.first)
+    cubic = np.einsum("bija,a,bka->bijk", frames.sff, frames.eta, jfirst)
+    residuals = point_max(cubic - np.einsum("bjki->bijk", cubic))
     return _finish("cubic_symmetry", cfg, residuals, frames)
 
 
@@ -292,21 +317,20 @@ def _structure_entries(frames_n, cfg, epsilon):
     J L must satisfy: V actually tangential, <V, V> = epsilon, h(Z, V) = JZ,
     h(V, V) = -position, and nabla V = 0.
     """
-    res = {name: [] for name in STRUCTURE_CHECKS}
-    for fr in frames_n:
-        jpos = apply_j_flat(fr.position)
-        coeffs, normal = project(fr, jpos)
-        res["structure_v_tangent"].append(float(np.max(np.abs(normal))))
-        vv = float(coeffs @ fr.metric @ coeffs)
-        res["structure_v_unit"].append(abs(vv - epsilon))
-        jfirst = apply_j_flat(fr.first)
-        hv = np.einsum("k,ika->ia", coeffs, fr.sff)
-        res["structure_h_mixed"].append(float(np.max(np.abs(hv - jfirst))))
-        hvv = np.einsum("j,k,jka->a", coeffs, coeffs, fr.sff)
-        res["structure_h_vv"].append(float(np.max(np.abs(hvv + fr.position))))
-        _, grads = tangent_field(fr)
-        nabla_v = grads + np.einsum("kim,m->ik", fr.christoffels, coeffs)
-        res["structure_v_parallel"].append(float(np.max(np.abs(nabla_v))))
+    fr = frames_n
+    coeffs, normal = project(fr, apply_j_flat(fr.position))
+    vv = (coeffs[:, None, :] @ fr.metric @ coeffs[:, :, None])[:, 0, 0]
+    hv = np.einsum("bk,bika->bia", coeffs, fr.sff)
+    hvv = np.einsum("bj,bk,bjka->ba", coeffs, coeffs, fr.sff)
+    _, grads = tangent_field(fr)
+    nabla_v = grads + np.einsum("bkim,bm->bik", fr.christoffels, coeffs)
+    res = {
+        "structure_v_tangent": point_max(normal),
+        "structure_v_unit": np.abs(vv - epsilon),
+        "structure_h_mixed": point_max(hv - apply_j_flat(fr.first)),
+        "structure_h_vv": point_max(hvv + fr.position),
+        "structure_v_parallel": point_max(nabla_v),
+    }
     entries = {}
     for name in STRUCTURE_CHECKS:
         extra = {"epsilon": epsilon} if name == "structure_v_unit" else None
@@ -349,35 +373,33 @@ def _structure_with_fit(spec, cfg, lag_entry, fit, fit_entry):
     return entries, transform, frames_n
 
 
-def check_product_metric(frames: list[GeometryFrame], cfg: SampleConfig) -> CheckEntry:
+def check_product_metric(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
     """Product block structure in adapted coordinates (first parameter = angle).
 
     Checks g_{t u_j} = 0, the u-block independent of t, and g_tt constant of
     modulus one; the g_tt value lands in the entry details.
     """
-    residuals = []
-    gtt_values = []
-    for fr in frames:
-        g, dg = fr.metric, fr.dmetric
-        cross = float(np.max(np.abs(g[0, 1:]))) if fr.num_params > 1 else 0.0
-        block_drift = (
-            float(np.max(np.abs(dg[0, 1:, 1:]))) if fr.num_params > 1 else 0.0
-        )
-        gtt_drift = float(np.max(np.abs(dg[:, 0, 0])))
-        unit = abs(abs(float(g[0, 0])) - 1.0)
-        gtt_values.append(float(g[0, 0]))
-        residuals.append(max(cross, block_drift, gtt_drift, unit))
+    g, dg = frames.metric, frames.dmetric
+    gtt = g[:, 0, 0]
+    residuals = np.maximum.reduce(
+        [
+            point_max(g[:, 0, 1:]),  # cross terms
+            point_max(dg[:, 0, 1:, 1:]),  # drift of the u-block along t
+            point_max(dg[:, :, 0, 0]),  # drift of g_tt
+            np.abs(np.abs(gtt) - 1.0),
+        ]
+    )
     return _finish(
         "product_metric",
         cfg,
         residuals,
         frames,
-        extra_details={"g_tt": float(np.mean(gtt_values))},
+        extra_details={"g_tt": float(np.mean(gtt))},
     )
 
 
 def check_umbilical_relation(
-    frames: list[GeometryFrame], cfg: SampleConfig, quadric: AmbientQuadric
+    frames: FrameBatch, cfg: SampleConfig, quadric: AmbientQuadric
 ) -> CheckEntry:
     """Consistency of the flat and in-quadric second fundamental forms.
 
@@ -385,33 +407,30 @@ def check_umbilical_relation(
     tangent to the quadric: <h_ij + c g_ij L, L> = 0.  Membership is verified
     first; the factor c equals the usual sign epsilon on unit quadrics.
     """
-    c = quadric.c
-    target = quadric.radius_sq_signed
-    membership_tol = max(cfg.tolerance_for("umbilical"), 1e-10)
-    residuals = []
-    for fr in frames:
-        membership = abs(inner_flat(fr.position, fr.position, fr.eta) - target)
-        if membership > 1e4 * membership_tol:
-            return _errored(
-                "umbilical",
-                cfg,
-                f"membership failure at {fr.point}: |<L,L> - 1/c| = {membership:.3e}",
-            )
-        inquadric = fr.sff + c * fr.metric[:, :, None] * fr.position[None, None, :]
-        residuals.append(
-            float(np.max(np.abs(np.einsum("ija,a,a->ij", inquadric, fr.eta, fr.position))))
+    membership = _membership(frames, quadric)
+    outside = membership > 1e4 * max(cfg.tolerance_for("umbilical"), 1e-10)
+    if outside.any():
+        i = int(np.argmax(outside))
+        return _errored(
+            "umbilical",
+            cfg,
+            f"membership failure at {frames.point(i)}: "
+            f"|<L,L> - 1/c| = {membership[i]:.3e}",
         )
+    pos = frames.position
+    inquadric = frames.sff + quadric.c * frames.metric[..., None] * pos[:, None, None, :]
+    residuals = point_max(np.einsum("bija,a,ba->bij", inquadric, frames.eta, pos))
     return _finish("umbilical", cfg, residuals, frames)
 
 
-def check_gauss(frames: list[GeometryFrame], cfg: SampleConfig) -> CheckEntry:
+def check_gauss(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
     """Gauss equation residual; the frames need third derivatives."""
-    return _finish("gauss", cfg, [gauss_residual(fr) for fr in frames], frames)
+    return _finish("gauss", cfg, gauss_residual(frames), frames)
 
 
-def check_codazzi(frames: list[GeometryFrame], cfg: SampleConfig) -> CheckEntry:
+def check_codazzi(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
     """Codazzi equation residual; the frames need third derivatives."""
-    return _finish("codazzi", cfg, [codazzi_residual(fr) for fr in frames], frames)
+    return _finish("codazzi", cfg, codazzi_residual(frames), frames)
 
 
 @dataclass
@@ -521,8 +540,9 @@ def run_suite(
 ) -> CheckReport:
     """All applicable checks in dependency order.
 
-    The map is evaluated once per sample point, to third order; the structure
-    bundle evaluates the re-normalized spec once more at the same points.
+    The map is evaluated once per chunk of sample points, to third order; the
+    structure bundle evaluates the re-normalized spec once more at the same
+    points.
     Half-dimensional specs run the Lagrangian chain (isotropy, quadric fit,
     curvature identities, cubic symmetry, then the structure bundle, product
     metric and umbilical relation on the re-normalized spec).  Specs with one

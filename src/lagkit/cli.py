@@ -22,7 +22,7 @@ from .catalog import catalog_entry, catalog_names
 from .checks import SampleConfig, run_suite
 from .dsl import ImmersionSpec, parse, serialize
 from .errors import LagkitError
-from .findiff import jet_fd_deviation
+from .findiff import jet_fd_comparison
 from .products import circle_product
 from .sampling import sample_points
 
@@ -160,15 +160,16 @@ def _cmd_crosscheck(args) -> int:
             args.seed,
             extra_margin=2.0 * order * step * 1.01,
         )
-        worst = 0.0
+        # each point is judged against tol * max(1, max |fd|) at that point
+        worst, scale, ok = 0.0, 1.0, True
         for pt in points:
-            dev = jet_fd_deviation(spec, pt, order, step)
-            worst = max(worst, dev[order])
-        ok = worst <= tol
+            dev, size = jet_fd_comparison(spec, pt, order, step)[order]
+            ok = ok and dev <= tol * max(1.0, size)
+            worst, scale = max(worst, dev), max(scale, size)
         failed = failed or not ok
         print(
             f"order {order}: max |jet - fd| = {worst:.3e} "
-            f"(step {step:.0e}, tol {tol:.0e}) {'pass' if ok else 'FAIL'}"
+            f"(step {step:.0e}, tol {tol:.0e} x scale {scale:.3e}) {'pass' if ok else 'FAIL'}"
         )
     return 1 if failed else 0
 

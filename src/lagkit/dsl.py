@@ -22,6 +22,7 @@ params/signature/components structure exactly.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, replace
 
@@ -461,36 +462,43 @@ def serialize(spec: ImmersionSpec) -> str:
 # -- evaluation ----------------------------------------------------------------
 
 _FUNCTIONS = {name: getattr(jets, name) for name in FUNCTION_NAMES}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def eval_expr(e: Expr, env: dict[str, Jet], num_vars: int, order: int) -> Jet:
-    """Evaluate an expression over a jet environment."""
-    if isinstance(e, Num):
-        return Jet.constant(e.value, num_vars, order)
-    if isinstance(e, Imag):
-        return Jet.constant(1j, num_vars, order)
-    if isinstance(e, Ref):
-        return env[e.name]
-    if isinstance(e, Neg):
-        return -eval_expr(e.arg, env, num_vars, order)
-    if isinstance(e, Bin):
-        left = eval_expr(e.left, env, num_vars, order)
-        right = eval_expr(e.right, env, num_vars, order)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        return left / right
-    if isinstance(e, Pow):
-        return jets.ipow(eval_expr(e.base, env, num_vars, order), e.exponent)
-    if isinstance(e, Call):
-        return _FUNCTIONS[e.fn](eval_expr(e.arg, env, num_vars, order))
-    raise TypeError(f"not an expression node: {e!r}")
+def _apply(fn, x, *rest):
+    """fn(x, *rest); on complex scalars alone, through the jet code at order 0."""
+    if isinstance(x, Jet) or (rest and isinstance(rest[0], Jet)):
+        return fn(x, *rest)
+    return complex(fn(Jet(1, 0, x), *rest).value)
 
 
-def check_point_in_domain(spec: ImmersionSpec, point, slack: float = 1e-12):
+def eval_expr(e: Expr, env: dict[str, Jet]):
+    """Evaluate an expression over a jet environment.
+
+    Subexpressions free of parameters stay complex scalars: the jets mix them
+    in as constants, so `2*u` costs one scaling, not one jet product.
+    """
+    rule = _RULES.get(type(e))
+    if rule is None:
+        raise TypeError(f"not an expression node: {e!r}")
+    return rule(e, env)
+
+
+_RULES = {
+    Num: lambda e, env: complex(e.value),
+    Imag: lambda e, env: 1j,
+    Ref: lambda e, env: env[e.name],
+    Neg: lambda e, env: -eval_expr(e.arg, env),
+    Bin: lambda e, env: _apply(_BINARY[e.op], eval_expr(e.left, env), eval_expr(e.right, env)),
+    Pow: lambda e, env: _apply(jets.ipow, eval_expr(e.base, env), e.exponent),
+    Call: lambda e, env: _apply(_FUNCTIONS[e.fn], eval_expr(e.arg, env)),
+}
+
+
+_SLACK = 1e-12
+
+
+def check_point_in_domain(spec: ImmersionSpec, point, slack: float = _SLACK):
     """Raise DomainError unless the point sits in the (closed) domain box."""
     if len(point) != spec.num_params:
         raise DomainError(
@@ -503,23 +511,34 @@ def check_point_in_domain(spec: ImmersionSpec, point, slack: float = 1e-12):
             )
 
 
-def evaluate_map_jets(spec: ImmersionSpec, point, order: int) -> list[Jet]:
-    """Jets of every component of the immersion at an interior point.
+def evaluate_map_jets(spec: ImmersionSpec, points, order: int) -> list[Jet]:
+    """Jets of every component of the immersion at a batch of interior points.
 
-    Raises SingularEvaluationError when the map or one of its derivatives
-    overflows or is not finite.
+    points is one point (m,) or a batch (B, m); either way the jets carry a
+    point axis of length B (1 for a single point), and the expression tree is
+    walked once for the whole batch.  Raises SingularEvaluationError when the
+    map or one of its derivatives overflows or is not finite at some point.
     """
-    check_point_in_domain(spec, point)
+    pts = np.array(points, dtype=float, ndmin=2)
     m = spec.num_params
-    env = {
-        p.name: Jet.seed(k, point[k], m, order) for k, p in enumerate(spec.params)
-    }
-    pt = tuple(float(x) for x in point)
+    rows = pts.tolist()
+    if pts.shape[1] != m or not all(
+        p.lo - _SLACK <= x <= p.hi + _SLACK for row in rows for p, x in zip(spec.params, row)
+    ):
+        for row in rows:
+            check_point_in_domain(spec, row)
+    env = {p.name: Jet.seed(k, pts[:, k], m, order) for k, p in enumerate(spec.params)}
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-            out = [eval_expr(c, env, m, order) for c in spec.components]
+        with np.errstate(all="ignore"):  # rejected just below
+            out = [eval_expr(c, env) for c in spec.components]
     except OverflowError as exc:
-        raise SingularEvaluationError(f"map overflows at {pt}: {exc}") from exc
-    if not all(np.isfinite(b).all() for jet in out for b in jet.blocks):
-        raise SingularEvaluationError(f"map or its derivatives not finite at {pt}")
+        where = tuple(pts[0].tolist()) if len(pts) == 1 else f"one of {len(pts)} points"
+        raise SingularEvaluationError(f"map overflows at {where}: {exc}") from exc
+    # a constant component is a jet with zero derivatives
+    out = [j if isinstance(j, Jet) else Jet(m, order, np.full(len(pts), j)) for j in out]
+    blocks = [b.reshape(len(pts), -1) for jet in out for b in jet.blocks]
+    finite = np.isfinite(np.concatenate(blocks, axis=1))
+    if not finite.all():
+        bad = tuple(pts[np.argmin(finite.all(axis=1))].tolist())
+        raise SingularEvaluationError(f"map or its derivatives not finite at {bad}")
     return out

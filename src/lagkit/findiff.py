@@ -33,6 +33,7 @@ from .errors import DomainError, SingularEvaluationError
 __all__ = [
     "eval_map_numeric",
     "finite_difference_oracle",
+    "jet_fd_comparison",
     "jet_fd_deviation",
 ]
 
@@ -161,16 +162,25 @@ def finite_difference_oracle(
 def _jet_tensors(spec: ImmersionSpec, point, order: int) -> dict[int, np.ndarray]:
     from .dsl import evaluate_map_jets
 
-    jets = evaluate_map_jets(spec, point, order)
-    return {k: np.stack([jet.blocks[k] for jet in jets], axis=-1) for k in range(order + 1)}
+    jets = evaluate_map_jets(spec, point, order)  # a batch of one point
+    return {k: np.stack([jet.blocks[k][0] for jet in jets], axis=-1) for k in range(order + 1)}
 
 
 def jet_fd_deviation(
     spec: ImmersionSpec, point, order: int, step: float
 ) -> dict[int, float]:
     """Max |jet - finite difference| per derivative order (1..order)."""
+    return {k: dev for k, (dev, _) in jet_fd_comparison(spec, point, order, step).items()}
+
+
+def jet_fd_comparison(
+    spec: ImmersionSpec, point, order: int, step: float
+) -> dict[int, tuple[float, float]]:
+    """(max |jet - finite difference|, max |finite difference|) per derivative
+    order (1..order): the deviation and the size it is to be judged against."""
     fd = finite_difference_oracle(spec, point, order, step)
     jt = _jet_tensors(spec, point, order)
     return {
-        k: float(np.max(np.abs(jt[k] - fd[k]))) for k in range(1, order + 1)
+        k: (float(np.max(np.abs(jt[k] - fd[k]))), float(np.max(np.abs(fd[k]))))
+        for k in range(1, order + 1)
     }

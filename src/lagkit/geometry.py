@@ -1,33 +1,34 @@
 """Induced geometry of an immersion: metric, connection, curvature.
 
-A GeometryFrame bundles the derivative data of the immersion at one point,
-in interleaved real coordinates, together with the induced metric, the
+A FrameBatch bundles the derivative data of the immersion at a batch of B
+points, in interleaved real coordinates, together with the induced metric, the
 Christoffel symbols (and their derivatives, at third order), and the second
-fundamental form of the flat ambient space.  Curvature, the classical
-compatibility identities (Gauss and Codazzi equations) and the tangent field
-of J L are computed from the frame alone, without evaluating the map again.
+fundamental form of the flat ambient space.  Every array carries the point
+axis first, and build_frame assembles all of them from one batched map
+evaluation.  Curvature, the classical compatibility identities (Gauss and
+Codazzi equations) and the tangent field of J L are computed from the batch
+alone, as one array expression per quantity, without evaluating the map again.
 
-Index conventions, pinned by tests on the round-sphere factor:
-  dmetric[k, i, j]      = d_k g_ij
-  christoffels[k, i, j] = Gamma^k_ij
-  dchristoffels[p, k, i, j] = d_p Gamma^k_ij
-  riemann R[i, j, k, l] = <R(d_i, d_j) d_k, d_l>, so the Gauss identity reads
+Index conventions, pinned by tests on the round-sphere factor (b is the point):
+  dmetric[b, k, i, j]      = d_k g_ij
+  christoffels[b, k, i, j] = Gamma^k_ij
+  dchristoffels[b, p, k, i, j] = d_p Gamma^k_ij
+  riemann R[b, i, j, k, l] = <R(d_i, d_j) d_k, d_l>, so the Gauss identity reads
   R[i, j, k, l] = <h_il, h_jk> - <h_ik, h_jl>.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .ambient import apply_j_flat, metric_diagonal
 from .dsl import ImmersionSpec, evaluate_map_jets
 from .errors import DegenerateMetricError, SingularEvaluationError
-from .jets import Jet
 
 __all__ = [
-    "GeometryFrame",
+    "FrameBatch",
     "build_frame",
     "riemann_tensor",
     "sectional_curvature",
@@ -41,219 +42,235 @@ DET_THRESHOLD = 1e-10
 
 
 @dataclass
-class GeometryFrame:
-    """Derivative and metric data of an immersion at a single point."""
+class FrameBatch:
+    """Derivative and metric data of an immersion at B points."""
 
     spec: ImmersionSpec
-    point: tuple[float, ...]
-    position: np.ndarray  # (2n,)
-    first: np.ndarray  # (m, 2n)
-    second: np.ndarray  # (m, m, 2n)
-    third: np.ndarray | None  # (m, m, m, 2n) when requested
-    eta: np.ndarray  # (2n,)
-    metric: np.ndarray  # (m, m)
+    points: np.ndarray  # (B, m)
+    position: np.ndarray  # (B, 2n)
+    first: np.ndarray  # (B, m, 2n)
+    second: np.ndarray  # (B, m, m, 2n)
+    third: np.ndarray | None  # (B, m, m, m, 2n) when requested
+    eta: np.ndarray  # (2n,), shared by all points
+    metric: np.ndarray  # (B, m, m)
     metric_inv: np.ndarray
-    dmetric: np.ndarray  # (m, m, m): d_k g_ij
-    christoffels: np.ndarray  # (m, m, m): Gamma^k_ij
-    sff: np.ndarray  # (m, m, 2n): second fundamental form vectors
-    dchristoffels: np.ndarray | None = None  # (m, m, m, m) when need_third
+    dmetric: np.ndarray  # (B, m, m, m): d_k g_ij
+    christoffels: np.ndarray  # (B, m, m, m): Gamma^k_ij
+    sff: np.ndarray  # (B, m, m, 2n): second fundamental form vectors
+    dchristoffels: np.ndarray | None = None  # (B, m, m, m, m) when need_third
 
-    @property
-    def num_params(self) -> int:
-        return self.first.shape[0]
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def point(self, index: int) -> tuple[float, ...]:
+        return tuple(self.points[index].tolist())
+
+    @classmethod
+    def concatenate(cls, batches, size: int) -> "FrameBatch":
+        """One batch of `size` points holding the points of `batches`, in order.
+
+        batches may be a generator: each batch is copied in before the next
+        is built, so no two of them are alive at once.
+        """
+        out, start = None, 0
+        for batch in batches:
+            if out is None:
+                arrays = [
+                    f.name
+                    for f in fields(cls)
+                    if f.name not in ("spec", "eta") and getattr(batch, f.name) is not None
+                ]
+                full = {n: np.empty((size,) + getattr(batch, n).shape[1:]) for n in arrays}
+                out = replace(batch, **full)
+            for name in arrays:
+                getattr(out, name)[start : start + len(batch)] = getattr(batch, name)
+            start += len(batch)
+            del batch
+        return out
 
 
-def _real_blocks(jets: list[Jet], order: int) -> list[np.ndarray]:
-    """Position and derivative tensors in interleaved (re, im) real coordinates.
+def point_max(x: np.ndarray) -> np.ndarray:
+    """max |x| over every axis but the leading point axis (0 for empty slices)."""
+    return np.abs(x).reshape(len(x), -1).max(axis=1, initial=0.0)
 
-    A complex128 array is stored as (re, im) pairs, so stacking the component
-    jets along a last axis and viewing that as float gives the ambient layout.
+
+def build_frame(spec: ImmersionSpec, points, need_third: bool = False) -> FrameBatch:
+    """Evaluate the immersion at a batch of points and assemble its geometry.
+
+    points is one point (m,) or a batch (B, m); a single point gives a batch
+    of one.  Raises SingularEvaluationError when the map, its derivatives or
+    the metric overflow or are not finite, and DegenerateMetricError when
+    |det(g / max |g_ij|)| < 1e-10, at some point; the message names the first
+    such point met by the test that fails.
     """
-    return [
+    pts = np.array(points, dtype=float, ndmin=2)
+    order = 3 if need_third else 2
+    jets = evaluate_map_jets(spec, pts, order)
+    # a complex128 array is stored as (re, im) pairs, so stacking the component
+    # jets along a last axis and viewing that as float gives the ambient layout
+    position, first, second, *rest = (
         np.stack([jet.blocks[k] for jet in jets], axis=-1).view(float)
         for k in range(order + 1)
-    ]
-
-
-def build_frame(spec: ImmersionSpec, point, need_third: bool = False) -> GeometryFrame:
-    """Evaluate the immersion at a point and assemble its geometric data.
-
-    Raises SingularEvaluationError when the map, its derivatives or the metric
-    overflow or are not finite, and DegenerateMetricError when
-    |det g| < 1e-10 * (max |g_ij|)^m.
-    """
-    pt = tuple(float(x) for x in point)
-    order = 3 if need_third else 2
-    jets = evaluate_map_jets(spec, point, order)
-    position, first, second, *rest = _real_blocks(jets, order)
+    )
     third = rest[0] if need_third else None
+    del jets  # the stacked copies replace them; keeps the chunk's peak memory down
     eta = metric_diagonal(spec.signature)
 
     with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-        metric = (first * eta) @ first.T
-        metric = 0.5 * (metric + metric.T)
-    if not np.isfinite(metric).all():
-        raise SingularEvaluationError(f"induced metric not finite at {pt}")
+        metric = (first * eta) @ np.swapaxes(first, 1, 2)
+        metric = 0.5 * (metric + np.swapaxes(metric, 1, 2))
+    finite = np.isfinite(metric).all(axis=(1, 2))
+    if not finite.all():
+        bad = tuple(pts[np.argmin(finite)].tolist())
+        raise SingularEvaluationError(f"induced metric not finite at {bad}")
     # compare det(g / scale), since scale**m can overflow where det g does not
-    scale = float(np.max(np.abs(metric)))
-    if scale == 0.0 or abs(np.linalg.det(metric / scale)) < DET_THRESHOLD:
-        det = abs(float(np.linalg.det(metric)))
-        raise DegenerateMetricError(f"induced metric degenerate at {pt}: |det| = {det:.3e}")
+    scale = np.abs(metric).max(axis=(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):  # scale 0 is degenerate
+        degenerate = (scale == 0.0) | (
+            np.abs(np.linalg.det(metric / scale[:, None, None])) < DET_THRESHOLD
+        )
+    if degenerate.any():
+        i = int(np.argmax(degenerate))
+        det = abs(float(np.linalg.det(metric[i])))
+        bad = tuple(pts[i].tolist())
+        raise DegenerateMetricError(f"induced metric degenerate at {bad}: |det| = {det:.3e}")
     metric_inv = np.linalg.inv(metric)
 
     # d_k g_ij = <L_ik, L_j> + <L_i, L_jk>
-    half = np.einsum("ika,a,ja->kij", second, eta, first)
-    dmetric = half + half.transpose(0, 2, 1)
+    half = np.einsum("bika,a,bja->bkij", second, eta, first)
+    dmetric = half + half.transpose(0, 1, 3, 2)
 
     # Gamma^k_ij = (1/2) g^{kl} (d_i g_lj + d_j g_li - d_l g_ij)
-    bracket = (
-        np.einsum("ilj->lij", dmetric)
-        + np.einsum("jli->lij", dmetric)
-        - dmetric
-    )
-    christoffels = 0.5 * np.einsum("kl,lij->kij", metric_inv, bracket)
+    bracket = _bracket(dmetric)
+    christoffels = 0.5 * np.einsum("bkl,blij->bkij", metric_inv, bracket)
 
-    sff = second - np.einsum("kij,ka->ija", christoffels, first)
+    sff = second - np.einsum("bkij,bka->bija", christoffels, first)
 
-    frame = GeometryFrame(
-        spec=spec,
-        point=pt,
-        position=position,
-        first=first,
-        second=second,
-        third=third,
-        eta=eta,
-        metric=metric,
-        metric_inv=metric_inv,
-        dmetric=dmetric,
-        christoffels=christoffels,
-        sff=sff,
+    frames = FrameBatch(
+        spec, pts, position, first, second, third, eta,
+        metric, metric_inv, dmetric, christoffels, sff,
     )
     if need_third:
-        frame.dchristoffels = _christoffel_derivatives(frame)
-    return frame
+        frames.dchristoffels = _christoffel_derivatives(frames, bracket)
+    return frames
 
 
-def _require_third(frame: GeometryFrame):
-    if frame.dchristoffels is None:
-        raise ValueError("frame was built without third derivatives; pass need_third=True")
+def _bracket(dg: np.ndarray) -> np.ndarray:
+    """d_i g_lj + d_j g_li - d_l g_ij as array [..., l, i, j]."""
+    return np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg
 
 
-def _christoffel_derivatives(frame: GeometryFrame) -> np.ndarray:
-    """d_p Gamma^k_ij as array [p, k, i, j], from the third derivatives."""
-    eta = frame.eta
-    first, second, third = frame.first, frame.second, frame.third
-    ginv, dg = frame.metric_inv, frame.dmetric
+def _require_third(frames: FrameBatch):
+    if frames.dchristoffels is None:
+        raise ValueError("frames were built without third derivatives; pass need_third=True")
+
+
+def _christoffel_derivatives(frames: FrameBatch, bracket: np.ndarray) -> np.ndarray:
+    """d_p Gamma^k_ij as array [b, p, k, i, j], from the third derivatives."""
+    eta = frames.eta
+    first, second, third = frames.first, frames.second, frames.third
+    ginv, dg = frames.metric_inv, frames.dmetric
 
     # d_p d_q g_ij
     d2g = (
-        np.einsum("pqia,a,ja->pqij", third, eta, first)
-        + np.einsum("pia,a,qja->pqij", second, eta, second)
-        + np.einsum("qia,a,pja->pqij", second, eta, second)
-        + np.einsum("ia,a,pqja->pqij", first, eta, third)
+        np.einsum("bpqia,a,bja->bpqij", third, eta, first)
+        + np.einsum("bpia,a,bqja->bpqij", second, eta, second)
+        + np.einsum("bqia,a,bpja->bpqij", second, eta, second)
+        + np.einsum("bia,a,bpqja->bpqij", first, eta, third)
     )
-    dginv = -np.einsum("ka,pab,bl->pkl", ginv, dg, ginv)
-    bracket = (
-        np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg
-    )
-    dbracket = (
-        np.einsum("pilj->plij", d2g)
-        + np.einsum("pjli->plij", d2g)
-        - np.einsum("plij->plij", d2g)
-    )
-    return 0.5 * np.einsum("pkl,lij->pkij", dginv, bracket) + 0.5 * np.einsum(
-        "kl,plij->pkij", ginv, dbracket
+    dginv = -np.einsum("bka,bpac,bcl->bpkl", ginv, dg, ginv)
+    return 0.5 * np.einsum("bpkl,blij->bpkij", dginv, bracket) + 0.5 * np.einsum(
+        "bkl,bplij->bpkij", ginv, _bracket(d2g)
     )
 
 
-def riemann_tensor(frame: GeometryFrame) -> np.ndarray:
-    """Fully lowered curvature R[i,j,k,l] = <R(d_i, d_j) d_k, d_l>."""
-    _require_third(frame)
-    dgamma = frame.dchristoffels
-    gamma = frame.christoffels
+def riemann_tensor(frames: FrameBatch) -> np.ndarray:
+    """Fully lowered curvature R[b, i, j, k, l] = <R(d_i, d_j) d_k, d_l>."""
+    _require_third(frames)
+    dgamma = frames.dchristoffels
+    gamma = frames.christoffels
     up = (
-        np.einsum("iljk->ijkl", dgamma)
-        - np.einsum("jlik->ijkl", dgamma)
-        + np.einsum("mjk,lim->ijkl", gamma, gamma)
-        - np.einsum("mik,ljm->ijkl", gamma, gamma)
+        np.einsum("biljk->bijkl", dgamma)
+        - np.einsum("bjlik->bijkl", dgamma)
+        + np.einsum("bmjk,blim->bijkl", gamma, gamma)
+        - np.einsum("bmik,bljm->bijkl", gamma, gamma)
     )
-    return np.einsum("ijkm,ml->ijkl", up, frame.metric)
+    return np.einsum("bijkm,bml->bijkl", up, frames.metric)
 
 
-def sectional_curvature(frame: GeometryFrame, i: int, j: int, riemann=None) -> float:
-    """Sectional curvature of the coordinate 2-plane spanned by d_i, d_j."""
-    r = riemann_tensor(frame) if riemann is None else riemann
-    g = frame.metric
-    denom = g[i, i] * g[j, j] - g[i, j] ** 2
-    if abs(denom) < 1e-14:
+def sectional_curvature(frames: FrameBatch, i: int, j: int, riemann=None) -> np.ndarray:
+    """Sectional curvature of the coordinate 2-plane spanned by d_i, d_j, per point."""
+    r = riemann_tensor(frames) if riemann is None else riemann
+    g = frames.metric
+    denom = g[:, i, i] * g[:, j, j] - g[:, i, j] ** 2
+    if (np.abs(denom) < 1e-14).any():
         raise DegenerateMetricError(f"coordinate plane ({i},{j}) is metrically degenerate")
-    return float(r[i, j, j, i] / denom)
+    return r[:, i, j, j, i] / denom
 
 
-def gauss_residual(frame: GeometryFrame) -> float:
-    """Max deviation in the Gauss identity R_ijkl = <h_il,h_jk> - <h_ik,h_jl>."""
-    r = riemann_tensor(frame)
-    h, eta = frame.sff, frame.eta
-    rhs = np.einsum("ila,a,jka->ijkl", h, eta, h) - np.einsum(
-        "ika,a,jla->ijkl", h, eta, h
+def gauss_residual(frames: FrameBatch) -> np.ndarray:
+    """Max deviation in the Gauss identity R_ijkl = <h_il,h_jk> - <h_ik,h_jl>, per point."""
+    r = riemann_tensor(frames)
+    h, eta = frames.sff, frames.eta
+    rhs = np.einsum("bila,a,bjka->bijkl", h, eta, h) - np.einsum(
+        "bika,a,bjla->bijkl", h, eta, h
     )
-    return float(np.max(np.abs(r - rhs)))
+    return point_max(r - rhs)
 
 
-def codazzi_residual(frame: GeometryFrame) -> float:
+def codazzi_residual(frames: FrameBatch) -> np.ndarray:
     """Max asymmetry of the covariant derivative of the second fundamental form.
 
     (nabla h)(X, Y, Z) = D_X h(Y, Z) - h(nabla_X Y, Z) - h(Y, nabla_X Z) must be
-    symmetric in X, Y for an immersion into a flat ambient space.
+    symmetric in X, Y for an immersion into a flat ambient space; one value
+    per point.
     """
-    _require_third(frame)
-    gamma = frame.christoffels
-    dgamma = frame.dchristoffels
-    first, second, third = frame.first, frame.second, frame.third
-    h, eta, ginv = frame.sff, frame.eta, frame.metric_inv
+    _require_third(frames)
+    gamma = frames.christoffels
+    dgamma = frames.dchristoffels
+    first, second, third = frames.first, frames.second, frames.third
+    h, eta, ginv = frames.sff, frames.eta, frames.metric_inv
 
-    # ambient derivative d_i h_jk, then its normal projection
-    dh = (
-        third
-        - np.einsum("imjk,ma->ijka", dgamma, first)
-        - np.einsum("mjk,ima->ijka", gamma, second)
-    )
-    coeff = np.einsum("ml,la,a,ijka->ijkm", ginv, first, eta, dh)
-    dh_normal = dh - np.einsum("ijkm,ma->ijka", coeff, first)
+    # ambient derivative d_i h_jk, then its normal projection; the (B, m, m,
+    # m, 2n) terms are subtracted in place, so that few of them are alive at once
+    nabla_h = third - np.einsum("bimjk,bma->bijka", dgamma, first)
+    nabla_h -= np.einsum("bmjk,bima->bijka", gamma, second)
+    tangential = np.einsum("bijka,bma->bijkm", nabla_h, ginv @ (first * eta))
+    nabla_h -= np.einsum("bijkm,bma->bijka", tangential, first)
+    del tangential
 
-    nabla_h = (
-        dh_normal
-        - np.einsum("mij,mka->ijka", gamma, h)
-        - np.einsum("mik,jma->ijka", gamma, h)
-    )
-    return float(np.max(np.abs(nabla_h - nabla_h.transpose(1, 0, 2, 3))))
+    nabla_h -= np.einsum("bmij,bmka->bijka", gamma, h)
+    nabla_h -= np.einsum("bmik,bjma->bijka", gamma, h)
+    i, j = np.triu_indices(gamma.shape[1], 1)  # each pair of the first two slots once
+    return point_max(nabla_h[:, i, j] - nabla_h[:, j, i])
 
 
-def project(frame: GeometryFrame, v: np.ndarray):
-    """Split an ambient vector into tangential coefficients and a normal part.
+def project(frames: FrameBatch, v: np.ndarray):
+    """Split ambient vectors v (B, 2n) into tangential coefficients and normal parts.
 
-    Solves g a = (dL | v) with the pseudo metric pairing; returns (a, normal).
+    Solves g a = (dL | v) with the pseudo metric pairing at each point;
+    returns (a (B, m), normal (B, 2n)).
     """
-    rhs = frame.first @ (frame.eta * v)
-    coeffs = frame.metric_inv @ rhs
-    normal = v - coeffs @ frame.first
+    rhs = frames.first @ (frames.eta * v)[..., None]
+    coeffs = (frames.metric_inv @ rhs)[..., 0]
+    normal = v - (coeffs[:, None, :] @ frames.first)[:, 0]
     return coeffs, normal
 
 
-def tangent_field(frame: GeometryFrame) -> tuple[np.ndarray, np.ndarray]:
+def tangent_field(frames: FrameBatch) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient field of the tangential part of J L, with first derivatives.
 
     The coefficients a solve g a = r with r_k = <L_k, J L>.  Differentiating
     the solve gives d_i a = g^-1 (d_i r - d_i g a), where
     d_i r_k = <L_ik, J L> + <L_k, J L_i>, so no finite differencing and no
-    further map evaluation is needed.  Returns (values (m,), gradients (m, m)
-    with grad[i, k] = d_i a^k).
+    further map evaluation is needed.  Returns (values (B, m), gradients
+    (B, m, m) with grad[b, i, k] = d_i a^k).
     """
-    eta = frame.eta
-    jpos = apply_j_flat(frame.position)
-    values, _ = project(frame, jpos)
-    drhs = np.einsum("ika,a,a->ik", frame.second, eta, jpos) + np.einsum(
-        "ka,a,ia->ik", frame.first, eta, apply_j_flat(frame.first)
+    eta = frames.eta
+    jpos = apply_j_flat(frames.position)
+    values, _ = project(frames, jpos)
+    drhs = np.einsum("bika,a,ba->bik", frames.second, eta, jpos) + np.einsum(
+        "bka,a,bia->bik", frames.first, eta, apply_j_flat(frames.first)
     )
-    grads = (drhs - np.einsum("ikl,l->ik", frame.dmetric, values)) @ frame.metric_inv
-    return values, grads
+    slope = drhs - np.einsum("bikl,bl->bik", frames.dmetric, values)
+    return values, slope @ frames.metric_inv

@@ -1,18 +1,24 @@
-"""Truncated multivariate Taylor arithmetic up to third order.
+"""Truncated multivariate Taylor arithmetic up to third order, over a point axis.
 
-A Jet holds the value of a complex scalar quantity together with its partial
-derivatives with respect to m real variables, up to a fixed order in
-{0, 1, 2, 3}.  Blocks store plain complex128 partial derivatives: gradient
-(m,), symmetric Hessian (m, m), symmetric third-order tensor (m, m, m).
+A Jet holds the values of a complex scalar quantity at B points together with
+its partial derivatives with respect to m real variables, up to a fixed order
+in {0, 1, 2, 3}: complex128 blocks of shape (B,), (B, m), (B, m, m) and
+(B, m, m, m), the derivative blocks symmetric.  This is vector-mode Taylor
+propagation: one arithmetic operation advances every point at once.  A jet
+built from scalars has no point axis (blocks (), (m,), ...); every operation
+acts on the trailing derivative axes, so both shapes run the same code.
+
 Arithmetic propagates the blocks exactly (Leibniz rule, Faa di Bruno), so any
 quantity assembled from jets carries exact derivatives up to rounding; a
-complex product is one jet product, not four real ones.
+complex product is one jet product, not four real ones.  Python numbers mix
+in as constants without being expanded into jets.  The guards (division,
+sqrt, overflow of exp/sin/cos/sinh/cosh) act per point: one offending point
+raises for the whole jet.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
+import operator
 import warnings
 
 import numpy as np
@@ -28,7 +34,7 @@ _SQRT_IMAG = 1e-9
 
 
 class Jet:
-    """Complex value plus derivative blocks of a function of m real variables."""
+    """Complex values plus derivative blocks of a function of m real variables."""
 
     __slots__ = ("num_vars", "order", "value", "gradient", "hessian", "third")
 
@@ -40,10 +46,11 @@ class Jet:
         m = num_vars
         self.num_vars = m
         self.order = order
-        self.value = complex(value)
-        self.gradient = _block(gradient, (m,)) if order >= 1 else None
-        self.hessian = _block(hessian, (m, m)) if order >= 2 else None
-        self.third = _block(third, (m, m, m)) if order >= 3 else None
+        self.value = np.array(value, dtype=complex)
+        batch = self.value.shape
+        self.gradient = _block(gradient, batch + (m,)) if order >= 1 else None
+        self.hessian = _block(hessian, batch + (m, m)) if order >= 2 else None
+        self.third = _block(third, batch + (m, m, m)) if order >= 3 else None
 
     @classmethod
     def constant(cls, value, num_vars, order) -> "Jet":
@@ -51,14 +58,14 @@ class Jet:
 
     @classmethod
     def seed(cls, var_index, value, num_vars, order) -> "Jet":
-        """Jet of the coordinate function x_{var_index} at the given value."""
+        """Jet of the coordinate function x_{var_index} at the given value(s)."""
         if not 0 <= var_index < num_vars:
             raise DimensionMismatchError(
                 f"seed index {var_index} out of range for {num_vars} variables"
             )
         out = cls(num_vars, order, value)
         if order >= 1:
-            out.gradient[var_index] = 1.0
+            out.gradient[..., var_index] = 1.0
         return out
 
     @property
@@ -69,48 +76,36 @@ class Jet:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other, self)
-        if other is NotImplemented:
-            return NotImplemented
-        _check_compat(self, other)
-        return _combine(self, other, lambda a, b: a + b)
+        return _linear(self, other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other, self)
-        if other is NotImplemented:
-            return NotImplemented
-        _check_compat(self, other)
-        return _combine(self, other, lambda a, b: a - b)
+        return _linear(self, other, operator.sub)
 
     def __rsub__(self, other):
-        other = _coerce(other, self)
-        if other is NotImplemented:
-            return NotImplemented
-        return other.__sub__(self)
+        return _linear(-self, other, operator.add)
 
     def __neg__(self):
-        return _map_blocks(self, lambda a: -a)
+        return _new(self, *(-x for x in self.blocks))
 
     def __mul__(self, other):
-        other = _coerce(other, self)
-        if other is NotImplemented:
+        if _is_scalar(other):
+            return _new(self, *(other * x for x in self.blocks))
+        if not isinstance(other, Jet):
             return NotImplemented
         _check_compat(self, other)
         a, b = self, other
+        av, bv = a.value[..., None], b.value[..., None]
         out = _new(a, a.value * b.value)
         if a.order >= 1:
-            out.gradient = a.value * b.gradient + b.value * a.gradient
+            out.gradient = av * b.gradient + bv * a.gradient
         if a.order >= 2:
-            out.hessian = (
-                a.value * b.hessian
-                + b.value * a.hessian
-                + np.outer(a.gradient, b.gradient)
-                + np.outer(b.gradient, a.gradient)
-            )
+            av2, bv2 = av[..., None], bv[..., None]
+            out.hessian = av2 * b.hessian + bv2 * a.hessian + _outer(a.gradient, b.gradient)
+            out.hessian += _outer(b.gradient, a.gradient)
         if a.order >= 3:
-            out.third = a.value * b.third + b.value * a.third
+            out.third = av2[..., None] * b.third + bv2[..., None] * a.third
             out.third += _sym_hess_grad(a.hessian, b.gradient)
             out.third += _sym_hess_grad(b.hessian, a.gradient)
         return out
@@ -118,20 +113,34 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other, self)
-        if other is NotImplemented:
+        if _is_scalar(other):
+            return self * complex(_reciprocal(Jet(1, 0, other)).value)
+        if not isinstance(other, Jet):
             return NotImplemented
         _check_compat(self, other)
         return self * _reciprocal(other)
 
     def __rtruediv__(self, other):
-        other = _coerce(other, self)
-        if other is NotImplemented:
+        if not _is_scalar(other):
             return NotImplemented
         return other * _reciprocal(self)
 
     def __repr__(self):
         return f"Jet(m={self.num_vars}, order={self.order}, value={self.value})"
+
+
+def _is_scalar(x) -> bool:
+    return isinstance(x, (int, float, complex, np.number))
+
+
+def _linear(a: Jet, b, op) -> Jet:
+    """a + b or a - b; a scalar b only shifts the values."""
+    if _is_scalar(b):
+        return _new(a, op(a.value, b), *a.blocks[1:])
+    if not isinstance(b, Jet):
+        return NotImplemented
+    _check_compat(a, b)
+    return _new(a, *map(op, a.blocks, b.blocks))
 
 
 def _block(data, shape):
@@ -151,14 +160,6 @@ def _new(like: Jet, value, gradient=None, hessian=None, third=None) -> Jet:
     return out
 
 
-def _coerce(other, like: Jet):
-    if isinstance(other, Jet):
-        return other
-    if isinstance(other, (int, float, complex)):
-        return Jet.constant(other, like.num_vars, like.order)
-    return NotImplemented
-
-
 def _check_compat(a: Jet, b: Jet):
     if a.num_vars != b.num_vars or a.order != b.order:
         raise DimensionMismatchError(
@@ -167,33 +168,35 @@ def _check_compat(a: Jet, b: Jet):
         )
 
 
-def _combine(a: Jet, b: Jet, op) -> Jet:
-    return _new(a, *(op(x, y) for x, y in zip(a.blocks, b.blocks)))
-
-
-def _map_blocks(a: Jet, fn) -> Jet:
-    return _new(a, *(fn(x) for x in a.blocks))
+def _outer(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    return g[..., :, None] * h[..., None, :]
 
 
 def _sym_hess_grad(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     # sum over the three placements of the gradient index: H_ij g_k sym.
-    base = H[:, :, None] * g[None, None, :]
-    return base + base.transpose(0, 2, 1) + base.transpose(2, 0, 1)
+    return (
+        H[..., :, :, None] * g[..., None, None, :]
+        + H[..., :, None, :] * g[..., None, :, None]
+        + g[..., :, None, None] * H[..., None, :, :]
+    )
 
 
-def _compose(u: Jet, f0, f1, f2=0.0, f3=0.0) -> Jet:
-    """Chain rule for f(u) given derivatives of f at u.value."""
+def _compose(u: Jet, f0, f1, f2, f3) -> Jet:
+    """Chain rule for f(u) given the derivatives of f at the values of u."""
     out = _new(u, f0)
     if u.order >= 1:
+        f1 = f1[..., None]
         out.gradient = f1 * u.gradient
     if u.order >= 2:
-        out.hessian = f1 * u.hessian + f2 * np.outer(u.gradient, u.gradient)
-    if u.order >= 3:
         g = u.gradient
+        gg = _outer(g, g)
+        f1, f2 = f1[..., None], f2[..., None, None]
+        out.hessian = f1 * u.hessian + f2 * gg
+    if u.order >= 3:
         out.third = (
-            f1 * u.third
-            + f2 * _sym_hess_grad(u.hessian, g)
-            + f3 * g[:, None, None] * g[None, :, None] * g[None, None, :]
+            f1[..., None] * u.third
+            + f2[..., None] * _sym_hess_grad(u.hessian, g)
+            + f3[..., None, None, None] * gg[..., None] * g[..., None, None, :]
         )
     return out
 
@@ -201,38 +204,52 @@ def _compose(u: Jet, f0, f1, f2=0.0, f3=0.0) -> Jet:
 def _reciprocal(u: Jet) -> Jet:
     v = u.value
     modsq = v.real * v.real + v.imag * v.imag
-    if modsq < _DIV_GUARD:
-        raise SingularEvaluationError(f"division by {v!r}")
-    if modsq < _DIV_WARN:
+    small = modsq < _DIV_WARN
+    if small.any():
+        tiny = modsq < _DIV_GUARD
+        if tiny.any():
+            raise SingularEvaluationError(f"division by {complex(v.flat[np.argmax(tiny)])!r}")
         warnings.warn(
-            f"division by poorly conditioned value {v!r}", RuntimeWarning, stacklevel=3
+            f"division by poorly conditioned value {complex(v.flat[np.argmax(small)])!r}",
+            RuntimeWarning,
+            stacklevel=3,
         )
     inv = 1.0 / v
     return _compose(u, inv, -inv * inv, 2.0 * inv**3, -6.0 * inv**4)
 
 
+def _at_values(u: Jet, *fns) -> list[np.ndarray]:
+    """fn(u.value) for each fn.  OverflowError, as cmath raises it, where the
+    first image is not finite at a finite value; the fns of one call (sin and
+    cos, sinh and cosh) overflow together."""
+    out = [fn(u.value) for fn in fns]
+    if not np.isfinite(out[0]).all() and (np.isfinite(u.value) & ~np.isfinite(out[0])).any():
+        raise OverflowError("math range error")
+    return out
+
+
 def exp(u: Jet) -> Jet:
-    e = cmath.exp(u.value)
+    (e,) = _at_values(u, np.exp)
     return _compose(u, e, e, e, e)
 
 
 def sin(u: Jet) -> Jet:
-    s, c = cmath.sin(u.value), cmath.cos(u.value)
+    s, c = _at_values(u, np.sin, np.cos)
     return _compose(u, s, c, -s, -c)
 
 
 def cos(u: Jet) -> Jet:
-    s, c = cmath.sin(u.value), cmath.cos(u.value)
+    s, c = _at_values(u, np.sin, np.cos)
     return _compose(u, c, -s, -c, s)
 
 
 def sinh(u: Jet) -> Jet:
-    s, c = cmath.sinh(u.value), cmath.cosh(u.value)
+    s, c = _at_values(u, np.sinh, np.cosh)
     return _compose(u, s, c, s, c)
 
 
 def cosh(u: Jet) -> Jet:
-    s, c = cmath.sinh(u.value), cmath.cosh(u.value)
+    s, c = _at_values(u, np.sinh, np.cosh)
     return _compose(u, c, s, c, s)
 
 
@@ -242,29 +259,36 @@ def sqrt(u: Jet) -> Jet:
     The DSL only needs sqrt on positive real subexpressions (constants like
     sqrt(3)); a general complex branch would not stay differentiable across
     the cut, so an argument whose value or any derivative block has an
-    imaginary part above 1e-9 * max(1, |Re value|) is rejected loudly.  The
-    result is real: its imaginary parts are exactly zero.
+    imaginary part above 1e-9 * max(1, |Re value|) at some point is rejected
+    loudly.  The result is real: its imaginary parts are exactly zero.
     """
     x = u.value.real
-    imag = max(float(np.max(np.abs(np.imag(b)))) for b in u.blocks)
-    if imag > _SQRT_IMAG * max(1.0, abs(x)):
+    imag = np.max(
+        [np.abs(b.imag).reshape(x.shape + (-1,)).max(axis=-1) for b in u.blocks], axis=0
+    )
+    if (imag > _SQRT_IMAG * np.maximum(1.0, np.abs(x))).any():
         raise SingularEvaluationError("sqrt of a non-real expression")
-    if x < _SQRT_GUARD:
-        raise SingularEvaluationError(f"sqrt at non-positive or tiny value {x!r}")
-    r = math.sqrt(x)
-    real = _map_blocks(u, lambda a: a.real + 0j)
-    return _compose(real, complex(r), 0.5 / r, -0.25 / r**3, 0.375 / r**5)
+    tiny = x < _SQRT_GUARD
+    if tiny.any():
+        raise SingularEvaluationError(
+            f"sqrt at non-positive or tiny value {float(x.flat[np.argmax(tiny)])!r}"
+        )
+    r = np.sqrt(x)
+    real = _new(u, *(b.real + 0j for b in u.blocks))
+    return _compose(real, r + 0j, 0.5 / r, -0.25 / r**3, 0.375 / r**5)
 
 
 def ipow(u: Jet, k: int) -> Jet:
     """Integer power by repeated multiplication (negative via reciprocal)."""
     if k < 0:
         return _reciprocal(ipow(u, -k))
-    out = Jet.constant(1.0, u.num_vars, u.order)
+    out = None
     base = u
     while k:
         if k & 1:
-            out = out * base
+            out = base if out is None else out * base
         base = base * base if k > 1 else base
         k >>= 1
+    if out is None:
+        return _new(u, np.ones_like(u.value), *(np.zeros_like(b) for b in u.blocks[1:]))
     return out

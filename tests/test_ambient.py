@@ -5,18 +5,29 @@ import pytest
 
 from lagkit.ambient import (
     AmbientQuadric,
-    ComplexVec,
     Signature,
-    apply_J,
     apply_j_flat,
-    hermitian_form,
     inner_flat,
     metric_diagonal,
-    quadric_residual,
-    real_inner,
-    symplectic_form,
 )
 from lagkit.errors import DimensionMismatchError
+
+
+def flat(components) -> np.ndarray:
+    """Interleaved (re, im) storage of complex components."""
+    return np.asarray(components, dtype=complex).view(float)
+
+
+def hermitian(z, w, eta) -> complex:
+    """b(z, w) from the flat pairings: Re b = <z, w>, Im b = omega(z, w) = <Jz, w>."""
+    return complex(inner_flat(z, w, eta) + 1j * inner_flat(apply_j_flat(z), w, eta))
+
+
+def hermitian_by_components(z, w, sig) -> complex:
+    """-sum_{j<=s} conj(z_j) w_j + sum_{j>s} conj(z_j) w_j, in complex arithmetic."""
+    signs = np.ones(sig.n)
+    signs[: sig.s] = -1.0
+    return complex(np.sum(signs * np.conj(z.view(complex)) * w.view(complex)))
 
 
 class TestSignature:
@@ -58,71 +69,69 @@ class TestComplexStructure:
         )
 
     def test_apply_j_matches_multiplication_by_i(self):
-        z = ComplexVec.from_complex([1 + 2j, 3 - 1j], Signature(2))
-        iz = ComplexVec.from_complex([1j * (1 + 2j), 1j * (3 - 1j)], Signature(2))
-        np.testing.assert_allclose(apply_J(z).data, iz.data)
+        z = flat([1 + 2j, 3 - 1j])
+        iz = flat([1j * (1 + 2j), 1j * (3 - 1j)])
+        np.testing.assert_allclose(apply_j_flat(z), iz)
 
 
 class TestHermitianForm:
     # frozen by hand: b(z, w) = -conj(z1) w1 + conj(z2) w2 for index 1
     def test_indefinite_value(self):
-        sig = Signature(2, 1)
-        z = ComplexVec.from_complex([1 + 1j, 2j], sig)
-        w = ComplexVec.from_complex([3, 1 - 1j], sig)
+        eta = metric_diagonal(Signature(2, 1))
+        z = flat([1 + 1j, 2j])
+        w = flat([3, 1 - 1j])
         expected = -((1 - 1j) * 3) + (-2j) * (1 - 1j)
-        assert hermitian_form(z, w) == pytest.approx(expected)
+        assert hermitian(z, w, eta) == pytest.approx(expected)
 
     def test_conjugate_linear_first_slot(self):
-        sig = Signature(2, 0)
-        z = ComplexVec.from_complex([1 + 2j, -1j], sig)
-        w = ComplexVec.from_complex([0.5 - 1j, 2 + 1j], sig)
-        assert hermitian_form(apply_J(z), w) == pytest.approx(
-            -1j * hermitian_form(z, w)
+        eta = metric_diagonal(Signature(2, 0))
+        z = flat([1 + 2j, -1j])
+        w = flat([0.5 - 1j, 2 + 1j])
+        assert hermitian(apply_j_flat(z), w, eta) == pytest.approx(
+            -1j * hermitian(z, w, eta)
         )
-        assert hermitian_form(z, apply_J(w)) == pytest.approx(
-            1j * hermitian_form(z, w)
+        assert hermitian(z, apply_j_flat(w), eta) == pytest.approx(
+            1j * hermitian(z, w, eta)
         )
 
     def test_real_part_is_real_inner(self):
         sig = Signature(3, 1)
         rng = np.random.default_rng(2)
-        z = ComplexVec(rng.standard_normal(6), sig)
-        w = ComplexVec(rng.standard_normal(6), sig)
-        assert hermitian_form(z, w).real == pytest.approx(real_inner(z, w))
-
-    def test_hermitian_symmetry(self):
-        sig = Signature(2, 1)
-        z = ComplexVec.from_complex([1 + 1j, 2 - 3j], sig)
-        w = ComplexVec.from_complex([-2j, 0.5], sig)
-        assert hermitian_form(z, w) == pytest.approx(
-            hermitian_form(w, z).conjugate()
+        z, w = rng.standard_normal(6), rng.standard_normal(6)
+        assert hermitian_by_components(z, w, sig).real == pytest.approx(
+            inner_flat(z, w, metric_diagonal(sig))
         )
 
+    def test_hermitian_symmetry(self):
+        eta = metric_diagonal(Signature(2, 1))
+        z = flat([1 + 1j, 2 - 3j])
+        w = flat([-2j, 0.5])
+        assert hermitian(z, w, eta) == pytest.approx(hermitian(w, z, eta).conjugate())
+
     def test_signature_mismatch_rejected(self):
-        z = ComplexVec.from_complex([1, 0], Signature(2, 0))
-        w = ComplexVec.from_complex([1, 0], Signature(2, 1))
+        z = flat([1, 0])
         with pytest.raises(DimensionMismatchError):
-            hermitian_form(z, w)
+            inner_flat(z, z, metric_diagonal(Signature(3, 1)))
 
 
 class TestSymplecticForm:
     def test_unit_vector_against_its_rotation(self):
         # omega(X, Y) = <JX, Y>, so omega(e1, i e1) = <i e1, i e1> = +1
-        sig = Signature(2, 0)
-        e1 = ComplexVec.from_complex([1, 0], sig)
-        ie1 = ComplexVec.from_complex([1j, 0], sig)
-        assert symplectic_form(e1, ie1) == pytest.approx(1.0)
+        eta = metric_diagonal(Signature(2, 0))
+        e1 = flat([1, 0])
+        ie1 = flat([1j, 0])
+        assert inner_flat(apply_j_flat(e1), ie1, eta) == pytest.approx(1.0)
 
     def test_antisymmetry_and_brute_force(self):
         sig = Signature(2, 1)
+        eta = metric_diagonal(sig)
         rng = np.random.default_rng(3)
         for _ in range(5):
-            z = ComplexVec(rng.standard_normal(4), sig)
-            w = ComplexVec(rng.standard_normal(4), sig)
-            direct = symplectic_form(z, w)
-            assert direct == pytest.approx(-symplectic_form(w, z))
+            z, w = rng.standard_normal(4), rng.standard_normal(4)
+            direct = inner_flat(apply_j_flat(z), w, eta)
+            assert direct == pytest.approx(-inner_flat(apply_j_flat(w), z, eta))
             # brute force through the imaginary part of the hermitian form
-            assert direct == pytest.approx(hermitian_form(z, w).imag)
+            assert direct == pytest.approx(hermitian_by_components(z, w, sig).imag)
 
 
 class TestAmbientQuadric:
@@ -138,8 +147,10 @@ class TestAmbientQuadric:
             AmbientQuadric(kind, c)
 
     def test_residual(self):
-        sig = Signature(2, 0)
-        z = ComplexVec.from_complex([1, 0], sig)
-        assert quadric_residual(z, AmbientQuadric("pseudo_sphere", 1.0)) == pytest.approx(0.0)
-        w = ComplexVec.from_complex([2, 0], sig)
-        assert quadric_residual(w, AmbientQuadric("pseudo_sphere", 1.0)) == pytest.approx(3.0)
+        # membership defect <z, z> - 1/c
+        sphere = AmbientQuadric("pseudo_sphere", 1.0)
+        eta = metric_diagonal(Signature(2, 0))
+        z = flat([1, 0])
+        assert inner_flat(z, z, eta) - sphere.radius_sq_signed == pytest.approx(0.0)
+        w = flat([2, 0])
+        assert inner_flat(w, w, eta) - sphere.radius_sq_signed == pytest.approx(3.0)

@@ -1,6 +1,8 @@
 """Verification suite behavior: residuals, gating, report schema."""
 
 import json
+import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from lagkit.ambient import AmbientQuadric
 from lagkit.catalog import catalog, catalog_entry, catalog_names
 from lagkit.checks import (
+    CHUNK,
     STRUCTURE_CHECKS,
     CheckReport,
     SampleConfig,
@@ -22,7 +25,8 @@ from lagkit.checks import (
     sample_frames,
 )
 from lagkit.dsl import parse
-from lagkit.errors import DimensionMismatchError
+from lagkit.errors import DimensionMismatchError, LagkitError, SingularEvaluationError
+from lagkit.geometry import FrameBatch, build_frame
 from lagkit.products import dilate, translate
 from lagkit.sampling import sample_points
 
@@ -73,10 +77,10 @@ class TestLagrangian:
 
     def test_non_finite_residual_is_an_error(self):
         frames = frames_of("clifford_torus")
-        frames[3].first[0, 0] = np.nan
+        frames.first[3, 0, 0] = np.nan
         entry = check_lagrangian(frames, CFG)
         assert entry.status == "error" and entry.passed is False
-        assert entry.reason == f"non-finite residual at {frames[3].point}"
+        assert entry.reason == f"non-finite residual at {frames.point(3)}"
 
 
 class TestHypersphereFit:
@@ -312,7 +316,61 @@ def test_one_map_evaluation_per_point_per_spec(name, monkeypatch):
     report = run_suite(entry.spec, cfg, quadric=entry.quadric)
     # the structure bundle evaluates the normalized spec once more
     specs = 2 if report.transform is not None else 1
-    assert len(calls) <= specs * cfg.num_points
+    assert len(calls) == specs * math.ceil(cfg.num_points / CHUNK)
+
+
+class TestChunks:
+    """Sample sets larger than one chunk, N = 2 * CHUNK + 1 (three chunks)."""
+
+    CFG = SampleConfig(num_points=2 * CHUNK + 1, seed=7)
+
+    def _points(self, spec):
+        cfg = self.CFG
+        return sample_points(spec, cfg.num_points, cfg.seed, cfg.interior_margin)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_chunked_frames_equal_single_point_frames(self, name):
+        entry = catalog_entry(name)
+        chunked = sample_frames(entry.spec, self.CFG, need_third=True)
+        single = FrameBatch.concatenate(
+            [build_frame(entry.spec, pt, need_third=True) for pt in self._points(entry.spec)],
+            self.CFG.num_points,
+        )
+        assert len(chunked) == len(single) == self.CFG.num_points
+        for f in fields(FrameBatch):
+            if f.name != "spec":
+                np.testing.assert_allclose(
+                    getattr(chunked, f.name), getattr(single, f.name), rtol=1e-12, atol=1e-12
+                )
+        report = run_suite(entry.spec, self.CFG, quadric=entry.quadric)
+        assert {k: report.checks[k].passed for k in entry.expects} == entry.expects
+
+    def test_error_in_a_later_chunk_names_the_first_failing_point(self):
+        box = parse("params u:[0,1];\nsignature 1 0;\nmap u;\n")
+        us = [pt[0] for pt in self._points(box)]
+        cut, top = max(us[:CHUNK]), max(us[CHUNK : 2 * CHUNK])
+        assert top - cut > 1e-2  # seed 7 puts second-chunk points above the first chunk
+        # with K = 1e5 the metric ~ K^2 exp(2K(u - c)) overflows from u = c + 0.0035
+        # on and the value exp(K(u - c)) from u = c + 0.0071 on
+        c = cut + 0.3 * (top - cut)
+        spec = parse(f"params u:[0,1];\nsignature 1 0;\nmap u + exp(100000*(u-{c!r}));\n")
+        walk = []
+        for i, pt in enumerate(self._points(spec)):
+            try:
+                build_frame(spec, pt, need_third=True)
+            except LagkitError as exc:
+                walk.append((i, str(exc)))
+        (index, first), messages = walk[0], [message for _, message in walk]
+        assert CHUNK <= index < 2 * CHUNK
+        # the chunk holds points whose map overflows and, before them in sample
+        # order, a point whose map is finite but whose metric is not
+        assert first.startswith("induced metric not finite at (")
+        assert any(message.startswith("map overflows at (") for message in messages)
+        with pytest.raises(SingularEvaluationError) as info:
+            sample_frames(spec, self.CFG, need_third=True)
+        assert str(info.value) == first
+        report = run_suite(spec, self.CFG)
+        assert report.checks["lagrangian"].reason == first
 
 
 class TestReportSerialization:

@@ -182,6 +182,15 @@ class TestCrosscheckCommand:
         )
         assert code == 2
 
+    def test_large_valued_map_judged_relative_to_scale(self, tmp_path, capsys):
+        # correct jets of a map of size ~1e257: absolute deviations reach 6e248
+        path = tmp_path / "large.imm"
+        path.write_text(SINGULAR["cosh_overflow"])
+        assert run_main("crosscheck", str(path)) == 0
+        out = capsys.readouterr().out
+        assert out.count(" pass") == 3 and "FAIL" not in out
+        assert "scale 1.503e+257" in out
+
     @pytest.mark.parametrize("name", sorted(SINGULAR))
     def test_singular_map_is_an_error(self, tmp_path, capsys, name):
         path = tmp_path / "singular.imm"

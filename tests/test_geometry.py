@@ -46,23 +46,23 @@ def frame():
 
 class TestCliffordFrame:
     def test_position(self, frame):
-        np.testing.assert_allclose(frame.position, clifford_position(*CLIFFORD_PT))
+        np.testing.assert_allclose(frame.position[0], clifford_position(*CLIFFORD_PT))
 
     def test_metric_is_identity(self, frame):
-        np.testing.assert_allclose(frame.metric, np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(frame.metric[0], np.eye(2), atol=1e-14)
 
     def test_christoffels_vanish(self, frame):
         np.testing.assert_allclose(frame.christoffels, 0.0, atol=1e-14)
 
     def test_h_tt_is_minus_position(self, frame):
-        np.testing.assert_allclose(frame.sff[0, 0], -frame.position, atol=1e-14)
+        np.testing.assert_allclose(frame.sff[0, 0, 0], -frame.position[0], atol=1e-14)
 
     def test_h_uu_is_minus_position(self, frame):
-        np.testing.assert_allclose(frame.sff[1, 1], -frame.position, atol=1e-14)
+        np.testing.assert_allclose(frame.sff[0, 1, 1], -frame.position[0], atol=1e-14)
 
     def test_h_tu_is_j_of_u_tangent(self, frame):
         np.testing.assert_allclose(
-            frame.sff[0, 1], apply_j_flat(frame.first[1]), atol=1e-14
+            frame.sff[0, 0, 1], apply_j_flat(frame.first[0, 1]), atol=1e-14
         )
 
     def test_flat(self, frame):
@@ -70,7 +70,7 @@ class TestCliffordFrame:
 
     def test_second_fundamental_form_is_normal(self, frame):
         # <h_ij, dL_k> = 0 for all indices
-        inner = np.einsum("ija,a,ka->ijk", frame.sff, frame.eta, frame.first)
+        inner = np.einsum("bija,a,bka->bijk", frame.sff, frame.eta, frame.first)
         np.testing.assert_allclose(inner, 0.0, atol=1e-14)
 
 
@@ -84,7 +84,7 @@ class TestRoundSphere:
         for u, v in [(0.2, 1.0), (-0.7, 4.0), (1.1, 2.5)]:
             fr = build_frame(spec, (u, v))
             np.testing.assert_allclose(
-                fr.metric, np.diag([1.0, math.cos(u) ** 2]), atol=1e-14
+                fr.metric[0], np.diag([1.0, math.cos(u) ** 2]), atol=1e-14
             )
 
     def test_christoffel_closed_form(self):
@@ -95,7 +95,7 @@ class TestRoundSphere:
         want = np.zeros((2, 2, 2))
         want[0, 1, 1] = math.sin(u) * math.cos(u)
         want[1, 0, 1] = want[1, 1, 0] = -math.tan(u)
-        np.testing.assert_allclose(fr.christoffels, want, atol=1e-13)
+        np.testing.assert_allclose(fr.christoffels[0], want, atol=1e-13)
 
     def test_curvature_is_plus_one(self):
         spec = catalog(self.SPEC)
@@ -103,8 +103,8 @@ class TestRoundSphere:
             fr = build_frame(spec, (u, v), need_third=True)
             r = riemann_tensor(fr)
             # R_uvvu = g_uu g_vv on a unit sphere
-            assert r[0, 1, 1, 0] == pytest.approx(math.cos(u) ** 2, abs=1e-12)
-            assert sectional_curvature(fr, 0, 1, r) == pytest.approx(1.0, abs=1e-12)
+            assert r[0, 0, 1, 1, 0] == pytest.approx(math.cos(u) ** 2, abs=1e-12)
+            assert sectional_curvature(fr, 0, 1, r)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_independent_metric_differentiation(self):
         # Christoffels from central differences of the closed-form metric
@@ -117,8 +117,8 @@ class TestRoundSphere:
 
         dg_du = (g(u + h) - g(u - h)) / (2 * h)
         fr = build_frame(spec, (u, v))
-        np.testing.assert_allclose(fr.dmetric[0], dg_du, atol=1e-8)
-        np.testing.assert_allclose(fr.dmetric[1], 0.0, atol=1e-13)
+        np.testing.assert_allclose(fr.dmetric[0, 0], dg_du, atol=1e-8)
+        np.testing.assert_allclose(fr.dmetric[0, 1], 0.0, atol=1e-13)
 
 
 class TestCurvatureSymmetries:
@@ -127,7 +127,7 @@ class TestCurvatureSymmetries:
         spec = catalog(name)
         pt = sample_points(spec, 1, seed=9)[0]
         fr = build_frame(spec, pt, need_third=True)
-        r = riemann_tensor(fr)
+        r = riemann_tensor(fr)[0]
         np.testing.assert_allclose(r, -np.einsum("jikl->ijkl", r), atol=1e-10)
         np.testing.assert_allclose(r, -np.einsum("ijlk->ijkl", r), atol=1e-10)
         np.testing.assert_allclose(r, np.einsum("klij->ijkl", r), atol=1e-10)
@@ -161,7 +161,7 @@ class TestProjection:
         spec = catalog("clifford_torus")
         fr = build_frame(spec, (1.1, 0.3))
         coeffs, normal = project(fr, apply_j_flat(fr.position))
-        np.testing.assert_allclose(coeffs, [1.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(coeffs, [[1.0, 0.0]], atol=1e-14)
         np.testing.assert_allclose(normal, 0.0, atol=1e-14)
 
     def test_position_is_normal_on_clifford(self):
@@ -173,14 +173,14 @@ class TestProjection:
 
     def test_tangent_field_jets_on_clifford(self):
         values, grads = tangent_field(build_frame(catalog("clifford_torus"), (0.6, 2.0)))
-        np.testing.assert_allclose(values, [1.0, 0.0], atol=1e-13)
+        np.testing.assert_allclose(values, [[1.0, 0.0]], atol=1e-13)
         np.testing.assert_allclose(grads, 0.0, atol=1e-13)
 
     def test_tangent_field_jets_on_lorentzian_product(self):
         # J L = dL_t for every circle product, regardless of metric signature
         spec = catalog("theorem43_example")
         values, grads = tangent_field(build_frame(spec, (0.9, 0.4)))
-        np.testing.assert_allclose(values, [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(values, [[1.0, 0.0]], atol=1e-12)
         np.testing.assert_allclose(grads, 0.0, atol=1e-12)
 
     def test_tangent_field_gradient_matches_central_differences(self):
@@ -191,7 +191,7 @@ class TestProjection:
             step = np.eye(2)[i] * h
             plus, _ = tangent_field(build_frame(spec, tuple(pt + step)))
             minus, _ = tangent_field(build_frame(spec, tuple(pt - step)))
-            np.testing.assert_allclose(grads[i], (plus - minus) / (2 * h), atol=1e-8)
+            np.testing.assert_allclose(grads[:, i], (plus - minus) / (2 * h), atol=1e-8)
 
 
 class TestDegeneracy:
