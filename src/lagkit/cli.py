@@ -160,15 +160,18 @@ def _cmd_crosscheck(args) -> int:
             args.seed,
             extra_margin=2.0 * order * step * 1.01,
         )
-        # each point is judged against tol * max(1, max |fd|) at that point
-        worst, scale, ok = 0.0, 1.0, True
+        # each point is judged against tol * max(1, max |fd|) at that point; the
+        # line prints the deviation and scale of the point with the largest ratio
+        worst, ok = (-1.0, 0.0, 1.0), True
         for pt in points:
             dev, size = jet_fd_comparison(spec, pt, order, step)[order]
-            ok = ok and dev <= tol * max(1.0, size)
-            worst, scale = max(worst, dev), max(scale, size)
+            scale = max(1.0, size)
+            ok = ok and dev <= tol * scale
+            worst = max(worst, (dev / scale, dev, scale))
+        _, dev, scale = worst
         failed = failed or not ok
         print(
-            f"order {order}: max |jet - fd| = {worst:.3e} "
+            f"order {order}: worst |jet - fd| = {dev:.3e} "
             f"(step {step:.0e}, tol {tol:.0e} x scale {scale:.3e}) {'pass' if ok else 'FAIL'}"
         )
     return 1 if failed else 0

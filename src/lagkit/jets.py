@@ -153,7 +153,11 @@ def _block(data, shape):
 
 
 def _new(like: Jet, value, gradient=None, hessian=None, third=None) -> Jet:
-    """Jet shaped like `like` holding freshly computed blocks (no copy, no checks)."""
+    """Jet shaped like `like` holding the given blocks (no copy, no checks).
+
+    Blocks may be shared with an operand (a scalar shift keeps the derivative
+    blocks of its jet), so a block must not be written to once its jet is built.
+    """
     out = object.__new__(Jet)
     out.num_vars, out.order = like.num_vars, like.order
     out.value, out.gradient, out.hessian, out.third = value, gradient, hessian, third
@@ -219,11 +223,11 @@ def _reciprocal(u: Jet) -> Jet:
 
 
 def _at_values(u: Jet, *fns) -> list[np.ndarray]:
-    """fn(u.value) for each fn.  OverflowError, as cmath raises it, where the
-    first image is not finite at a finite value; the fns of one call (sin and
-    cos, sinh and cosh) overflow together."""
+    """fn(u.value) for each fn.  OverflowError, as cmath raises it, where any
+    image is not finite at a finite value."""
     out = [fn(u.value) for fn in fns]
-    if not np.isfinite(out[0]).all() and (np.isfinite(u.value) & ~np.isfinite(out[0])).any():
+    images = np.isfinite(out)
+    if not images.all() and (np.isfinite(u.value) & ~images).any():
         raise OverflowError("math range error")
     return out
 

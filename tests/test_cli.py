@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -20,6 +21,15 @@ from test_dsl import _expr_strategy
 
 def run_main(*argv):
     return main(list(argv))
+
+
+def crosscheck_lines(out):
+    """(deviation, tol, scale, verdict) of each `order k:` line of crosscheck."""
+    pattern = r"worst \|jet - fd\| = (\S+) \(step \S+, tol (\S+) x scale (\S+)\) (pass|FAIL)"
+    return [
+        (float(dev), float(tol), float(scale), verdict)
+        for dev, tol, scale, verdict in re.findall(pattern, out)
+    ]
 
 
 def reject_constant(constant):
@@ -172,7 +182,9 @@ class TestCrosscheckCommand:
             "--points", "2",
         )
         assert code == 1
-        assert "FAIL" in capsys.readouterr().out
+        # the printed deviation and scale are those of a failing point
+        ((dev, tol, scale, verdict),) = crosscheck_lines(capsys.readouterr().out)
+        assert verdict == "FAIL" and dev > tol * scale
 
     def test_infeasible_stencil_is_usage_error(self):
         # the stencil cannot fit in the domain box at this step
@@ -189,7 +201,9 @@ class TestCrosscheckCommand:
         assert run_main("crosscheck", str(path)) == 0
         out = capsys.readouterr().out
         assert out.count(" pass") == 3 and "FAIL" not in out
-        assert "scale 1.503e+257" in out
+        lines = crosscheck_lines(out)
+        assert len(lines) == 3
+        assert all(scale > 1e80 and dev <= tol * scale for dev, tol, scale, _ in lines)
 
     @pytest.mark.parametrize("name", sorted(SINGULAR))
     def test_singular_map_is_an_error(self, tmp_path, capsys, name):

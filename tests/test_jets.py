@@ -4,6 +4,7 @@ The frozen numbers in TestHandComputed were derived symbolically before the
 implementation existed; do not regenerate them from the package itself.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -147,6 +148,15 @@ class TestGuards:
         z = Jet.constant(1 + 1j, 1, 1)
         with pytest.raises(SingularEvaluationError):
             jets.sqrt(z)
+
+    @pytest.mark.parametrize("fn", ["exp", "sin", "cos", "sinh", "cosh"])
+    def test_overflow_at_one_point_raises_as_cmath_does(self, fn):
+        big = 800j if fn in ("sin", "cos") else 800.0
+        with pytest.raises(OverflowError, match="math range error"):
+            getattr(cmath, fn)(big)
+        u = Jet(1, 1, np.array([0.5, big]))
+        with np.errstate(all="ignore"), pytest.raises(OverflowError, match="math range error"):
+            getattr(jets, fn)(u)
 
 
 class TestComplexJets:
