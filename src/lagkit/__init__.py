@@ -38,7 +38,6 @@ from .errors import (
     DomainError,
     DslError,
     DslSyntaxError,
-    IndeterminateFitError,
     LagkitError,
     SingularEvaluationError,
     UnknownSpecError,
@@ -70,7 +69,6 @@ __all__ = [
     "DslSyntaxError",
     "FrameBatch",
     "ImmersionSpec",
-    "IndeterminateFitError",
     "Jet",
     "LagkitError",
     "Param",

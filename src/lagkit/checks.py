@@ -5,8 +5,9 @@ points, in chunks of at most CHUNK points, and joins the chunks into one
 FrameBatch; every check is a pure function of that batch, evaluates a named
 residual at all points as one array reduction over the point axis, and
 reports max/mean together with the worst offender.  run_suite builds the
-frames of a spec once, wires the checks together in dependency order and
-emits a CheckReport whose JSON form is byte-stable for a fixed seed.
+frames of a spec once, rescales them onto the fitted quadric, wires the
+checks together in dependency order and emits a CheckReport whose JSON form
+is byte-stable for a fixed seed.
 
 Check names are stable API: lagrangian, spherical, legendrian, horizontal,
 cubic_symmetry, gauss, codazzi, structure_v_tangent, structure_v_unit,
@@ -28,6 +29,7 @@ from .dsl import ImmersionSpec
 from .errors import DimensionMismatchError, LagkitError
 from .geometry import (
     FrameBatch,
+    assemble_frame,
     build_frame,
     codazzi_residual,
     gauss_residual,
@@ -35,7 +37,6 @@ from .geometry import (
     project,
     tangent_field,
 )
-from .products import dilate, translate
 from .sampling import sample_points
 
 __all__ = [
@@ -149,56 +150,46 @@ def _finish(name, cfg, residuals, frames, extra_details=None) -> CheckEntry:
     return entry
 
 
+def _errored(name, cfg, reason, status="error") -> CheckEntry:
+    """An entry without residuals: an error fails the report, a skip does not."""
+    return CheckEntry(
+        name=name,
+        max_residual=None,
+        mean_residual=None,
+        points_evaluated=0,
+        tolerance=cfg.tolerance_for(name),
+        passed=False if status == "error" else None,
+        status=status,
+        reason=reason,
+    )
+
+
 def _skipped(name, cfg, reason) -> CheckEntry:
-    return CheckEntry(
-        name=name,
-        max_residual=None,
-        mean_residual=None,
-        points_evaluated=0,
-        tolerance=cfg.tolerance_for(name),
-        passed=None,
-        status="skipped",
-        reason=reason,
-    )
-
-
-def _errored(name, cfg, reason) -> CheckEntry:
-    return CheckEntry(
-        name=name,
-        max_residual=None,
-        mean_residual=None,
-        points_evaluated=0,
-        tolerance=cfg.tolerance_for(name),
-        passed=False,
-        status="error",
-        reason=reason,
-    )
+    return _errored(name, cfg, reason, status="skipped")
 
 
 def sample_frames(
     spec: ImmersionSpec, cfg: SampleConfig, need_third: bool = False
 ) -> FrameBatch:
-    """Frames of spec at the configured sample points, one map evaluation per chunk.
-
-    Translating or dilating a spec keeps its parameter box, so the frames of a
-    normalized spec sit at the same points as those of the original.
-    """
+    """Frames of spec at the configured sample points, one map evaluation per chunk."""
     points = sample_points(spec, cfg.num_points, cfg.seed, cfg.interior_margin)
     chunks = (points[i : i + CHUNK] for i in range(0, len(points), CHUNK))
-    return FrameBatch.concatenate(
-        (_chunk_frames(spec, c, need_third) for c in chunks), len(points)
+    frames = (
+        _pointwise_on_error(lambda s: build_frame(spec, c[s], need_third), len(c))
+        for c in chunks
     )
+    return FrameBatch.concatenate(frames, len(points))
 
 
-def _chunk_frames(spec, points, need_third) -> FrameBatch:
-    """build_frame on one chunk.  When it raises, the chunk is built again one
+def _pointwise_on_error(build, size) -> FrameBatch:
+    """build(slice) on all size points.  When it raises, it runs again one
     point at a time, so the error names the first failing point, with its
     message, exactly as a point-by-point walk would."""
     try:
-        return build_frame(spec, points, need_third)
+        return build(slice(0, size))
     except LagkitError:
-        for pt in points:
-            build_frame(spec, [pt], need_third)
+        for i in range(size):
+            build(slice(i, i + 1))
         raise
 
 
@@ -311,11 +302,11 @@ def check_cubic_symmetry(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
 
 
 def _structure_entries(frames_n, cfg, epsilon):
-    """Classification-structure residuals on the frames of a normalized spec.
+    """Classification-structure residuals on the normalized frames.
 
-    After recentering/rescaling via the quadric fit, the tangential part V of
-    J L must satisfy: V actually tangential, <V, V> = epsilon, h(Z, V) = JZ,
-    h(V, V) = -position, and nabla V = 0.
+    On the immersion recentred and rescaled by the quadric fit, the
+    tangential part V of J L must satisfy: V actually tangential,
+    <V, V> = epsilon, h(Z, V) = JZ, h(V, V) = -position, and nabla V = 0.
     """
     fr = frames_n
     coeffs, normal = project(fr, apply_j_flat(fr.position))
@@ -338,21 +329,16 @@ def _structure_entries(frames_n, cfg, epsilon):
     return entries
 
 
-def _normalized_spec(spec, fit):
-    """Recenter by the fitted center and rescale to a unit quadric."""
-    n = spec.signature.n
-    center = [complex(fit.center[2 * j], fit.center[2 * j + 1]) for j in range(n)]
-    scale = math.sqrt(abs(fit.radius_sq_signed))
-    moved = translate(spec, [-c for c in center])
-    normalized = dilate(moved, 1.0 / scale)
-    return normalized, Transform(center=fit.center.copy(), scale=scale)
+def _structure_with_fit(frames, cfg, lag_entry, fit, fit_entry):
+    """The structure bundle, run on the frames of (L - center) / scale.
 
-
-def _structure_with_fit(spec, cfg, lag_entry, fit, fit_entry):
-    """The structure bundle, run on the frames of the normalized spec.
-
-    Returns (entries, Transform or None, normalized frames or the LagkitError
-    that building them raised, or None when the bundle is skipped).
+    Those frames are assembled from the frames of L, which keep their spec:
+    recentring moves the position only and rescaling multiplies every
+    derivative by k = 1 / scale.  Scaling by the reciprocal, as
+    dilate(spec, 1 / scale) does, gives the arrays of the normalized spec bit
+    for bit, without evaluating it.  Returns (entries, Transform or None,
+    normalized frames or the LagkitError that assembling them raised, or None
+    when the bundle is skipped).
     """
     reason = None
     if not lag_entry.passed:
@@ -364,13 +350,18 @@ def _structure_with_fit(spec, cfg, lag_entry, fit, fit_entry):
     if reason is not None:
         return {n: _skipped(n, cfg, reason) for n in STRUCTURE_CHECKS}, None, None
     epsilon = 1.0 if fit.radius_sq_signed > 0 else -1.0
-    spec_n, transform = _normalized_spec(spec, fit)
-    frames_n = _try_frames(spec_n, cfg)
-    if isinstance(frames_n, LagkitError):
-        entries = {n: _errored(n, cfg, str(frames_n)) for n in STRUCTURE_CHECKS}
-    else:
-        entries = _structure_entries(frames_n, cfg, epsilon)
-    return entries, transform, frames_n
+    transform = Transform(fit.center.copy(), math.sqrt(abs(fit.radius_sq_signed)))
+    k = 1.0 / transform.scale
+    arrays = ((frames.position - fit.center) * k, frames.first * k, frames.second * k)
+    try:
+        frames_n = _pointwise_on_error(
+            lambda s: assemble_frame(frames.spec, frames.points[s], *(a[s] for a in arrays)),
+            len(frames),
+        )
+    except LagkitError as exc:
+        entries = {n: _errored(n, cfg, str(exc)) for n in STRUCTURE_CHECKS}
+        return entries, transform, exc
+    return _structure_entries(frames_n, cfg, epsilon), transform, frames_n
 
 
 def check_product_metric(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
@@ -503,14 +494,6 @@ def _quadric_from_fit(fit: SphereFit) -> AmbientQuadric | None:
     return AmbientQuadric("pseudo_hyperbolic", 1.0 / fit.radius_sq_signed)
 
 
-def _try_frames(spec, cfg, need_third=False):
-    """sample_frames, or the LagkitError it raised for each check to report."""
-    try:
-        return sample_frames(spec, cfg, need_third)
-    except LagkitError as exc:
-        return exc
-
-
 def _guard(entries, name, cfg, check, frames, *args):
     """Run check(frames, cfg, *args), turning kernel errors into an error entry.
 
@@ -540,12 +523,11 @@ def run_suite(
 ) -> CheckReport:
     """All applicable checks in dependency order.
 
-    The map is evaluated once per chunk of sample points, to third order; the
-    structure bundle evaluates the re-normalized spec once more at the same
-    points.
+    The map is evaluated once per chunk of sample points, to third order.
     Half-dimensional specs run the Lagrangian chain (isotropy, quadric fit,
     curvature identities, cubic symmetry, then the structure bundle, product
-    metric and umbilical relation on the re-normalized spec).  Specs with one
+    metric and umbilical relation on the frames recentred and rescaled by the
+    fit, which are derived from the same evaluation).  Specs with one
     parameter fewer run the Legendrian chain against the declared quadric, or
     against the fitted one when the fit lands on a central quadric.
     """
@@ -554,7 +536,10 @@ def run_suite(
     sphere_fit = None
     transform = None
     m, n = spec.num_params, spec.signature.n
-    frames = _try_frames(spec, cfg, need_third=True)
+    try:
+        frames = sample_frames(spec, cfg, need_third=True)
+    except LagkitError as exc:  # each check reports it
+        frames = exc
 
     fit = None
     if m == n:
@@ -571,7 +556,7 @@ def run_suite(
                 "cubic_symmetry", cfg, "requires the Lagrangian check to pass"
             )
         bundle, transform, frames_n = _structure_with_fit(
-            spec, cfg, lag, fit, entries["spherical"]
+            frames, cfg, lag, fit, entries["spherical"]
         )
         entries.update(bundle)
         if transform is not None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -32,6 +33,11 @@ _CROSSCHECK_TOL = {1: 1e-6, 2: 1e-6, 3: 1e-3}
 
 class _UsageError(Exception):
     pass
+
+
+def _require(ok, message: str):
+    if not ok:
+        raise _UsageError(message)
 
 
 def _load_spec(ref: str):
@@ -61,17 +67,20 @@ def _parse_quadric(text: str, spec: ImmersionSpec) -> AmbientQuadric:
         s, c = int(s_text), float(c_text)
     except ValueError:
         raise _UsageError(f"--quadric expects S:C (e.g. 0:1 or 1:-1), got {text!r}")
-    if s != spec.signature.s:
-        raise _UsageError(
-            f"--quadric index {s} does not match the spec signature index {spec.signature.s}"
-        )
-    if c == 0:
-        raise _UsageError("--quadric curvature must be nonzero")
+    _require(
+        s == spec.signature.s,
+        f"--quadric index {s} does not match the spec signature index {spec.signature.s}",
+    )
+    _require(c != 0, "--quadric curvature must be nonzero")
     kind = "pseudo_sphere" if c > 0 else "pseudo_hyperbolic"
     return AmbientQuadric(kind, c)
 
 
 def _config(args) -> SampleConfig:
+    _require(args.samples >= 1, f"--samples must be at least 1, got {args.samples}")
+    for flag, tol in (("--tol", args.tol), ("--tol-third", args.tol_third)):
+        # the JSON report holds no NaN or Infinity
+        _require(0 <= tol < math.inf, f"{flag} must be finite and non-negative, got {tol!r}")
     return SampleConfig(
         num_points=args.samples,
         seed=args.seed,
@@ -119,15 +128,16 @@ def _cmd_check(args) -> int:
     quadric = declared
     if args.quadric is not None:
         quadric = _parse_quadric(args.quadric, spec)
+    wanted = [c.strip() for c in (args.checks or "").split(",") if c.strip()]
+    _require(args.checks is None or wanted, f"--checks {args.checks!r} names no check")
     report = run_suite(spec, _config(args), quadric=quadric)
-    if args.checks:
-        wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
+    if wanted:
         unknown = [c for c in wanted if c not in report.checks]
-        if unknown:
-            raise _UsageError(
-                f"unknown check name(s) {', '.join(unknown)}; "
-                f"this run produced: {', '.join(report.checks)}"
-            )
+        _require(
+            not unknown,
+            f"unknown check name(s) {', '.join(unknown)}; "
+            f"this run produced: {', '.join(report.checks)}",
+        )
         report.checks = {k: v for k, v in report.checks.items() if k in wanted}
     _emit(report.to_json() if args.json else _format_report(report), args.out)
     return 0 if report.passed else 1
@@ -135,13 +145,14 @@ def _cmd_check(args) -> int:
 
 def _cmd_construct(args) -> int:
     spec, declared = _load_spec(args.spec)
+    cfg = _config(args) if args.verify else None
     try:
         product = circle_product(spec, t_name=args.t_name)
     except (LagkitError, ValueError) as exc:
         raise _UsageError(str(exc)) from exc
     _emit(serialize(product), args.out)
     if args.verify:
-        report = run_suite(product, _config(args), quadric=None)
+        report = run_suite(product, cfg, quadric=None)
         sys.stdout.write(_format_report(report))
         return 0 if report.passed else 1
     return 0
@@ -149,6 +160,8 @@ def _cmd_construct(args) -> int:
 
 def _cmd_crosscheck(args) -> int:
     spec, _ = _load_spec(args.spec)
+    _require(args.points >= 1, f"--points must be at least 1, got {args.points}")
+    _require(args.step is None or args.step > 0, f"--step must be positive, got {args.step!r}")
     orders = [args.order] if args.order else [1, 2, 3]
     failed = False
     for order in orders:

@@ -411,7 +411,8 @@ def _prec(e: Expr) -> int:
     return _PREC_ATOM
 
 
-def _emit(e: Expr) -> str:
+def serialize_expr(e: Expr) -> str:
+    """Text for one expression, with parentheses only where precedence needs them."""
     if isinstance(e, Num):
         return _fmt_number(e.value)
     if isinstance(e, Imag):
@@ -419,31 +420,27 @@ def _emit(e: Expr) -> str:
     if isinstance(e, Ref):
         return e.name
     if isinstance(e, Call):
-        return f"{e.fn}({_emit(e.arg)})"
+        return f"{e.fn}({serialize_expr(e.arg)})"
     if isinstance(e, Neg):
-        inner = _emit(e.arg)
+        inner = serialize_expr(e.arg)
         if _prec(e.arg) < _PREC_NEG:
             inner = f"({inner})"
         return f"-{inner}"
     if isinstance(e, Pow):
-        base = _emit(e.base)
+        base = serialize_expr(e.base)
         if _prec(e.base) < _PREC_ATOM:
             base = f"({base})"
         return f"{base}^{e.exponent}"
     if isinstance(e, Bin):
         mine = _prec(e)
-        left = _emit(e.left)
+        left = serialize_expr(e.left)
         if _prec(e.left) < mine:
             left = f"({left})"
-        right = _emit(e.right)
+        right = serialize_expr(e.right)
         if _prec(e.right) <= mine:
             right = f"({right})"
         return f"{left}{e.op}{right}"
     raise TypeError(f"not an expression node: {e!r}")
-
-
-def serialize_expr(e: Expr) -> str:
-    return _emit(e)
 
 
 def serialize(spec: ImmersionSpec) -> str:
@@ -451,7 +448,7 @@ def serialize(spec: ImmersionSpec) -> str:
     params = ", ".join(
         f"{p.name}:[{_fmt_number(p.lo)},{_fmt_number(p.hi)}]" for p in spec.params
     )
-    comps = ", ".join(_emit(c) for c in spec.components)
+    comps = ", ".join(serialize_expr(c) for c in spec.components)
     return (
         f"params {params};\n"
         f"signature {spec.signature.n} {spec.signature.s};\n"

@@ -21,10 +21,6 @@ class DomainError(LagkitError, ValueError):
     """A point (or its finite-difference stencil) left the declared domain box."""
 
 
-class IndeterminateFitError(LagkitError, ValueError):
-    """Quadric fit normal system is rank deficient."""
-
-
 class UnknownSpecError(LagkitError, KeyError):
     """Requested catalog entry does not exist."""
 

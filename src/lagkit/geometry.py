@@ -4,10 +4,10 @@ A FrameBatch bundles the derivative data of the immersion at a batch of B
 points, in interleaved real coordinates, together with the induced metric, the
 Christoffel symbols (and their derivatives, at third order), and the second
 fundamental form of the flat ambient space.  Every array carries the point
-axis first, and build_frame assembles all of them from one batched map
-evaluation.  Curvature, the classical compatibility identities (Gauss and
-Codazzi equations) and the tangent field of J L are computed from the batch
-alone, as one array expression per quantity, without evaluating the map again.
+axis first; assemble_frame builds them from the map's derivatives, which
+build_frame gets from one batched map evaluation.  Curvature, the classical
+compatibility identities (Gauss and Codazzi equations) and the tangent field
+of J L are computed from the batch alone, without evaluating the map again.
 
 Index conventions, pinned by tests on the round-sphere factor (b is the point):
   dmetric[b, k, i, j]      = d_k g_ij
@@ -30,6 +30,7 @@ from .errors import DegenerateMetricError, SingularEvaluationError
 __all__ = [
     "FrameBatch",
     "build_frame",
+    "assemble_frame",
     "riemann_tensor",
     "sectional_curvature",
     "gauss_residual",
@@ -98,10 +99,7 @@ def build_frame(spec: ImmersionSpec, points, need_third: bool = False) -> FrameB
     """Evaluate the immersion at a batch of points and assemble its geometry.
 
     points is one point (m,) or a batch (B, m); a single point gives a batch
-    of one.  Raises SingularEvaluationError when the map, its derivatives or
-    the metric overflow or are not finite, and DegenerateMetricError when
-    |det(g / max |g_ij|)| < 1e-10, at some point; the message names the first
-    such point met by the test that fails.
+    of one.  Raises what evaluate_map_jets and assemble_frame raise.
     """
     pts = np.array(points, dtype=float, ndmin=2)
     order = 3 if need_third else 2
@@ -112,16 +110,24 @@ def build_frame(spec: ImmersionSpec, points, need_third: bool = False) -> FrameB
         np.stack([jet.blocks[k] for jet in jets], axis=-1).view(float)
         for k in range(order + 1)
     )
-    third = rest[0] if need_third else None
     del jets  # the stacked copies replace them; keeps the chunk's peak memory down
-    eta = metric_diagonal(spec.signature)
+    return assemble_frame(spec, pts, position, first, second, *rest)
 
+
+def assemble_frame(spec, points, position, first, second, third=None) -> FrameBatch:
+    """The frames at points (B, m) of a map with these derivatives there.
+
+    Raises SingularEvaluationError when the metric is not finite, and
+    DegenerateMetricError when |det(g / max |g_ij|)| < 1e-10, at some point;
+    the message names the first such point met by the test that fails.
+    """
+    eta = metric_diagonal(spec.signature)
     with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
         metric = (first * eta) @ np.swapaxes(first, 1, 2)
         metric = 0.5 * (metric + np.swapaxes(metric, 1, 2))
     finite = np.isfinite(metric).all(axis=(1, 2))
     if not finite.all():
-        bad = tuple(pts[np.argmin(finite)].tolist())
+        bad = tuple(points[np.argmin(finite)].tolist())
         raise SingularEvaluationError(f"induced metric not finite at {bad}")
     # compare det(g / scale), since scale**m can overflow where det g does not
     scale = np.abs(metric).max(axis=(1, 2))
@@ -132,7 +138,7 @@ def build_frame(spec: ImmersionSpec, points, need_third: bool = False) -> FrameB
     if degenerate.any():
         i = int(np.argmax(degenerate))
         det = abs(float(np.linalg.det(metric[i])))
-        bad = tuple(pts[i].tolist())
+        bad = tuple(points[i].tolist())
         raise DegenerateMetricError(f"induced metric degenerate at {bad}: |det| = {det:.3e}")
     metric_inv = np.linalg.inv(metric)
 
@@ -147,10 +153,10 @@ def build_frame(spec: ImmersionSpec, points, need_third: bool = False) -> FrameB
     sff = second - np.einsum("bkij,bka->bija", christoffels, first)
 
     frames = FrameBatch(
-        spec, pts, position, first, second, third, eta,
+        spec, points, position, first, second, third, eta,
         metric, metric_inv, dmetric, christoffels, sff,
     )
-    if need_third:
+    if third is not None:
         frames.dchristoffels = _christoffel_derivatives(frames, bracket)
     return frames
 

@@ -53,10 +53,6 @@ class Jet:
         self.third = _block(third, batch + (m, m, m)) if order >= 3 else None
 
     @classmethod
-    def constant(cls, value, num_vars, order) -> "Jet":
-        return cls(num_vars, order, value)
-
-    @classmethod
     def seed(cls, var_index, value, num_vars, order) -> "Jet":
         """Jet of the coordinate function x_{var_index} at the given value(s)."""
         if not 0 <= var_index < num_vars:

@@ -14,6 +14,7 @@ from lagkit.checks import (
     STRUCTURE_CHECKS,
     CheckReport,
     SampleConfig,
+    _structure_with_fit,
     check_cubic_symmetry,
     check_horizontal,
     check_lagrangian,
@@ -301,22 +302,82 @@ class TestRunSuite:
 
 @pytest.mark.parametrize("name", catalog_names())
 def test_one_map_evaluation_per_point_per_spec(name, monkeypatch):
+    import lagkit.checks as checks
     import lagkit.geometry as geometry
 
-    calls = []
-    evaluate = geometry.evaluate_map_jets
+    calls = {"evaluate_map_jets": 0, "sample_points": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return evaluate(*args)
+    def counted(module, fn_name):
+        fn = getattr(module, fn_name)
 
-    monkeypatch.setattr(geometry, "evaluate_map_jets", counted)
+        def wrapper(*args):
+            calls[fn_name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, fn_name, wrapper)
+
+    counted(geometry, "evaluate_map_jets")
+    counted(checks, "sample_points")
     entry = catalog_entry(name)
     cfg = SampleConfig(num_points=20)
-    report = run_suite(entry.spec, cfg, quadric=entry.quadric)
-    # the structure bundle evaluates the normalized spec once more
-    specs = 2 if report.transform is not None else 1
-    assert len(calls) == specs * math.ceil(cfg.num_points / CHUNK)
+    run_suite(entry.spec, cfg, quadric=entry.quadric)
+    assert calls["evaluate_map_jets"] == math.ceil(cfg.num_points / CHUNK)
+    assert calls["sample_points"] == 1
+
+
+def reference_normalized_spec(spec, transform):
+    """The spec (L - center) / scale, written out as translate and dilate."""
+    c = transform.center
+    center = [complex(c[2 * j], c[2 * j + 1]) for j in range(spec.signature.n)]
+    return dilate(translate(spec, [-z for z in center]), 1.0 / transform.scale)
+
+
+@pytest.mark.parametrize("num_points", [20, 2 * CHUNK + 1])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # the Lagrangian spherical catalog entries, and one moved off the origin
+        *map(catalog, ["clifford_torus", "product_S1xS2", "theorem42_example"]),
+        catalog("theorem43_example"),
+        translate(dilate(catalog("clifford_torus"), 3.0), (0.25, 0.125j)),
+    ],
+    ids=lambda spec: spec.name,
+)
+def test_normalized_frames_equal_those_of_the_normalized_spec(spec, num_points):
+    cfg = SampleConfig(num_points=num_points, seed=7)
+    frames = sample_frames(spec, cfg, need_third=True)
+    fit, fit_entry = fit_hypersphere(frames, cfg)
+    lag = check_lagrangian(frames, cfg)
+    _, transform, derived = _structure_with_fit(frames, cfg, lag, fit, fit_entry)
+    reference = sample_frames(reference_normalized_spec(spec, transform), cfg)
+    for f in fields(FrameBatch):
+        if f.name != "spec":
+            ours, theirs = getattr(derived, f.name), getattr(reference, f.name)
+            assert (ours is None and theirs is None) or np.array_equal(ours, theirs), f.name
+
+
+def test_normalized_frames_that_fail_error_the_bundle(monkeypatch):
+    import lagkit.checks as checks
+
+    spec = catalog("clifford_torus")
+    points = sample_frames(spec, CFG).points
+    bad = {tuple(points[3]), tuple(points[7])}
+    assemble = checks.assemble_frame
+
+    def failing(spec, pts, *arrays):
+        hits = [tuple(p) for p in pts if tuple(p) in bad]
+        if hits:
+            # a batch may name a later failing point; the walk names the first
+            raise SingularEvaluationError(f"assembly fails at {hits[-1]}")
+        return assemble(spec, pts, *arrays)
+
+    monkeypatch.setattr(checks, "assemble_frame", failing)
+    report = run_suite(spec, CFG)
+    assert report.transform is not None
+    for name in (*STRUCTURE_CHECKS, "product_metric", "umbilical"):
+        entry = report.checks[name]
+        assert entry.status == "error", name
+        assert entry.reason == f"assembly fails at {tuple(points[3])}", name
 
 
 class TestChunks:

@@ -143,6 +143,30 @@ class TestCheckCommand:
         assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "clifford_torus", "--samples", "0"),
+        ("check", "clifford_torus", "--checks", ","),
+        ("check", "clifford_torus", "--checks", ",", "--json"),
+        ("check", "clifford_torus", "--tol", "nan", "--json"),
+        ("check", "clifford_torus", "--tol-third", "inf", "--json"),
+        ("construct", "pseudo_legendrian_H3", "--verify", "--samples", "0"),
+        ("crosscheck", "clifford_torus", "--step", "-1"),
+        ("crosscheck", "clifford_torus", "--step", "0"),
+        ("crosscheck", "clifford_torus", "--points", "0"),
+    ],
+    ids=" ".join,
+)
+def test_bad_flag_value_is_a_usage_error(argv, capsys):
+    # exit 2 with one `lagkit:` line and nothing on stdout: no traceback, no
+    # vacuous pass over zero checks or points, no report with a NaN tolerance
+    assert run_main(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("lagkit: ") and err.count("\n") == 1
+
+
 class TestConstructCommand:
     def test_writes_parseable_product(self, tmp_path):
         out = tmp_path / "prod.imm"
