@@ -14,6 +14,7 @@ Everything here is immutable value math; functions are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,8 +83,8 @@ class AmbientQuadric:
     def __post_init__(self):
         if self.kind not in ("pseudo_sphere", "pseudo_hyperbolic"):
             raise ValueError(f"unknown quadric kind {self.kind!r}")
-        if self.c == 0:
-            raise ValueError("quadric curvature c must be nonzero")
+        if not math.isfinite(self.c) or self.c == 0:
+            raise ValueError(f"quadric curvature c must be finite and nonzero, got {self.c!r}")
         if self.kind == "pseudo_sphere" and self.c < 0:
             raise ValueError("pseudo_sphere needs c > 0")
         if self.kind == "pseudo_hyperbolic" and self.c > 0:

@@ -1,10 +1,11 @@
 """Residual checks certifying the defining identities of an immersion.
 
-sample_frames evaluates the immersion at the deterministic interior sample
-points, in chunks of at most CHUNK points, and joins the chunks into one
-FrameBatch; every check is a pure function of that batch, evaluates a named
-residual at all points as one array reduction over the point axis, and
-reports max/mean together with the worst offender.  run_suite builds the
+sample_frames builds the frames of the immersion at the deterministic interior
+sample points as one FrameBatch, with one build_frame call (which evaluates
+the map in chunks of at most geometry.CHUNK points); every check is a pure
+function of that batch, evaluates a named residual at all points as one array
+reduction over the point axis, and reports max/mean together with the worst
+offender.  run_suite builds the
 frames of a spec once, rescales them onto the fitted quadric, wires the
 checks together in dependency order and emits a CheckReport whose JSON form
 is byte-stable for a fixed seed.
@@ -20,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -56,9 +56,6 @@ __all__ = [
     "run_suite",
 ]
 
-# points per map evaluation: bounds the memory of the batched jets and frames
-CHUNK = 64
-
 DEFAULT_TOL = 1e-8
 DEFAULT_TOL_THIRD = 1e-6
 
@@ -80,18 +77,14 @@ class SampleConfig:
 
     num_points: int = 20
     seed: int = 42
-    interior_margin: float = 1e-3
     tol: float = DEFAULT_TOL
     tol_third: float = DEFAULT_TOL_THIRD
-    tol_overrides: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.num_points < 1:
             raise ValueError("num_points must be >= 1")
 
     def tolerance_for(self, check_name: str) -> float:
-        if check_name in self.tol_overrides:
-            return float(self.tol_overrides[check_name])
         if check_name in _THIRD_ORDER_CHECKS:
             return self.tol_third
         return self.tol
@@ -171,14 +164,13 @@ def _skipped(name, cfg, reason) -> CheckEntry:
 def sample_frames(
     spec: ImmersionSpec, cfg: SampleConfig, need_third: bool = False
 ) -> FrameBatch:
-    """Frames of spec at the configured sample points, one map evaluation per chunk."""
-    points = sample_points(spec, cfg.num_points, cfg.seed, cfg.interior_margin)
-    chunks = (points[i : i + CHUNK] for i in range(0, len(points), CHUNK))
-    frames = (
-        _pointwise_on_error(lambda s: build_frame(spec, c[s], need_third), len(c))
-        for c in chunks
-    )
-    return FrameBatch.concatenate(frames, len(points))
+    """Frames of spec at the configured sample points, from one build_frame call.
+
+    When that call raises, the points are built one at a time from the first
+    on, so the error names the first failing sample point.
+    """
+    points = np.array(sample_points(spec, cfg.num_points, cfg.seed))
+    return _pointwise_on_error(lambda s: build_frame(spec, points[s], need_third), len(points))
 
 
 def _pointwise_on_error(build, size) -> FrameBatch:

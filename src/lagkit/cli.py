@@ -46,8 +46,11 @@ def _load_spec(ref: str):
         entry = catalog_entry(ref)
         return entry.spec, entry.quadric
     if os.path.exists(ref):
-        with open(ref, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(ref, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise _UsageError(f"cannot read {ref}: {exc}") from exc
         try:
             spec = parse(text)
         except LagkitError as exc:
@@ -71,7 +74,9 @@ def _parse_quadric(text: str, spec: ImmersionSpec) -> AmbientQuadric:
         s == spec.signature.s,
         f"--quadric index {s} does not match the spec signature index {spec.signature.s}",
     )
-    _require(c != 0, "--quadric curvature must be nonzero")
+    _require(
+        math.isfinite(c) and c != 0, f"--quadric curvature must be finite and nonzero, got {c!r}"
+    )
     kind = "pseudo_sphere" if c > 0 else "pseudo_hyperbolic"
     return AmbientQuadric(kind, c)
 
@@ -95,8 +100,11 @@ def _emit(text: str, out_path: str | None):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _format_report(report) -> str:

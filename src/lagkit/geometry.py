@@ -5,9 +5,11 @@ points, in interleaved real coordinates, together with the induced metric, the
 Christoffel symbols (and their derivatives, at third order), and the second
 fundamental form of the flat ambient space.  Every array carries the point
 axis first; assemble_frame builds them from the map's derivatives, which
-build_frame gets from one batched map evaluation.  Curvature, the classical
-compatibility identities (Gauss and Codazzi equations) and the tangent field
-of J L are computed from the batch alone, without evaluating the map again.
+build_frame gets from one batched map evaluation per chunk of at most CHUNK
+points before it assembles the frames of the whole batch at once.  Curvature,
+the classical compatibility identities (Gauss and Codazzi equations) and the
+tangent field of J L are computed from the batch alone, without evaluating
+the map again.
 
 Index conventions, pinned by tests on the round-sphere factor (b is the point):
   dmetric[b, k, i, j]      = d_k g_ij
@@ -19,7 +21,7 @@ Index conventions, pinned by tests on the round-sphere factor (b is the point):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +42,9 @@ __all__ = [
 ]
 
 DET_THRESHOLD = 1e-10
+
+# points per map evaluation: bounds the memory of the batched jets
+CHUNK = 64
 
 
 @dataclass
@@ -66,29 +71,6 @@ class FrameBatch:
     def point(self, index: int) -> tuple[float, ...]:
         return tuple(self.points[index].tolist())
 
-    @classmethod
-    def concatenate(cls, batches, size: int) -> "FrameBatch":
-        """One batch of `size` points holding the points of `batches`, in order.
-
-        batches may be a generator: each batch is copied in before the next
-        is built, so no two of them are alive at once.
-        """
-        out, start = None, 0
-        for batch in batches:
-            if out is None:
-                arrays = [
-                    f.name
-                    for f in fields(cls)
-                    if f.name not in ("spec", "eta") and getattr(batch, f.name) is not None
-                ]
-                full = {n: np.empty((size,) + getattr(batch, n).shape[1:]) for n in arrays}
-                out = replace(batch, **full)
-            for name in arrays:
-                getattr(out, name)[start : start + len(batch)] = getattr(batch, name)
-            start += len(batch)
-            del batch
-        return out
-
 
 def point_max(x: np.ndarray) -> np.ndarray:
     """max |x| over every axis but the leading point axis (0 for empty slices)."""
@@ -99,19 +81,22 @@ def build_frame(spec: ImmersionSpec, points, need_third: bool = False) -> FrameB
     """Evaluate the immersion at a batch of points and assemble its geometry.
 
     points is one point (m,) or a batch (B, m); a single point gives a batch
-    of one.  Raises what evaluate_map_jets and assemble_frame raise.
+    of one.  The map is evaluated once per chunk of at most CHUNK points and
+    the frames of all B points are assembled at once.  Raises what
+    evaluate_map_jets and assemble_frame raise, for the first failing chunk.
     """
     pts = np.array(points, dtype=float, ndmin=2)
     order = 3 if need_third else 2
-    jets = evaluate_map_jets(spec, pts, order)
-    # a complex128 array is stored as (re, im) pairs, so stacking the component
-    # jets along a last axis and viewing that as float gives the ambient layout
-    position, first, second, *rest = (
-        np.stack([jet.blocks[k] for jet in jets], axis=-1).view(float)
-        for k in range(order + 1)
-    )
-    del jets  # the stacked copies replace them; keeps the chunk's peak memory down
-    return assemble_frame(spec, pts, position, first, second, *rest)
+    m, n = spec.num_params, spec.signature.n
+    # a complex128 array is stored as (re, im) pairs, so the component jets
+    # laid along a last axis and viewed as float give the ambient layout
+    blocks = [np.empty((len(pts),) + (m,) * k + (n,), dtype=complex) for k in range(order + 1)]
+    for start in range(0, len(pts), CHUNK):
+        chunk = slice(start, start + CHUNK)
+        for c, jet in enumerate(evaluate_map_jets(spec, pts[chunk], order)):
+            for block, jet_block in zip(blocks, jet.blocks):
+                block[chunk, ..., c] = jet_block
+    return assemble_frame(spec, pts, *(block.view(float) for block in blocks))
 
 
 def assemble_frame(spec, points, position, first, second, third=None) -> FrameBatch:

@@ -14,6 +14,8 @@ __all__ = ["SplitMix64", "sample_points"]
 
 _MASK = (1 << 64) - 1
 
+INTERIOR_MARGIN = 1e-3
+
 
 class SplitMix64:
     """Standard splitmix64 stream; next_float() is uniform on [0, 1)."""
@@ -36,18 +38,18 @@ def sample_points(
     spec: ImmersionSpec,
     num_points: int,
     seed: int,
-    interior_margin: float = 1e-3,
+    *,
     extra_margin: float = 0.0,
 ) -> list[tuple[float, ...]]:
     """Deterministic interior samples of the domain box.
 
-    Each interval is shrunk by interior_margin (relative to its length) plus
+    Each interval is shrunk by INTERIOR_MARGIN (relative to its length) plus
     extra_margin (absolute, e.g. finite-difference stencil reach) before
     sampling uniformly.
     """
     boxes = []
     for p in spec.params:
-        pad = interior_margin * (p.hi - p.lo) + extra_margin
+        pad = INTERIOR_MARGIN * (p.hi - p.lo) + extra_margin
         lo, hi = p.lo + pad, p.hi - pad
         if not lo < hi:
             raise DomainError(

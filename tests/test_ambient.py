@@ -140,7 +140,14 @@ class TestAmbientQuadric:
         assert q.radius_sq_signed == pytest.approx(0.25)
 
     @pytest.mark.parametrize(
-        "kind,c", [("pseudo_sphere", -1.0), ("pseudo_hyperbolic", 2.0), ("sphere", 1.0)]
+        "kind,c",
+        [
+            ("pseudo_sphere", -1.0),
+            ("pseudo_hyperbolic", 2.0),
+            ("sphere", 1.0),
+            ("pseudo_hyperbolic", float("nan")),
+            ("pseudo_sphere", float("inf")),
+        ],
     )
     def test_rejects_inconsistent(self, kind, c):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ import pytest
 from lagkit.ambient import AmbientQuadric
 from lagkit.catalog import catalog, catalog_entry, catalog_names
 from lagkit.checks import (
-    CHUNK,
     STRUCTURE_CHECKS,
     CheckReport,
     SampleConfig,
@@ -27,7 +26,7 @@ from lagkit.checks import (
 )
 from lagkit.dsl import parse
 from lagkit.errors import DimensionMismatchError, LagkitError, SingularEvaluationError
-from lagkit.geometry import FrameBatch, build_frame
+from lagkit.geometry import CHUNK, FrameBatch, build_frame
 from lagkit.products import dilate, translate
 from lagkit.sampling import sample_points
 
@@ -50,12 +49,6 @@ class TestSampleConfig:
         assert cfg.tolerance_for("lagrangian") == 1e-9
         assert cfg.tolerance_for("gauss") == 1e-5
         assert cfg.tolerance_for("codazzi") == 1e-5
-
-    def test_overrides_win(self):
-        cfg = SampleConfig(tol_overrides={"gauss": 0.25, "lagrangian": 0.5})
-        assert cfg.tolerance_for("gauss") == 0.25
-        assert cfg.tolerance_for("lagrangian") == 0.5
-        assert cfg.tolerance_for("codazzi") == cfg.tol_third
 
 
 class TestLagrangian:
@@ -295,17 +288,23 @@ class TestRunSuite:
         assert lone.checks["legendrian"].points_evaluated == 1
 
     def test_tol_override_can_fail_a_passing_check(self):
-        cfg = SampleConfig(num_points=8, tol_overrides={"lagrangian": 1e-30})
+        cfg = SampleConfig(num_points=8, tol=1e-30)
         report = run_suite(catalog("clifford_torus"), cfg)
         assert not report.checks["lagrangian"].passed
 
 
-@pytest.mark.parametrize("name", catalog_names())
-def test_one_map_evaluation_per_point_per_spec(name, monkeypatch):
+@pytest.mark.parametrize(
+    "name, num_points",
+    [
+        *(pytest.param(name, 20, id=name) for name in catalog_names()),
+        *(pytest.param(n, 2 * CHUNK + 1, id=f"{n}-three-chunks") for n in catalog_names()),
+    ],
+)
+def test_one_map_evaluation_per_point_per_spec(name, num_points, monkeypatch):
     import lagkit.checks as checks
     import lagkit.geometry as geometry
 
-    calls = {"evaluate_map_jets": 0, "sample_points": 0}
+    calls = {"evaluate_map_jets": 0, "sample_points": 0, "build_frame": 0}
 
     def counted(module, fn_name):
         fn = getattr(module, fn_name)
@@ -318,11 +317,13 @@ def test_one_map_evaluation_per_point_per_spec(name, monkeypatch):
 
     counted(geometry, "evaluate_map_jets")
     counted(checks, "sample_points")
+    counted(checks, "build_frame")
     entry = catalog_entry(name)
-    cfg = SampleConfig(num_points=20)
+    cfg = SampleConfig(num_points=num_points)
     run_suite(entry.spec, cfg, quadric=entry.quadric)
     assert calls["evaluate_map_jets"] == math.ceil(cfg.num_points / CHUNK)
     assert calls["sample_points"] == 1
+    assert calls["build_frame"] == 1
 
 
 def reference_normalized_spec(spec, transform):
@@ -387,21 +388,20 @@ class TestChunks:
 
     def _points(self, spec):
         cfg = self.CFG
-        return sample_points(spec, cfg.num_points, cfg.seed, cfg.interior_margin)
+        return sample_points(spec, cfg.num_points, cfg.seed)
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_chunked_frames_equal_single_point_frames(self, name):
         entry = catalog_entry(name)
         chunked = sample_frames(entry.spec, self.CFG, need_third=True)
-        single = FrameBatch.concatenate(
-            [build_frame(entry.spec, pt, need_third=True) for pt in self._points(entry.spec)],
-            self.CFG.num_points,
-        )
-        assert len(chunked) == len(single) == self.CFG.num_points
+        singles = [build_frame(entry.spec, pt, need_third=True) for pt in self._points(entry.spec)]
+        assert len(chunked) == len(singles) == self.CFG.num_points
         for f in fields(FrameBatch):
             if f.name != "spec":
+                parts = [getattr(frame, f.name) for frame in singles]
+                single = parts[0] if f.name == "eta" else np.concatenate(parts)
                 np.testing.assert_allclose(
-                    getattr(chunked, f.name), getattr(single, f.name), rtol=1e-12, atol=1e-12
+                    getattr(chunked, f.name), single, rtol=1e-12, atol=1e-12
                 )
         report = run_suite(entry.spec, self.CFG, quadric=entry.quadric)
         assert {k: report.checks[k].passed for k in entry.expects} == entry.expects
@@ -476,7 +476,7 @@ class TestDegenerateSpecs:
     def _outcomes(self, text, quadric):
         spec = parse(text)
         report = run_suite(spec, CFG, quadric=quadric)
-        point = sample_points(spec, CFG.num_points, CFG.seed, CFG.interior_margin)[0]
+        point = sample_points(spec, CFG.num_points, CFG.seed)[0]
         degenerate = f"induced metric degenerate at {point}: |det| = 0.000e+00"
         assert not report.passed and report.transform is None
         got = [(n, e.status, e.reason) for n, e in report.checks.items()]

@@ -155,6 +155,8 @@ class TestCheckCommand:
         ("crosscheck", "clifford_torus", "--step", "-1"),
         ("crosscheck", "clifford_torus", "--step", "0"),
         ("crosscheck", "clifford_torus", "--points", "0"),
+        ("check", "real_circle_S3", "--quadric", "0:nan"),
+        ("check", "clifford_torus", "--quadric", "0:inf"),
     ],
     ids=" ".join,
 )
@@ -165,6 +167,28 @@ def test_bad_flag_value_is_a_usage_error(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("lagkit: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, verb, path",
+    [
+        (("check", "{dir}"), "read", "{dir}"),
+        (("check", "{latin1}"), "read", "{latin1}"),
+        (("crosscheck", "{latin1}"), "read", "{latin1}"),
+        (("check", "clifford_torus", "--out", "{dir}/no/x.json"), "write", "{dir}/no/x.json"),
+        (("construct", "real_circle_S3", "--out", "{dir}/no/p.imm"), "write", "{dir}/no/p.imm"),
+    ],
+    ids=["directory", "check-non-utf8", "crosscheck-non-utf8", "check-out", "construct-out"],
+)
+def test_unusable_file_is_a_usage_error(argv, verb, path, tmp_path, capsys):
+    latin1 = tmp_path / "latin1.imm"
+    latin1.write_bytes(b"params u:[0,1];\nsignature 1 0;\nmap u; # caf\xe9\n")
+    paths = {"dir": tmp_path, "latin1": latin1}
+    assert run_main(*(arg.format(**paths) for arg in argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"lagkit: cannot {verb} {path.format(**paths)}: ")
+    assert err.count("\n") == 1
 
 
 class TestConstructCommand:

@@ -45,6 +45,9 @@ def test_extra_margin_respected():
     for pt in sample_points(spec, 50, seed=1, extra_margin=margin):
         for (x, p) in zip(pt, spec.params):
             assert p.lo + margin <= x <= p.hi - margin
+    # keyword-only: the fourth positional slot once held the relative margin
+    with pytest.raises(TypeError):
+        sample_points(spec, 50, 1, margin)
 
 
 def test_margin_can_exhaust_domain():
