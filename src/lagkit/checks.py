@@ -28,6 +28,7 @@ from .ambient import AmbientQuadric, apply_j_flat, inner_flat
 from .dsl import ImmersionSpec
 from .errors import DimensionMismatchError, LagkitError
 from .geometry import (
+    CHUNK,
     FrameBatch,
     assemble_frame,
     build_frame,
@@ -166,23 +167,30 @@ def sample_frames(
 ) -> FrameBatch:
     """Frames of spec at the configured sample points, from one build_frame call.
 
-    When that call raises, the points are built one at a time from the first
-    on, so the error names the first failing sample point.
+    When that call raises, the error names the first failing sample point
+    (see _pointwise_on_error).
     """
     points = np.array(sample_points(spec, cfg.num_points, cfg.seed))
     return _pointwise_on_error(lambda s: build_frame(spec, points[s], need_third), len(points))
 
 
 def _pointwise_on_error(build, size) -> FrameBatch:
-    """build(slice) on all size points.  When it raises, it runs again one
-    point at a time, so the error names the first failing point, with its
-    message, exactly as a point-by-point walk would."""
+    """build(slice) on all size points.  When it raises, the CHUNK slices run
+    again in order and, in the first that raises, its points one at a time,
+    so the error names the first failing point, with its message, exactly as
+    a point-by-point walk would (the batch error, should no point raise)."""
     try:
         return build(slice(0, size))
-    except LagkitError:
-        for i in range(size):
-            build(slice(i, i + 1))
-        raise
+    except LagkitError as exc:
+        error = exc
+    for start in range(0, size, CHUNK):
+        try:
+            build(slice(start, start + CHUNK))
+        except LagkitError:
+            for i in range(start, min(start + CHUNK, size)):
+                build(slice(i, i + 1))
+            break
+    raise error
 
 
 def check_lagrangian(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:

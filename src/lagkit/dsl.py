@@ -495,17 +495,19 @@ _RULES = {
 _SLACK = 1e-12
 
 
-def check_point_in_domain(spec: ImmersionSpec, point, slack: float = _SLACK):
-    """Raise DomainError unless the point sits in the (closed) domain box."""
-    if len(point) != spec.num_params:
+def check_point_in_domain(spec: ImmersionSpec, points, slack: float = _SLACK):
+    """Raise DomainError unless the point (m,), or each row of points (P, m), sits
+    in the (closed) domain box, naming the first bad coordinate of the first bad row."""
+    pts = np.array(points, dtype=float, ndmin=2)
+    if pts.shape[-1] != spec.num_params:
         raise DomainError(
-            f"point has {len(point)} coordinates, spec has {spec.num_params} parameters"
+            f"point has {pts.shape[-1]} coordinates, spec has {spec.num_params} parameters"
         )
-    for p, x in zip(spec.params, point):
-        if not (p.lo - slack <= x <= p.hi + slack):
-            raise DomainError(
-                f"coordinate {p.name}={x!r} outside [{p.lo}, {p.hi}]"
-            )
+    lo, hi = np.array([(p.lo - slack, p.hi + slack) for p in spec.params]).T
+    bad = np.argwhere(~((lo <= pts) & (pts <= hi)))  # NaN is outside too
+    if len(bad):
+        p, x = spec.params[bad[0, 1]], float(pts[tuple(bad[0])])
+        raise DomainError(f"coordinate {p.name}={x!r} outside [{p.lo}, {p.hi}]")
 
 
 def evaluate_map_jets(spec: ImmersionSpec, points, order: int) -> list[Jet]:
@@ -518,8 +520,7 @@ def evaluate_map_jets(spec: ImmersionSpec, points, order: int) -> list[Jet]:
     """
     pts = np.array(points, dtype=float, ndmin=2)
     m = spec.num_params
-    for row in pts.tolist():
-        check_point_in_domain(spec, row)
+    check_point_in_domain(spec, pts)
     env = {p.name: Jet.seed(k, pts[:, k], m, order) for k, p in enumerate(spec.params)}
     try:
         with np.errstate(all="ignore"):  # rejected just below

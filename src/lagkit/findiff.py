@@ -9,20 +9,21 @@ The 4-point stencil matters: third derivatives of some catalog maps are large
 (Whitney-type factors have fifth derivatives of order 10^2), and the plain
 3-point stencil would lose the order-3 agreement budget at step 1e-2.
 
-Stencils of different index tuples share many points, so one oracle call
-caches the map value of each point it evaluates, keyed on the exact bits of
-its coordinates, and evaluates every distinct point once.  The points of all
-order-k stencils form one array, built by adding the offsets one level at a
-time in the order the nested stencil adds them, and the difference quotients
-are formed by collapsing the stacked values one level at a time, innermost
-first, with the nested stencil's weighted sum.  Every coordinate and every
-floating-point operation is the one the nested stencils perform, so the
-tensors are bit-identical to evaluating each nested stencil on its own.
+Each spec's map is compiled once to straight-line Python, one statement per
+expression node, doing the complex/cmath operations of a recursive walk of
+the tree in the walk's order, so every value and error is the walk's.  An
+oracle call stacks the points of all its stencils, centre first, adding the
+offsets level by level as the nested stencil adds them; evaluates each
+distinct point (keyed on its exact bits) once, in first-request order, in one
+batch; and collapses the values innermost level first with the nested
+stencil's weighted sum.  Every coordinate and floating-point operation is the
+nested stencils', so the tensors are bit-identical to theirs.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 
 import numpy as np
@@ -43,59 +44,86 @@ _WEIGHTS = (1.0, -8.0, 8.0, -1.0)
 _NORM = 12.0
 _REACH = 2.0  # stencil reach per differentiation level, in units of h
 
-_CFUNCS = {
-    "exp": cmath.exp,
-    "sin": cmath.sin,
-    "cos": cmath.cos,
-    "sinh": cmath.sinh,
-    "cosh": cmath.cosh,
-    "sqrt": cmath.sqrt,
-}
+_CFUNCS = {name: getattr(cmath, name) for name in ("exp", "sin", "cos", "sinh", "cosh", "sqrt")}
+_BINARY = {"+": "+", "-": "-", "*": "*", "/": "/"}  # operator -> its source text
 
 
-def _ev(e, env) -> complex:
-    if isinstance(e, Num):
-        return complex(e.value)
-    if isinstance(e, Imag):
-        return 1j
-    if isinstance(e, Ref):
-        return complex(env[e.name])
-    if isinstance(e, Neg):
-        return -_ev(e.arg, env)
-    if isinstance(e, Bin):
-        a = _ev(e.left, env)
-        b = _ev(e.right, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        return a / b
-    if isinstance(e, Pow):
-        return _ev(e.base, env) ** e.exponent
-    if isinstance(e, Call):
-        return _CFUNCS[e.fn](_ev(e.arg, env))
-    raise TypeError(f"not an expression node: {e!r}")
+@functools.lru_cache(maxsize=64)  # compiled maps kept, least recently used dropped first
+def _compiled(spec: ImmersionSpec, _identity: int):
+    """spec's map as run(rows, out), appending the component values of each row
+    to out.  Its source holds generated names and fixed text only (constants
+    and functions are read from K), so a node that is not a valid expression
+    raises before any code runs.  Keyed on the object too: Num(0.0) == Num(-0.0)."""
+    args = {p.name: f"x{k}" for k, p in enumerate(spec.params)}
+    coords = "".join(f"x{k}, " for k in range(spec.num_params))
+    consts, lines = [], ["def run(rows, out):", f"    for {coords}in rows:"]
+
+    def const(value):
+        consts.append(value)
+        return f"K[{len(consts) - 1}]"
+
+    rules = {
+        Num: lambda e: f"complex({const(e.value)})",
+        Imag: lambda e: "1j",
+        Ref: lambda e: f"complex({args[e.name]})",
+        Neg: lambda e: f"-{node(e.arg)}",
+        Bin: lambda e: f"{node(e.left)} {_BINARY[e.op]} {node(e.right)}",
+        Pow: lambda e: f"{node(e.base)} ** {const(e.exponent)}",
+        Call: lambda e: f"{const(_CFUNCS[e.fn])}({node(e.arg)})",
+    }
+
+    def node(e) -> str:
+        if type(e) not in rules or (type(e) is Pow and type(e.exponent) is not int):
+            raise TypeError(f"not an expression node: {e!r}")
+        text = rules[type(e)](e)  # emits the operands' statements first
+        lines.append(f"        t{len(lines)} = {text}")
+        return f"t{len(lines) - 1}"
+
+    values = "".join(f"{node(c)}, " for c in spec.components)
+    lines.append(f"        out.append(({values}))")
+    namespace = {"K": tuple(consts)}
+    exec(compile("\n".join(lines), "<compiled map>", "exec"), namespace)
+    return namespace["run"]
 
 
-def eval_map_numeric(spec: ImmersionSpec, point) -> np.ndarray:
-    """All components at a point, as a complex vector, via direct evaluation.
-
-    Raises SingularEvaluationError when a component overflows, divides by
-    zero or is not finite.
-    """
-    check_point_in_domain(spec, point)
-    env = {p.name: float(x) for p, x in zip(spec.params, point)}
+def eval_map_numeric(spec: ImmersionSpec, points) -> np.ndarray:
+    """The components at one point (m,) as a complex vector (n,), or at each row
+    of a batch (P, m) as a complex array (P, n), by direct evaluation.  Raises
+    SingularEvaluationError, naming the first such point, when a component
+    overflows, divides by zero or is not finite."""
+    pts = np.array(points, dtype=float)
+    check_point_in_domain(spec, pts)
+    rows, out, error = pts.reshape(-1, spec.num_params).tolist(), [], None
     try:
-        values = [_ev(c, env) for c in spec.components]
-    except (OverflowError, ZeroDivisionError) as exc:
+        _compiled(spec, id(spec))(rows, out)
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:  # ValueError: cmath of inf
+        error = exc
+    values = np.array(out, dtype=complex).reshape(len(out), len(spec.components))
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise SingularEvaluationError(f"map not finite at {tuple(rows[np.argmin(finite)])}")
+    if error is not None:
         raise SingularEvaluationError(
-            f"map cannot be evaluated at {tuple(env.values())}: {exc}"
-        ) from exc
-    if not all(map(cmath.isfinite, values)):
-        raise SingularEvaluationError(f"map not finite at {tuple(env.values())}")
-    return np.array(values, dtype=complex)
+            f"map cannot be evaluated at {tuple(rows[len(out)])}: {error}"
+        ) from error
+    return values[0] if pts.ndim == 1 else values
+
+
+@functools.cache
+def _stencil(m: int, order: int):
+    """Point count and, per level, outermost first, the flat coordinate indices
+    and offsets (units of h) added there, for the centre followed by, per order
+    k, one point per product(range(m), repeat=k) x product(_OFFSETS, repeat=k)."""
+    levels, size = [([], []) for _ in range(order)], 1
+    for k in range(1, order + 1):
+        axes = np.array(list(itertools.product(range(m), repeat=k)))
+        offsets = np.array(list(itertools.product(_OFFSETS, repeat=k)))
+        rows = size + np.arange(len(axes) * len(offsets)).reshape(len(axes), -1)
+        size += rows.size
+        for (index, offset), a, o in zip(levels, axes.T, offsets.T):
+            index.append((rows * m + a[:, None]).ravel())
+            offset.append(np.broadcast_to(o, rows.shape).ravel())
+    return size, [tuple(map(np.concatenate, level)) for level in levels]
 
 
 def finite_difference_oracle(
@@ -124,35 +152,28 @@ def finite_difference_oracle(
                 f"leaves [{p.lo}, {p.hi}]"
             )
 
-    values: dict[bytes, np.ndarray] = {}
-
-    def f(pt):
-        key = pt.tobytes()
-        if key not in values:
-            values[key] = eval_map_numeric(spec, pt)
-        return values[key]
+    size, levels = _stencil(m, order)
+    pts = np.tile(x, size)
+    # outermost level first, as the nested stencil adds them: same floats
+    for index, offset in levels:
+        pts[index] += offset * step
+    pts = pts.reshape(size, m)
+    # each distinct point once, in first-request order
+    keys = pts.view(np.dtype((np.void, pts.itemsize * m))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    requested = np.sort(first)
+    values = eval_map_numeric(spec, pts[requested])[np.searchsorted(requested, first)[inverse]]
 
     with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-        out: dict[int, np.ndarray] = {0: f(x)}
+        out, values = {0: values[0]}, values[1:]
         for k in range(1, order + 1):
-            # rows: ordered index tuples; columns: offset tuples of the stencil
-            axes = np.array(list(itertools.product(range(m), repeat=k)))
-            offsets = np.array(list(itertools.product(_OFFSETS, repeat=k)))
-            pts = np.tile(x, (len(axes), len(offsets), 1))
-            rows = np.arange(len(axes))[:, None]
-            cols = np.arange(len(offsets))
-            # outermost level first, as the nested stencil adds them: same floats
-            for level in range(k):
-                pts[rows, cols, axes[:, level, None]] += offsets[:, level] * step
-            v = np.array([f(pt) for pt in pts.reshape(-1, m)])
-            v = v.reshape((len(axes),) + (len(_OFFSETS),) * k + (-1,))
-            # innermost level first, with the nested stencil's operation order
+            v, values = np.split(values, [(m * len(_OFFSETS)) ** k])
+            v = v.reshape((m**k,) + (len(_OFFSETS),) * k + (-1,))
+            # innermost level first, with the nested stencil's operation order:
+            # ((w0 v0 + w1 v1) + w2 v2) + w3 v3, then / (12 h)
             for _ in range(k):
-                acc = None
-                for s, w in enumerate(_WEIGHTS):
-                    term = w * v[..., s, :]
-                    acc = term if acc is None else acc + term
-                v = acc / (_NORM * step)
+                head, *tail = (w * v[..., s, :] for s, w in enumerate(_WEIGHTS))
+                v = sum(tail, head) / (_NORM * step)
             out[k] = v.reshape((m,) * k + (-1,))
     if not all(np.isfinite(t).all() for t in out.values()):
         raise SingularEvaluationError(f"finite differences not finite at {tuple(x.tolist())}")

@@ -13,6 +13,7 @@ from lagkit.checks import (
     STRUCTURE_CHECKS,
     CheckReport,
     SampleConfig,
+    _pointwise_on_error,
     _structure_with_fit,
     check_cubic_symmetry,
     check_horizontal,
@@ -432,6 +433,69 @@ class TestChunks:
         assert str(info.value) == first
         report = run_suite(spec, self.CFG)
         assert report.checks["lagrangian"].reason == first
+
+
+class TestFallbackCost:
+    """A failing batch is walked chunk by chunk, then point by point inside the
+    first failing chunk only: at most 1 + ceil(N / CHUNK) + CHUNK builds."""
+
+    CFG = SampleConfig(num_points=8 * CHUNK + 1, seed=7)
+    BOUND = 1 + math.ceil(CFG.num_points / CHUNK) + CHUNK
+
+    def test_map_failing_at_the_last_point(self, monkeypatch):
+        import lagkit.checks as checks
+
+        cfg = self.CFG
+        box = parse("params u:[0,1];\nsignature 1 0;\nmap u;\n")
+        c = sample_points(box, cfg.num_points, cfg.seed)[-1][0]
+        # exp(1000) overflows at u = c; 1000 - (1e9 (u - c))^2 is hugely
+        # negative at every other sample point
+        spec = parse(
+            f"params u:[0,1];\nsignature 1 0;\nmap u + exp(1000 - (1000000000*(u-{c!r}))^2);\n"
+        )
+        walk = []
+        for i, pt in enumerate(sample_points(spec, cfg.num_points, cfg.seed)):
+            try:
+                build_frame(spec, pt, need_third=True)
+            except LagkitError as exc:
+                walk.append((i, str(exc)))
+        assert walk == [(cfg.num_points - 1, f"map overflows at ({c!r},): math range error")]
+        calls = []
+        build = checks.build_frame
+        monkeypatch.setattr(checks, "build_frame", lambda *a: calls.append(a) or build(*a))
+        with pytest.raises(SingularEvaluationError) as info:
+            sample_frames(spec, cfg, need_third=True)
+        assert str(info.value) == walk[0][1]
+        assert len(calls) <= self.BOUND
+
+    def test_normalized_assembly_failing_late(self, monkeypatch):
+        import lagkit.checks as checks
+
+        spec = catalog("clifford_torus")
+        points = sample_frames(spec, self.CFG).points
+        bad = {tuple(points[-3]), tuple(points[-1])}
+        assemble, calls = checks.assemble_frame, []
+
+        def failing(spec, pts, *arrays):
+            calls.append(len(pts))
+            hits = [tuple(p) for p in pts if tuple(p) in bad]
+            if hits:  # a batch names its last failing point, a single point itself
+                raise SingularEvaluationError(f"assembly fails at {hits[-1]}")
+            return assemble(spec, pts, *arrays)
+
+        monkeypatch.setattr(checks, "assemble_frame", failing)
+        report = run_suite(spec, self.CFG)
+        assert report.checks["structure_v_unit"].reason == f"assembly fails at {tuple(points[-3])}"
+        assert len(calls) <= self.BOUND
+
+    def test_batch_error_kept_when_no_point_fails(self):
+        def build(s):
+            if s.stop - s.start > 1:
+                raise SingularEvaluationError(f"batch {s.start}:{s.stop} fails")
+            return s
+
+        with pytest.raises(SingularEvaluationError, match="^batch 0:200 fails$"):
+            _pointwise_on_error(build, 200)
 
 
 class TestReportSerialization:

@@ -44,6 +44,8 @@ SINGULAR = {
     "power_overflow": "params u:[1,2];\nsignature 1 0;\nmap (1000000*u)^60;\n",
     # finite values and jets, but the difference stencil overflows to NaN
     "difference_overflow": "params u:[1,2];\nsignature 1 0;\nmap 2e307*u;\n",
+    # cmath raises ValueError ("math domain error") for cos of inf
+    "cmath_domain_error": "params u:[1,2];\nsignature 1 0;\nmap u + cos(1e200*1e200);\n",
 }
 
 
@@ -285,6 +287,7 @@ class TestExitContract:
     @example(SINGULAR["division_by_zero"])
     @example(SINGULAR["power_overflow"])
     @example(SINGULAR["difference_overflow"])
+    @example(SINGULAR["cmath_domain_error"])
     @settings(derandomize=True, max_examples=40, deadline=None)
     def test_any_spec_keeps_the_contract(self, text):
         with tempfile.TemporaryDirectory() as tmp:

@@ -29,6 +29,7 @@ from lagkit.errors import (
     UndeclaredParameterError,
     UnknownFunctionError,
 )
+from lagkit.dsl import check_point_in_domain, evaluate_map_jets
 from lagkit.findiff import eval_map_numeric
 
 
@@ -139,18 +140,18 @@ _leaf = st.sampled_from(
 )
 
 
-def _expr_strategy():
+def _expr_strategy(leaves=_leaf, functions=("exp", "sin", "cos"), min_exponent=0):
     return st.recursive(
-        _leaf,
+        leaves,
         lambda children: st.one_of(
             st.tuples(st.sampled_from("+-*/"), children, children).map(
                 lambda t: Bin(t[0], t[1], t[2])
             ),
             children.map(Neg),
-            st.tuples(children, st.integers(min_value=0, max_value=3)).map(
+            st.tuples(children, st.integers(min_value=min_exponent, max_value=3)).map(
                 lambda t: Pow(t[0], t[1])
             ),
-            st.tuples(st.sampled_from(["exp", "sin", "cos"]), children).map(
+            st.tuples(st.sampled_from(functions), children).map(
                 lambda t: Call(t[0], t[1])
             ),
         ),
@@ -204,6 +205,25 @@ class TestEvaluation:
 
         with pytest.raises(DomainError):
             evaluate_map_jets(spec, (0.5, 2.0), order=1)
+
+    def test_domain_rule_over_a_batch(self):
+        # one rule for a point and a batch: the first bad row, its first bad
+        # coordinate, printed as a Python float
+        spec = parse(GOOD)  # u:[0,1], v:[-1,1]
+        for points, message in [
+            ((1.5, 0.0), "coordinate u=1.5 outside [0.0, 1.0]"),
+            ([(0.5, 0.0), (0.5, -3.0), (2.0, 2.0)], "coordinate v=-3.0 outside [-1.0, 1.0]"),
+            ([(0.5, 0.0), (2.0, 2.0)], "coordinate u=2.0 outside [0.0, 1.0]"),
+            ([(0.5, 0.0), (0.5, float("nan"))], "coordinate v=nan outside [-1.0, 1.0]"),
+            ((1.0 + 1e-12, -1.0 - 2e-12), "coordinate v=-1.000000000002 outside [-1.0, 1.0]"),
+            ((0.5, 0.0, 0.0), "point has 3 coordinates, spec has 2 parameters"),
+            ([(0.5,), (0.5,)], "point has 1 coordinates, spec has 2 parameters"),
+        ]:
+            for evaluate in (eval_map_numeric, lambda s, p: evaluate_map_jets(s, p, order=1)):
+                with pytest.raises(DomainError) as info:
+                    evaluate(spec, points)
+                assert str(info.value) == message
+        check_point_in_domain(spec, [(0.0, -1.0 - 1e-12), (1.0 + 1e-12, 1.0)])  # slack
 
     def test_non_finite_derivatives_rejected(self):
         # the value underflows to 0 while the Hessian is 0 * inf = nan

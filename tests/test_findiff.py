@@ -10,10 +10,26 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lagkit import findiff, jets
+from lagkit.ambient import Signature
 from lagkit.catalog import catalog, catalog_names
-from lagkit.dsl import parse
+from lagkit.dsl import (
+    FUNCTION_NAMES,
+    Bin,
+    Call,
+    Imag,
+    ImmersionSpec,
+    Neg,
+    Num,
+    Param,
+    Pow,
+    Ref,
+    check_point_in_domain,
+    parse,
+)
 from lagkit.errors import DomainError, SingularEvaluationError
 from lagkit.findiff import (
     eval_map_numeric,
@@ -21,6 +37,7 @@ from lagkit.findiff import (
     jet_fd_deviation,
 )
 from lagkit.sampling import sample_points
+from test_dsl import _expr_strategy, _leaf
 
 
 EXP_SPEC = parse("params u:[-3,3];\nsignature 1 0;\nmap exp(i*u);\n")
@@ -60,6 +77,160 @@ def nested_oracle(spec, point, order, step):
         tensors = [_central(f, x, axes, step) for axes in itertools.product(range(m), repeat=k)]
         out[k] = np.array(tensors).reshape((m,) * k + (-1,))
     return out
+
+
+# Reference evaluator: the recursive walk the compiled maps replaced, one point
+# at a time.  eval_map_numeric must give its values and errors exactly.
+_CFUNCS = {name: getattr(cmath, name) for name in FUNCTION_NAMES}
+
+
+def _ev(e, env) -> complex:
+    if isinstance(e, Num):
+        return complex(e.value)
+    if isinstance(e, Imag):
+        return 1j
+    if isinstance(e, Ref):
+        return complex(env[e.name])
+    if isinstance(e, Neg):
+        return -_ev(e.arg, env)
+    if isinstance(e, Bin):
+        a = _ev(e.left, env)
+        b = _ev(e.right, env)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        return a / b
+    if isinstance(e, Pow):
+        return _ev(e.base, env) ** e.exponent
+    if isinstance(e, Call):
+        return _CFUNCS[e.fn](_ev(e.arg, env))
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def walk_eval(spec, point) -> np.ndarray:
+    check_point_in_domain(spec, point)
+    env = {p.name: float(x) for p, x in zip(spec.params, point)}
+    try:
+        values = [_ev(c, env) for c in spec.components]
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        raise SingularEvaluationError(
+            f"map cannot be evaluated at {tuple(env.values())}: {exc}"
+        ) from exc
+    if not all(map(cmath.isfinite, values)):
+        raise SingularEvaluationError(f"map not finite at {tuple(env.values())}")
+    return np.array(values, dtype=complex)
+
+
+def _outcome(evaluate):
+    """("value", bytes of the result) or (exception type, message)."""
+    try:
+        return "value", evaluate().tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_UV = (Param("u", -1.0, 1.0), Param("v", 0.0, 2.0))
+# leaves that make sums, products, powers and cmath calls overflow, divide by
+# zero or reach inf (where cmath raises "math domain error")
+_WIDE_LEAVES = st.one_of(_leaf, st.sampled_from([Num(800.0), Num(1e200), Neg(Num(1e308))]))
+_WIDE_EXPRS = _expr_strategy(_WIDE_LEAVES, FUNCTION_NAMES, min_exponent=-3)
+
+
+class TestCompiledMap:
+    @given(
+        st.tuples(_WIDE_EXPRS, _WIDE_EXPRS),
+        st.lists(st.tuples(st.floats(-1, 1), st.floats(0, 2)), min_size=1, max_size=4),
+    )
+    # cmath of inf raises ValueError
+    @example((Call("cos", Bin("*", Num(1e200), Num(1e200))), Ref("u")), [(0.5, 1.0)])
+    # both operands fail, differently: the left one is reported
+    @example((Bin("+", Bin("/", Ref("u"), Num(0.0)), Call("exp", Num(800.0))), Ref("v")), [(0.5, 1.0)])
+    # the first point is not finite, the second raises: the first is reported
+    @example(
+        (Bin("*", Num(1e200), Bin("*", Num(1e200), Ref("u"))), Bin("/", Num(1.0), Ref("u"))),
+        [(0.5, 1.0), (0.0, 1.0)],
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_values_and_errors_as_the_recursive_walk(self, components, points):
+        spec = ImmersionSpec(_UV, Signature(2, 0), components)
+        want = [_outcome(lambda: walk_eval(spec, pt)) for pt in points]
+        for pt, outcome in zip(points, want):
+            assert _outcome(lambda: eval_map_numeric(spec, pt)) == outcome
+        # one batch: every row, or the error of the first point that fails
+        errors = [outcome for outcome in want if outcome[0] != "value"]
+        batch = errors[0] if errors else ("value", b"".join(v for _, v in want))
+        assert _outcome(lambda: eval_map_numeric(spec, points)) == batch
+
+    def test_deeper_than_the_python_parser_nests(self):
+        with pytest.raises(SyntaxError):  # CPython's limit of 200 nested parentheses
+            compile("(" * 250 + "0" + ")" * 250, "<nested>", "eval")
+        e = Ref("u")
+        for depth in range(250):
+            e = Call("sin", e) if depth % 2 else Neg(e)
+        spec = ImmersionSpec((Param("u", -1.0, 1.0),), Signature(1, 0), (e,))
+        assert eval_map_numeric(spec, (0.3,)).tobytes() == walk_eval(spec, (0.3,)).tobytes()
+
+    @pytest.mark.parametrize(
+        "component",
+        [
+            Call("tan", Ref("u")),
+            Call("__import__", Ref("u")),
+            Bin("%", Ref("u"), Num(2.0)),
+            Bin("**", Ref("u"), Num(2.0)),
+            Pow(Ref("u"), 2.0),
+            Pow(Ref("u"), True),
+            Ref("w"),
+            "u",
+        ],
+        ids=repr,
+    )
+    def test_invalid_node_raises_before_any_code_runs(self, monkeypatch, component):
+        def refuse(*args):
+            raise AssertionError("generated code ran")
+
+        monkeypatch.setattr(findiff, "exec", refuse, raising=False)
+        spec = ImmersionSpec((Param("u", -1.0, 1.0),), Signature(1, 0), (component,))
+        with pytest.raises((KeyError, TypeError)):
+            eval_map_numeric(spec, (0.5,))
+        valid = ImmersionSpec((Param("u", -1.0, 1.0),), Signature(1, 0), (Ref("u"),))
+        with pytest.raises(AssertionError, match="generated code ran"):
+            eval_map_numeric(valid, (0.5,))
+
+    def test_source_holds_no_spec_text(self, monkeypatch):
+        sources = []
+
+        def recording(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+
+        monkeypatch.setattr(findiff, "compile", recording, raising=False)
+        spec = parse(
+            "params secret:[1,2], v:[0,1];\nsignature 2 0;\n"
+            "map exp(i*secret)*sqrt(secret)^-2 - 12345.678/v, cosh(3.25e-7*v) + sinh(v);\n"
+        )
+        eval_map_numeric(spec, (1.5, 0.5))
+        (source,) = sources
+        # generated names (t0, x1, K[2]) and the imaginary unit removed, only
+        # fixed words and operators remain
+        rest = re.sub(r"\b[tx]\d+\b|\bK\[\d+\]|\b1j\b", "", source)
+        fixed = {"def", "run", "rows", "out", "for", "in", "complex", "append"}
+        assert set(re.findall(r"\w+", rest)) <= fixed
+
+    def test_equal_specs_keep_the_sign_of_zero(self):
+        # Num(0.0) == Num(-0.0), and z * (-1 + i) has the sign of z in its
+        # imaginary part: the cached map of one must not serve the other
+        def spec(zero):
+            value = Bin("*", Num(zero), Bin("+", Num(-1.0), Imag()))
+            return ImmersionSpec((Param("u", -1.0, 1.0),), Signature(1, 0), (value,))
+
+        plus, minus = spec(0.0), spec(-0.0)
+        assert plus == minus
+        got = [eval_map_numeric(s, (0.5,)).tobytes() for s in (plus, minus, plus)]
+        assert got == [walk_eval(s, (0.5,)).tobytes() for s in (plus, minus, plus)]
+        assert got[0] != got[1]
 
 
 class TestOracleAgainstClosedForms:
@@ -123,20 +294,24 @@ class TestStencilSharing:
     def test_each_stencil_point_evaluated_once(self, monkeypatch):
         spec = catalog("product_S1xS2")
         pt = sample_points(spec, 1, seed=3, extra_margin=0.062)[0]
-        seen = []
+        seen, calls = [], []
 
-        def counting(spec, point):
-            seen.append(np.asarray(point, dtype=float).tobytes())
-            return eval_map_numeric(spec, point)
+        def counting(spec, points):
+            rows = np.array(points, dtype=float, ndmin=2)
+            seen.extend(row.tobytes() for row in rows)
+            calls.append(len(rows))
+            return eval_map_numeric(spec, points)
 
         monkeypatch.setattr(findiff, "eval_map_numeric", counting)
         nested_oracle(spec, pt, 3, 1e-2)
-        requested, seen[:] = list(seen), []
+        requested, seen[:], calls[:] = list(seen), [], []
         finite_difference_oracle(spec, pt, 3, 1e-2)
         assert len(requested) == 1885
         # each distinct point once, in the order the nested stencils first ask for it
         assert seen == list(dict.fromkeys(requested))
         assert len(seen) <= 300
+        # all of them in one batch
+        assert calls == [len(seen)]
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_first_failing_point_is_reported(self, order):
