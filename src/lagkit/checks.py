@@ -33,6 +33,7 @@ from .geometry import (
     assemble_frame,
     build_frame,
     codazzi_residual,
+    contract,
     gauss_residual,
     point_max,
     project,
@@ -235,7 +236,7 @@ def fit_hypersphere(frames: FrameBatch, cfg: SampleConfig):
         )
     pos = frames.position
     rows = np.hstack([2.0 * pos * eta, np.ones((len(frames), 1))])
-    rhs = np.einsum("pa,a,pa->p", pos, eta, pos)
+    rhs = (pos * eta * pos).sum(axis=1)
     sol, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
     if rank < dim + 1:
         return None, _errored(
@@ -296,8 +297,8 @@ def check_cubic_symmetry(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
     <h_ij, J dL_k> = <h_jk, J dL_i>.
     """
     jfirst = apply_j_flat(frames.first)
-    cubic = np.einsum("bija,a,bka->bijk", frames.sff, frames.eta, jfirst)
-    residuals = point_max(cubic - np.einsum("bjki->bijk", cubic))
+    cubic = contract(frames.sff * frames.eta, jfirst)
+    residuals = point_max(cubic - cubic.transpose(0, 3, 1, 2))
     return _finish("cubic_symmetry", cfg, residuals, frames)
 
 
@@ -311,10 +312,10 @@ def _structure_entries(frames_n, cfg, epsilon):
     fr = frames_n
     coeffs, normal = project(fr, apply_j_flat(fr.position))
     vv = (coeffs[:, None, :] @ fr.metric @ coeffs[:, :, None])[:, 0, 0]
-    hv = np.einsum("bk,bika->bia", coeffs, fr.sff)
-    hvv = np.einsum("bj,bk,bjka->ba", coeffs, coeffs, fr.sff)
+    hv = (coeffs[:, None, None] @ fr.sff)[:, :, 0]
+    hvv = (coeffs[:, None] @ hv)[:, 0]
     _, grads = tangent_field(fr)
-    nabla_v = grads + np.einsum("bkim,bm->bik", fr.christoffels, coeffs)
+    nabla_v = grads + contract(fr.christoffels, coeffs[:, None])[..., 0]
     res = {
         "structure_v_tangent": point_max(normal),
         "structure_v_unit": np.abs(vv - epsilon),
@@ -410,7 +411,7 @@ def check_umbilical_relation(
         )
     pos = frames.position
     inquadric = frames.sff + quadric.c * frames.metric[..., None] * pos[:, None, None, :]
-    residuals = point_max(np.einsum("bija,a,ba->bij", inquadric, frames.eta, pos))
+    residuals = point_max(contract(inquadric, (frames.eta * pos)[:, None]))
     return _finish("umbilical", cfg, residuals, frames)
 
 

@@ -156,9 +156,11 @@ def _cmd_construct(args) -> int:
     cfg = _config(args) if args.verify else None
     try:
         product = circle_product(spec, t_name=args.t_name)
+        text = serialize(product)
+        parse(text)  # one level deeper than the input: it may pass dsl.MAX_DEPTH
     except (LagkitError, ValueError) as exc:
         raise _UsageError(str(exc)) from exc
-    _emit(serialize(product), args.out)
+    _emit(text, args.out)
     if args.verify:
         report = run_suite(product, cfg, quadric=None)
         sys.stdout.write(_format_report(report))

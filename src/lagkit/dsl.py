@@ -14,7 +14,8 @@ Grammar (UTF-8 text, `#` starts a comment running to end of line):
 
 `i` is the imaginary unit.  Functions: exp, sin, cos, sinh, cosh, sqrt (sqrt
 only for positive real subexpressions).  Powers take integer exponents only,
-which keeps evaluation total and differentiable on the domain box.
+which keeps evaluation total and differentiable on the domain box.  Deeper
+trees or nesting than MAX_DEPTH (100) levels are a DslSyntaxError.
 
 serialize() emits canonical text; parse(serialize(spec)) reproduces the
 params/signature/components structure exactly.
@@ -59,6 +60,7 @@ __all__ = [
 ]
 
 FUNCTION_NAMES = ("exp", "sin", "cos", "sinh", "cosh", "sqrt")
+MAX_DEPTH = 100  # deepest tree and nesting parse accepts: walks of the tree recurse
 _KEYWORDS = ("params", "signature", "map")
 
 
@@ -209,6 +211,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.param_names: tuple[str, ...] = ()
+        self.nesting = 0
 
     @property
     def cur(self) -> _Token:
@@ -283,6 +286,8 @@ class _Parser:
         while self.cur.kind == "op" and self.cur.text == ",":
             self._advance()
             components.append(self._expr())
+        if max(map(_depth, components)) > MAX_DEPTH:
+            self._fail("expression nested too deeply")
         if self.cur.kind == "op" and self.cur.text == ";":
             self._advance()
         if self.cur.kind != "eof":
@@ -327,10 +332,16 @@ class _Parser:
         return node
 
     def _unary(self) -> Expr:
+        self.nesting += 1  # every parenthesis, call and negation recurses through here
+        if self.nesting > MAX_DEPTH:
+            self._fail("expression nested too deeply")
         if self.cur.kind == "op" and self.cur.text == "-":
             self._advance()
-            return Neg(self._unary())
-        return self._power()
+            node = Neg(self._unary())
+        else:
+            node = self._power()
+        self.nesting -= 1
+        return node
 
     def _power(self) -> Expr:
         node = self._atom()
@@ -379,6 +390,15 @@ class _Parser:
             self._expect_op(")")
             return node
         self._fail(f"expected an expression, found {tok.text or 'end of input'!r}")
+
+
+def _depth(e: Expr) -> int:
+    """Levels of the expression tree e, counted level by level without recursion."""
+    depth, level = 0, [e]
+    while level:
+        depth += 1
+        level = [c for node in level for c in vars(node).values() if isinstance(c, Expr)]
+    return depth
 
 
 def parse(text: str) -> ImmersionSpec:

@@ -11,6 +11,11 @@ the classical compatibility identities (Gauss and Codazzi equations) and the
 tangent field of J L are computed from the batch alone, without evaluating
 the map again.
 
+Every contraction is one batched matmul on (B, rows, k) reshapes (contract
+pairs trailing axes), with eta folded into one operand of a pairing once; a
+product that a formula repeats with two indices swapped (as d^2 g does with
+<L_pi, L_qj> and <L_qi, L_pj>) is formed once and transposed.
+
 Index conventions, pinned by tests on the round-sphere factor (b is the point):
   dmetric[b, k, i, j]      = d_k g_ij
   christoffels[b, k, i, j] = Gamma^k_ij
@@ -107,8 +112,9 @@ def assemble_frame(spec, points, position, first, second, third=None) -> FrameBa
     the message names the first such point met by the test that fails.
     """
     eta = metric_diagonal(spec.signature)
+    weighted = first * eta  # <x, L_j> is contract(x, weighted)
     with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-        metric = (first * eta) @ np.swapaxes(first, 1, 2)
+        metric = contract(weighted, first)
         metric = 0.5 * (metric + np.swapaxes(metric, 1, 2))
     finite = np.isfinite(metric).all(axis=(1, 2))
     if not finite.all():
@@ -128,27 +134,38 @@ def assemble_frame(spec, points, position, first, second, third=None) -> FrameBa
     metric_inv = np.linalg.inv(metric)
 
     # d_k g_ij = <L_ik, L_j> + <L_i, L_jk>
-    half = np.einsum("bika,a,bja->bkij", second, eta, first)
-    dmetric = half + half.transpose(0, 1, 3, 2)
+    half = contract(second, weighted).swapaxes(1, 2)
+    dmetric = half + half.swapaxes(2, 3)
 
     # Gamma^k_ij = (1/2) g^{kl} (d_i g_lj + d_j g_li - d_l g_ij)
     bracket = _bracket(dmetric)
-    christoffels = 0.5 * np.einsum("bkl,blij->bkij", metric_inv, bracket)
+    rows = bracket.reshape(*metric.shape[:2], -1)  # [l, (i, j)]
+    christoffels = 0.5 * (metric_inv @ rows).reshape(bracket.shape)
 
-    sff = second - np.einsum("bkij,bka->bija", christoffels, first)
+    # h_ij = L_ij - Gamma^k_ij L_k
+    gamma_rows = christoffels.reshape(rows.shape).swapaxes(1, 2)  # [(i, j), k]
+    sff = second - (gamma_rows @ first).reshape(second.shape)
 
     frames = FrameBatch(
         spec, points, position, first, second, third, eta,
         metric, metric_inv, dmetric, christoffels, sff,
     )
     if third is not None:
-        frames.dchristoffels = _christoffel_derivatives(frames, bracket)
+        frames.dchristoffels = _christoffel_derivatives(frames, weighted)
     return frames
+
+
+def contract(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_a x[b, I, a] y[b, J, a] as array [b, I, J], for multi-indices I and J:
+    one batched matmul over the trailing axes."""
+    batch, a = len(x), x.shape[-1]
+    out = x.reshape(batch, -1, a) @ y.reshape(batch, -1, a).swapaxes(1, 2)
+    return out.reshape(x.shape[:-1] + y.shape[1:-1])
 
 
 def _bracket(dg: np.ndarray) -> np.ndarray:
     """d_i g_lj + d_j g_li - d_l g_ij as array [..., l, i, j]."""
-    return np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg
+    return dg.swapaxes(-3, -2) + np.moveaxis(dg, -3, -1) - dg
 
 
 def _require_third(frames: FrameBatch):
@@ -156,37 +173,35 @@ def _require_third(frames: FrameBatch):
         raise ValueError("frames were built without third derivatives; pass need_third=True")
 
 
-def _christoffel_derivatives(frames: FrameBatch, bracket: np.ndarray) -> np.ndarray:
+def _christoffel_derivatives(frames: FrameBatch, weighted: np.ndarray) -> np.ndarray:
     """d_p Gamma^k_ij as array [b, p, k, i, j], from the third derivatives."""
-    eta = frames.eta
-    first, second, third = frames.first, frames.second, frames.third
-    ginv, dg = frames.metric_inv, frames.dmetric
+    second, ginv, dg = frames.second, frames.metric_inv, frames.dmetric
 
-    # d_p d_q g_ij
-    d2g = (
-        np.einsum("bpqia,a,bja->bpqij", third, eta, first)
-        + np.einsum("bpia,a,bqja->bpqij", second, eta, second)
-        + np.einsum("bqia,a,bpja->bpqij", second, eta, second)
-        + np.einsum("bia,a,bpqja->bpqij", first, eta, third)
-    )
-    dginv = -np.einsum("bka,bpac,bcl->bpkl", ginv, dg, ginv)
-    return 0.5 * np.einsum("bpkl,blij->bpkij", dginv, bracket) + 0.5 * np.einsum(
-        "bkl,bplij->bpkij", ginv, _bracket(d2g)
-    )
+    # d_p d_q g_ij = <L_pqi, L_j> + <L_i, L_pqj> + <L_pi, L_qj> + <L_qi, L_pj>: the
+    # second term is the first with i, j swapped, the last the third with p, q swapped
+    outer = contract(frames.third, weighted)
+    inner = contract(second, second * frames.eta).swapaxes(2, 3)
+    d2g = outer + outer.swapaxes(3, 4)
+    d2g += inner
+    d2g += inner.swapaxes(1, 2)
+    # d_p Gamma = g^-1 ((1/2) d_p bracket - d_p g Gamma), since d_p(g^-1) =
+    # -g^-1 d_p g g^-1 and g^-1 bracket = 2 Gamma
+    lowered = 0.5 * _bracket(d2g)
+    lowered -= (dg @ frames.christoffels.reshape(*dg.shape[:2], -1)[:, None]).reshape(d2g.shape)
+    return (ginv[:, None] @ lowered.reshape(*d2g.shape[:3], -1)).reshape(d2g.shape)
 
 
 def riemann_tensor(frames: FrameBatch) -> np.ndarray:
     """Fully lowered curvature R[b, i, j, k, l] = <R(d_i, d_j) d_k, d_l>."""
     _require_third(frames)
-    dgamma = frames.dchristoffels
-    gamma = frames.christoffels
-    up = (
-        np.einsum("biljk->bijkl", dgamma)
-        - np.einsum("bjlik->bijkl", dgamma)
-        + np.einsum("bmjk,blim->bijkl", gamma, gamma)
-        - np.einsum("bmik,bljm->bijkl", gamma, gamma)
-    )
-    return np.einsum("bijkm,bml->bijkl", up, frames.metric)
+    dgamma, gamma = frames.dchristoffels, frames.christoffels
+    b, m = gamma.shape[:2]
+    # x[i, j, k, l] = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk; R^l_ijk is x minus
+    # x with i, j swapped
+    prod = (gamma.reshape(b, m * m, m) @ gamma.reshape(b, m, -1)).reshape(dgamma.shape)
+    x = np.moveaxis(dgamma, 2, -1) + np.moveaxis(prod, 1, -1)
+    up = x - x.swapaxes(1, 2)
+    return (up.reshape(b, -1, m) @ frames.metric).reshape(up.shape)
 
 
 def sectional_curvature(frames: FrameBatch, i: int, j: int, riemann=None) -> np.ndarray:
@@ -202,11 +217,9 @@ def sectional_curvature(frames: FrameBatch, i: int, j: int, riemann=None) -> np.
 def gauss_residual(frames: FrameBatch) -> np.ndarray:
     """Max deviation in the Gauss identity R_ijkl = <h_il,h_jk> - <h_ik,h_jl>, per point."""
     r = riemann_tensor(frames)
-    h, eta = frames.sff, frames.eta
-    rhs = np.einsum("bila,a,bjka->bijkl", h, eta, h) - np.einsum(
-        "bika,a,bjla->bijkl", h, eta, h
-    )
-    return point_max(r - rhs)
+    h = frames.sff
+    pairs = contract(h, h * frames.eta)  # [i, l, j, k] = <h_il, h_jk>
+    return point_max(r - pairs.transpose(0, 1, 3, 4, 2) + pairs.transpose(0, 1, 3, 2, 4))
 
 
 def codazzi_residual(frames: FrameBatch) -> np.ndarray:
@@ -221,18 +234,20 @@ def codazzi_residual(frames: FrameBatch) -> np.ndarray:
     dgamma = frames.dchristoffels
     first, second, third = frames.first, frames.second, frames.third
     h, eta, ginv = frames.sff, frames.eta, frames.metric_inv
+    b, m = gamma.shape[:2]
+    gamma_rows = gamma.reshape(b, m, -1).swapaxes(1, 2)  # [(j, k), m] = Gamma^m_jk
 
     # ambient derivative d_i h_jk, then its normal projection; the (B, m, m,
     # m, 2n) terms are subtracted in place, so that few of them are alive at once
-    nabla_h = third - np.einsum("bimjk,bma->bijka", dgamma, first)
-    nabla_h -= np.einsum("bmjk,bima->bijka", gamma, second)
-    tangential = np.einsum("bijka,bma->bijkm", nabla_h, ginv @ (first * eta))
-    nabla_h -= np.einsum("bijkm,bma->bijka", tangential, first)
+    nabla_h = third - (np.moveaxis(dgamma, 2, -1).reshape(b, -1, m) @ first).reshape(third.shape)
+    nabla_h -= (gamma_rows[:, None] @ second).reshape(third.shape)
+    tangential = contract(nabla_h, ginv @ (first * eta))
+    nabla_h -= (tangential.reshape(b, -1, m) @ first).reshape(third.shape)
     del tangential
 
-    nabla_h -= np.einsum("bmij,bmka->bijka", gamma, h)
-    nabla_h -= np.einsum("bmik,bjma->bijka", gamma, h)
-    i, j = np.triu_indices(gamma.shape[1], 1)  # each pair of the first two slots once
+    nabla_h -= (gamma_rows @ h.reshape(b, m, -1)).reshape(third.shape)
+    nabla_h -= (gamma_rows[:, None] @ h).reshape(third.shape).swapaxes(1, 2)
+    i, j = np.triu_indices(m, 1)  # each pair of the first two slots once
     return point_max(nabla_h[:, i, j] - nabla_h[:, j, i])
 
 
@@ -260,8 +275,8 @@ def tangent_field(frames: FrameBatch) -> tuple[np.ndarray, np.ndarray]:
     eta = frames.eta
     jpos = apply_j_flat(frames.position)
     values, _ = project(frames, jpos)
-    drhs = np.einsum("bika,a,ba->bik", frames.second, eta, jpos) + np.einsum(
-        "bka,a,bia->bik", frames.first, eta, apply_j_flat(frames.first)
+    drhs = contract(frames.second, (eta * jpos)[:, None])[..., 0] + contract(
+        apply_j_flat(frames.first), frames.first * eta
     )
-    slope = drhs - np.einsum("bikl,bl->bik", frames.dmetric, values)
+    slope = drhs - contract(frames.dmetric, values[:, None])[..., 0]
     return values, slope @ frames.metric_inv

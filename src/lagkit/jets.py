@@ -10,10 +10,12 @@ acts on the trailing derivative axes, so both shapes run the same code.
 
 Arithmetic propagates the blocks exactly (Leibniz rule, Faa di Bruno), so any
 quantity assembled from jets carries exact derivatives up to rounding; a
-complex product is one jet product, not four real ones.  Python numbers mix
-in as constants without being expanded into jets.  The guards (division,
-sqrt, overflow of exp/sin/cos/sinh/cosh) act per point: one offending point
-raises for the whole jet.
+complex product is one jet product, not four real ones.  The third-order
+terms that pair a Hessian with a gradient (H_a g_b + H_b g_a in a product,
+H g in the chain rule) are formed as one array and symmetrised once.  Python
+numbers mix in as constants without being expanded into jets.  The guards
+(division, sqrt, overflow of exp/sin/cos/sinh/cosh) act per point: one
+offending point raises for the whole jet.
 """
 
 from __future__ import annotations
@@ -102,8 +104,8 @@ class Jet:
             out.hessian += _outer(b.gradient, a.gradient)
         if a.order >= 3:
             out.third = av2[..., None] * b.third + bv2[..., None] * a.third
-            out.third += _sym_hess_grad(a.hessian, b.gradient)
-            out.third += _sym_hess_grad(b.hessian, a.gradient)
+            ga, gb = a.gradient[..., None, None, :], b.gradient[..., None, None, :]
+            out.third += _sym3(a.hessian[..., None] * gb + b.hessian[..., None] * ga)
         return out
 
     __rmul__ = __mul__
@@ -172,13 +174,10 @@ def _outer(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     return g[..., :, None] * h[..., None, :]
 
 
-def _sym_hess_grad(H: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # sum over the three placements of the gradient index: H_ij g_k sym.
-    return (
-        H[..., :, :, None] * g[..., None, None, :]
-        + H[..., :, None, :] * g[..., None, :, None]
-        + g[..., :, None, None] * H[..., None, :, :]
-    )
+def _sym3(T: np.ndarray) -> np.ndarray:
+    """T_ijk + T_ikj + T_jki: for T_ijk = H_ij g_k with H symmetric, the sum
+    over the three placements of the gradient index."""
+    return T + T.swapaxes(-1, -2) + T.swapaxes(-1, -3).swapaxes(-1, -2)
 
 
 def _compose(u: Jet, f0, f1, f2, f3) -> Jet:
@@ -195,7 +194,7 @@ def _compose(u: Jet, f0, f1, f2, f3) -> Jet:
     if u.order >= 3:
         out.third = (
             f1[..., None] * u.third
-            + f2[..., None] * _sym_hess_grad(u.hessian, g)
+            + f2[..., None] * _sym3(u.hessian[..., None] * g[..., None, None, :])
             + f3[..., None, None, None] * gg[..., None] * g[..., None, None, :]
         )
     return out

@@ -48,6 +48,12 @@ SINGULAR = {
     "cmath_domain_error": "params u:[1,2];\nsignature 1 0;\nmap u + cos(1e200*1e200);\n",
 }
 
+# maps nested deeper than the parser accepts (dsl.MAX_DEPTH)
+DEEP = {
+    "parentheses": "params u:[0.1,1];\nsignature 1 0;\nmap " + "(" * 250 + "u" + ")" * 250 + ";\n",
+    "calls": "params u:[0.1,1];\nsignature 1 0;\nmap " + "exp(" * 300 + "u" + ")" * 300 + ";\n",
+}
+
 
 class TestCheckCommand:
     def test_pass_exit_zero(self, capsys):
@@ -264,6 +270,29 @@ class TestCrosscheckCommand:
         assert err.startswith("lagkit: ") and "Traceback" not in err
 
 
+class TestDeepNesting:
+    @pytest.mark.parametrize("command", ["check", "crosscheck", "construct"])
+    @pytest.mark.parametrize("name", sorted(DEEP))
+    def test_too_deep_map_exits_two(self, tmp_path, capsys, command, name):
+        path = tmp_path / "deep.imm"
+        path.write_text(DEEP[name])
+        assert run_main(command, str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lagkit: ") and err.count("\n") == 1
+        assert "expression nested too deeply" in err
+
+    def test_construct_refuses_a_product_deeper_than_parse_accepts(self, tmp_path, capsys):
+        # the input parses at MAX_DEPTH levels; its circle product is one deeper
+        body = "cos(" * 99 + "u" + ")" * 99
+        path = tmp_path / "deep.imm"
+        path.write_text(f"params u:[0,6.283185307179586];\nsignature 2 0;\nmap {body}, sin(u);\n")
+        out = tmp_path / "product.imm"
+        assert run_main("construct", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lagkit: ") and "nested too deeply" in err
+        assert not out.exists()
+
+
 def _quiet_main(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -288,6 +317,8 @@ class TestExitContract:
     @example(SINGULAR["power_overflow"])
     @example(SINGULAR["difference_overflow"])
     @example(SINGULAR["cmath_domain_error"])
+    @example(DEEP["parentheses"])
+    @example(DEEP["calls"])
     @settings(derandomize=True, max_examples=40, deadline=None)
     def test_any_spec_keeps_the_contract(self, text):
         with tempfile.TemporaryDirectory() as tmp:

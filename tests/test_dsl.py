@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from lagkit.catalog import catalog, catalog_names
 from lagkit.dsl import (
+    MAX_DEPTH,
     Bin,
     Call,
     Imag,
@@ -108,6 +109,47 @@ class TestParse:
     def test_negative_exponent(self):
         spec = parse("params u:[1,2];\nsignature 1 0;\nmap u^-2;")
         assert spec.components == (Pow(Ref("u"), -2),)
+
+
+def _one_component(body):
+    return f"params u:[0.1,1];\nsignature 1 0;\nmap {body};\n"
+
+
+class TestDepthLimit:
+    """Deeper input is a syntax error, never a RecursionError; the deepest
+    accepted tree is evaluated, serialized and hashed without recursing out."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "(" * 250 + "u" + ")" * 250,
+            "exp(" * 300 + "u" + ")" * 300,
+            "-" * 1000 + "u",
+            "+".join(["u"] * 3000),
+            "*".join(["u"] * (MAX_DEPTH + 1)),
+        ],
+        ids=["parentheses", "calls", "negations", "long_sum", "long_product"],
+    )
+    def test_too_deep_is_a_syntax_error(self, body):
+        with pytest.raises(DslSyntaxError, match="nested too deeply") as err:
+            parse(_one_component(body))
+        assert "line 3" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "(" * (MAX_DEPTH - 1) + "u" + ")" * (MAX_DEPTH - 1),
+            "sin(" * (MAX_DEPTH - 1) + "u" + ")" * (MAX_DEPTH - 1),
+            "+".join(["u"] * MAX_DEPTH),
+        ],
+        ids=["parentheses", "calls", "sum"],
+    )
+    def test_deepest_accepted_tree_is_usable(self, body):
+        spec = parse(_one_component(body))
+        assert parse(serialize(spec)).same_structure(spec)
+        hash(spec)
+        (jet,) = evaluate_map_jets(spec, [(0.5,)], 3)
+        assert eval_map_numeric(spec, (0.5,))[0] == pytest.approx(jet.value[0])
 
 
 class TestSerialize:

@@ -14,6 +14,7 @@ from lagkit.catalog import catalog, catalog_entry, catalog_names
 from lagkit.dsl import parse
 from lagkit.errors import DegenerateMetricError
 from lagkit.geometry import (
+    CHUNK,
     build_frame,
     codazzi_residual,
     gauss_residual,
@@ -211,3 +212,95 @@ class TestDegeneracy:
         # g = diag(1, -1): the plane is fine, but a null direction pair is not
         with pytest.raises(DegenerateMetricError):
             sectional_curvature(fr, 0, 0)
+
+
+# -- the contractions against their einsum forms --------------------------------
+
+# m = 3 with s > 0, which the catalog lacks
+SPEC_M3_S2 = parse(
+    "params x:[0.1,0.9], y:[0.1,0.9], z:[0.1,0.9];\nsignature 3 2;\n"
+    "map x + i*exp(y), y*cosh(z) + i*x*z, 2*z + i*sin(x*y);\n"
+)
+
+
+def _reference_bracket(dg):
+    return np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg
+
+
+def reference_geometry(fr):
+    """The frame arrays, curvature, Gauss and Codazzi residuals and tangent
+    field of fr's derivative arrays, by the einsum form of every contraction."""
+    eta, position, first, second, third = fr.eta, fr.position, fr.first, fr.second, fr.third
+    out = {}
+    metric = np.einsum("bia,a,bja->bij", first, eta, first)
+    out["metric"] = g = 0.5 * (metric + metric.transpose(0, 2, 1))
+    out["metric_inv"] = ginv = np.linalg.inv(g)
+    half = np.einsum("bika,a,bja->bkij", second, eta, first)
+    out["dmetric"] = dg = half + half.transpose(0, 1, 3, 2)
+    bracket = _reference_bracket(dg)
+    out["christoffels"] = gamma = 0.5 * np.einsum("bkl,blij->bkij", ginv, bracket)
+    out["sff"] = h = second - np.einsum("bkij,bka->bija", gamma, first)
+
+    d2g = (
+        np.einsum("bpqia,a,bja->bpqij", third, eta, first)
+        + np.einsum("bpia,a,bqja->bpqij", second, eta, second)
+        + np.einsum("bqia,a,bpja->bpqij", second, eta, second)
+        + np.einsum("bia,a,bpqja->bpqij", first, eta, third)
+    )
+    dginv = -np.einsum("bka,bpac,bcl->bpkl", ginv, dg, ginv)
+    out["dchristoffels"] = dgamma = 0.5 * np.einsum(
+        "bpkl,blij->bpkij", dginv, bracket
+    ) + 0.5 * np.einsum("bkl,bplij->bpkij", ginv, _reference_bracket(d2g))
+
+    up = (
+        np.einsum("biljk->bijkl", dgamma)
+        - np.einsum("bjlik->bijkl", dgamma)
+        + np.einsum("bmjk,blim->bijkl", gamma, gamma)
+        - np.einsum("bmik,bljm->bijkl", gamma, gamma)
+    )
+    out["riemann"] = r = np.einsum("bijkm,bml->bijkl", up, g)
+    rhs = np.einsum("bila,a,bjka->bijkl", h, eta, h) - np.einsum("bika,a,bjla->bijkl", h, eta, h)
+    out["gauss"] = np.abs(r - rhs).reshape(len(r), -1).max(axis=1)
+
+    nabla_h = third - np.einsum("bimjk,bma->bijka", dgamma, first)
+    nabla_h -= np.einsum("bmjk,bima->bijka", gamma, second)
+    tangential = np.einsum("bijka,bma->bijkm", nabla_h, ginv @ (first * eta))
+    nabla_h -= np.einsum("bijkm,bma->bijka", tangential, first)
+    nabla_h -= np.einsum("bmij,bmka->bijka", gamma, h)
+    nabla_h -= np.einsum("bmik,bjma->bijka", gamma, h)
+    i, j = np.triu_indices(gamma.shape[1], 1)
+    asym = nabla_h[:, i, j] - nabla_h[:, j, i]
+    out["codazzi"] = np.abs(asym).reshape(len(asym), -1).max(axis=1, initial=0.0)
+
+    jpos = apply_j_flat(position)
+    values = np.einsum("bkl,blm,bm->bk", ginv, first, eta * jpos)
+    drhs = np.einsum("bika,a,ba->bik", second, eta, jpos) + np.einsum(
+        "bka,a,bia->bik", first, eta, apply_j_flat(first)
+    )
+    slope = drhs - np.einsum("bikl,bl->bik", dg, values)
+    out["tangent_field"] = (values, slope @ ginv)
+    return out
+
+
+def _assert_relative(got, want, scale=None):
+    """got == want up to 1e-12 of the magnitude of want (or of scale)."""
+    scale = np.abs(want).max(initial=0.0) if scale is None else scale
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(scale, 1.0))
+
+
+class TestContractionsMatchEinsum:
+    @pytest.mark.parametrize("batch", [1, CHUNK + 1])
+    @pytest.mark.parametrize("name", list(catalog_names()) + ["m3_s2"])
+    def test_frames_curvature_and_residuals(self, name, batch):
+        spec = SPEC_M3_S2 if name == "m3_s2" else catalog(name)
+        fr = build_frame(spec, sample_points(spec, batch, seed=17), need_third=True)
+        want = reference_geometry(fr)
+        for key in ("metric", "metric_inv", "dmetric", "christoffels", "sff", "dchristoffels"):
+            _assert_relative(getattr(fr, key), want[key])
+        r = riemann_tensor(fr)
+        _assert_relative(r, want["riemann"])
+        _assert_relative(gauss_residual(fr), want["gauss"], np.abs(want["riemann"]).max())
+        scale = max(np.abs(fr.third).max(), np.abs(fr.dchristoffels).max())
+        _assert_relative(codazzi_residual(fr), want["codazzi"], scale)
+        for got, ref in zip(tangent_field(fr), want["tangent_field"]):
+            _assert_relative(got, ref)

@@ -6,6 +6,7 @@ implementation existed; do not regenerate them from the package itself.
 
 import cmath
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -247,3 +248,85 @@ class TestAlgebraicLaws:
         a = poly_jet(a0, a1, -0.4, 0.2)
         one = jets.sin(a) * jets.sin(a) + jets.cos(a) * jets.cos(a)
         assert_jets_close(one, Jet(2, 3, 1.0), tol=1e-9)
+
+
+# -- third-order blocks against the symmetrisation by three broadcasts ----------
+
+
+def _sym_hess_grad(H, g):
+    """H_ij g_k + H_ik g_j + g_i H_jk, one broadcast per placement of g."""
+    return (
+        H[..., :, :, None] * g[..., None, None, :]
+        + H[..., :, None, :] * g[..., None, :, None]
+        + g[..., :, None, None] * H[..., None, :, :]
+    )
+
+
+def reference_product_third(a, b):
+    av, bv = a.value[..., None, None, None], b.value[..., None, None, None]
+    return (
+        av * b.third
+        + bv * a.third
+        + _sym_hess_grad(a.hessian, b.gradient)
+        + _sym_hess_grad(b.hessian, a.gradient)
+    )
+
+
+def reference_compose_third(u, f1, f2, f3):
+    """Third block of f(u) from the derivatives f1, f2, f3 of f at u's values."""
+    g = u.gradient
+    ggg = g[..., :, None, None] * g[..., None, :, None] * g[..., None, None, :]
+    f1, f2, f3 = (f[..., None, None, None] for f in (f1, f2, f3))
+    return f1 * u.third + f2 * _sym_hess_grad(u.hessian, g) + f3 * ggg
+
+
+def random_jet(rng, batch, m, real=False):
+    """A jet of order 3 at batch points with random symmetric derivative blocks."""
+
+    def draw(*shape):
+        x = rng.uniform(-1.0, 1.0, (batch,) + shape)
+        return x if real else x + 1j * rng.uniform(-1.0, 1.0, (batch,) + shape)
+
+    hessian = draw(m, m)
+    third = draw(m, m, m)
+    third = sum(third.transpose(0, *(1 + k for k in p)) for p in permutations(range(3)))
+    value = draw() + (2.0 if real else 0.0)  # sqrt needs positive values
+    return Jet(m, 3, value, draw(m), hessian + hessian.swapaxes(1, 2), third)
+
+
+def _assert_third_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+class TestThirdOrderBlocks:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_product(self, m):
+        rng = np.random.default_rng(m)
+        a, b = random_jet(rng, 65, m), random_jet(rng, 65, m)
+        _assert_third_close((a * b).third, reference_product_third(a, b))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_exp_and_sin(self, m):
+        u = random_jet(np.random.default_rng(10 + m), 65, m)
+        e, s, c = np.exp(u.value), np.sin(u.value), np.cos(u.value)
+        _assert_third_close(jets.exp(u).third, reference_compose_third(u, e, e, e))
+        _assert_third_close(jets.sin(u).third, reference_compose_third(u, c, -s, -c))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_sqrt(self, m):
+        u = random_jet(np.random.default_rng(20 + m), 65, m, real=True)
+        r = np.sqrt(u.value)
+        want = reference_compose_third(u, 0.5 / r, -0.25 / r**3, 0.375 / r**5)
+        _assert_third_close(jets.sqrt(u).third, want)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_quotient(self, m):
+        rng = np.random.default_rng(30 + m)
+        a, b = random_jet(rng, 65, m), random_jet(rng, 65, m)
+        b = b + 3.0  # values kept away from zero
+        inv = 1.0 / b.value
+        recip = Jet(
+            m, 3, inv, (1.0 / b).gradient, (1.0 / b).hessian,
+            reference_compose_third(b, -inv * inv, 2.0 * inv**3, -6.0 * inv**4),
+        )
+        _assert_third_close((a / b).third, reference_product_third(a, recip))

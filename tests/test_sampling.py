@@ -1,26 +1,62 @@
 """Deterministic sampling: reference stream values and domain margins."""
 
+import numpy as np
 import pytest
 
-from lagkit.catalog import catalog
+from lagkit.catalog import catalog, catalog_names
 from lagkit.dsl import parse
 from lagkit.errors import DomainError
-from lagkit.sampling import SplitMix64, sample_points
+from lagkit.sampling import INTERIOR_MARGIN, _splitmix64, sample_points
 
 # published splitmix64 outputs for seed 0
 SEED0_STREAM = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
 
+_MASK = (1 << 64) - 1
+
+
+def scalar_splitmix64(seed):
+    """The splitmix64 stream one draw at a time, on Python ints."""
+    state = seed & _MASK
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        yield z ^ (z >> 31)
+
+
+def scalar_sample_points(spec, num_points, seed, extra_margin=0.0):
+    """sample_points as a loop over points and coordinates, one draw each."""
+    boxes = []
+    for p in spec.params:
+        pad = INTERIOR_MARGIN * (p.hi - p.lo) + extra_margin
+        boxes.append((p.lo + pad, p.hi - pad))
+    draws = scalar_splitmix64(seed)
+    return [
+        tuple(lo + (next(draws) >> 11) * 2.0**-53 * (hi - lo) for lo, hi in boxes)
+        for _ in range(num_points)
+    ]
+
 
 def test_reference_stream():
-    rng = SplitMix64(0)
-    assert tuple(rng.next_u64() for _ in range(3)) == SEED0_STREAM
+    assert tuple(int(x) for x in _splitmix64(0, 3)) == SEED0_STREAM
 
 
 def test_float_range():
-    rng = SplitMix64(123)
-    for _ in range(1000):
-        x = rng.next_float()
-        assert 0.0 <= x < 1.0
+    x = (_splitmix64(123, 1000) >> np.uint64(11)) * 2.0**-53
+    assert ((0.0 <= x) & (x < 1.0)).all()
+
+
+@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("seed", [0, 42, -1, 2**64 - 1, 2**70 + 5])
+def test_matches_scalar_generator(name, seed):
+    # bit for bit: reports serialize to the same bytes as with a scalar stream
+    spec = catalog(name)
+    for num_points in (1, 5, 200):
+        for margin in (0.0, 0.0202):
+            got = sample_points(spec, num_points, seed, extra_margin=margin)
+            assert got == scalar_sample_points(spec, num_points, seed, margin)
+            assert all(type(x) is float for pt in got for x in pt)
 
 
 def test_bit_identical_for_seed():
