@@ -530,15 +530,18 @@ def run_suite(
     metric and umbilical relation on the frames recentred and rescaled by the
     fit, which are derived from the same evaluation).  Specs with one
     parameter fewer run the Legendrian chain against the declared quadric, or
-    against the fitted one when the fit lands on a central quadric.
+    against the fitted one when the fit lands on a central quadric.  A map
+    that fails at a sample point makes each check an error entry; sampling
+    that fails (a count no array holds) raises.
     """
     cfg = cfg or SampleConfig()
     entries: dict[str, CheckEntry] = {}
     sphere_fit = None
     transform = None
     m, n = spec.num_params, spec.signature.n
+    points = np.array(sample_points(spec, cfg.num_points, cfg.seed))  # a bad count raises
     try:
-        frames = sample_frames(spec, cfg, need_third=True)
+        frames = _pointwise_on_error(lambda s: build_frame(spec, points[s], True), len(points))
     except LagkitError as exc:  # each check reports it
         frames = exc
 

@@ -535,8 +535,10 @@ def evaluate_map_jets(spec: ImmersionSpec, points, order: int) -> list[Jet]:
 
     points is one point (m,) or a batch (B, m); either way the jets carry a
     point axis of length B (1 for a single point), and the expression tree is
-    walked once for the whole batch.  Raises SingularEvaluationError when the
-    map or one of its derivatives overflows or is not finite at some point.
+    walked once for the whole batch.  The derivative blocks of all components
+    are interpolated together (jets.interpolate).  Raises
+    SingularEvaluationError when the map or one of its derivatives overflows
+    or is not finite at some point.
     """
     pts = np.array(points, dtype=float, ndmin=2)
     m = spec.num_params
@@ -550,9 +552,10 @@ def evaluate_map_jets(spec: ImmersionSpec, points, order: int) -> list[Jet]:
         raise SingularEvaluationError(f"map overflows at {where}: {exc}") from exc
     # a constant component is a jet with zero derivatives
     out = [j if isinstance(j, Jet) else Jet(m, order, np.full(len(pts), j)) for j in out]
-    blocks = [b.reshape(len(pts), -1) for jet in out for b in jet.blocks]
-    finite = np.isfinite(np.concatenate(blocks, axis=1))
+    with np.errstate(all="ignore"):  # rejected just below
+        blocks = jets.interpolate(out)
+    finite = np.all([np.isfinite(b).reshape(len(pts), -1).all(axis=1) for b in blocks], axis=0)
     if not finite.all():
-        bad = tuple(pts[np.argmin(finite.all(axis=1))].tolist())
+        bad = tuple(pts[np.argmin(finite)].tolist())
         raise SingularEvaluationError(f"map or its derivatives not finite at {bad}")
     return out

@@ -12,12 +12,15 @@ The 4-point stencil matters: third derivatives of some catalog maps are large
 Each spec's map is compiled once to straight-line Python, one statement per
 expression node, doing the complex/cmath operations of a recursive walk of
 the tree in the walk's order, so every value and error is the walk's.  An
-oracle call stacks the points of all its stencils, centre first, adding the
-offsets level by level as the nested stencil adds them; evaluates each
-distinct point (keyed on its exact bits) once, in first-request order, in one
-batch; and collapses the values innermost level first with the nested
-stencil's weighted sum.  Every coordinate and floating-point operation is the
-nested stencils', so the tensors are bit-identical to theirs.
+oracle call stacks the points of all its stencils, centre first, adding to
+each coordinate its offsets in the order the nested stencil adds them; rows
+that add the same offsets to every coordinate in the same order are the same
+floats at any point and step, so they are merged once per (m, order).  It
+evaluates each distinct point (keyed on its exact bits) once, in
+first-request order, in one batch; and collapses the values innermost level
+first with the nested stencil's weighted sum.  Every coordinate and
+floating-point operation is the nested stencils', so the tensors are
+bit-identical to theirs.
 """
 
 from __future__ import annotations
@@ -111,19 +114,37 @@ def eval_map_numeric(spec: ImmersionSpec, points) -> np.ndarray:
 
 @functools.cache
 def _stencil(m: int, order: int):
-    """Point count and, per level, outermost first, the flat coordinate indices
-    and offsets (units of h) added there, for the centre followed by, per order
-    k, one point per product(range(m), repeat=k) x product(_OFFSETS, repeat=k)."""
-    levels, size = [([], []) for _ in range(order)], 1
+    """The stacked stencil points as offsets from the centre, for the centre
+    followed by, per order k, one row per product(range(m), repeat=k) x
+    product(_OFFSETS, repeat=k), the nested stencil adding offset o_l along
+    axis a_l at level l.  A row is keyed by the offsets it adds to each
+    coordinate, in level order (1 + their indices in _OFFSETS, 0-padded):
+    rows with one key are the same floats for every point and step, so each
+    key is kept once, in first-row order.  Returns the key count; per level,
+    the flat coordinate indices and offsets (units of h) that rebuild each
+    key's point; and each row's key index."""
+    keys = [np.zeros((1, m, order), dtype=np.int8)]  # the centre
     for k in range(1, order + 1):
-        axes = np.array(list(itertools.product(range(m), repeat=k)))
-        offsets = np.array(list(itertools.product(_OFFSETS, repeat=k)))
-        rows = size + np.arange(len(axes) * len(offsets)).reshape(len(axes), -1)
-        size += rows.size
-        for (index, offset), a, o in zip(levels, axes.T, offsets.T):
-            index.append((rows * m + a[:, None]).ravel())
-            offset.append(np.broadcast_to(o, rows.shape).ravel())
-    return size, [tuple(map(np.concatenate, level)) for level in levels]
+        axes = np.repeat(list(itertools.product(range(m), repeat=k)), len(_OFFSETS) ** k, axis=0)
+        codes = np.tile(list(itertools.product(range(1, len(_OFFSETS) + 1), repeat=k)), (m**k, 1))
+        key = np.zeros((len(axes), m, order), dtype=np.int8)
+        for level in range(k):  # the offset of a level goes after those of earlier levels on its axis
+            rank = (axes[:, :level] == axes[:, level : level + 1]).sum(axis=1)
+            key[np.arange(len(axes)), axes[:, level], rank] = codes[:, level]
+        keys.append(key)
+    keys = np.concatenate(keys)
+    _, first, inverse = np.unique(
+        keys.reshape(len(keys), -1).view(np.dtype((np.void, m * order))).ravel(),
+        return_index=True,
+        return_inverse=True,
+    )
+    kept = np.sort(first)
+    flat = np.arange(len(kept) * m)  # i * m + t for coordinate t of kept key i
+    levels = []
+    for codes in keys[kept].reshape(-1, order).T:
+        hit = codes > 0
+        levels.append((flat[hit], np.array(_OFFSETS)[codes[hit] - 1]))
+    return len(kept), levels, np.searchsorted(kept, first)[inverse]
 
 
 def finite_difference_oracle(
@@ -152,9 +173,9 @@ def finite_difference_oracle(
                 f"leaves [{p.lo}, {p.hi}]"
             )
 
-    size, levels = _stencil(m, order)
+    size, levels, rows = _stencil(m, order)
     pts = np.tile(x, size)
-    # outermost level first, as the nested stencil adds them: same floats
+    # each coordinate's offsets in the order the nested stencil adds them: same floats
     for index, offset in levels:
         pts[index] += offset * step
     pts = pts.reshape(size, m)
@@ -162,7 +183,7 @@ def finite_difference_oracle(
     keys = pts.view(np.dtype((np.void, pts.itemsize * m))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     requested = np.sort(first)
-    values = eval_map_numeric(spec, pts[requested])[np.searchsorted(requested, first)[inverse]]
+    values = eval_map_numeric(spec, pts[requested])[np.searchsorted(requested, first)[inverse][rows]]
 
     with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
         out, values = {0: values[0]}, values[1:]
@@ -184,7 +205,12 @@ def _jet_tensors(spec: ImmersionSpec, point, order: int) -> dict[int, np.ndarray
     from .dsl import evaluate_map_jets
 
     jets = evaluate_map_jets(spec, point, order)  # a batch of one point
-    return {k: np.stack([jet.blocks[k][0] for jet in jets], axis=-1) for k in range(order + 1)}
+    # components last, as in the oracle's tensors (np.array and a transpose
+    # cost a fifth of np.stack on these few small blocks)
+    return {
+        k: np.array([jet.blocks[k][0] for jet in jets]).transpose(*range(1, k + 1), 0)
+        for k in range(order + 1)
+    }
 
 
 def jet_fd_deviation(

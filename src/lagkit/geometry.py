@@ -48,8 +48,9 @@ __all__ = [
 
 DET_THRESHOLD = 1e-10
 
-# points per map evaluation: bounds the memory of the batched jets
-CHUNK = 64
+# points per map evaluation: bounds the memory of the batched jets, and takes
+# the 200 sample points of a large run in one evaluation
+CHUNK = 256
 
 
 @dataclass
@@ -101,6 +102,7 @@ def build_frame(spec: ImmersionSpec, points, need_third: bool = False) -> FrameB
         for c, jet in enumerate(evaluate_map_jets(spec, pts[chunk], order)):
             for block, jet_block in zip(blocks, jet.blocks):
                 block[chunk, ..., c] = jet_block
+        del jet, jet_block  # they view the tensors of all the chunk's components
     return assemble_frame(spec, pts, *(block.view(float) for block in blocks))
 
 

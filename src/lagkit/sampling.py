@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dsl import ImmersionSpec
-from .errors import DomainError
+from .errors import DomainError, LagkitError
 
 __all__ = ["sample_points"]
 
@@ -40,6 +40,7 @@ def sample_points(
     Each interval is shrunk by INTERIOR_MARGIN (relative to its length) plus
     extra_margin (absolute, e.g. finite-difference stencil reach) before
     sampling uniformly; point k takes draws k*m .. k*m + m - 1 of the stream.
+    Raises LagkitError for more coordinates than an array can hold.
     """
     boxes = []
     for p in spec.params:
@@ -49,5 +50,9 @@ def sample_points(
             raise DomainError(f"margins {pad} leave no interior for {p.name}:[{p.lo}, {p.hi}]")
         boxes.append((lo, hi))
     lo, hi = np.array(boxes).T
-    u = (_splitmix64(seed, num_points * len(lo)) >> np.uint64(11)) * 2.0**-53  # on [0, 1)
+    try:
+        draws = _splitmix64(seed, num_points * len(lo))
+    except ValueError as exc:  # numpy refuses the size before allocating
+        raise LagkitError(f"cannot sample {num_points} points: {exc}") from exc
+    u = (draws >> np.uint64(11)) * 2.0**-53  # on [0, 1)
     return list(map(tuple, (lo + u.reshape(num_points, len(lo)) * (hi - lo)).tolist()))

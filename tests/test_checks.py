@@ -409,13 +409,19 @@ class TestChunks:
 
     def test_error_in_a_later_chunk_names_the_first_failing_point(self):
         box = parse("params u:[0,1];\nsignature 1 0;\nmap u;\n")
-        us = [pt[0] for pt in self._points(box)]
-        cut, top = max(us[:CHUNK]), max(us[CHUNK : 2 * CHUNK])
-        assert top - cut > 1e-2  # seed 7 puts second-chunk points above the first chunk
-        # with K = 1e5 the metric ~ K^2 exp(2K(u - c)) overflows from u = c + 0.0035
-        # on and the value exp(K(u - c)) from u = c + 0.0071 on
-        c = cut + 0.3 * (top - cut)
-        spec = parse(f"params u:[0,1];\nsignature 1 0;\nmap u + exp(100000*(u-{c!r}));\n")
+        us = np.array([pt[0] for pt in self._points(box)])
+        a, b = us[CHUNK : CHUNK + 2].tolist()  # the first two points of the second chunk
+        others = np.delete(us, [CHUNK, CHUNK + 1])
+        assert min(abs(a - b), *np.abs(others - a), *np.abs(others - b)) > 1e-7
+        # spikes of width 1e-9 that vanish (underflow) at every other point: at u = a
+        # the bump exp(400 - (1e9 (u - a + 1e-9))^2) is finite with its derivatives up
+        # to third order, but its slope ~2e9 e^399 squares past the float range in
+        # the metric; at u = b the value of exp(1000 - (1e9 (u - b))^2) overflows
+        spec = parse(
+            "params u:[0,1];\nsignature 1 0;\n"
+            f"map u + exp(400 - (1000000000*(u-{a - 1e-9!r}))^2)"
+            f" + exp(1000 - (1000000000*(u-{b!r}))^2);\n"
+        )
         walk = []
         for i, pt in enumerate(self._points(spec)):
             try:

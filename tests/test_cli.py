@@ -293,6 +293,22 @@ class TestDeepNesting:
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "clifford_torus", "--samples", str(10**20)),
+        ("check", "clifford_torus", "--json", "--samples", str(10**20)),
+        ("crosscheck", "clifford_torus", "--points", str(10**22)),
+    ],
+    ids=["check", "check-json", "crosscheck"],
+)
+def test_sample_count_no_array_can_hold_exits_two(capsys, argv):
+    assert run_main(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("lagkit: cannot sample ") and err.count("\n") == 1
+
+
 def _quiet_main(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

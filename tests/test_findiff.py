@@ -321,6 +321,45 @@ class TestStencilSharing:
             finite_difference_oracle(spec, (0.705, 0.999), order, 1e-2)
 
 
+def reference_stencil(m: int, order: int):
+    """The stencil before rows were merged: every row of every nested stencil,
+    outermost level first, in the (size, levels, row index) form of _stencil."""
+    levels, size = [([], []) for _ in range(order)], 1
+    for k in range(1, order + 1):
+        axes = np.array(list(itertools.product(range(m), repeat=k)))
+        offsets = np.array(list(itertools.product(_OFFSETS, repeat=k)))
+        rows = size + np.arange(len(axes) * len(offsets)).reshape(len(axes), -1)
+        size += rows.size
+        for (index, offset), a, o in zip(levels, axes.T, offsets.T):
+            index.append((rows * m + a[:, None]).ravel())
+            offset.append(np.broadcast_to(o, rows.shape).ravel())
+    return size, [tuple(map(np.concatenate, level)) for level in levels], np.arange(size)
+
+
+class TestMergedStencilRows:
+    @pytest.mark.parametrize("m, order, rows, kept", [(2, 2, 73, 57), (2, 3, 585, 313),
+                                                      (3, 2, 157, 109), (3, 3, 1885, 749)])
+    def test_row_counts(self, m, order, rows, kept):
+        size, _, index = findiff._stencil(m, order)
+        assert (len(index), size) == (rows, kept)
+        assert reference_stencil(m, order)[0] == rows
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_bit_identical_to_the_unmerged_stencil(self, name, monkeypatch):
+        spec = catalog(name)
+        # the crosscheck steps, and a wide one at which the order of the
+        # additions to a coordinate shows in its last bits
+        for order, step in itertools.product((1, 2, 3), (1e-4, 1e-2, 0.05)):
+            (pt,) = sample_points(spec, 1, seed=order, extra_margin=2.02 * order * step)
+            got = finite_difference_oracle(spec, pt, order, step)
+            with monkeypatch.context() as patch:
+                patch.setattr(findiff, "_stencil", reference_stencil)
+                want = finite_difference_oracle(spec, pt, order, step)
+            assert got.keys() == want.keys()
+            for k in want:
+                assert got[k].tobytes() == want[k].tobytes(), (order, k)
+
+
 class TestDomainGuard:
     def test_stencil_must_fit(self):
         with pytest.raises(DomainError):

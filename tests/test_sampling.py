@@ -5,7 +5,8 @@ import pytest
 
 from lagkit.catalog import catalog, catalog_names
 from lagkit.dsl import parse
-from lagkit.errors import DomainError
+from lagkit.checks import SampleConfig, run_suite
+from lagkit.errors import DomainError, LagkitError
 from lagkit.sampling import INTERIOR_MARGIN, _splitmix64, sample_points
 
 # published splitmix64 outputs for seed 0
@@ -97,3 +98,14 @@ def test_point_count_and_arity():
     pts = sample_points(spec, 7, seed=5)
     assert len(pts) == 7
     assert all(len(p) == 3 for p in pts)
+
+
+# counts numpy refuses before allocating anything; a smaller count would
+# really try to allocate, so none is tested
+@pytest.mark.parametrize("count", [10**20, 10**22, 2**63])
+def test_count_no_array_can_hold(count):
+    spec = catalog("clifford_torus")
+    with pytest.raises(LagkitError, match=f"^cannot sample {count} points: "):
+        sample_points(spec, count, seed=0)
+    with pytest.raises(LagkitError, match=f"^cannot sample {count} points: "):
+        run_suite(spec, SampleConfig(num_points=count))
