@@ -15,11 +15,11 @@ Everything here is immutable value math; functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError
+from .record import Record
 
 __all__ = [
     "Signature",
@@ -30,12 +30,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """Complex dimension n; the first s complex coordinates carry a minus sign."""
 
-    n: int
-    s: int = 0
+    _fields = ("n", "s")
+    s = 0
 
     def __post_init__(self):
         if self.n < 1:
@@ -72,13 +71,11 @@ def inner_flat(u: np.ndarray, v: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return ((u * eta)[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-@dataclass(frozen=True)
-class AmbientQuadric:
+class AmbientQuadric(Record):
     """Central quadric <z, z> = 1/c: a pseudo hypersphere (c > 0) or pseudo
     hyperbolic space (c < 0)."""
 
-    kind: str
-    c: float
+    _fields = ("kind", "c")
 
     def __post_init__(self):
         if self.kind not in ("pseudo_sphere", "pseudo_hyperbolic"):

@@ -5,17 +5,22 @@ catalog_data/; the product entries are derived from them with circle_product
 so the constructor path is exercised by the catalog itself.  Every shipped
 source, products included, must stay byte-identical to
 serialize(catalog(name)).
+
+Names, quadrics, summaries and expectations are a static table.  An entry's
+spec is built on its first catalog_entry or catalog call, with the spec of its
+base for a product, and the same objects come back on every later call (the
+crosscheck oracle caches its compiled map per spec object).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
 from importlib import resources
 
 from .ambient import AmbientQuadric
 from .dsl import ImmersionSpec, parse
 from .errors import UnknownSpecError
-from .products import circle_product
+from .record import Record
 
 __all__ = [
     "CatalogEntry",
@@ -29,16 +34,12 @@ _SPHERE = AmbientQuadric("pseudo_sphere", 1.0)
 _HYPERBOLIC = AmbientQuadric("pseudo_hyperbolic", -1.0)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     """One named example: spec, ambient quadric (if any), expectations."""
 
-    name: str
-    spec: ImmersionSpec
-    quadric: AmbientQuadric | None
-    summary: str
-    # check name -> expected pass/fail, for checks with a definite outcome
-    expects: dict = field(default_factory=dict)
+    # expects: check name -> expected pass/fail, for checks with a definite outcome
+    _fields = ("name", "spec", "quadric", "summary", "expects")
+    expects = {}
 
 
 def _read_source(name: str) -> str:
@@ -47,26 +48,6 @@ def _read_source(name: str) -> str:
         .joinpath(f"catalog_data/{name}.imm")
         .read_text(encoding="utf-8")
     )
-
-
-def _base(name, expected_index=None):
-    return parse(_read_source(name)).with_metadata(
-        name=name, expected_index=expected_index
-    )
-
-
-_REAL_CIRCLE = _base("real_circle_S3", expected_index=0)
-_REAL_SPHERE = _base("real_sphere_S5", expected_index=0)
-_MINIMAL_TORUS = _base("minimal_legendrian_torus_S5", expected_index=0)
-_WHITNEY = _base("whitney_sphere")
-_PSEUDO_H3 = _base("pseudo_legendrian_H3", expected_index=0)
-_PSEUDO_S3 = _base("pseudo_legendrian_S3_index1", expected_index=1)
-_NON_LAGRANGIAN = _base("control_non_lagrangian")
-_NON_HORIZONTAL = _base("control_non_horizontal")
-
-
-def _product(base, name, expected_index):
-    return circle_product(base).with_metadata(name=name, expected_index=expected_index)
 
 
 _LEGENDRIAN_OK = {"legendrian": True, "umbilical": True, "gauss": True, "codazzi": True}
@@ -85,45 +66,43 @@ _LAGRANGIAN_OK = {
     "umbilical": True,
 }
 
-_ENTRIES = (
-    CatalogEntry(
-        name="real_circle_S3",
-        spec=_REAL_CIRCLE,
+# name -> CatalogEntry fields but the spec, and how to build the spec: from its
+# shipped source, or as the circle product of a base entry; expected_index is
+# the metric index the spec declares
+_ROWS = {
+    "real_circle_S3": dict(
+        expected_index=0,
         quadric=_SPHERE,
         summary="great circle of the unit 3-sphere, horizontal and Legendrian",
         expects=dict(_LEGENDRIAN_OK, horizontal=True),
     ),
-    CatalogEntry(
-        name="clifford_torus",
-        spec=_product(_REAL_CIRCLE, "clifford_torus", 0),
+    "clifford_torus": dict(
+        base="real_circle_S3",
+        expected_index=0,
         quadric=_SPHERE,
         summary="flat square torus exp(i t) (cos u, sin u) inside the unit 3-sphere",
         expects=dict(_LAGRANGIAN_OK),
     ),
-    CatalogEntry(
-        name="real_sphere_S5",
-        spec=_REAL_SPHERE,
+    "real_sphere_S5": dict(
+        expected_index=0,
         quadric=_SPHERE,
         summary="totally real round 2-sphere inside the unit 5-sphere",
         expects=dict(_LEGENDRIAN_OK, horizontal=True),
     ),
-    CatalogEntry(
-        name="product_S1xS2",
-        spec=_product(_REAL_SPHERE, "product_S1xS2", 0),
+    "product_S1xS2": dict(
+        base="real_sphere_S5",
+        expected_index=0,
         quadric=_SPHERE,
         summary="circle times round 2-sphere, Lagrangian in C^3",
         expects=dict(_LAGRANGIAN_OK),
     ),
-    CatalogEntry(
-        name="minimal_legendrian_torus_S5",
-        spec=_MINIMAL_TORUS,
+    "minimal_legendrian_torus_S5": dict(
+        expected_index=0,
         quadric=_SPHERE,
         summary="minimal Legendrian torus (exp(iu), exp(iv), exp(-i(u+v)))/sqrt(3)",
         expects=dict(_LEGENDRIAN_OK, horizontal=True),
     ),
-    CatalogEntry(
-        name="whitney_sphere",
-        spec=_WHITNEY,
+    "whitney_sphere": dict(
         quadric=None,
         summary="Whitney 2-sphere: Lagrangian with conical double point, not spherical",
         expects={
@@ -134,63 +113,74 @@ _ENTRIES = (
             "codazzi": True,
         },
     ),
-    CatalogEntry(
-        name="pseudo_legendrian_H3",
-        spec=_PSEUDO_H3,
+    "pseudo_legendrian_H3": dict(
+        expected_index=0,
         quadric=_HYPERBOLIC,
         summary="spacelike curve (cosh u, sinh u) in the anti-de-Sitter quadric of C^2_1",
         expects=dict(_LEGENDRIAN_OK),
     ),
-    CatalogEntry(
-        name="pseudo_legendrian_S3_index1",
-        spec=_PSEUDO_S3,
+    "pseudo_legendrian_S3_index1": dict(
+        expected_index=1,
         quadric=_SPHERE,
         summary="timelike curve (sinh u, cosh u) in the indefinite unit sphere of C^2_1",
         expects=dict(_LEGENDRIAN_OK, horizontal=True),
     ),
-    CatalogEntry(
-        name="theorem42_example",
-        spec=_product(_PSEUDO_S3, "theorem42_example", 1),
+    "theorem42_example": dict(
+        base="pseudo_legendrian_S3_index1",
+        expected_index=1,
         quadric=_SPHERE,
         summary="Lorentzian product surface exp(i t) (sinh u, cosh u) in the indefinite unit sphere",
         expects=dict(_LAGRANGIAN_OK),
     ),
-    CatalogEntry(
-        name="theorem43_example",
-        spec=_product(_PSEUDO_H3, "theorem43_example", 1),
+    "theorem43_example": dict(
+        base="pseudo_legendrian_H3",
+        expected_index=1,
         quadric=_HYPERBOLIC,
         summary="Lorentzian product surface exp(i t) (cosh u, sinh u) in the anti-de-Sitter quadric",
         expects=dict(_LAGRANGIAN_OK),
     ),
-    CatalogEntry(
-        name="control_non_lagrangian",
-        spec=_NON_LAGRANGIAN,
+    "control_non_lagrangian": dict(
         quadric=None,
         summary="complex line parameterized twice over: fails isotropy by a fixed margin",
         expects={"lagrangian": False},
     ),
-    CatalogEntry(
-        name="control_non_horizontal",
-        spec=_NON_HORIZONTAL,
+    "control_non_horizontal": dict(
         quadric=_SPHERE,
         summary="Hopf fiber direction on the unit 3-sphere: fails horizontality by 1",
         expects={"legendrian": False, "horizontal": False},
     ),
-)
+}
 
-_BY_NAME = {e.name: e for e in _ENTRIES}
+
+@functools.cache
+def _entry(name: str) -> CatalogEntry:
+    fields = dict(_ROWS[name])
+    base, expected_index = fields.pop("base", None), fields.pop("expected_index", None)
+    if base is None:
+        spec = parse(_read_source(name))
+    else:
+        from .products import circle_product  # only product entries need it
+
+        spec = circle_product(catalog(base))
+    spec = spec.with_metadata(
+        name=name, expected_index=expected_index, quadric=fields["quadric"]
+    )
+    return CatalogEntry(name=name, spec=spec, **fields)
 
 
 def catalog_names() -> tuple[str, ...]:
-    return tuple(e.name for e in _ENTRIES)
+    return tuple(_ROWS)
+
+
+def _known(name: str) -> str:
+    if name not in _ROWS:
+        known = ", ".join(catalog_names())
+        raise UnknownSpecError(f"unknown catalog spec {name!r}; known: {known}")
+    return name
 
 
 def catalog_entry(name: str) -> CatalogEntry:
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        known = ", ".join(catalog_names())
-        raise UnknownSpecError(f"unknown catalog spec {name!r}; known: {known}") from None
+    return _entry(_known(name))
 
 
 def catalog(name: str) -> ImmersionSpec:
@@ -199,5 +189,4 @@ def catalog(name: str) -> ImmersionSpec:
 
 def catalog_source(name: str) -> str:
     """Canonical DSL source text, from the shipped catalog_data files."""
-    catalog_entry(name)
-    return _read_source(name)
+    return _read_source(_known(name))

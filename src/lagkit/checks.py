@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .geometry import (
     project,
     tangent_field,
 )
+from .record import Record
 from .sampling import sample_points
 
 __all__ = [
@@ -73,14 +73,14 @@ STRUCTURE_CHECKS = (
 )
 
 
-@dataclass(frozen=True)
-class SampleConfig:
+class SampleConfig(Record):
     """Sampling and tolerance knobs shared by all checks."""
 
-    num_points: int = 20
-    seed: int = 42
-    tol: float = DEFAULT_TOL
-    tol_third: float = DEFAULT_TOL_THIRD
+    _fields = ("num_points", "seed", "tol", "tol_third")
+    num_points = 20
+    seed = 42
+    tol = DEFAULT_TOL
+    tol_third = DEFAULT_TOL_THIRD
 
     def __post_init__(self):
         if self.num_points < 1:
@@ -92,37 +92,34 @@ class SampleConfig:
         return self.tol
 
 
-@dataclass
-class CheckEntry:
+class CheckEntry(Record, frozen=False):
     """Outcome of one named residual check."""
 
-    name: str
-    max_residual: float | None
-    mean_residual: float | None
-    points_evaluated: int
-    tolerance: float
-    passed: bool | None
-    status: str = "ok"  # ok | skipped | error
-    reason: str | None = None
-    worst_point: tuple[float, ...] | None = None
-    details: dict = field(default_factory=dict)
+    # a constructor of its own: a suite builds about a dozen per spec
+    def __init__(self, name, max_residual, mean_residual, points_evaluated, tolerance, passed,
+                 status="ok", reason=None, worst_point=None, details=None):
+        self.name = name
+        self.max_residual = max_residual  # float, or None without residuals
+        self.mean_residual = mean_residual
+        self.points_evaluated = points_evaluated
+        self.tolerance = tolerance
+        self.passed = passed  # bool, or None when skipped
+        self.status = status  # ok | skipped | error
+        self.reason = reason
+        self.worst_point = worst_point  # the point's coordinates, or None
+        self.details = {} if details is None else details
 
 
-@dataclass
-class SphereFit:
+class SphereFit(Record, frozen=False):
     """Least-squares central quadric through the sampled image points."""
 
-    center: np.ndarray  # interleaved (2n,)
-    radius_sq_signed: float
-    rms_residual: float
+    _fields = ("center", "radius_sq_signed", "rms_residual")  # center: interleaved (2n,)
 
 
-@dataclass
-class Transform:
+class Transform(Record, frozen=False):
     """Recenter/rescale applied before the classification-structure checks."""
 
-    center: np.ndarray  # interleaved (2n,)
-    scale: float
+    _fields = ("center", "scale")  # center: interleaved (2n,)
 
 
 def _finish(name, cfg, residuals, frames, extra_details=None) -> CheckEntry:
@@ -131,7 +128,7 @@ def _finish(name, cfg, residuals, frames, extra_details=None) -> CheckEntry:
     worst = int(np.argmax(arr))  # the first NaN, if there is one
     if not math.isfinite(arr[worst]):
         return _errored(name, cfg, f"non-finite residual at {frames.point(worst)}")
-    entry = CheckEntry(
+    return CheckEntry(
         name=name,
         max_residual=float(arr[worst]),
         mean_residual=float(arr.mean()),
@@ -139,10 +136,8 @@ def _finish(name, cfg, residuals, frames, extra_details=None) -> CheckEntry:
         tolerance=tol,
         passed=bool(arr[worst] <= tol),
         worst_point=frames.point(worst),
+        details=dict(extra_details or {}),
     )
-    if extra_details:
-        entry.details.update(extra_details)
-    return entry
 
 
 def _errored(name, cfg, reason, status="error") -> CheckEntry:
@@ -425,14 +420,12 @@ def check_codazzi(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
     return _finish("codazzi", cfg, codazzi_residual(frames), frames)
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record, frozen=False):
     """All check outcomes for one spec, JSON-serializable and byte-stable."""
 
-    spec_name: str
-    checks: dict[str, CheckEntry]
-    sphere_fit: SphereFit | None = None
-    transform: Transform | None = None
+    _fields = ("spec_name", "checks", "sphere_fit", "transform")  # checks: name -> CheckEntry
+    sphere_fit = None
+    transform = None
 
     @property
     def passed(self) -> bool:
@@ -529,12 +522,14 @@ def run_suite(
     curvature identities, cubic symmetry, then the structure bundle, product
     metric and umbilical relation on the frames recentred and rescaled by the
     fit, which are derived from the same evaluation).  Specs with one
-    parameter fewer run the Legendrian chain against the declared quadric, or
-    against the fitted one when the fit lands on a central quadric.  A map
-    that fails at a sample point makes each check an error entry; sampling
-    that fails (a count no array holds) raises.
+    parameter fewer run the Legendrian chain against the declared quadric (the
+    quadric argument, else spec.quadric), or against the fitted one when the
+    fit lands on a central quadric.  A map that fails at a sample point makes
+    each check an error entry; sampling that fails (a count no array holds)
+    raises.
     """
     cfg = cfg or SampleConfig()
+    quadric = spec.quadric if quadric is None else quadric
     entries: dict[str, CheckEntry] = {}
     sphere_fit = None
     transform = None

@@ -8,6 +8,9 @@ Subcommands:
 
 Exit status: 0 success, 1 a check or comparison failed, 2 usage error
 (bad arguments, unknown spec, unparseable input).
+
+construct imports products, and crosscheck findiff and sampling, when they
+run, so a `check` or `catalog` process loads neither.
 """
 
 from __future__ import annotations
@@ -23,9 +26,6 @@ from .catalog import catalog_entry, catalog_names
 from .checks import SampleConfig, run_suite
 from .dsl import ImmersionSpec, parse, serialize
 from .errors import LagkitError
-from .findiff import jet_fd_comparison
-from .products import circle_product
-from .sampling import sample_points
 
 _CROSSCHECK_STEP = {1: 1e-4, 2: 1e-4, 3: 1e-2}
 _CROSSCHECK_TOL = {1: 1e-6, 2: 1e-6, 3: 1e-3}
@@ -40,11 +40,10 @@ def _require(ok, message: str):
         raise _UsageError(message)
 
 
-def _load_spec(ref: str):
-    """Catalog name or path to a DSL file -> (spec, declared quadric or None)."""
+def _load_spec(ref: str) -> ImmersionSpec:
+    """Catalog name (its spec carries the declared quadric) or path to a DSL file."""
     if ref in catalog_names():
-        entry = catalog_entry(ref)
-        return entry.spec, entry.quadric
+        return catalog_entry(ref).spec
     if os.path.exists(ref):
         try:
             with open(ref, "r", encoding="utf-8") as fh:
@@ -56,7 +55,7 @@ def _load_spec(ref: str):
         except LagkitError as exc:
             raise _UsageError(f"cannot parse {ref}: {exc}") from exc
         name = os.path.splitext(os.path.basename(ref))[0]
-        return spec.with_metadata(name=name), None
+        return spec.with_metadata(name=name)
     raise _UsageError(
         f"{ref!r} is neither a catalog name nor an existing file; "
         f"catalog: {', '.join(catalog_names())}"
@@ -132,10 +131,9 @@ def _format_report(report) -> str:
 
 
 def _cmd_check(args) -> int:
-    spec, declared = _load_spec(args.spec)
-    quadric = declared
-    if args.quadric is not None:
-        quadric = _parse_quadric(args.quadric, spec)
+    spec = _load_spec(args.spec)
+    # without --quadric, run_suite checks against the spec's declared quadric
+    quadric = None if args.quadric is None else _parse_quadric(args.quadric, spec)
     wanted = [c.strip() for c in (args.checks or "").split(",") if c.strip()]
     _require(args.checks is None or wanted, f"--checks {args.checks!r} names no check")
     report = run_suite(spec, _config(args), quadric=quadric)
@@ -152,7 +150,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    spec, declared = _load_spec(args.spec)
+    from .products import circle_product
+
+    spec = _load_spec(args.spec)
     cfg = _config(args) if args.verify else None
     try:
         product = circle_product(spec, t_name=args.t_name)
@@ -169,7 +169,10 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    spec, _ = _load_spec(args.spec)
+    from .findiff import jet_fd_comparison
+    from .sampling import sample_points
+
+    spec = _load_spec(args.spec)
     _require(args.points >= 1, f"--points must be at least 1, got {args.points}")
     _require(args.step is None or args.step > 0, f"--step must be positive, got {args.step!r}")
     orders = [args.order] if args.order else [1, 2, 3]

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .errors import (
 )
 from . import jets
 from .jets import Jet
+from .record import Record
 
 __all__ = [
     "Num",
@@ -66,68 +66,57 @@ _KEYWORDS = ("params", "signature", "map")
 
 # -- AST ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class Num(Record):
+    _fields = ("value",)
 
 
-@dataclass(frozen=True)
-class Imag:
+class Imag(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Ref:
-    name: str
+class Ref(Record):
+    _fields = ("name",)
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
+class Neg(Record):
+    _fields = ("arg",)
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str  # one of + - * /
-    left: "Expr"
-    right: "Expr"
+class Bin(Record):
+    _fields = ("op", "left", "right")  # op is one of + - * /
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
+class Pow(Record):
+    _fields = ("base", "exponent")
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Expr"
+class Call(Record):
+    _fields = ("fn", "arg")
 
 
 Expr = Num | Imag | Ref | Neg | Bin | Pow | Call
 
 
-@dataclass(frozen=True)
-class Param:
-    name: str
-    lo: float
-    hi: float
+class Param(Record):
+    _fields = ("name", "lo", "hi")
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError(f"parameter {self.name}: need lo < hi, got [{self.lo}, {self.hi}]")
 
 
-@dataclass(frozen=True)
-class ImmersionSpec:
-    """Parsed immersion: parameter box, ambient signature, component map."""
+class ImmersionSpec(Record):
+    """Parsed immersion: parameter box, ambient signature, component map.
 
-    params: tuple[Param, ...]
-    signature: Signature
-    components: tuple[Expr, ...]
-    name: str = "unnamed"
-    expected_index: int | None = None
+    name, expected_index (the metric index) and quadric (the declared ambient
+    quadric, an AmbientQuadric, which run_suite checks against when the
+    caller passes none) are metadata: serialize() writes none of them.
+    """
+
+    _fields = ("params", "signature", "components", "name", "expected_index", "quadric")
+    name = "unnamed"
+    expected_index = None
+    quadric = None
 
     def __post_init__(self):
         if len(self.components) != self.signature.n:
@@ -146,30 +135,23 @@ class ImmersionSpec:
         return tuple(p.name for p in self.params)
 
     def same_structure(self, other: "ImmersionSpec") -> bool:
-        """Structural equality ignoring metadata (name, expected_index)."""
+        """Structural equality ignoring metadata (name, expected_index, quadric)."""
         return (
             self.params == other.params
             and self.signature == other.signature
             and self.components == other.components
         )
 
-    def with_metadata(self, name=None, expected_index=None) -> "ImmersionSpec":
-        out = self
-        if name is not None:
-            out = replace(out, name=name)
-        if expected_index is not None:
-            out = replace(out, expected_index=expected_index)
-        return out
+    def with_metadata(self, name=None, expected_index=None, quadric=None) -> "ImmersionSpec":
+        """A copy with the metadata that is given (not None) replaced."""
+        given = dict(name=name, expected_index=expected_index, quadric=quadric)
+        return self.replace(**{k: v for k, v in given.items() if v is not None})
 
 
 # -- tokenizer ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num | name | op | eof
-    text: str
-    line: int
-    column: int
+class _Token(Record):
+    _fields = ("kind", "text", "line", "column")  # kind: num | name | op | eof
 
 
 _TOKEN_RE = re.compile(

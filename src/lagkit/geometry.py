@@ -26,13 +26,12 @@ Index conventions, pinned by tests on the round-sphere factor (b is the point):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ambient import apply_j_flat, metric_diagonal
 from .dsl import ImmersionSpec, evaluate_map_jets
 from .errors import DegenerateMetricError, SingularEvaluationError
+from .record import Record
 
 __all__ = [
     "FrameBatch",
@@ -53,23 +52,25 @@ DET_THRESHOLD = 1e-10
 CHUNK = 256
 
 
-@dataclass
-class FrameBatch:
+class FrameBatch(Record, frozen=False):
     """Derivative and metric data of an immersion at B points."""
 
-    spec: ImmersionSpec
-    points: np.ndarray  # (B, m)
-    position: np.ndarray  # (B, 2n)
-    first: np.ndarray  # (B, m, 2n)
-    second: np.ndarray  # (B, m, m, 2n)
-    third: np.ndarray | None  # (B, m, m, m, 2n) when requested
-    eta: np.ndarray  # (2n,), shared by all points
-    metric: np.ndarray  # (B, m, m)
-    metric_inv: np.ndarray
-    dmetric: np.ndarray  # (B, m, m, m): d_k g_ij
-    christoffels: np.ndarray  # (B, m, m, m): Gamma^k_ij
-    sff: np.ndarray  # (B, m, m, 2n): second fundamental form vectors
-    dchristoffels: np.ndarray | None = None  # (B, m, m, m, m) when need_third
+    _fields = (
+        "spec",
+        "points",  # (B, m)
+        "position",  # (B, 2n)
+        "first",  # (B, m, 2n)
+        "second",  # (B, m, m, 2n)
+        "third",  # (B, m, m, m, 2n) when requested, else None
+        "eta",  # (2n,), shared by all points
+        "metric",  # (B, m, m)
+        "metric_inv",
+        "dmetric",  # (B, m, m, m): d_k g_ij
+        "christoffels",  # (B, m, m, m): Gamma^k_ij
+        "sff",  # (B, m, m, 2n): second fundamental form vectors
+        "dchristoffels",  # (B, m, m, m, m) when need_third, else None
+    )
+    dchristoffels = None
 
     def __len__(self) -> int:
         return len(self.points)

@@ -11,7 +11,6 @@ translate and dilate are the affine companions used for equivariance checks.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from .dsl import Bin, Call, Expr, Imag, ImmersionSpec, Neg, Num, Param, Ref
 from .errors import DimensionMismatchError
@@ -50,7 +49,8 @@ def circle_product(psi: ImmersionSpec, t_name: str = "t") -> ImmersionSpec:
     """Sweep a spec by the unit circle: components become exp(i*t) * psi_j.
 
     The input must have one parameter fewer than the ambient complex
-    dimension (the half-dimension count of the output).
+    dimension (the half-dimension count of the output).  The product takes
+    none of the input's metadata (expected_index, quadric), only a name.
     """
     n = psi.signature.n
     if psi.num_params != n - 1:
@@ -84,7 +84,8 @@ def translate(spec: ImmersionSpec, offsets) -> ImmersionSpec:
         comp if off == 0 else Bin("+", comp, _complex_literal(off))
         for comp, off in zip(spec.components, offs)
     )
-    return replace(spec, components=components, name=f"{spec.name}_translated")
+    # a translated image leaves the declared quadric, which is central
+    return spec.replace(components=components, name=f"{spec.name}_translated", quadric=None)
 
 
 def dilate(spec: ImmersionSpec, factor: float) -> ImmersionSpec:
@@ -95,4 +96,5 @@ def dilate(spec: ImmersionSpec, factor: float) -> ImmersionSpec:
     components = tuple(
         Bin("*", _real_literal(factor), c) for c in spec.components
     )
-    return replace(spec, components=components, name=f"{spec.name}_scaled")
+    # a dilated image lies on a quadric of another curvature than the declared one
+    return spec.replace(components=components, name=f"{spec.name}_scaled", quadric=None)

@@ -1,5 +1,8 @@
 """Catalog integrity: the shipped sources, expectations, and suite outcomes."""
 
+import subprocess
+import sys
+
 import pytest
 
 from lagkit.catalog import catalog, catalog_entry, catalog_names, catalog_source
@@ -24,6 +27,42 @@ def test_shipped_source_is_canonical(name):
     src = catalog_source(name)
     assert src == serialize(catalog(name))
     assert parse(src).same_structure(catalog(name))
+
+
+def test_catalog_names_parses_no_source():
+    # a fresh process, so that parse is counted from before lagkit.catalog loads
+    script = (
+        "import lagkit.dsl as dsl\n"
+        "calls = []\n"
+        "parse = dsl.parse\n"
+        "dsl.parse = lambda text: calls.append(text) or parse(text)\n"
+        "from lagkit.catalog import catalog, catalog_names\n"
+        "catalog_names()\n"
+        "print(len(calls))\n"
+        "catalog('clifford_torus')  # the product and its base, one parse\n"
+        "print(len(calls))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_entries_are_built_once(name):
+    # the crosscheck oracle caches its compiled map per spec object
+    assert catalog(name) is catalog(name)
+    assert catalog_entry(name).spec is catalog(name)
+    assert catalog_entry(name) is catalog_entry(name)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_declared_quadric_travels_with_the_spec(name):
+    entry = catalog_entry(name)
+    assert entry.spec.quadric == entry.quadric
+    report = run_suite(catalog(name), CFG)  # no quadric= argument
+    assert {k: report.checks[k].passed for k in entry.expects} == entry.expects
 
 
 @pytest.mark.parametrize("name", catalog_names())

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import fields
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from lagkit.ambient import AmbientQuadric
 from lagkit.catalog import catalog, catalog_entry, catalog_names
 from lagkit.checks import (
     STRUCTURE_CHECKS,
+    CheckEntry,
     CheckReport,
     SampleConfig,
     _pointwise_on_error,
@@ -249,13 +250,15 @@ class TestRunSuite:
         assert report.passed
 
     def test_legendrian_without_quadric_fits_when_possible(self):
-        report = run_suite(catalog("minimal_legendrian_torus_S5"), CFG)
+        spec = catalog("minimal_legendrian_torus_S5").replace(quadric=None)
+        report = run_suite(spec, CFG)
         assert report.checks["spherical"].status == "ok"
         assert report.sphere_fit.radius_sq_signed == pytest.approx(1.0)
         assert report.checks["legendrian"].passed
 
     def test_legendrian_without_any_quadric_skips(self):
-        report = run_suite(catalog("real_circle_S3"), CFG)  # fit underdetermined
+        spec = catalog("real_circle_S3").replace(quadric=None)
+        report = run_suite(spec, CFG)  # fit underdetermined
         assert report.checks["spherical"].status == "error"
         assert report.checks["legendrian"].status == "skipped"
         assert not report.passed
@@ -352,10 +355,10 @@ def test_normalized_frames_equal_those_of_the_normalized_spec(spec, num_points):
     lag = check_lagrangian(frames, cfg)
     _, transform, derived = _structure_with_fit(frames, cfg, lag, fit, fit_entry)
     reference = sample_frames(reference_normalized_spec(spec, transform), cfg)
-    for f in fields(FrameBatch):
-        if f.name != "spec":
-            ours, theirs = getattr(derived, f.name), getattr(reference, f.name)
-            assert (ours is None and theirs is None) or np.array_equal(ours, theirs), f.name
+    for name in FrameBatch._fields:
+        if name != "spec":
+            ours, theirs = getattr(derived, name), getattr(reference, name)
+            assert (ours is None and theirs is None) or np.array_equal(ours, theirs), name
 
 
 def test_normalized_frames_that_fail_error_the_bundle(monkeypatch):
@@ -397,12 +400,12 @@ class TestChunks:
         chunked = sample_frames(entry.spec, self.CFG, need_third=True)
         singles = [build_frame(entry.spec, pt, need_third=True) for pt in self._points(entry.spec)]
         assert len(chunked) == len(singles) == self.CFG.num_points
-        for f in fields(FrameBatch):
-            if f.name != "spec":
-                parts = [getattr(frame, f.name) for frame in singles]
-                single = parts[0] if f.name == "eta" else np.concatenate(parts)
+        for name in FrameBatch._fields:
+            if name != "spec":
+                parts = [getattr(frame, name) for frame in singles]
+                single = parts[0] if name == "eta" else np.concatenate(parts)
                 np.testing.assert_allclose(
-                    getattr(chunked, f.name), single, rtol=1e-12, atol=1e-12
+                    getattr(chunked, name), single, rtol=1e-12, atol=1e-12
                 )
         report = run_suite(entry.spec, self.CFG, quadric=entry.quadric)
         assert {k: report.checks[k].passed for k in entry.expects} == entry.expects
@@ -532,6 +535,12 @@ class TestReportSerialization:
         fit, entry = fit_hypersphere(frames_of("real_circle_S3"), CFG)
         report = CheckReport(spec_name="probe", checks={"spherical": entry})
         assert not report.passed
+
+    def test_entries_own_their_details_and_reports_pickle(self):
+        a, b = (CheckEntry("probe", None, None, 0, 1e-8, None) for _ in range(2))
+        assert a.details == {} and a.details is not b.details
+        report = run_suite(catalog("whitney_sphere"), CFG)  # skipped entries too
+        assert pickle.loads(pickle.dumps(report)).to_json() == report.to_json()
 
 
 class TestDegenerateSpecs:

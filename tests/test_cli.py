@@ -363,6 +363,39 @@ class TestCatalogCommand:
         assert byname["theorem43_example"]["ambient"] == "C^2_1"
 
 
+def _cold(*argv):
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, timeout=120
+    )
+
+
+def test_cold_check_imports_only_what_it_runs():
+    proc = _cold("-c", "import sys, lagkit; print([m for m in sys.modules if 'lagkit.' in m])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    # -X importtime names every module the process imports
+    proc = _cold("-X", "importtime", "-m", "lagkit.cli", "check", "real_circle_S3", "--json")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(re.findall(r"\|\s*(lagkit\.\w+)$", proc.stderr, re.M))
+    assert "lagkit.checks" in loaded
+    assert not loaded & {"lagkit.findiff", "lagkit.products"}
+
+
+def test_every_public_name_resolves():
+    script = (
+        "import lagkit.cli\n"  # binds submodules, lagkit.catalog among them, first
+        "import lagkit\n"
+        "assert lagkit.findiff.finite_difference_oracle\n"  # a submodule not loaded yet
+        "from lagkit import *\n"
+        "missing = [n for n in lagkit.__all__ if n not in globals()]\n"
+        "assert not missing, missing\n"
+        "assert catalog('clifford_torus') is lagkit.catalog_entry('clifford_torus').spec\n"
+        "assert lagkit.catalog is catalog and lagkit.__version__ == '0.1.0'\n"
+    )
+    proc = _cold("-c", script)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "lagkit.cli", "catalog"],

@@ -13,6 +13,17 @@ from lagkit.products import circle_product, dilate, translate
 from lagkit.sampling import sample_points
 
 
+def test_declared_quadric_is_not_carried_into_another_image():
+    spec = catalog("real_circle_S3")
+    assert spec.quadric is not None
+    # a product's quadric is declared by whoever names it; a dilated or
+    # translated image lies on another quadric, or on none
+    assert circle_product(spec).quadric is None
+    assert dilate(spec, 2.0).quadric is None
+    assert translate(spec, (0.5, 0.0)).quadric is None
+    assert dilate(spec, 2.0).expected_index == spec.expected_index
+
+
 class TestCircleProduct:
     def test_golden_serialization_matches_catalog_file(self):
         # constructing from the base Legendrian must reproduce the shipped

@@ -1,6 +1,9 @@
 """Parser, serializer, and evaluator for the immersion expression language."""
 
 import cmath
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -290,3 +293,49 @@ class TestEvaluation:
         assert spec.name == "probe"
         assert spec.expected_index == 0
         assert spec.with_metadata(name="other").expected_index == 0
+
+
+class TestRecords:
+    """AST nodes and specs are value records: equal by type and fields, frozen."""
+
+    def test_value_semantics(self):
+        node = Bin("+", Ref("u"), Pow(Num(2.0), 3))
+        same = Bin("+", Ref("u"), Pow(Num(2.0), 3))
+        assert node == same and hash(node) == hash(same)
+        assert Num(1.0) != Ref(1.0)  # equal fields, other node type
+        assert Imag() == Imag() and Imag() != Num(0.0)
+        assert vars(node) == {"op": "+", "left": Ref("u"), "right": Pow(Num(2.0), 3)}
+        assert repr(Call("exp", Ref("u"))) == "Call(fn='exp', arg=Ref(name='u'))"
+        with pytest.raises(AttributeError):
+            node.op = "-"
+
+    def test_construction_checks_fields(self):
+        assert Param(lo=0.0, hi=1.0, name="u") == Param("u", 0.0, 1.0)
+        with pytest.raises(TypeError):
+            Param("u", 0.0)
+        with pytest.raises(TypeError):
+            Param("u", 0.0, 1.0, lo=0.0)
+        with pytest.raises(TypeError):
+            parse(GOOD).replace(nmae="typo")
+
+    def test_metadata_defaults_and_replace(self):
+        spec = parse(GOOD)
+        assert (spec.name, spec.expected_index, spec.quadric) == ("unnamed", None, None)
+        named = spec.with_metadata(name="probe", expected_index=1)
+        assert named.replace(name="unnamed", expected_index=None) == spec
+        assert named.same_structure(spec) and named != spec
+
+    def test_a_pickled_spec_hashes_afresh(self):
+        spec = parse(GOOD)
+        hash(spec)  # cached now; str hashes differ between processes
+        script = (
+            "import pickle, sys\n"
+            "from lagkit.dsl import parse\n"
+            "spec = pickle.loads(sys.stdin.buffer.read())\n"
+            f"assert spec == parse({GOOD!r}) and hash(spec) == hash(parse({GOOD!r}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], input=pickle.dumps(spec), capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
