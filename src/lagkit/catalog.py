@@ -6,7 +6,8 @@ so the constructor path is exercised by the catalog itself.  Every shipped
 source, products included, must stay byte-identical to
 serialize(catalog(name)).
 
-Names, quadrics, summaries and expectations are a static table.  An entry's
+Names, parameter counts, signatures, quadrics, summaries and expectations
+are a static table, so listing the catalog builds no spec.  An entry's
 spec is built on its first catalog_entry or catalog call, with the spec of its
 base for a product, and the same objects come back on every later call (the
 crosscheck oracle caches its compiled map per spec object).
@@ -17,7 +18,7 @@ from __future__ import annotations
 import functools
 from importlib import resources
 
-from .ambient import AmbientQuadric
+from .ambient import AmbientQuadric, Signature
 from .dsl import ImmersionSpec, parse
 from .errors import UnknownSpecError
 from .record import Record
@@ -66,43 +67,45 @@ _LAGRANGIAN_OK = {
     "umbilical": True,
 }
 
-# name -> CatalogEntry fields but the spec, and how to build the spec: from its
+# name -> CatalogEntry fields but the spec, the spec's parameter count and
+# signature (so the table needs no spec), and how to build the spec: from its
 # shipped source, or as the circle product of a base entry; expected_index is
 # the metric index the spec declares
 _ROWS = {
     "real_circle_S3": dict(
-        expected_index=0,
+        params=1, signature=Signature(2, 0), expected_index=0,
         quadric=_SPHERE,
         summary="great circle of the unit 3-sphere, horizontal and Legendrian",
         expects=dict(_LEGENDRIAN_OK, horizontal=True),
     ),
     "clifford_torus": dict(
         base="real_circle_S3",
-        expected_index=0,
+        params=2, signature=Signature(2, 0), expected_index=0,
         quadric=_SPHERE,
         summary="flat square torus exp(i t) (cos u, sin u) inside the unit 3-sphere",
         expects=dict(_LAGRANGIAN_OK),
     ),
     "real_sphere_S5": dict(
-        expected_index=0,
+        params=2, signature=Signature(3, 0), expected_index=0,
         quadric=_SPHERE,
         summary="totally real round 2-sphere inside the unit 5-sphere",
         expects=dict(_LEGENDRIAN_OK, horizontal=True),
     ),
     "product_S1xS2": dict(
         base="real_sphere_S5",
-        expected_index=0,
+        params=3, signature=Signature(3, 0), expected_index=0,
         quadric=_SPHERE,
         summary="circle times round 2-sphere, Lagrangian in C^3",
         expects=dict(_LAGRANGIAN_OK),
     ),
     "minimal_legendrian_torus_S5": dict(
-        expected_index=0,
+        params=2, signature=Signature(3, 0), expected_index=0,
         quadric=_SPHERE,
         summary="minimal Legendrian torus (exp(iu), exp(iv), exp(-i(u+v)))/sqrt(3)",
         expects=dict(_LEGENDRIAN_OK, horizontal=True),
     ),
     "whitney_sphere": dict(
+        params=2, signature=Signature(2, 0),
         quadric=None,
         summary="Whitney 2-sphere: Lagrangian with conical double point, not spherical",
         expects={
@@ -114,37 +117,39 @@ _ROWS = {
         },
     ),
     "pseudo_legendrian_H3": dict(
-        expected_index=0,
+        params=1, signature=Signature(2, 1), expected_index=0,
         quadric=_HYPERBOLIC,
         summary="spacelike curve (cosh u, sinh u) in the anti-de-Sitter quadric of C^2_1",
         expects=dict(_LEGENDRIAN_OK),
     ),
     "pseudo_legendrian_S3_index1": dict(
-        expected_index=1,
+        params=1, signature=Signature(2, 1), expected_index=1,
         quadric=_SPHERE,
         summary="timelike curve (sinh u, cosh u) in the indefinite unit sphere of C^2_1",
         expects=dict(_LEGENDRIAN_OK, horizontal=True),
     ),
     "theorem42_example": dict(
         base="pseudo_legendrian_S3_index1",
-        expected_index=1,
+        params=2, signature=Signature(2, 1), expected_index=1,
         quadric=_SPHERE,
         summary="Lorentzian product surface exp(i t) (sinh u, cosh u) in the indefinite unit sphere",
         expects=dict(_LAGRANGIAN_OK),
     ),
     "theorem43_example": dict(
         base="pseudo_legendrian_H3",
-        expected_index=1,
+        params=2, signature=Signature(2, 1), expected_index=1,
         quadric=_HYPERBOLIC,
         summary="Lorentzian product surface exp(i t) (cosh u, sinh u) in the anti-de-Sitter quadric",
         expects=dict(_LAGRANGIAN_OK),
     ),
     "control_non_lagrangian": dict(
+        params=2, signature=Signature(2, 0),
         quadric=None,
         summary="complex line parameterized twice over: fails isotropy by a fixed margin",
         expects={"lagrangian": False},
     ),
     "control_non_horizontal": dict(
+        params=1, signature=Signature(2, 0),
         quadric=_SPHERE,
         summary="Hopf fiber direction on the unit 3-sphere: fails horizontality by 1",
         expects={"legendrian": False, "horizontal": False},
@@ -154,18 +159,17 @@ _ROWS = {
 
 @functools.cache
 def _entry(name: str) -> CatalogEntry:
-    fields = dict(_ROWS[name])
-    base, expected_index = fields.pop("base", None), fields.pop("expected_index", None)
-    if base is None:
-        spec = parse(_read_source(name))
-    else:
+    row = _ROWS[name]
+    if "base" in row:
         from .products import circle_product  # only product entries need it
 
-        spec = circle_product(catalog(base))
+        spec = circle_product(catalog(row["base"]))
+    else:
+        spec = parse(_read_source(name))
     spec = spec.with_metadata(
-        name=name, expected_index=expected_index, quadric=fields["quadric"]
+        name=name, expected_index=row.get("expected_index"), quadric=row["quadric"]
     )
-    return CatalogEntry(name=name, spec=spec, **fields)
+    return CatalogEntry(name, spec, row["quadric"], row["summary"], row["expects"])
 
 
 def catalog_names() -> tuple[str, ...]:
@@ -177,6 +181,12 @@ def _known(name: str) -> str:
         known = ", ".join(catalog_names())
         raise UnknownSpecError(f"unknown catalog spec {name!r}; known: {known}")
     return name
+
+
+def _listing(name: str) -> dict:
+    """What `lagkit catalog` lists of an entry, read off the table: no spec is built."""
+    row = _ROWS[_known(name)]
+    return {key: row[key] for key in ("params", "signature", "quadric", "summary")}
 
 
 def catalog_entry(name: str) -> CatalogEntry:

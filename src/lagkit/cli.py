@@ -22,7 +22,7 @@ import os
 import sys
 
 from .ambient import AmbientQuadric
-from .catalog import catalog_entry, catalog_names
+from .catalog import _listing, catalog_entry, catalog_names
 from .checks import SampleConfig, run_suite
 from .dsl import ImmersionSpec, parse, serialize
 from .errors import LagkitError
@@ -206,18 +206,10 @@ def _cmd_crosscheck(args) -> int:
 def _cmd_catalog(args) -> int:
     rows = []
     for name in catalog_names():
-        entry = catalog_entry(name)
-        sig = entry.spec.signature
-        quad = "-" if entry.quadric is None else f"c={entry.quadric.c:g}"
-        rows.append(
-            {
-                "name": name,
-                "params": entry.spec.num_params,
-                "ambient": f"C^{sig.n}_{sig.s}",
-                "quadric": quad,
-                "summary": entry.summary,
-            }
-        )
+        row = _listing(name)
+        sig, quad = row["signature"], row["quadric"]
+        rows.append(dict(name=name, params=row["params"], ambient=f"C^{sig.n}_{sig.s}",
+                         quadric="-" if quad is None else f"c={quad.c:g}", summary=row["summary"]))
     if args.json:
         print(json.dumps(rows, indent=2, sort_keys=True))
         return 0

@@ -23,6 +23,7 @@ params/signature/components structure exactly.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 
@@ -497,6 +498,14 @@ _RULES = {
 _SLACK = 1e-12
 
 
+@functools.lru_cache(maxsize=64)
+def _box(params: tuple[Param, ...], slack: float) -> np.ndarray:
+    """The domain box widened by slack, as rows (lo, hi) of shape (2, m)."""
+    box = np.array([(p.lo - slack, p.hi + slack) for p in params]).T
+    box.flags.writeable = False  # one array for every caller
+    return box
+
+
 def check_point_in_domain(spec: ImmersionSpec, points, slack: float = _SLACK):
     """Raise DomainError unless the point (m,), or each row of points (P, m), sits
     in the (closed) domain box, naming the first bad coordinate of the first bad row."""
@@ -505,22 +514,23 @@ def check_point_in_domain(spec: ImmersionSpec, points, slack: float = _SLACK):
         raise DomainError(
             f"point has {pts.shape[-1]} coordinates, spec has {spec.num_params} parameters"
         )
-    lo, hi = np.array([(p.lo - slack, p.hi + slack) for p in spec.params]).T
-    bad = np.argwhere(~((lo <= pts) & (pts <= hi)))  # NaN is outside too
-    if len(bad):
-        p, x = spec.params[bad[0, 1]], float(pts[tuple(bad[0])])
+    lo, hi = _box(spec.params, slack)
+    inside = (lo <= pts) & (pts <= hi)  # NaN is outside too
+    if not inside.all():
+        bad = np.argwhere(~inside)[0]
+        p, x = spec.params[bad[1]], float(pts[tuple(bad)])
         raise DomainError(f"coordinate {p.name}={x!r} outside [{p.lo}, {p.hi}]")
 
 
-def evaluate_map_jets(spec: ImmersionSpec, points, order: int) -> list[Jet]:
-    """Jets of every component of the immersion at a batch of interior points.
+def evaluate_map_jets(spec: ImmersionSpec, points, order: int) -> list[np.ndarray]:
+    """The tensors (value, gradient, hessian, third) of the component map, up to
+    order, at a batch of interior points.
 
-    points is one point (m,) or a batch (B, m); either way the jets carry a
-    point axis of length B (1 for a single point), and the expression tree is
-    walked once for the whole batch.  The derivative blocks of all components
-    are interpolated together (jets.interpolate).  Raises
-    SingularEvaluationError when the map or one of its derivatives overflows
-    or is not finite at some point.
+    points is one point (m,) or a batch (B, m); either way the tensors are
+    (B, m, ..., m, n), B = 1 for a single point, and the expression tree is
+    walked once for the whole batch.  The jets of all components are
+    interpolated together (jets.interpolate).  Raises SingularEvaluationError
+    when the map or one of its derivatives overflows or is not finite at some point.
     """
     pts = np.array(points, dtype=float, ndmin=2)
     m = spec.num_params
@@ -535,9 +545,10 @@ def evaluate_map_jets(spec: ImmersionSpec, points, order: int) -> list[Jet]:
     # a constant component is a jet with zero derivatives
     out = [j if isinstance(j, Jet) else Jet(m, order, np.full(len(pts), j)) for j in out]
     with np.errstate(all="ignore"):  # rejected just below
-        blocks = jets.interpolate(out)
-    finite = np.all([np.isfinite(b).reshape(len(pts), -1).all(axis=1) for b in blocks], axis=0)
-    if not finite.all():
+        tensors = jets.interpolate(out)
+    if not all(np.isfinite(t).all() for t in tensors):  # then find the first such point
+        finite = [np.isfinite(t).reshape(len(pts), -1).all(axis=1) for t in tensors]
+        finite = np.all(finite, axis=0)
         bad = tuple(pts[np.argmin(finite)].tolist())
         raise SingularEvaluationError(f"map or its derivatives not finite at {bad}")
-    return out
+    return tensors

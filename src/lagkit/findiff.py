@@ -17,8 +17,9 @@ each coordinate its offsets in the order the nested stencil adds them; rows
 that add the same offsets to every coordinate in the same order are the same
 floats at any point and step, so they are merged once per (m, order).  It
 evaluates each distinct point (keyed on its exact bits) once, in
-first-request order, in one batch; and collapses the values innermost level
-first with the nested stencil's weighted sum.  Every coordinate and
+first-request order, in one batch; and collapses the values with the nested
+stencil's weighted sum in one pass per level, innermost first, each pass over
+the rows of every order that level reaches.  Every coordinate and
 floating-point operation is the nested stencils', so the tensors are
 bit-identical to theirs.
 """
@@ -186,31 +187,18 @@ def finite_difference_oracle(
     values = eval_map_numeric(spec, pts[requested])[np.searchsorted(requested, first)[inverse][rows]]
 
     with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-        out, values = {0: values[0]}, values[1:]
+        out, v = {0: values[0]}, values[1:]
+        # one pass per level, innermost first, over the rows of every order it
+        # reaches: ((w0 v0 + w1 v1) + w2 v2) + w3 v3, then / (12 h), as nested;
+        # order k is done after k passes, and its m^k rows lead the rest
         for k in range(1, order + 1):
-            v, values = np.split(values, [(m * len(_OFFSETS)) ** k])
-            v = v.reshape((m**k,) + (len(_OFFSETS),) * k + (-1,))
-            # innermost level first, with the nested stencil's operation order:
-            # ((w0 v0 + w1 v1) + w2 v2) + w3 v3, then / (12 h)
-            for _ in range(k):
-                head, *tail = (w * v[..., s, :] for s, w in enumerate(_WEIGHTS))
-                v = sum(tail, head) / (_NORM * step)
-            out[k] = v.reshape((m,) * k + (-1,))
+            v = v.reshape(-1, len(_OFFSETS), v.shape[-1])
+            head, *tail = (w * v[:, s] for s, w in enumerate(_WEIGHTS))
+            v = sum(tail, head) / (_NORM * step)
+            out[k], v = v[: m**k].reshape((m,) * k + (-1,)), v[m**k :]
     if not all(np.isfinite(t).all() for t in out.values()):
         raise SingularEvaluationError(f"finite differences not finite at {tuple(x.tolist())}")
     return out
-
-
-def _jet_tensors(spec: ImmersionSpec, point, order: int) -> dict[int, np.ndarray]:
-    from .dsl import evaluate_map_jets
-
-    jets = evaluate_map_jets(spec, point, order)  # a batch of one point
-    # components last, as in the oracle's tensors (np.array and a transpose
-    # cost a fifth of np.stack on these few small blocks)
-    return {
-        k: np.array([jet.blocks[k][0] for jet in jets]).transpose(*range(1, k + 1), 0)
-        for k in range(order + 1)
-    }
 
 
 def jet_fd_deviation(
@@ -225,9 +213,11 @@ def jet_fd_comparison(
 ) -> dict[int, tuple[float, float]]:
     """(max |jet - finite difference|, max |finite difference|) per derivative
     order (1..order): the deviation and the size it is to be judged against."""
+    from .dsl import evaluate_map_jets  # the jet code, looked up when called
+
     fd = finite_difference_oracle(spec, point, order, step)
-    jt = _jet_tensors(spec, point, order)
+    jt = evaluate_map_jets(spec, point, order)  # a batch of one: [0] is the oracle's layout
     return {
-        k: (float(np.max(np.abs(jt[k] - fd[k]))), float(np.max(np.abs(fd[k]))))
+        k: (float(np.max(np.abs(jt[k][0] - fd[k]))), float(np.max(np.abs(fd[k]))))
         for k in range(1, order + 1)
     }

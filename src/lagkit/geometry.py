@@ -100,10 +100,9 @@ def build_frame(spec: ImmersionSpec, points, need_third: bool = False) -> FrameB
     blocks = [np.empty((len(pts),) + (m,) * k + (n,), dtype=complex) for k in range(order + 1)]
     for start in range(0, len(pts), CHUNK):
         chunk = slice(start, start + CHUNK)
-        for c, jet in enumerate(evaluate_map_jets(spec, pts[chunk], order)):
-            for block, jet_block in zip(blocks, jet.blocks):
-                block[chunk, ..., c] = jet_block
-        del jet, jet_block  # they view the tensors of all the chunk's components
+        for block, tensor in zip(blocks, evaluate_map_jets(spec, pts[chunk], order)):
+            block[chunk] = tensor
+        del tensor  # the chunk's highest-order tensor, not needed by assemble_frame
     return assemble_frame(spec, pts, *(block.view(float) for block in blocks))
 
 

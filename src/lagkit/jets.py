@@ -51,7 +51,7 @@ _DEGREE = 3  # every direction s has |s| = 3
 class Jet:
     """Complex values plus Taylor coefficients of a function of m real variables."""
 
-    __slots__ = ("num_vars", "order", "_coeffs", "_pending", "_blocks")
+    __slots__ = ("num_vars", "order", "_coeffs", "_pending")
 
     def __init__(self, num_vars, order, value, gradient=None, hessian=None, third=None):
         if order not in (0, 1, 2, 3):
@@ -59,7 +59,7 @@ class Jet:
         if num_vars < 1:
             raise ValueError(f"jet needs at least one variable, got {num_vars}")
         m = self.num_vars = num_vars
-        self.order, self._pending, self._blocks = order, (), None
+        self.order, self._pending = order, ()
         coeffs = [np.array(value, dtype=complex)]
         batch = coeffs[0].shape
         for k, block in zip(range(1, order + 1), (gradient, hessian, third)):
@@ -98,9 +98,7 @@ class Jet:
     @property
     def blocks(self) -> tuple:
         """(value, gradient, hessian, third) up to the jet's order."""
-        if self._blocks is None:
-            interpolate([self])
-        return self._blocks
+        return tuple(block[..., 0] for block in interpolate([self]))
 
     gradient = property(lambda self: self.blocks[1] if self.order >= 1 else None)
     hessian = property(lambda self: self.blocks[2] if self.order >= 2 else None)
@@ -181,7 +179,7 @@ def _new(like: Jet, *coeffs, pending=()) -> Jet:
     """
     out = object.__new__(Jet)
     out.num_vars, out.order, out._coeffs = like.num_vars, like.order, coeffs
-    out._pending, out._blocks = pending, None
+    out._pending = pending
     return out
 
 
@@ -256,7 +254,7 @@ def interpolate(jets: list[Jet]) -> list[np.ndarray]:
     """The blocks (value, gradient, hessian, third) up to the order of the
     jets, which share num_vars, order and point shape, stacked along a last
     axis of length n, with the pending constant operations of each jet
-    applied to its blocks; each jet keeps views of its own.
+    applied to its blocks.
 
     Per degree, the coefficients of all n jets are stacked as (D, points, n)
     and multiplied by W_k in one real matrix product on their float view.
@@ -273,9 +271,9 @@ def interpolate(jets: list[Jet]) -> list[np.ndarray]:
         coeffs = coeffs.reshape(m**k, size, n).transpose(1, 0, 2)
         stacked.append(coeffs.reshape(batch + (m,) * k + (n,)))
     for c, jet in enumerate(jets):
-        jet._blocks = tuple(block[..., c] for block in stacked)
         if jet._pending:
-            for view, block in zip(jet._blocks, _apply(jet._pending, jet._blocks)):
+            views = tuple(block[..., c] for block in stacked)
+            for view, block in zip(views, _apply(jet._pending, views)):
                 view[...] = block
     return stacked
 

@@ -1,5 +1,6 @@
 """Catalog integrity: the shipped sources, expectations, and suite outcomes."""
 
+import json
 import subprocess
 import sys
 
@@ -47,6 +48,33 @@ def test_catalog_names_parses_no_source():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "1"]
+
+
+def test_listing_reads_the_table_alone():
+    # the parameter count and signature that `lagkit catalog` prints come from
+    # the static table, which must agree with the specs ...
+    from lagkit.catalog import _listing
+
+    for name in catalog_names():
+        row, spec = _listing(name), catalog(name)
+        assert (row["params"], row["signature"]) == (spec.num_params, spec.signature), name
+    # ... so listing it, in a fresh process, parses no source and builds no product
+    script = (
+        "import sys\n"
+        "import lagkit.dsl as dsl\n"
+        "calls = []\n"
+        "parse = dsl.parse\n"
+        "dsl.parse = lambda text: calls.append(text) or parse(text)\n"
+        "from lagkit.cli import main\n"
+        "main(['catalog', '--json'])\n"
+        "print(len(calls), 'lagkit.products' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["0", "False"]
+    assert [row["name"] for row in json.loads(proc.stdout)] == list(catalog_names())
 
 
 @pytest.mark.parametrize("name", catalog_names())

@@ -2,6 +2,7 @@
 
 import cmath
 import pickle
+import re
 import subprocess
 import sys
 
@@ -151,8 +152,8 @@ class TestDepthLimit:
         spec = parse(_one_component(body))
         assert parse(serialize(spec)).same_structure(spec)
         hash(spec)
-        (jet,) = evaluate_map_jets(spec, [(0.5,)], 3)
-        assert eval_map_numeric(spec, (0.5,))[0] == pytest.approx(jet.value[0])
+        value = evaluate_map_jets(spec, [(0.5,)], 3)[0]  # (1, n): one point, one component
+        assert eval_map_numeric(spec, (0.5,))[0] == pytest.approx(value[0, 0])
 
 
 class TestSerialize:
@@ -224,10 +225,10 @@ class TestEvaluation:
         for pt in [(0.2, -0.3), (0.9, 0.5)]:
             from lagkit.dsl import evaluate_map_jets
 
-            jets_out = evaluate_map_jets(spec, pt, order=0)
+            (value,) = evaluate_map_jets(spec, pt, order=0)  # (1, n)
             direct = eval_map_numeric(spec, pt)
-            for j, z in zip(jets_out, direct):
-                assert j.value == pytest.approx(z)
+            for v, z in zip(value[0], direct):
+                assert v == pytest.approx(z)
 
     def test_imaginary_unit(self):
         spec = parse("params u:[0,1];\nsignature 1 0;\nmap i*i;")
@@ -269,15 +270,36 @@ class TestEvaluation:
                     evaluate(spec, points)
                 assert str(info.value) == message
         check_point_in_domain(spec, [(0.0, -1.0 - 1e-12), (1.0 + 1e-12, 1.0)])  # slack
+        # the box is kept per parameter tuple and slack: a spec with the same
+        # names but other bounds is judged by its own box, in either order
+        wide = parse(GOOD.replace("u:[0,1]", "u:[0,3]"))
+        for s in (wide, spec, wide):
+            if s is wide:
+                check_point_in_domain(s, (2.0, 0.0))
+            else:
+                with pytest.raises(DomainError, match="u=2.0 outside"):
+                    check_point_in_domain(s, (2.0, 0.0))
+        # and an explicit slack is its own box, not the default's
+        check_point_in_domain(spec, (1.0 + 1e-12, 0.0))
+        with pytest.raises(DomainError, match=re.escape("u=1.000000000001 outside")):
+            check_point_in_domain(spec, (1.0 + 1e-12, 0.0), slack=0.0)
+        check_point_in_domain(spec, (1.0 + 1e-9, 0.0), slack=1e-8)
+        with pytest.raises(DomainError, match=re.escape("u=1.000000001 outside")):
+            check_point_in_domain(spec, (1.0 + 1e-9, 0.0))
 
     def test_non_finite_derivatives_rejected(self):
         # the value underflows to 0 while the Hessian is 0 * inf = nan
         spec = parse("params u:[1,2];\nsignature 1 0;\nmap exp(-1e200*u*u);\n")
         from lagkit.dsl import evaluate_map_jets
 
-        assert evaluate_map_jets(spec, (1.5,), order=1)[0].value == 0
+        assert evaluate_map_jets(spec, (1.5,), order=1)[0][0, 0] == 0
         with pytest.raises(SingularEvaluationError, match="not finite"):
             evaluate_map_jets(spec, (1.5,), order=2)
+        # in a batch, the first non-finite point is named: all derivatives
+        # are finite at u = 0, not at the second and third points
+        spec = parse("params u:[0,2];\nsignature 1 0;\nmap exp(-1e200*u*u);\n")
+        with pytest.raises(SingularEvaluationError, match=re.escape("not finite at (1.5,)")):
+            evaluate_map_jets(spec, [(0.0,), (1.5,), (1.25,)], order=2)
 
     def test_overflow_rejected(self):
         spec = parse("params u:[0,800];\nsignature 1 0;\nmap cosh(u);\n")

@@ -109,9 +109,9 @@ def assert_jets_exact(spec, points, order=3):
     parts = exact_tensors(ImmersionSpec(spec.params, Signature(len(nodes), 0), tuple(nodes)), points, order)
     scale = np.max([np.abs(t).reshape(len(points), -1).max(axis=1) for t in parts.values()], axis=0)
     exact = exact_tensors(spec, points, order)
-    for c, jet in enumerate(evaluate_map_jets(spec, points, order)):
-        for k, block in enumerate(jet.blocks):
-            error = np.abs(block - exact[k][..., c]).reshape(len(points), -1).max(axis=1)
+    for k, tensor in enumerate(evaluate_map_jets(spec, points, order)):
+        for c in range(len(spec.components)):
+            error = np.abs(tensor[..., c] - exact[k][..., c]).reshape(len(points), -1).max(axis=1)
             assert (error <= 1e-12 * scale).all(), (k, c, (error / scale).max())
 
 
