@@ -6,8 +6,8 @@ Subcommands:
   crosscheck  compare jet derivatives against finite differences
   catalog     list the built-in examples
 
-Exit status: 0 success, 1 a check or comparison failed, 2 usage error
-(bad arguments, unknown spec, unparseable input).
+Exit status: 0 success, 1 a check or comparison failed, 2 usage error (bad
+arguments, unknown spec, unparseable input) or output that cannot be written.
 
 construct imports products, and crosscheck findiff and sampling, when they
 run, so a `check` or `catalog` process loads neither.
@@ -282,12 +282,15 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; fold both through
         return int(exc.code or 0)
     try:
-        return args.fn(args)
-    except _UsageError as exc:
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at shutdown
+        return status
+    except (_UsageError, LagkitError) as exc:
         print(f"lagkit: {exc}", file=sys.stderr)
         return 2
-    except LagkitError as exc:
-        print(f"lagkit: {exc}", file=sys.stderr)
+    except BrokenPipeError as exc:  # the reader is gone: shutdown flushes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"lagkit: cannot write stdout: {exc}", file=sys.stderr)
         return 2
 
 

@@ -19,6 +19,10 @@ trees or nesting than MAX_DEPTH (100) levels are a DslSyntaxError.
 
 serialize() emits canonical text; parse(serialize(spec)) reproduces the
 params/signature/components structure exactly.
+
+Both evaluators, the jets here and findiff's cmath code, run one plan per spec
+object (_plan): each distinct subtree once, subtrees the same when type, fields
+and operands are, a constant by its exact bits (Num(0.0) == Num(-0.0) as records).
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ __all__ = [
     "parse",
     "serialize",
     "serialize_expr",
-    "eval_expr",
     "evaluate_map_jets",
     "FUNCTION_NAMES",
 ]
@@ -466,33 +469,47 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operato
 
 
 def _apply(fn, x, *rest):
-    """fn(x, *rest); on complex scalars alone, through the jet code at order 0."""
+    """fn(x, *rest); on complex scalars alone, through the jet code at order 0:
+    values free of parameters stay scalars, so 2*u costs one scaling."""
     if isinstance(x, Jet) or (rest and isinstance(rest[0], Jet)):
         return fn(x, *rest)
     return complex(fn(Jet(1, 0, x), *rest).value)
 
 
-def eval_expr(e: Expr, env: dict[str, Jet]):
-    """Evaluate an expression over a jet environment.
-
-    Subexpressions free of parameters stay complex scalars: the jets mix them
-    in as constants, so `2*u` costs one scaling, not one jet product.
-    """
-    rule = _RULES.get(type(e))
-    if rule is None:
-        raise TypeError(f"not an expression node: {e!r}")
-    return rule(e, env)
-
-
-_RULES = {
-    Num: lambda e, env: complex(e.value),
-    Imag: lambda e, env: 1j,
-    Ref: lambda e, env: env[e.name],
-    Neg: lambda e, env: -eval_expr(e.arg, env),
-    Bin: lambda e, env: _apply(_BINARY[e.op], eval_expr(e.left, env), eval_expr(e.right, env)),
-    Pow: lambda e, env: _apply(jets.ipow, eval_expr(e.base, env), e.exponent),
-    Call: lambda e, env: _apply(_FUNCTIONS[e.fn], eval_expr(e.arg, env)),
+# node type -> (field a plan step keeps, operand fields, jet operation on (field, seeds, *operands))
+_NODES = {
+    Num: ("value", (), lambda value, seeds: complex(value)),
+    Imag: (None, (), lambda _, seeds: 1j),
+    Ref: ("name", (), lambda k, seeds: seeds[k]),
+    Neg: (None, ("arg",), lambda _, seeds, a: -a),
+    Bin: ("op", ("left", "right"), lambda op, seeds, a, b: _apply(_BINARY[op], a, b)),
+    Pow: ("exponent", ("base",), lambda k, seeds, a: _apply(jets.ipow, a, k)),
+    Call: ("fn", ("arg",), lambda fn, seeds, a: _apply(_FUNCTIONS[fn], a)),
 }
+
+
+@functools.lru_cache(maxsize=64)  # plans kept, least recently used dropped first
+def _plan(spec: ImmersionSpec, _identity: int) -> tuple[tuple, tuple[int, ...]]:
+    """spec's map as (steps, roots): each distinct subtree once, in the order a
+    recursive walk first reaches it, as (node type, field, *operand steps), a
+    Ref's field its parameter index; and each component's step.  An invalid node
+    raises KeyError or TypeError.  Keyed on the object too: see module doc."""
+    index, steps = {p.name: k for k, p in enumerate(spec.params)}, {}
+
+    def step(e) -> int:
+        kind = type(e)
+        if kind not in _NODES or (kind is Pow and type(e.exponent) is not int):
+            raise TypeError(f"not an expression node: {e!r}")
+        name, children, _ = _NODES[kind]
+        field = index[e.name] if kind is Ref else getattr(e, name) if name else None
+        if kind in (Bin, Call) and field not in (_BINARY if kind is Bin else _FUNCTIONS):
+            raise KeyError(field)
+        operands = tuple(step(getattr(e, child)) for child in children)
+        key = (kind, np.float64(field).tobytes() if isinstance(field, float) else field, operands)
+        return steps.setdefault(key, (len(steps), (kind, field, *operands)))[0]
+
+    roots = tuple(step(c) for c in spec.components)
+    return tuple(s for _, s in steps.values()), roots
 
 
 _SLACK = 1e-12
@@ -527,21 +544,24 @@ def evaluate_map_jets(spec: ImmersionSpec, points, order: int) -> list[np.ndarra
     order, at a batch of interior points.
 
     points is one point (m,) or a batch (B, m); either way the tensors are
-    (B, m, ..., m, n), B = 1 for a single point, and the expression tree is
-    walked once for the whole batch.  The jets of all components are
-    interpolated together (jets.interpolate).  Raises SingularEvaluationError
+    (B, m, ..., m, n), B = 1 for a single point, and each step of the spec's plan
+    (_plan) is one jet operation for the whole batch.  The jets of all components
+    are interpolated together (jets.interpolate).  Raises SingularEvaluationError
     when the map or one of its derivatives overflows or is not finite at some point.
     """
     pts = np.array(points, dtype=float, ndmin=2)
     m = spec.num_params
     check_point_in_domain(spec, pts)
-    env = {p.name: Jet.seed(k, pts[:, k], m, order) for k, p in enumerate(spec.params)}
+    steps, roots = _plan(spec, id(spec))
+    seeds, values = [Jet.seed(k, pts[:, k], m, order) for k in range(m)], []
     try:
         with np.errstate(all="ignore"):  # rejected just below
-            out = [eval_expr(c, env) for c in spec.components]
+            for kind, field, *operands in steps:
+                values.append(_NODES[kind][2](field, seeds, *[values[i] for i in operands]))
     except OverflowError as exc:
         where = tuple(pts[0].tolist()) if len(pts) == 1 else f"one of {len(pts)} points"
         raise SingularEvaluationError(f"map overflows at {where}: {exc}") from exc
+    out = [values[r] for r in roots]
     # a constant component is a jet with zero derivatives
     out = [j if isinstance(j, Jet) else Jet(m, order, np.full(len(pts), j)) for j in out]
     with np.errstate(all="ignore"):  # rejected just below

@@ -10,8 +10,8 @@ The 4-point stencil matters: third derivatives of some catalog maps are large
 3-point stencil would lose the order-3 agreement budget at step 1e-2.
 
 Each spec's map is compiled once to straight-line Python, one statement per
-expression node, doing the complex/cmath operations of a recursive walk of
-the tree in the walk's order, so every value and error is the walk's.  An
+step of its plan (dsl._plan): each distinct subexpression, constants by exact
+bits, once, in walk order, so every value and error is the walk's.  An
 oracle call stacks the points of all its stencils, centre first, adding to
 each coordinate its offsets in the order the nested stencil adds them; rows
 that add the same offsets to every coordinate in the same order are the same
@@ -32,7 +32,7 @@ import itertools
 
 import numpy as np
 
-from .dsl import Bin, Call, Imag, ImmersionSpec, Neg, Num, Pow, Ref, check_point_in_domain
+from .dsl import Bin, Call, Imag, ImmersionSpec, Neg, Num, Pow, Ref, _plan, check_point_in_domain
 from .errors import DomainError, SingularEvaluationError
 
 __all__ = [
@@ -47,18 +47,16 @@ _OFFSETS = (-2.0, -1.0, 1.0, 2.0)
 _WEIGHTS = (1.0, -8.0, 8.0, -1.0)
 _NORM = 12.0
 _REACH = 2.0  # stencil reach per differentiation level, in units of h
-
-_CFUNCS = {name: getattr(cmath, name) for name in ("exp", "sin", "cos", "sinh", "cosh", "sqrt")}
 _BINARY = {"+": "+", "-": "-", "*": "*", "/": "/"}  # operator -> its source text
 
 
 @functools.lru_cache(maxsize=64)  # compiled maps kept, least recently used dropped first
 def _compiled(spec: ImmersionSpec, _identity: int):
     """spec's map as run(rows, out), appending the component values of each row
-    to out.  Its source holds generated names and fixed text only (constants
-    and functions are read from K), so a node that is not a valid expression
-    raises before any code runs.  Keyed on the object too: Num(0.0) == Num(-0.0)."""
-    args = {p.name: f"x{k}" for k, p in enumerate(spec.params)}
+    to out, one statement per step of its plan (dsl._plan), keyed as the plan.
+    Its source holds generated names and fixed text only (constants and
+    functions are read from K): a bad node raises, in _plan, before code runs."""
+    steps, roots = _plan(spec, _identity)
     coords = "".join(f"x{k}, " for k in range(spec.num_params))
     consts, lines = [], ["def run(rows, out):", f"    for {coords}in rows:"]
 
@@ -66,25 +64,18 @@ def _compiled(spec: ImmersionSpec, _identity: int):
         consts.append(value)
         return f"K[{len(consts) - 1}]"
 
-    rules = {
-        Num: lambda e: f"complex({const(e.value)})",
-        Imag: lambda e: "1j",
-        Ref: lambda e: f"complex({args[e.name]})",
-        Neg: lambda e: f"-{node(e.arg)}",
-        Bin: lambda e: f"{node(e.left)} {_BINARY[e.op]} {node(e.right)}",
-        Pow: lambda e: f"{node(e.base)} ** {const(e.exponent)}",
-        Call: lambda e: f"{const(_CFUNCS[e.fn])}({node(e.arg)})",
+    rules = {  # node type -> its statement's expression, from (field, *operand names)
+        Num: lambda value: f"complex({const(value)})",
+        Imag: lambda _: "1j",
+        Ref: lambda k: f"complex(x{k})",
+        Neg: lambda _, a: f"-{a}",
+        Bin: lambda op, a, b: f"{a} {_BINARY[op]} {b}",
+        Pow: lambda k, a: f"{a} ** {const(k)}",
+        Call: lambda fn, a: f"{const(getattr(cmath, fn))}({a})",
     }
-
-    def node(e) -> str:
-        if type(e) not in rules or (type(e) is Pow and type(e.exponent) is not int):
-            raise TypeError(f"not an expression node: {e!r}")
-        text = rules[type(e)](e)  # emits the operands' statements first
-        lines.append(f"        t{len(lines)} = {text}")
-        return f"t{len(lines) - 1}"
-
-    values = "".join(f"{node(c)}, " for c in spec.components)
-    lines.append(f"        out.append(({values}))")
+    for i, (kind, field, *operands) in enumerate(steps):
+        lines.append(f"        t{i} = {rules[kind](field, *(f't{j}' for j in operands))}")
+    lines.append(f"        out.append(({''.join(f't{r}, ' for r in roots)}))")
     namespace = {"K": tuple(consts)}
     exec(compile("\n".join(lines), "<compiled map>", "exec"), namespace)
     return namespace["run"]

@@ -11,10 +11,11 @@ the contiguous point axis; a jet built from scalars has no point axis.
 A product is the truncated Cauchy product; exp, sin, cos, sinh, cosh, 1/x and
 sqrt are the univariate chain rule on their derivatives f0..f3 at the values.
 A Python number mixes in as a constant: a shift moves the value, a factor or
-negation every coefficient.  Such constant operations stay pending until the
-jet meets another jet or a function, and those still pending at the end act
-on the derivative tensors, so k * (f + c) has exactly the tensors of f
-shifted and scaled.
+negation every coefficient.  Such constant operations stay pending, a jet
+or function the jet meets seeing them applied, and act on the derivative
+tensors at the end, so k * (f + c) has exactly the tensors of f shifted and
+scaled, also when dsl._plan shares it as an operand: one jet per distinct
+subexpression of a map, constants told apart by their exact bits.
 
 The derivative tensors come back by interpolation: T_k = f_k @ W_k for fixed
 (D, m^k) weights, exact rationals rounded once.  `interpolate` applies W_k
@@ -51,7 +52,7 @@ _DEGREE = 3  # every direction s has |s| = 3
 class Jet:
     """Complex values plus Taylor coefficients of a function of m real variables."""
 
-    __slots__ = ("num_vars", "order", "_coeffs", "_pending")
+    __slots__ = ("num_vars", "order", "_coeffs", "_pending", "_applied")
 
     def __init__(self, num_vars, order, value, gradient=None, hessian=None, third=None):
         if order not in (0, 1, 2, 3):
@@ -59,7 +60,7 @@ class Jet:
         if num_vars < 1:
             raise ValueError(f"jet needs at least one variable, got {num_vars}")
         m = self.num_vars = num_vars
-        self.order, self._pending = order, ()
+        self.order, self._pending, self._applied = order, (), None
         coeffs = [np.array(value, dtype=complex)]
         batch = coeffs[0].shape
         for k, block in zip(range(1, order + 1), (gradient, hessian, third)):
@@ -88,10 +89,10 @@ class Jet:
 
     @property
     def coeffs(self) -> tuple:
-        """(value, degree 1, ..., degree order) arrays, pending operations applied."""
-        if self._pending:
-            self._coeffs, self._pending = _apply(self._pending, self._coeffs), ()
-        return self._coeffs
+        """(value, degree 1, ..., degree order) arrays, pending operations applied once, not in place."""
+        if self._pending and self._applied is None:
+            self._applied = _apply(self._pending, self._coeffs)
+        return self._applied or self._coeffs
 
     value = property(lambda self: self.coeffs[0])
 
@@ -179,7 +180,7 @@ def _new(like: Jet, *coeffs, pending=()) -> Jet:
     """
     out = object.__new__(Jet)
     out.num_vars, out.order, out._coeffs = like.num_vars, like.order, coeffs
-    out._pending = pending
+    out._pending, out._applied = pending, None
     return out
 
 

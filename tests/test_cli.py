@@ -349,6 +349,34 @@ class TestExitContract:
             assert code in (0, 1, 2)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "real_circle_S3", "--json"],
+        ["construct", "real_circle_S3"],
+        ["crosscheck", "real_circle_S3", "--points", "1"],
+        ["catalog", "--json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_closed_stdout_exits_two_without_a_traceback(argv):
+    # the reader is gone before the child writes: with stdout unbuffered the
+    # write fails, buffered the flush at the end does
+    for unbuffered in ("1", ""):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lagkit.cli", *argv],
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+                env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 2, proc.stderr
+        assert re.fullmatch(r"lagkit: cannot write stdout: .*\n", proc.stderr), proc.stderr
+
+
 class TestCatalogCommand:
     def test_lists_names(self, capsys):
         assert run_main("catalog") == 0

@@ -6,10 +6,13 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lagkit import dsl, jets
+from lagkit.ambient import Signature
 from lagkit.catalog import catalog, catalog_names
 from lagkit.dsl import (
     MAX_DEPTH,
@@ -36,6 +39,8 @@ from lagkit.errors import (
 )
 from lagkit.dsl import check_point_in_domain, evaluate_map_jets
 from lagkit.findiff import eval_map_numeric
+from lagkit.jets import Jet
+from lagkit.sampling import sample_points
 
 
 GOOD = (
@@ -186,7 +191,7 @@ _leaf = st.sampled_from(
 )
 
 
-def _expr_strategy(leaves=_leaf, functions=("exp", "sin", "cos"), min_exponent=0):
+def _expr_strategy(leaves=_leaf, functions=("exp", "sin", "cos"), min_exponent=0, max_leaves=12):
     return st.recursive(
         leaves,
         lambda children: st.one_of(
@@ -201,8 +206,18 @@ def _expr_strategy(leaves=_leaf, functions=("exp", "sin", "cos"), min_exponent=0
                 lambda t: Call(t[0], t[1])
             ),
         ),
-        max_leaves=12,
+        max_leaves=max_leaves,
     )
+
+
+@st.composite
+def shared_components(draw, leaves=_leaf, functions=("exp", "sin", "cos"), min_exponent=0):
+    """Two components built over a pool of up to three subtrees, so that equal
+    subtrees recur within and across the components."""
+    small = _expr_strategy(leaves, functions, min_exponent, max_leaves=4)
+    pool = draw(st.lists(small, min_size=1, max_size=3))
+    exprs = _expr_strategy(st.sampled_from(pool) | leaves, functions, min_exponent, max_leaves=6)
+    return draw(exprs), draw(exprs)
 
 
 class TestRoundTripProperty:
@@ -315,6 +330,127 @@ class TestEvaluation:
         assert spec.name == "probe"
         assert spec.expected_index == 0
         assert spec.with_metadata(name="other").expected_index == 0
+
+
+# Reference evaluator: the recursive walk of the expression tree that the plan
+# replaced, one jet operation per node and occurrence.  evaluate_map_jets must
+# give its tensors and errors exactly.
+def eval_expr(e, env):
+    rule = _RULES.get(type(e))
+    if rule is None:
+        raise TypeError(f"not an expression node: {e!r}")
+    return rule(e, env)
+
+
+_RULES = {
+    Num: lambda e, env: complex(e.value),
+    Imag: lambda e, env: 1j,
+    Ref: lambda e, env: env[e.name],
+    Neg: lambda e, env: -eval_expr(e.arg, env),
+    Bin: lambda e, env: dsl._apply(
+        dsl._BINARY[e.op], eval_expr(e.left, env), eval_expr(e.right, env)
+    ),
+    Pow: lambda e, env: dsl._apply(jets.ipow, eval_expr(e.base, env), e.exponent),
+    Call: lambda e, env: dsl._apply(dsl._FUNCTIONS[e.fn], eval_expr(e.arg, env)),
+}
+
+
+def walk_map_jets(spec, points, order):
+    pts = np.array(points, dtype=float, ndmin=2)
+    m = spec.num_params
+    check_point_in_domain(spec, pts)
+    env = {p.name: Jet.seed(k, pts[:, k], m, order) for k, p in enumerate(spec.params)}
+    try:
+        with np.errstate(all="ignore"):
+            out = [eval_expr(c, env) for c in spec.components]
+    except OverflowError as exc:
+        where = tuple(pts[0].tolist()) if len(pts) == 1 else f"one of {len(pts)} points"
+        raise SingularEvaluationError(f"map overflows at {where}: {exc}") from exc
+    out = [j if isinstance(j, Jet) else Jet(m, order, np.full(len(pts), j)) for j in out]
+    with np.errstate(all="ignore"):
+        tensors = jets.interpolate(out)
+    if not all(np.isfinite(t).all() for t in tensors):
+        finite = [np.isfinite(t).reshape(len(pts), -1).all(axis=1) for t in tensors]
+        bad = tuple(pts[np.argmin(np.all(finite, axis=0))].tolist())
+        raise SingularEvaluationError(f"map or its derivatives not finite at {bad}")
+    return tensors
+
+
+def _outcome(evaluate):
+    """("value", shape and bytes of each tensor) or (exception type, message)."""
+    try:
+        return "value", [(t.shape, t.tobytes()) for t in evaluate()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_as_walk(spec, points, order=3):
+    want = _outcome(lambda: walk_map_jets(spec, points, order))
+    assert _outcome(lambda: evaluate_map_jets(spec, points, order)) == want
+
+
+_UV = (Param("u", -1.0, 1.0), Param("v", 0.0, 2.0))
+_TWO_U = Bin("*", Num(2.0), Ref("u"))
+_OVERFLOW = Call("exp", Bin("*", Num(800.0), Ref("v")))  # beyond float range for v > 0.89
+
+
+def _zero_times(zero):  # its imaginary part has the sign of zero
+    return Bin("*", Num(zero), Bin("+", Neg(Num(1.0)), Imag()))
+
+
+class TestSharedEvaluation:
+    """One jet operation per distinct subexpression gives the walk's tensors
+    and errors, bit for bit."""
+
+    @given(
+        shared_components(st.one_of(_leaf, st.sampled_from([Num(800.0), Num(1e-160)]))),
+        st.lists(st.tuples(st.floats(-1, 1), st.floats(0, 2)), min_size=1, max_size=3),
+        st.sampled_from([1, 3]),
+    )
+    # a shared jet with a pending scaling is a component and an operand
+    @example((_TWO_U, Bin("*", _TWO_U, Ref("v"))), [(0.5, 1.0)], 3)
+    @example((Bin("*", Num(2.5), Call("sin", Ref("u"))),
+              Bin("*", Bin("*", Num(2.5), Call("sin", Ref("u"))), Ref("v"))), [(0.3, 0.7)], 3)
+    # equal records, other bits
+    @example((_zero_times(0.0), _zero_times(-0.0)), [(0.5, 1.0)], 3)
+    # the shared subtree overflows: the walk's message
+    @example((Bin("+", _OVERFLOW, Ref("u")), _OVERFLOW), [(0.5, 1.5)], 3)
+    @example((Bin("+", _OVERFLOW, Ref("u")), _OVERFLOW), [(0.5, 0.5), (0.5, 1.5)], 1)
+    @settings(max_examples=300, deadline=None)
+    def test_tensors_and_errors_of_the_recursive_walk(self, components, points, order):
+        assert_same_as_walk(ImmersionSpec(_UV, Signature(2, 0), components), points, order)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog(self, name):
+        spec = catalog(name)
+        assert_same_as_walk(spec, sample_points(spec, 7, seed=5))
+
+    def test_one_jet_operation_per_distinct_subexpression(self, monkeypatch):
+        spec = catalog("product_S1xS2")
+        pt = sample_points(spec, 1, seed=3)[0]
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return compose(*args)
+
+        compose = jets._compose
+        monkeypatch.setattr(jets, "_compose", counting)
+        evaluate_map_jets(spec, pt, 3)
+        assert len(calls) == 5  # the walk's 8 repeat exp(i*t) in every component
+        calls.clear()
+        walk_map_jets(spec, pt, 3)
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize(
+        "component",
+        [Call("tan", Ref("u")), Bin("%", Ref("u"), Num(2.0)), Pow(Ref("u"), 2.0), Ref("w"), "u"],
+        ids=repr,
+    )
+    def test_invalid_node_raises(self, component):
+        spec = ImmersionSpec((Param("u", -1.0, 1.0),), Signature(1, 0), (component,))
+        with pytest.raises((KeyError, TypeError)):
+            evaluate_map_jets(spec, (0.5,), 1)
 
 
 class TestRecords:

@@ -11,18 +11,20 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from lagkit.ambient import Signature
 from lagkit.catalog import catalog, catalog_names
+from lagkit.checks import SampleConfig, check_lagrangian
 from lagkit.dsl import Bin, Call, Expr, Imag, ImmersionSpec, Neg, Num, Param, Pow, Ref
 from lagkit.dsl import evaluate_map_jets
-from lagkit.errors import LagkitError
+from lagkit.errors import DegenerateMetricError, LagkitError
 from lagkit.findiff import eval_map_numeric
+from lagkit.geometry import build_frame
 from lagkit.jets import _monomials, _weights
 from lagkit.sampling import sample_points
-from test_dsl import _expr_strategy
+from test_dsl import _expr_strategy, assert_same_as_walk
 
 ZERO = Num(0.0)
 _DERIVATIVE = {  # f'(a) for f(a) = Call(fn, a)
@@ -146,3 +148,73 @@ def test_drawn_specs_match_exact_derivatives(components):
     except (LagkitError, ArithmeticError, ValueError, RuntimeWarning):
         return  # singular at a sample point: nothing to compare
     assert_jets_exact(spec, points)
+
+
+# Random Lagrangian immersions: the graph L_j = x_j + i eta_j d_j f of the
+# gradient of a real function f in C^m_s, eta_j = -1 on the s negated
+# coordinates.  Then omega(d_a L, d_b L) = d_a d_b f - d_b d_a f = 0; a
+# rotation eps (-x2, x1) added to the gradient makes it -2 eps for a, b = 1, 2.
+_NAMES = ("x1", "x2", "x3")
+
+
+def _real_trees(names, depth):
+    """Real expressions in the named parameters, at most depth levels deep."""
+    leaves = st.sampled_from([Num(1.0), Num(0.5), *map(Ref, names)])
+    if depth == 1:
+        return leaves
+    sub = _real_trees(names, depth - 1)
+    return st.one_of(
+        leaves,
+        st.builds(Bin, st.sampled_from("+-*"), sub, sub),
+        st.builds(Neg, sub),
+        st.builds(Pow, sub, st.integers(0, 3)),
+        st.builds(Call, st.sampled_from(("sin", "cos")), sub),
+    )
+
+
+def _graphs(min_dim):
+    """(m, s, f) with m in min_dim..3, s in 0..m and f of depth 4."""
+    return st.integers(min_dim, 3).flatmap(
+        lambda m: st.tuples(st.just(m), st.integers(0, m), _real_trees(_NAMES[:m], 4))
+    )
+
+
+def gradient_graph(m, s, f, eps=0.0):
+    names = _NAMES[:m]
+    rotation = (Neg(Ref("x2")), Ref("x1")) if eps else ()
+    components = []
+    for j, x in enumerate(names):
+        d = derivative(f, x)
+        if j < len(rotation):
+            d = Bin("+", d, Bin("*", Num(eps), rotation[j]))
+        components.append(Bin("+", Ref(x), Bin("*", Neg(Imag()) if j < s else Imag(), d)))
+    params = tuple(Param(x, -1.0, 1.0) for x in names)
+    return ImmersionSpec(params, Signature(m, s), tuple(components))
+
+
+def lagrangian_entry(spec):
+    """check_lagrangian at 30 points; the map's derivatives repeat subterms of
+    f, so the jets are held to the recursive walk's tensors there too."""
+    points = np.array(sample_points(spec, 30, seed=1))
+    assert_same_as_walk(spec, points)
+    try:
+        frames = build_frame(spec, points)
+    except DegenerateMetricError:  # s > 0 only: the induced metric can be singular
+        reject()
+    return check_lagrangian(frames, SampleConfig(num_points=30))
+
+
+@given(_graphs(1))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_gradient_graphs_are_lagrangian(case):
+    entry = lagrangian_entry(gradient_graph(*case))
+    assert entry.passed, entry.max_residual
+
+
+@given(_graphs(2))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_a_rotation_in_the_gradient_breaks_isotropy(case):
+    eps = 1e-3
+    entry = lagrangian_entry(gradient_graph(*case, eps=eps))
+    assert entry.max_residual == pytest.approx(2 * eps, rel=1e-9)
+    assert not entry.passed

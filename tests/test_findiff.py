@@ -37,7 +37,7 @@ from lagkit.findiff import (
     jet_fd_deviation,
 )
 from lagkit.sampling import sample_points
-from test_dsl import _expr_strategy, _leaf
+from test_dsl import _OVERFLOW, _TWO_U, _expr_strategy, _leaf, _zero_times, shared_components
 
 
 EXP_SPEC = parse("params u:[-3,3];\nsignature 1 0;\nmap exp(i*u);\n")
@@ -141,9 +141,17 @@ _WIDE_EXPRS = _expr_strategy(_WIDE_LEAVES, FUNCTION_NAMES, min_exponent=-3)
 
 class TestCompiledMap:
     @given(
-        st.tuples(_WIDE_EXPRS, _WIDE_EXPRS),
+        st.one_of(
+            st.tuples(_WIDE_EXPRS, _WIDE_EXPRS),
+            shared_components(_WIDE_LEAVES, FUNCTION_NAMES, min_exponent=-3),
+        ),
         st.lists(st.tuples(st.floats(-1, 1), st.floats(0, 2)), min_size=1, max_size=4),
     )
+    # subtrees the map shares: a component that is also an operand, equal
+    # records with other bits, and one that overflows
+    @example((_TWO_U, Bin("*", _TWO_U, Ref("v"))), [(0.5, 1.0)])
+    @example((_zero_times(0.0), _zero_times(-0.0)), [(0.5, 1.0)])
+    @example((Bin("+", _OVERFLOW, Ref("u")), _OVERFLOW), [(0.5, 0.5), (0.5, 1.5)])
     # cmath of inf raises ValueError
     @example((Call("cos", Bin("*", Num(1e200), Num(1e200))), Ref("u")), [(0.5, 1.0)])
     # both operands fail, differently: the left one is reported
@@ -218,6 +226,22 @@ class TestCompiledMap:
         rest = re.sub(r"\b[tx]\d+\b|\bK\[\d+\]|\b1j\b", "", source)
         fixed = {"def", "run", "rows", "out", "for", "in", "complex", "append"}
         assert set(re.findall(r"\w+", rest)) <= fixed
+
+    @pytest.mark.parametrize("name, count", [("product_S1xS2", 15), ("whitney_sphere", 16)])
+    def test_one_statement_per_distinct_subexpression(self, monkeypatch, name, count):
+        # a walk of the tree has 27 and 36: exp(i*t), and whitney_sphere's
+        # factor, in every component
+        sources = []
+
+        def recording(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+
+        monkeypatch.setattr(findiff, "compile", recording, raising=False)
+        spec = catalog(name)
+        eval_map_numeric(spec, sample_points(spec, 1, seed=1)[0])
+        (source,) = sources
+        assert len(re.findall(r"^ +t\d+ = ", source, re.M)) == count
 
     def test_equal_specs_keep_the_sign_of_zero(self):
         # Num(0.0) == Num(-0.0), and z * (-1 + i) has the sign of z in its
