@@ -75,17 +75,11 @@ class AmbientQuadric(Record):
     """Central quadric <z, z> = 1/c: a pseudo hypersphere (c > 0) or pseudo
     hyperbolic space (c < 0)."""
 
-    _fields = ("kind", "c")
+    _fields = ("c",)
 
     def __post_init__(self):
-        if self.kind not in ("pseudo_sphere", "pseudo_hyperbolic"):
-            raise ValueError(f"unknown quadric kind {self.kind!r}")
         if not math.isfinite(self.c) or self.c == 0:
             raise ValueError(f"quadric curvature c must be finite and nonzero, got {self.c!r}")
-        if self.kind == "pseudo_sphere" and self.c < 0:
-            raise ValueError("pseudo_sphere needs c > 0")
-        if self.kind == "pseudo_hyperbolic" and self.c > 0:
-            raise ValueError("pseudo_hyperbolic needs c < 0")
 
     @property
     def radius_sq_signed(self) -> float:

@@ -31,16 +31,20 @@ __all__ = [
     "catalog_source",
 ]
 
-_SPHERE = AmbientQuadric("pseudo_sphere", 1.0)
-_HYPERBOLIC = AmbientQuadric("pseudo_hyperbolic", -1.0)
+_SPHERE = AmbientQuadric(1.0)
+_HYPERBOLIC = AmbientQuadric(-1.0)
 
 
 class CatalogEntry(Record):
-    """One named example: spec, ambient quadric (if any), expectations."""
+    """One named example: spec, summary, expectations."""
 
     # expects: check name -> expected pass/fail, for checks with a definite outcome
-    _fields = ("name", "spec", "quadric", "summary", "expects")
-    expects = {}
+    _fields = ("name", "spec", "summary", "expects")
+
+    @property
+    def quadric(self) -> AmbientQuadric | None:
+        """The spec's declared ambient quadric, if any."""
+        return self.spec.quadric
 
 
 def _read_source(name: str) -> str:
@@ -67,10 +71,10 @@ _LAGRANGIAN_OK = {
     "umbilical": True,
 }
 
-# name -> CatalogEntry fields but the spec, the spec's parameter count and
-# signature (so the table needs no spec), and how to build the spec: from its
-# shipped source, or as the circle product of a base entry; expected_index is
-# the metric index the spec declares
+# name -> the summary and expects of its CatalogEntry, the spec's parameter
+# count and signature (so the table needs no spec), and how to build the spec:
+# from its shipped source, or as the circle product of a base entry; quadric
+# and expected_index (the metric index) are what the spec declares
 _ROWS = {
     "real_circle_S3": dict(
         params=1, signature=Signature(2, 0), expected_index=0,
@@ -166,10 +170,8 @@ def _entry(name: str) -> CatalogEntry:
         spec = circle_product(catalog(row["base"]))
     else:
         spec = parse(_read_source(name))
-    spec = spec.with_metadata(
-        name=name, expected_index=row.get("expected_index"), quadric=row["quadric"]
-    )
-    return CatalogEntry(name, spec, row["quadric"], row["summary"], row["expects"])
+    spec = spec.replace(name=name, expected_index=row.get("expected_index"), quadric=row["quadric"])
+    return CatalogEntry(name, spec, row["summary"], row["expects"])
 
 
 def catalog_names() -> tuple[str, ...]:

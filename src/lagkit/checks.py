@@ -58,9 +58,6 @@ __all__ = [
     "run_suite",
 ]
 
-DEFAULT_TOL = 1e-8
-DEFAULT_TOL_THIRD = 1e-6
-
 # checks whose residuals rest on third derivatives of the immersion
 _THIRD_ORDER_CHECKS = frozenset({"gauss", "codazzi"})
 
@@ -79,8 +76,8 @@ class SampleConfig(Record):
     _fields = ("num_points", "seed", "tol", "tol_third")
     num_points = 20
     seed = 42
-    tol = DEFAULT_TOL
-    tol_third = DEFAULT_TOL_THIRD
+    tol = 1e-8
+    tol_third = 1e-6
 
     def __post_init__(self):
         if self.num_points < 1:
@@ -332,9 +329,10 @@ def _structure_with_fit(frames, cfg, lag_entry, fit, fit_entry):
     recentring moves the position only and rescaling multiplies every
     derivative by k = 1 / scale.  Scaling by the reciprocal, as
     dilate(spec, 1 / scale) does, gives the arrays of the normalized spec bit
-    for bit, without evaluating it.  Returns (entries, Transform or None,
-    normalized frames or the LagkitError that assembling them raised, or None
-    when the bundle is skipped).
+    for bit, without evaluating it.  Returns (entries, Transform, normalized
+    frames or the LagkitError that assembling them raised, the unit quadric
+    AmbientQuadric(epsilon) of the normalized image), or (entries, None, None,
+    None) when the bundle is skipped.
     """
     reason = None
     if not lag_entry.passed:
@@ -344,8 +342,8 @@ def _structure_with_fit(frames, cfg, lag_entry, fit, fit_entry):
     elif abs(fit.radius_sq_signed) < 1e-6:
         reason = "fitted quadric is degenerate (signed r^2 ~ 0)"
     if reason is not None:
-        return {n: _skipped(n, cfg, reason) for n in STRUCTURE_CHECKS}, None, None
-    epsilon = 1.0 if fit.radius_sq_signed > 0 else -1.0
+        return {n: _skipped(n, cfg, reason) for n in STRUCTURE_CHECKS}, None, None, None
+    unit = AmbientQuadric(1.0 if fit.radius_sq_signed > 0 else -1.0)  # c = epsilon
     transform = Transform(fit.center.copy(), math.sqrt(abs(fit.radius_sq_signed)))
     k = 1.0 / transform.scale
     arrays = ((frames.position - fit.center) * k, frames.first * k, frames.second * k)
@@ -356,8 +354,8 @@ def _structure_with_fit(frames, cfg, lag_entry, fit, fit_entry):
         )
     except LagkitError as exc:
         entries = {n: _errored(n, cfg, str(exc)) for n in STRUCTURE_CHECKS}
-        return entries, transform, exc
-    return _structure_entries(frames_n, cfg, epsilon), transform, frames_n
+        return entries, transform, exc, unit
+    return _structure_entries(frames_n, cfg, unit.c), transform, frames_n, unit
 
 
 def check_product_metric(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
@@ -447,7 +445,7 @@ class CheckReport(Record, frozen=False):
             if e.reason is not None:
                 item["reason"] = e.reason
             if e.details:
-                item["details"] = {k: _plain(v) for k, v in e.details.items()}
+                item["details"] = dict(e.details)
             checks[name] = item
         fit = None
         if self.sphere_fit is not None:
@@ -473,19 +471,11 @@ class CheckReport(Record, frozen=False):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
-def _plain(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return float(v)
-    return v
-
-
 def _quadric_from_fit(fit: SphereFit) -> AmbientQuadric | None:
     center_mag = float(np.max(np.abs(fit.center)))
     if center_mag > 1e-6 or abs(fit.radius_sq_signed) < 1e-6:
         return None
-    if fit.radius_sq_signed > 0:
-        return AmbientQuadric("pseudo_sphere", 1.0 / fit.radius_sq_signed)
-    return AmbientQuadric("pseudo_hyperbolic", 1.0 / fit.radius_sq_signed)
+    return AmbientQuadric(1.0 / fit.radius_sq_signed)
 
 
 def _guard(entries, name, cfg, check, frames, *args):
@@ -554,16 +544,13 @@ def run_suite(
             entries["cubic_symmetry"] = _skipped(
                 "cubic_symmetry", cfg, "requires the Lagrangian check to pass"
             )
-        bundle, transform, frames_n = _structure_with_fit(
+        bundle, transform, frames_n, unit = _structure_with_fit(
             frames, cfg, lag, fit, entries["spherical"]
         )
         entries.update(bundle)
         if transform is not None:
             _guard(entries, "product_metric", cfg, check_product_metric, frames_n)
-            unit_quadric = _quadric_for_epsilon(fit)
-            _guard(
-                entries, "umbilical", cfg, check_umbilical_relation, frames_n, unit_quadric
-            )
+            _guard(entries, "umbilical", cfg, check_umbilical_relation, frames_n, unit)
         else:
             reason = "requires the quadric fit and Lagrangian check to pass"
             entries["product_metric"] = _skipped("product_metric", cfg, reason)
@@ -588,7 +575,7 @@ def run_suite(
                 q = _quadric_from_fit(fit)
         if q is not None:
             _guard(entries, "legendrian", cfg, check_legendrian, frames, q)
-            if q.kind == "pseudo_sphere":
+            if q.c > 0:
                 _guard(entries, "horizontal", cfg, check_horizontal, frames)
             _guard(entries, "umbilical", cfg, check_umbilical_relation, frames, q)
         else:
@@ -607,10 +594,3 @@ def run_suite(
         sphere_fit=sphere_fit,
         transform=transform,
     )
-
-
-def _quadric_for_epsilon(fit: SphereFit) -> AmbientQuadric:
-    """Unit quadric matching the sign of the fitted signed square radius."""
-    if fit.radius_sq_signed > 0:
-        return AmbientQuadric("pseudo_sphere", 1.0)
-    return AmbientQuadric("pseudo_hyperbolic", -1.0)

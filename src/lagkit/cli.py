@@ -55,7 +55,7 @@ def _load_spec(ref: str) -> ImmersionSpec:
         except LagkitError as exc:
             raise _UsageError(f"cannot parse {ref}: {exc}") from exc
         name = os.path.splitext(os.path.basename(ref))[0]
-        return spec.with_metadata(name=name)
+        return spec.replace(name=name)
     raise _UsageError(
         f"{ref!r} is neither a catalog name nor an existing file; "
         f"catalog: {', '.join(catalog_names())}"
@@ -76,8 +76,7 @@ def _parse_quadric(text: str, spec: ImmersionSpec) -> AmbientQuadric:
     _require(
         math.isfinite(c) and c != 0, f"--quadric curvature must be finite and nonzero, got {c!r}"
     )
-    kind = "pseudo_sphere" if c > 0 else "pseudo_hyperbolic"
-    return AmbientQuadric(kind, c)
+    return AmbientQuadric(c)
 
 
 def _config(args) -> SampleConfig:
@@ -223,12 +222,13 @@ def _cmd_catalog(args) -> int:
 
 
 def _add_sampling_args(p):
-    p.add_argument("--samples", type=int, default=20, help="sample points per check")
-    p.add_argument("--seed", type=int, default=42, help="sampling seed")
-    p.add_argument("--tol", type=float, default=1e-8, help="tolerance for second-order checks")
-    p.add_argument(
-        "--tol-third", type=float, default=1e-6, help="tolerance for third-order checks"
-    )
+    p.add_argument("--samples", type=int, default=SampleConfig.num_points,
+                   help="sample points per check")
+    p.add_argument("--seed", type=int, default=SampleConfig.seed, help="sampling seed")
+    p.add_argument("--tol", type=float, default=SampleConfig.tol,
+                   help="tolerance for second-order checks")
+    p.add_argument("--tol-third", type=float, default=SampleConfig.tol_third,
+                   help="tolerance for third-order checks")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,6 +28,7 @@ and operands are, a constant by its exact bits (Num(0.0) == Num(-0.0) as records
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import re
 
@@ -146,11 +147,6 @@ class ImmersionSpec(Record):
             and self.components == other.components
         )
 
-    def with_metadata(self, name=None, expected_index=None, quadric=None) -> "ImmersionSpec":
-        """A copy with the metadata that is given (not None) replaced."""
-        given = dict(name=name, expected_index=expected_index, quadric=quadric)
-        return self.replace(**{k: v for k, v in given.items() if v is not None})
-
 
 # -- tokenizer ----------------------------------------------------------------
 
@@ -232,16 +228,27 @@ class _Parser:
         tok = self.cur
         if tok.kind != "num":
             self._fail(f"expected a number, found {tok.text or 'end of input'!r}")
+        value = self._finite(tok)
+        return -value if negative else value
+
+    def _finite(self, tok) -> float:
+        """The number token tok, at the cursor, as a finite float."""
         self._advance()
         value = float(tok.text)
-        return -value if negative else value
+        if not math.isfinite(value):
+            self._fail("numeric literal is not a finite number", tok)
+        return value
 
     def _integer(self) -> int:
         tok = self.cur
         if tok.kind != "num" or any(ch in tok.text for ch in ".eE"):
             self._fail(f"expected an integer, found {tok.text or 'end of input'!r}")
+        try:
+            value = int(tok.text)
+        except ValueError:  # more digits than int() converts
+            self._fail(f"integer literal of {len(tok.text)} digits is too long", tok)
         self._advance()
-        return int(tok.text)
+        return value
 
     def parse_spec(self) -> ImmersionSpec:
         self._expect_keyword("params")
@@ -344,8 +351,7 @@ class _Parser:
     def _atom(self) -> Expr:
         tok = self.cur
         if tok.kind == "num":
-            self._advance()
-            return Num(float(tok.text))
+            return Num(self._finite(tok))
         if tok.kind == "name":
             self._advance()
             if tok.text == "i":
@@ -512,18 +518,18 @@ def _plan(spec: ImmersionSpec, _identity: int) -> tuple[tuple, tuple[int, ...]]:
     return tuple(s for _, s in steps.values()), roots
 
 
-_SLACK = 1e-12
+_SLACK = 1e-12  # how far outside the box a coordinate may round
 
 
 @functools.lru_cache(maxsize=64)
-def _box(params: tuple[Param, ...], slack: float) -> np.ndarray:
-    """The domain box widened by slack, as rows (lo, hi) of shape (2, m)."""
-    box = np.array([(p.lo - slack, p.hi + slack) for p in params]).T
+def _box(params: tuple[Param, ...]) -> np.ndarray:
+    """The domain box widened by _SLACK, as rows (lo, hi) of shape (2, m)."""
+    box = np.array([(p.lo - _SLACK, p.hi + _SLACK) for p in params]).T
     box.flags.writeable = False  # one array for every caller
     return box
 
 
-def check_point_in_domain(spec: ImmersionSpec, points, slack: float = _SLACK):
+def check_point_in_domain(spec: ImmersionSpec, points):
     """Raise DomainError unless the point (m,), or each row of points (P, m), sits
     in the (closed) domain box, naming the first bad coordinate of the first bad row."""
     pts = np.array(points, dtype=float, ndmin=2)
@@ -531,7 +537,7 @@ def check_point_in_domain(spec: ImmersionSpec, points, slack: float = _SLACK):
         raise DomainError(
             f"point has {pts.shape[-1]} coordinates, spec has {spec.num_params} parameters"
         )
-    lo, hi = _box(spec.params, slack)
+    lo, hi = _box(spec.params)
     inside = (lo <= pts) & (pts <= hi)  # NaN is outside too
     if not inside.all():
         bad = np.argwhere(~inside)[0]

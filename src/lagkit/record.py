@@ -3,9 +3,10 @@
 Creating a dataclass execs generated methods, about a millisecond per class,
 which a cold `lagkit check` would pay for every record type it imports.  A
 Record subclass names its fields in `_fields`, and class attributes give
-defaults (a dict default is copied per record).  Records compare by type
-and fields, print like dataclasses, support replace() and refuse assignment
-unless declared with frozen=False; a frozen record computes its hash once.
+defaults (shared by every record, so never a mutable one).  Records compare
+by type and fields, print like dataclasses, support replace() and refuse
+assignment unless declared with frozen=False; a frozen record computes its
+hash once.
 vars(record) maps each field to its value, in `_fields` order.
 """
 
@@ -19,13 +20,11 @@ class Record:
     _fields: tuple[str, ...] = ()
     _template: dict = {}  # field -> its class-attribute default, or _MISSING
     _required: frozenset = frozenset()  # the fields without a default
-    _dicts: frozenset = frozenset()  # the fields whose default is a dict
 
     def __init_subclass__(cls, frozen: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._template = {name: getattr(cls, name, _MISSING) for name in cls._fields}
         cls._required = frozenset(k for k, v in cls._template.items() if v is _MISSING)
-        cls._dicts = frozenset(k for k, v in cls._template.items() if type(v) is dict)
         if not frozen:
             cls.__setattr__ = object.__setattr__
             cls.__hash__ = None  # mutable: equal records may hash apart later
@@ -44,9 +43,6 @@ class Record:
             raise self._misfit()
         self.__dict__.update(self._template)  # in field order, then filled in
         self.__dict__.update(kwargs)
-        if self._dicts:
-            for name in self._dicts.difference(kwargs):
-                self.__dict__[name] = {}  # each record gets its own
         self.__post_init__()
 
     def _misfit(self) -> TypeError:

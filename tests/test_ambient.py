@@ -136,26 +136,19 @@ class TestSymplecticForm:
 
 class TestAmbientQuadric:
     def test_radius(self):
-        q = AmbientQuadric("pseudo_sphere", 4.0)
-        assert q.radius_sq_signed == pytest.approx(0.25)
+        assert AmbientQuadric(4.0).radius_sq_signed == pytest.approx(0.25)
+        assert AmbientQuadric(-0.5).radius_sq_signed == -2.0
+        with pytest.raises(TypeError):  # the sign of c is the kind of quadric
+            AmbientQuadric("pseudo_sphere", 1.0)
 
-    @pytest.mark.parametrize(
-        "kind,c",
-        [
-            ("pseudo_sphere", -1.0),
-            ("pseudo_hyperbolic", 2.0),
-            ("sphere", 1.0),
-            ("pseudo_hyperbolic", float("nan")),
-            ("pseudo_sphere", float("inf")),
-        ],
-    )
-    def test_rejects_inconsistent(self, kind, c):
-        with pytest.raises(ValueError):
-            AmbientQuadric(kind, c)
+    @pytest.mark.parametrize("c", [0.0, -0.0, float("nan"), float("inf"), float("-inf")])
+    def test_rejects_zero_or_non_finite(self, c):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            AmbientQuadric(c)
 
     def test_residual(self):
         # membership defect <z, z> - 1/c
-        sphere = AmbientQuadric("pseudo_sphere", 1.0)
+        sphere = AmbientQuadric(1.0)
         eta = metric_diagonal(Signature(2, 0))
         z = flat([1, 0])
         assert inner_flat(z, z, eta) - sphere.radius_sq_signed == pytest.approx(0.0)

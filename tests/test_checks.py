@@ -33,7 +33,7 @@ from lagkit.products import dilate, translate
 from lagkit.sampling import sample_points
 
 CFG = SampleConfig(num_points=12, seed=7)
-SPHERE = AmbientQuadric("pseudo_sphere", 1.0)
+SPHERE = AmbientQuadric(1.0)
 
 
 def frames_of(name_or_spec, cfg=CFG):
@@ -206,13 +206,13 @@ class TestProductMetric:
 
 class TestUmbilical:
     def test_passes_on_unit_quadric_members(self):
-        sphere = AmbientQuadric("pseudo_sphere", 1.0)
+        sphere = AmbientQuadric(1.0)
         assert check_umbilical_relation(frames_of("clifford_torus"), CFG, sphere).passed
-        ads = AmbientQuadric("pseudo_hyperbolic", -1.0)
+        ads = AmbientQuadric(-1.0)
         assert check_umbilical_relation(frames_of("theorem43_example"), CFG, ads).passed
 
     def test_membership_violation_is_an_error(self):
-        sphere = AmbientQuadric("pseudo_sphere", 1.0)
+        sphere = AmbientQuadric(1.0)
         entry = check_umbilical_relation(frames_of("whitney_sphere"), CFG, sphere)
         assert entry.status == "error"
         assert "membership" in entry.reason
@@ -287,7 +287,7 @@ class TestRunSuite:
         lone = run_suite(
             catalog("pseudo_legendrian_H3"),
             SampleConfig(num_points=1, seed=3),
-            quadric=AmbientQuadric("pseudo_hyperbolic", -1.0),
+            quadric=AmbientQuadric(-1.0),
         )
         assert lone.checks["legendrian"].points_evaluated == 1
 
@@ -353,7 +353,7 @@ def test_normalized_frames_equal_those_of_the_normalized_spec(spec, num_points):
     frames = sample_frames(spec, cfg, need_third=True)
     fit, fit_entry = fit_hypersphere(frames, cfg)
     lag = check_lagrangian(frames, cfg)
-    _, transform, derived = _structure_with_fit(frames, cfg, lag, fit, fit_entry)
+    _, transform, derived, _ = _structure_with_fit(frames, cfg, lag, fit, fit_entry)
     reference = sample_frames(reference_normalized_spec(spec, transform), cfg)
     for name in FrameBatch._fields:
         if name != "spec":

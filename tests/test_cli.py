@@ -54,6 +54,15 @@ DEEP = {
     "calls": "params u:[0.1,1];\nsignature 1 0;\nmap " + "exp(" * 300 + "u" + ")" * 300 + ";\n",
 }
 
+# numeric literals the parser cannot represent: one that float() reads as
+# infinite, and integers with more digits than int() converts
+UNREPRESENTABLE = {
+    "infinite_map": "params u:[0,1];\nsignature 2 0;\nmap 1e999*cos(u), sin(u);\n",
+    "infinite_bound": "params u:[0,1e999];\nsignature 2 0;\nmap cos(u), sin(u);\n",
+    "long_exponent": "params u:[0,1];\nsignature 1 0;\nmap u^" + "1" * 5000 + ";\n",
+    "long_signature": "params u:[0,1];\nsignature " + "1" * 5000 + " 0;\nmap u;\n",
+}
+
 
 class TestCheckCommand:
     def test_pass_exit_zero(self, capsys):
@@ -270,6 +279,18 @@ class TestCrosscheckCommand:
         assert err.startswith("lagkit: ") and "Traceback" not in err
 
 
+class TestUnrepresentableLiterals:
+    @pytest.mark.parametrize("command", ["check", "crosscheck", "construct"])
+    @pytest.mark.parametrize("name", sorted(UNREPRESENTABLE))
+    def test_cannot_parse_exits_two(self, tmp_path, capsys, command, name):
+        path = tmp_path / "literal.imm"
+        path.write_text(UNREPRESENTABLE[name])
+        assert run_main(command, str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"lagkit: cannot parse {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestDeepNesting:
     @pytest.mark.parametrize("command", ["check", "crosscheck", "construct"])
     @pytest.mark.parametrize("name", sorted(DEEP))
@@ -335,6 +356,8 @@ class TestExitContract:
     @example(SINGULAR["cmath_domain_error"])
     @example(DEEP["parentheses"])
     @example(DEEP["calls"])
+    @example(UNREPRESENTABLE["infinite_map"])
+    @example(UNREPRESENTABLE["long_exponent"])
     @settings(derandomize=True, max_examples=40, deadline=None)
     def test_any_spec_keeps_the_contract(self, text):
         with tempfile.TemporaryDirectory() as tmp:

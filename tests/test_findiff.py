@@ -385,9 +385,38 @@ class TestMergedStencilRows:
 
 
 class TestDomainGuard:
-    def test_stencil_must_fit(self):
+    def test_stencil_must_fit(self, monkeypatch):
         with pytest.raises(DomainError):
             finite_difference_oracle(EXP_SPEC, (2.999,), order=1, step=1e-2)
+        runs, checks = [], []
+        compiled, check = findiff._compiled, findiff.check_point_in_domain
+
+        def counting_compiled(spec, identity):
+            run = compiled(spec, identity)
+            return lambda rows, out: runs.append(1) or run(rows, out)
+
+        monkeypatch.setattr(findiff, "_compiled", counting_compiled)
+        monkeypatch.setattr(
+            findiff, "check_point_in_domain", lambda *a: checks.append(1) or check(*a)
+        )
+        # the stencil reaches 2 h per order along one axis (u:[-3,3]): ending
+        # exactly on either edge is inside, with steps exact in binary or not
+        for order in (1, 2, 3):
+            for step in (0.125, 1e-2):
+                for edge in (-3.0, 3.0):
+                    centre = edge - np.sign(edge) * 2 * order * step
+                    finite_difference_oracle(EXP_SPEC, (centre,), order, step)
+                    assert len(checks) == len(runs) == 1  # one domain check per call
+                    checks.clear()
+                    runs.clear()
+                    # 1e-9 beyond the edge: rejected before the map runs, the
+                    # message naming the stencil coordinate
+                    beyond = centre + np.sign(edge) * 1e-9
+                    message = r"coordinate u=-?3\.00000000\d* outside \[-3\.0, 3\.0\]"
+                    with pytest.raises(DomainError, match=message):
+                        finite_difference_oracle(EXP_SPEC, (beyond,), order, step)
+                    assert (len(checks), len(runs)) == (1, 0)
+                    checks.clear()
 
     def test_eval_checks_domain(self):
         with pytest.raises(DomainError):
