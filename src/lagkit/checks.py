@@ -5,15 +5,11 @@ sample points as one FrameBatch, with one build_frame call (which evaluates
 the map in chunks of at most geometry.CHUNK points); every check is a pure
 function of that batch, evaluates a named residual at all points as one array
 reduction over the point axis, and reports max/mean together with the worst
-offender.  run_suite builds the
-frames of a spec once, rescales them onto the fitted quadric, wires the
-checks together in dependency order and emits a CheckReport whose JSON form
-is byte-stable for a fixed seed.
-
-Check names are stable API: lagrangian, spherical, legendrian, horizontal,
-cubic_symmetry, gauss, codazzi, structure_v_tangent, structure_v_unit,
-structure_h_mixed, structure_h_vv, structure_v_parallel, product_metric,
-umbilical.
+offender.  The table _CHECKS names every check (its names are stable API)
+and decides which checks a spec gets, in what order, from which frames and
+resting on which others; run_suite walks it, building the frames of a spec
+once and rescaling them onto the fitted quadric, and emits a CheckReport
+whose JSON form is byte-stable for a fixed seed.
 """
 
 from __future__ import annotations
@@ -58,9 +54,6 @@ __all__ = [
     "run_suite",
 ]
 
-# checks whose residuals rest on third derivatives of the immersion
-_THIRD_ORDER_CHECKS = frozenset({"gauss", "codazzi"})
-
 STRUCTURE_CHECKS = (
     "structure_v_tangent",
     "structure_v_unit",
@@ -84,9 +77,8 @@ class SampleConfig(Record):
             raise ValueError("num_points must be >= 1")
 
     def tolerance_for(self, check_name: str) -> float:
-        if check_name in _THIRD_ORDER_CHECKS:
-            return self.tol_third
-        return self.tol
+        third = any(row[0] == check_name and row[2] == 3 for row in _CHECKS)
+        return self.tol_third if third else self.tol
 
 
 class CheckEntry(Record, frozen=False):
@@ -149,10 +141,6 @@ def _errored(name, cfg, reason, status="error") -> CheckEntry:
         status=status,
         reason=reason,
     )
-
-
-def _skipped(name, cfg, reason) -> CheckEntry:
-    return _errored(name, cfg, reason, status="skipped")
 
 
 def sample_frames(
@@ -294,14 +282,49 @@ def check_cubic_symmetry(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
     return _finish("cubic_symmetry", cfg, residuals, frames)
 
 
-def _structure_entries(frames_n, cfg, epsilon):
-    """Classification-structure residuals on the normalized frames.
+_NEEDS_LAGRANGIAN = "requires the Lagrangian check to pass"
+_NEEDS_FIT = "requires the quadric fit and Lagrangian check to pass"
 
-    On the immersion recentred and rescaled by the quadric fit, the
-    tangential part V of J L must satisfy: V actually tangential,
-    <V, V> = epsilon, h(Z, V) = JZ, h(V, V) = -position, and nabla V = 0.
+
+class _Skip(Exception):
+    """Raised by a check that does not run; its message is the reason."""
+
+
+def _transform(entries, fit):
+    """(the Transform onto the fitted quadric, None), or (None, the reason there
+    is none), from the lagrangian and spherical entries and the fit."""
+    if not entries["lagrangian"].passed:
+        return None, _NEEDS_LAGRANGIAN
+    if fit is None or not entries["spherical"].passed:
+        return None, "image is not contained in a central quadric"
+    if abs(fit.radius_sq_signed) < 1e-6:
+        return None, "fitted quadric is degenerate (signed r^2 ~ 0)"
+    return Transform(fit.center.copy(), math.sqrt(abs(fit.radius_sq_signed))), None
+
+
+def _structure_with_fit(frames, cfg, entries, fit):
+    """The structure bundle, run on the frames of (L - center) / scale.
+
+    On that immersion the tangential part V of J L must satisfy: V actually
+    tangential, <V, V> = epsilon, h(Z, V) = JZ, h(V, V) = -position, and
+    nabla V = 0.  Its frames are assembled from the frames of L, which keep
+    their spec: recentring moves the position only and rescaling multiplies
+    every derivative by k = 1 / scale.  Scaling by the reciprocal, as
+    dilate(spec, 1 / scale) does, gives the arrays of the normalized spec bit
+    for bit, without evaluating it.  Returns (normalized frames, their unit
+    quadric AmbientQuadric(epsilon), structure entries by name); raises _Skip
+    without a transform, and what assembling the frames raised.
     """
-    fr = frames_n
+    transform, reason = _transform(entries, fit)
+    if reason is not None:
+        raise _Skip(reason)
+    unit = AmbientQuadric(1.0 if fit.radius_sq_signed > 0 else -1.0)  # c = epsilon
+    k = 1.0 / transform.scale
+    arrays = ((frames.position - fit.center) * k, frames.first * k, frames.second * k)
+    fr = _pointwise_on_error(
+        lambda s: assemble_frame(frames.spec, frames.points[s], *(a[s] for a in arrays)),
+        len(frames),
+    )
     coeffs, normal = project(fr, apply_j_flat(fr.position))
     vv = (coeffs[:, None, :] @ fr.metric @ coeffs[:, :, None])[:, 0, 0]
     hv = (coeffs[:, None, None] @ fr.sff)[:, :, 0]
@@ -310,52 +333,13 @@ def _structure_entries(frames_n, cfg, epsilon):
     nabla_v = grads + contract(fr.christoffels, coeffs[:, None])[..., 0]
     res = {
         "structure_v_tangent": point_max(normal),
-        "structure_v_unit": np.abs(vv - epsilon),
+        "structure_v_unit": np.abs(vv - unit.c),
         "structure_h_mixed": point_max(hv - apply_j_flat(fr.first)),
         "structure_h_vv": point_max(hvv + fr.position),
         "structure_v_parallel": point_max(nabla_v),
     }
-    entries = {}
-    for name in STRUCTURE_CHECKS:
-        extra = {"epsilon": epsilon} if name == "structure_v_unit" else None
-        entries[name] = _finish(name, cfg, res[name], frames_n, extra_details=extra)
-    return entries
-
-
-def _structure_with_fit(frames, cfg, lag_entry, fit, fit_entry):
-    """The structure bundle, run on the frames of (L - center) / scale.
-
-    Those frames are assembled from the frames of L, which keep their spec:
-    recentring moves the position only and rescaling multiplies every
-    derivative by k = 1 / scale.  Scaling by the reciprocal, as
-    dilate(spec, 1 / scale) does, gives the arrays of the normalized spec bit
-    for bit, without evaluating it.  Returns (entries, Transform, normalized
-    frames or the LagkitError that assembling them raised, the unit quadric
-    AmbientQuadric(epsilon) of the normalized image), or (entries, None, None,
-    None) when the bundle is skipped.
-    """
-    reason = None
-    if not lag_entry.passed:
-        reason = "requires the Lagrangian check to pass"
-    elif fit is None or not fit_entry.passed:
-        reason = "image is not contained in a central quadric"
-    elif abs(fit.radius_sq_signed) < 1e-6:
-        reason = "fitted quadric is degenerate (signed r^2 ~ 0)"
-    if reason is not None:
-        return {n: _skipped(n, cfg, reason) for n in STRUCTURE_CHECKS}, None, None, None
-    unit = AmbientQuadric(1.0 if fit.radius_sq_signed > 0 else -1.0)  # c = epsilon
-    transform = Transform(fit.center.copy(), math.sqrt(abs(fit.radius_sq_signed)))
-    k = 1.0 / transform.scale
-    arrays = ((frames.position - fit.center) * k, frames.first * k, frames.second * k)
-    try:
-        frames_n = _pointwise_on_error(
-            lambda s: assemble_frame(frames.spec, frames.points[s], *(a[s] for a in arrays)),
-            len(frames),
-        )
-    except LagkitError as exc:
-        entries = {n: _errored(n, cfg, str(exc)) for n in STRUCTURE_CHECKS}
-        return entries, transform, exc, unit
-    return _structure_entries(frames_n, cfg, unit.c), transform, frames_n, unit
+    details = {"structure_v_unit": {"epsilon": unit.c}}
+    return fr, unit, {name: _finish(name, cfg, r, fr, details.get(name)) for name, r in res.items()}
 
 
 def check_product_metric(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
@@ -471,126 +455,147 @@ class CheckReport(Record, frozen=False):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
-def _quadric_from_fit(fit: SphereFit) -> AmbientQuadric | None:
-    center_mag = float(np.max(np.abs(fit.center)))
-    if center_mag > 1e-6 or abs(fit.radius_sq_signed) < 1e-6:
-        return None
-    return AmbientQuadric(1.0 / fit.radius_sq_signed)
+class _Suite:
+    """What the checks of one run_suite call share."""
+
+    def __init__(self, cfg, quadric, frames):
+        self.cfg, self.quadric, self._frames = cfg, quadric, frames  # or what building raised
+        self.entries: dict[str, CheckEntry] = {}
+        self.fit = self._bundle = None
+
+    def call(self, check, *args):
+        """check(frames, cfg, *args): args may skip before the frames fail."""
+        if isinstance(self._frames, LagkitError):
+            raise self._frames
+        return check(self._frames, self.cfg, *args)
+
+    def fit_quadric(self) -> CheckEntry:
+        self.fit, entry = self.call(fit_hypersphere)
+        return entry
+
+    def target(self) -> AmbientQuadric:
+        """The declared quadric, else the fitted one if the fit passes on a central quadric."""
+        q, fit = self.quadric, self.fit
+        if q is None and self.entries["spherical"].passed:
+            central = np.max(np.abs(fit.center)) <= 1e-6 and abs(fit.radius_sq_signed) >= 1e-6
+            q = AmbientQuadric(1.0 / fit.radius_sq_signed) if central else None
+        if q is None:
+            raise _Skip("no quadric declared and the fit found none")
+        return q
+
+    def bundle(self, skipped=None):
+        """_structure_with_fit, run once: what it raised, it raises again (a
+        skip as _Skip(skipped), when skipped is given)."""
+        if self._bundle is None:
+            try:
+                self._bundle = _structure_with_fit(self._frames, self.cfg, self.entries, self.fit)
+            except (_Skip, LagkitError) as exc:
+                self._bundle = exc
+        if skipped and isinstance(self._bundle, _Skip):
+            raise _Skip(skipped)
+        if isinstance(self._bundle, Exception):
+            raise self._bundle
+        return self._bundle
 
 
-def _guard(entries, name, cfg, check, frames, *args):
-    """Run check(frames, cfg, *args), turning kernel errors into an error entry.
+def _legendrian_fit(s: _Suite) -> CheckEntry:
+    if s.quadric is not None:
+        # A declared quadric is authoritative; low-dimensional images
+        # rarely determine the fit anyway (real curves never do).
+        raise _Skip("quadric declared by the caller")
+    return s.fit_quadric()
 
-    frames may be the LagkitError that building them raised; the entry then
-    reports that error.
-    """
-    if isinstance(frames, LagkitError):
-        entries[name] = _errored(name, cfg, str(frames))
-        return
+
+def _cubic_symmetry(s: _Suite) -> CheckEntry:
+    if not s.entries["lagrangian"].passed:
+        raise _Skip(_NEEDS_LAGRANGIAN)
+    return s.call(check_cubic_symmetry)
+
+
+def _lagrangian_umbilical(s: _Suite) -> CheckEntry:
+    """On the normalized frames, else on those of L against a declared quadric."""
     try:
-        entries[name] = check(frames, cfg, *args)
-    except LagkitError as exc:
-        entries[name] = _errored(name, cfg, str(exc))
+        frames_n, unit, _ = s.bundle(_NEEDS_FIT)
+    except _Skip:
+        if s.quadric is None:
+            raise
+        return s.call(check_umbilical_relation, s.quadric)
+    return check_umbilical_relation(frames_n, s.cfg, unit)
 
 
-def _fit_entry(frames, cfg):
-    """fit_hypersphere, or no fit and an error entry when the frames failed."""
-    if isinstance(frames, LagkitError):
-        return None, _errored("spherical", cfg, str(frames))
-    return fit_hypersphere(frames, cfg)
+_ON_FIT = ("lagrangian", "spherical")
+
+# One row per check, in report order: its name, chain (n - m: 0 for m = n, the
+# Lagrangian chain, 1 for m = n - 1, the Legendrian one, None for every spec),
+# the order of the derivatives it reads, the checks it rests on, and
+# run(suite) -> its entry (None for no entry), or _Skip.  A row looks its check
+# up in this module's globals when it runs, so a check patched here is the one run.
+_CHECKS = (
+    ("lagrangian", 0, 2, (), lambda s: s.call(check_lagrangian)),
+    ("spherical", 0, 2, (), lambda s: s.fit_quadric()),
+    ("spherical", 1, 2, (), _legendrian_fit),
+    ("legendrian", 1, 2, ("spherical",), lambda s: s.call(check_legendrian, s.target())),
+    ("horizontal", 1, 2, ("spherical",),  # over the circle action: on a sphere (c > 0) only
+     lambda s: s.call(check_horizontal) if s.target().c > 0 else None),
+    ("umbilical", 1, 2, ("spherical",), lambda s: s.call(check_umbilical_relation, s.target())),
+    ("gauss", None, 3, (), lambda s: s.call(check_gauss)),
+    ("codazzi", None, 3, (), lambda s: s.call(check_codazzi)),
+    ("cubic_symmetry", 0, 2, ("lagrangian",), _cubic_symmetry),
+    *((name, 0, 2, _ON_FIT, lambda s, name=name: s.bundle()[2][name]) for name in STRUCTURE_CHECKS),
+    ("product_metric", 0, 2, _ON_FIT,
+     lambda s: check_product_metric(s.bundle(_NEEDS_FIT)[0], s.cfg)),
+    ("umbilical", 0, 2, _ON_FIT, _lagrangian_umbilical),
+)
 
 
-def run_suite(
-    spec: ImmersionSpec,
-    cfg: SampleConfig | None = None,
-    quadric: AmbientQuadric | None = None,
-) -> CheckReport:
-    """All applicable checks in dependency order.
+def run_suite(spec: ImmersionSpec, cfg: SampleConfig | None = None,
+              quadric: AmbientQuadric | None = None, checks=None) -> CheckReport:
+    """The checks of _CHECKS that apply to spec, in its order: all, or those
+    named in checks and the checks they rest on.
 
-    The map is evaluated once per chunk of sample points, to third order.
-    Half-dimensional specs run the Lagrangian chain (isotropy, quadric fit,
-    curvature identities, cubic symmetry, then the structure bundle, product
-    metric and umbilical relation on the frames recentred and rescaled by the
-    fit, which are derived from the same evaluation).  Specs with one
-    parameter fewer run the Legendrian chain against the declared quadric (the
-    quadric argument, else spec.quadric), or against the fitted one when the
-    fit lands on a central quadric.  A map that fails at a sample point makes
-    each check an error entry; sampling that fails (a count no array holds)
-    raises.
+    The map is evaluated once per chunk of sample points, to third order only
+    when a check to run reads third derivatives.  The Legendrian chain checks
+    against the declared quadric (the quadric argument, else spec.quadric), or
+    the fitted one when the fit lands on a central quadric.  A report of named
+    checks also carries, for each one skipped, the checks it rests on that did
+    not pass; its sphere_fit and transform are the full suite's.  A map that
+    fails at a sample point makes each check an error entry; sampling that
+    fails (a count no array holds) raises, as does a check the spec does not get.
     """
     cfg = cfg or SampleConfig()
-    quadric = spec.quadric if quadric is None else quadric
-    entries: dict[str, CheckEntry] = {}
-    sphere_fit = None
-    transform = None
     m, n = spec.num_params, spec.signature.n
+    rows = [row for row in _CHECKS if row[1] in (None, n - m)]
+    rests_on = {name: needs for name, _, _, needs, _ in rows}
+    # all that checks rest on, and what sphere_fit and transform come from
+    wanted = {*(rests_on if checks is None else checks), "lagrangian", "spherical"}
+    third = any(order == 3 for name, _, order, _, _ in rows if name in wanted)
     points = np.array(sample_points(spec, cfg.num_points, cfg.seed))  # a bad count raises
     try:
-        frames = _pointwise_on_error(lambda s: build_frame(spec, points[s], True), len(points))
+        frames = _pointwise_on_error(lambda s: build_frame(spec, points[s], third), len(points))
     except LagkitError as exc:  # each check reports it
         frames = exc
 
-    fit = None
-    if m == n:
-        _guard(entries, "lagrangian", cfg, check_lagrangian, frames)
-        lag = entries["lagrangian"]
-        fit, entries["spherical"] = _fit_entry(frames, cfg)
-        sphere_fit = fit
-        _guard(entries, "gauss", cfg, check_gauss, frames)
-        _guard(entries, "codazzi", cfg, check_codazzi, frames)
-        if lag.status == "ok" and lag.passed:
-            _guard(entries, "cubic_symmetry", cfg, check_cubic_symmetry, frames)
-        else:
-            entries["cubic_symmetry"] = _skipped(
-                "cubic_symmetry", cfg, "requires the Lagrangian check to pass"
-            )
-        bundle, transform, frames_n, unit = _structure_with_fit(
-            frames, cfg, lag, fit, entries["spherical"]
-        )
-        entries.update(bundle)
-        if transform is not None:
-            _guard(entries, "product_metric", cfg, check_product_metric, frames_n)
-            _guard(entries, "umbilical", cfg, check_umbilical_relation, frames_n, unit)
-        else:
-            reason = "requires the quadric fit and Lagrangian check to pass"
-            entries["product_metric"] = _skipped("product_metric", cfg, reason)
-            if quadric is not None:
-                _guard(
-                    entries, "umbilical", cfg, check_umbilical_relation, frames, quadric
-                )
-            else:
-                entries["umbilical"] = _skipped("umbilical", cfg, reason)
-    elif m == n - 1:
-        q = quadric
-        if quadric is not None:
-            # A declared quadric is authoritative; low-dimensional images
-            # rarely determine the fit anyway (real curves never do).
-            entries["spherical"] = _skipped(
-                "spherical", cfg, "quadric declared by the caller"
-            )
-        else:
-            fit, entries["spherical"] = _fit_entry(frames, cfg)
-            sphere_fit = fit
-            if fit is not None and entries["spherical"].passed:
-                q = _quadric_from_fit(fit)
-        if q is not None:
-            _guard(entries, "legendrian", cfg, check_legendrian, frames, q)
-            if q.c > 0:
-                _guard(entries, "horizontal", cfg, check_horizontal, frames)
-            _guard(entries, "umbilical", cfg, check_umbilical_relation, frames, q)
-        else:
-            reason = "no quadric declared and the fit found none"
-            for name in ("legendrian", "horizontal", "umbilical"):
-                entries[name] = _skipped(name, cfg, reason)
-        _guard(entries, "gauss", cfg, check_gauss, frames)
-        _guard(entries, "codazzi", cfg, check_codazzi, frames)
-    else:
-        _guard(entries, "gauss", cfg, check_gauss, frames)
-        _guard(entries, "codazzi", cfg, check_codazzi, frames)
-
-    return CheckReport(
-        spec_name=spec.name,
-        checks=entries,
-        sphere_fit=sphere_fit,
-        transform=transform,
-    )
+    suite = _Suite(cfg, spec.quadric if quadric is None else quadric, frames)
+    entries = suite.entries
+    for name, _, _, _, run in rows:
+        if name in wanted:
+            try:
+                entry = run(suite)
+            except _Skip as skip:
+                entry = _errored(name, cfg, str(skip), status="skipped")
+            except LagkitError as exc:
+                entry = _errored(name, cfg, str(exc))
+            if entry is not None:
+                entries[name] = entry
+    transform = _transform(entries, suite.fit)[0] if m == n else None
+    if checks is not None:
+        unknown = [name for name in checks if name not in entries]  # horizontal, off a sphere
+        if unknown:
+            known = ", ".join(name for name in rests_on if name not in unknown)
+            raise LagkitError(f"{spec.name} gets no check {', '.join(unknown)}; it gets: {known}")
+        shown = {*checks}
+        for name in checks:
+            if entries[name].status == "skipped":
+                shown.update(need for need in rests_on[name] if not entries[need].passed)
+        entries = {name: entry for name, entry in entries.items() if name in shown}
+    return CheckReport(spec.name, entries, suite.fit, transform)

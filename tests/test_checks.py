@@ -16,6 +16,7 @@ from lagkit.checks import (
     SampleConfig,
     _pointwise_on_error,
     _structure_with_fit,
+    _transform,
     check_cubic_symmetry,
     check_horizontal,
     check_lagrangian,
@@ -353,7 +354,9 @@ def test_normalized_frames_equal_those_of_the_normalized_spec(spec, num_points):
     frames = sample_frames(spec, cfg, need_third=True)
     fit, fit_entry = fit_hypersphere(frames, cfg)
     lag = check_lagrangian(frames, cfg)
-    _, transform, derived, _ = _structure_with_fit(frames, cfg, lag, fit, fit_entry)
+    entries = {"lagrangian": lag, "spherical": fit_entry}
+    derived, _, _ = _structure_with_fit(frames, cfg, entries, fit)
+    transform, _ = _transform(entries, fit)
     reference = sample_frames(reference_normalized_spec(spec, transform), cfg)
     for name in FrameBatch._fields:
         if name != "spec":
@@ -383,6 +386,40 @@ def test_normalized_frames_that_fail_error_the_bundle(monkeypatch):
         entry = report.checks[name]
         assert entry.status == "error", name
         assert entry.reason == f"assembly fails at {tuple(points[3])}", name
+
+
+class TestCheckSubsets:
+    """run_suite(checks=...) builds the frames that the named checks read, no more."""
+
+    def _run(self, monkeypatch, checks):
+        import lagkit.checks as module
+
+        orders, called, build = [], [], module.build_frame
+
+        def counting(spec, points, need_third):
+            orders.append(need_third)
+            return build(spec, points, need_third)
+
+        monkeypatch.setattr(module, "build_frame", counting)
+        for name in ("check_gauss", "check_codazzi"):
+            check = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, c=check, n=name: called.append(n) or c(*a))
+        report = run_suite(catalog("product_S1xS2"), CFG, checks=checks)
+        return report, orders, called
+
+    def test_second_order_check_builds_no_third_order_frames(self, monkeypatch):
+        report, orders, called = self._run(monkeypatch, ["lagrangian"])
+        assert orders == [False] and called == []
+        assert list(report.checks) == ["lagrangian"] and report.checks["lagrangian"].passed
+
+    def test_gauss_builds_third_order_frames(self, monkeypatch):
+        report, orders, called = self._run(monkeypatch, ["gauss"])
+        assert orders == [True] and called == ["check_gauss"]
+        assert list(report.checks) == ["gauss"] and report.checks["gauss"].passed
+
+    def test_a_check_the_spec_does_not_get_raises(self):
+        with pytest.raises(LagkitError, match="legendrian"):
+            run_suite(catalog("product_S1xS2"), CFG, checks=["legendrian"])
 
 
 class TestChunks:

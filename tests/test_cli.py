@@ -14,6 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lagkit.ambient import Signature
+from lagkit.catalog import catalog_names, catalog_source
+from lagkit.checks import STRUCTURE_CHECKS
 from lagkit.cli import main
 from lagkit.dsl import ImmersionSpec, Param, parse, serialize
 from test_dsl import _expr_strategy
@@ -99,7 +101,7 @@ class TestCheckCommand:
         assert run_main("check", "clifford_torus", "--samples", "6", "--seed", "1") == 0
         assert "(6 pts)" in capsys.readouterr().out
 
-    def test_checks_subset(self, capsys):
+    def test_checks_several(self, capsys):
         # whitney fails the spherical fit, but its Lagrangian facts hold
         code = run_main(
             "check", "whitney_sphere", "--checks", "lagrangian,gauss,codazzi"
@@ -108,9 +110,69 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "spherical" not in out
 
-    def test_checks_subset_unknown_name(self, capsys):
-        assert run_main("check", "clifford_torus", "--checks", "bogus") == 2
-        assert "bogus" in capsys.readouterr().err
+    # the checks each check rests on; the Legendrian chain has no lagrangian entry
+    RESTS_ON = {
+        "legendrian": ("spherical",),
+        "horizontal": ("spherical",),
+        "cubic_symmetry": ("lagrangian",),
+        **{
+            name: ("lagrangian", "spherical")
+            for name in (*STRUCTURE_CHECKS, "product_metric", "umbilical")
+        },
+    }
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_checks_subset(self, name, capsys):
+        # each check alone is its entry of the full report, with the failed
+        # checks it rests on when it is skipped; sphere_fit and transform stay
+        run_main("check", name, "--json")
+        full = json.loads(capsys.readouterr().out)
+        for check, entry in full["checks"].items():
+            carried = [
+                need
+                for need in self.RESTS_ON.get(check, ())
+                if entry["status"] == "skipped"
+                and need in full["checks"]
+                and full["checks"][need]["pass"] is not True
+            ]
+            expected = {**full, "checks": {k: full["checks"][k] for k in (check, *carried)}}
+            passed = all(e["pass"] for e in expected["checks"].values() if e["status"] != "skipped")
+            assert run_main("check", name, "--checks", check, "--json") == (0 if passed else 1)
+            assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "spec, check, status",
+        [("whitney_sphere", "structure_v_unit", "ok"), ("h3.imm", "horizontal", "error")],
+    )
+    def test_checks_subset_reports_the_failed_check_it_rests_on(
+        self, spec, check, status, tmp_path, capsys
+    ):
+        # whitney lies on no central quadric, and the H3 curve without its
+        # declared quadric cannot be fitted: the named check is skipped, and
+        # the spherical entry it rests on fails the report
+        if spec == "h3.imm":
+            path = tmp_path / spec
+            path.write_text(catalog_source("pseudo_legendrian_H3"))
+            spec = str(path)
+        assert run_main("check", spec, "--checks", check, "--json") == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert set(checks) == {"spherical", check}
+        assert checks[check]["status"] == "skipped"
+        assert checks["spherical"]["status"] == status and checks["spherical"]["pass"] is False
+
+    @pytest.mark.parametrize(
+        "spec, check",
+        [
+            ("clifford_torus", "legendrian"),  # a Lagrangian surface has no Legendrian check
+            ("pseudo_legendrian_H3", "horizontal"),  # c < 0: no circle action to be horizontal to
+            ("clifford_torus", "bogus"),
+        ],
+    )
+    def test_checks_subset_unknown_name(self, spec, check, capsys):
+        assert run_main("check", spec, "--checks", check) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("lagkit: ") and err.count("\n") == 1
+        assert check in err and "Traceback" not in err
 
     def test_quadric_flag(self):
         assert run_main("check", "pseudo_legendrian_H3", "--quadric", "1:-1") == 0
