@@ -5,7 +5,7 @@ Grammar (UTF-8 text, `#` starts a comment running to end of line):
     spec      := "params" param ("," param)* ";"
                  "signature" INT INT ";"
                  "map" expr ("," expr)* [";"]
-    param     := NAME ":" "[" number "," number "]"
+    param     := NAME ":" "[" ["-"] NUMBER "," ["-"] NUMBER "]"
     expr      := term (("+" | "-") term)*
     term      := unary (("*" | "/") unary)*
     unary     := "-" unary | power
@@ -15,7 +15,10 @@ Grammar (UTF-8 text, `#` starts a comment running to end of line):
 `i` is the imaginary unit.  Functions: exp, sin, cos, sinh, cosh, sqrt (sqrt
 only for positive real subexpressions).  Powers take integer exponents only,
 which keeps evaluation total and differentiable on the domain box.  Deeper
-trees or nesting than MAX_DEPTH (100) levels are a DslSyntaxError.
+trees or nesting than MAX_DEPTH (100) levels are a DslSyntaxError.  A parameter
+name is a NAME other than i, a function or a keyword, names are unique, and
+lo < hi: Param and ImmersionSpec hold these rules, so a spec built in code
+breaks them with the ValueError whose message parse reports at the token.
 
 serialize() emits canonical text; parse(serialize(spec)) reproduces the
 params/signature/components structure exactly.
@@ -38,6 +41,7 @@ from .ambient import Signature
 from .errors import (
     ArityError,
     DomainError,
+    DslError,
     DslSyntaxError,
     SingularEvaluationError,
     UndeclaredParameterError,
@@ -67,6 +71,7 @@ __all__ = [
 FUNCTION_NAMES = ("exp", "sin", "cos", "sinh", "cosh", "sqrt")
 MAX_DEPTH = 100  # deepest tree and nesting parse accepts: walks of the tree recurse
 _KEYWORDS = ("params", "signature", "map")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # the grammar's NAME
 
 
 # -- AST ---------------------------------------------------------------------
@@ -106,8 +111,17 @@ class Param(Record):
     _fields = ("name", "lo", "hi")
 
     def __post_init__(self):
+        self._check_name(self.name)
         if not self.lo < self.hi:
-            raise ValueError(f"parameter {self.name}: need lo < hi, got [{self.lo}, {self.hi}]")
+            raise ValueError(f"parameter {self.name!r}: need lo < hi, got [{self.lo}, {self.hi}]")
+
+    @staticmethod
+    def _check_name(name):
+        """The name rule, which parse also applies before it reads the bounds."""
+        if not (isinstance(name, str) and _NAME.fullmatch(name)):
+            raise ValueError(f"expected a parameter name, found {name!r}")
+        if name == "i" or name in FUNCTION_NAMES or name in _KEYWORDS:
+            raise ValueError(f"{name!r} is reserved and cannot name a parameter")
 
 
 class ImmersionSpec(Record):
@@ -124,12 +138,21 @@ class ImmersionSpec(Record):
     quadric = None
 
     def __post_init__(self):
-        if len(self.components) != self.signature.n:
-            raise ValueError(
-                f"{self.signature.n} components required, got {len(self.components)}"
-            )
-        if not self.params:
+        self._check_params(self.params)
+        n, k = self.signature.n, len(self.components)
+        if k != n:
+            raise ValueError(f"signature declares n={n} but map has {k} components")
+
+    @staticmethod
+    def _check_params(params):
+        """One parameter or more, no two of one name; parse also applies this
+        before it reads the map."""
+        if not params:
             raise ValueError("at least one parameter required")
+        names = [p.name for p in params]
+        repeated = [name for k, name in enumerate(names) if name in names[:k]]
+        if repeated:
+            raise ValueError(f"duplicate parameter name {repeated[0]!r}")
 
     @property
     def num_params(self) -> int:
@@ -155,10 +178,10 @@ class _Token(Record):
 
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r\n]+)
+    rf"""(?P<ws>[ \t\r\n]+)
       | (?P<comment>\#[^\n]*)
       | (?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<name>{_NAME.pattern})
       | (?P<op>[-+*/^(),:;\[\]])
     """,
     re.VERBOSE,
@@ -208,11 +231,16 @@ class _Parser:
         tok = tok or self.cur
         raise DslSyntaxError(message, tok.line, tok.column)
 
-    def _expect_op(self, text) -> _Token:
-        tok = self.cur
-        if tok.kind != "op" or tok.text != text:
-            self._fail(f"expected {text!r}, found {tok.text or 'end of input'!r}")
-        return self._advance()
+    def _accept(self, op) -> bool:
+        """Step over the operator op if it is at the cursor."""
+        if self.cur.kind == "op" and self.cur.text == op:
+            self.pos += 1
+            return True
+        return False
+
+    def _expect_op(self, text):
+        if not self._accept(text):
+            self._fail(f"expected {text!r}, found {self.cur.text or 'end of input'!r}")
 
     def _expect_keyword(self, word):
         tok = self.cur
@@ -220,154 +248,109 @@ class _Parser:
             self._fail(f"expected keyword {word!r}, found {tok.text or 'end of input'!r}")
         self._advance()
 
-    def _signed_number(self) -> float:
-        negative = False
-        if self.cur.kind == "op" and self.cur.text == "-":
-            self._advance()
-            negative = True
-        tok = self.cur
-        if tok.kind != "num":
-            self._fail(f"expected a number, found {tok.text or 'end of input'!r}")
-        value = self._finite(tok)
-        return -value if negative else value
-
-    def _finite(self, tok) -> float:
-        """The number token tok, at the cursor, as a finite float."""
-        self._advance()
-        value = float(tok.text)
-        if not math.isfinite(value):
-            self._fail("numeric literal is not a finite number", tok)
-        return value
-
-    def _integer(self) -> int:
-        tok = self.cur
-        if tok.kind != "num" or any(ch in tok.text for ch in ".eE"):
-            self._fail(f"expected an integer, found {tok.text or 'end of input'!r}")
+    def _valid(self, make, *args, tok=None):
+        """make(*args), its ValueError a DslSyntaxError at tok (default: the cursor)."""
         try:
-            value = int(tok.text)
+            return make(*args)
+        except ValueError as exc:
+            self._fail(str(exc), tok)
+
+    def _number(self, signed=True, integer=False):
+        """The number at the cursor, after a "-" if signed: an int if integer,
+        else a finite float."""
+        negative = signed and self._accept("-")
+        tok = self.cur
+        if tok.kind != "num" or (integer and any(ch in tok.text for ch in ".eE")):
+            what = "an integer" if integer else "a number"
+            self._fail(f"expected {what}, found {tok.text or 'end of input'!r}")
+        self._advance()
+        try:
+            value = int(tok.text) if integer else float(tok.text)
         except ValueError:  # more digits than int() converts
             self._fail(f"integer literal of {len(tok.text)} digits is too long", tok)
-        self._advance()
-        return value
+        if not (integer or math.isfinite(value)):
+            self._fail("numeric literal is not a finite number", tok)
+        return -value if negative else value
 
     def parse_spec(self) -> ImmersionSpec:
         self._expect_keyword("params")
         params = [self._param()]
-        while self.cur.kind == "op" and self.cur.text == ",":
-            self._advance()
+        while self._accept(","):
             params.append(self._param())
         self._expect_op(";")
 
         self._expect_keyword("signature")
-        n = self._integer()
-        s = self._integer()
+        n = self._number(signed=False, integer=True)
+        s = self._number(signed=False, integer=True)
         self._expect_op(";")
-        try:
-            signature = Signature(n, s)
-        except ValueError as exc:
-            self._fail(str(exc))
-
+        signature = self._valid(Signature, n, s)
+        self._valid(ImmersionSpec._check_params, params)
         self.param_names = tuple(p.name for p in params)
-        seen = set()
-        for p in params:
-            if p.name in seen:
-                self._fail(f"duplicate parameter name {p.name!r}")
-            seen.add(p.name)
 
         self._expect_keyword("map")
         components = [self._expr()]
-        while self.cur.kind == "op" and self.cur.text == ",":
-            self._advance()
+        while self._accept(","):
             components.append(self._expr())
         if max(map(_depth, components)) > MAX_DEPTH:
             self._fail("expression nested too deeply")
-        if self.cur.kind == "op" and self.cur.text == ";":
-            self._advance()
+        self._accept(";")
         if self.cur.kind != "eof":
             self._fail(f"trailing input {self.cur.text!r}")
-
-        if len(components) != n:
-            self._fail(f"signature declares n={n} but map has {len(components)} components")
-        return ImmersionSpec(tuple(params), signature, tuple(components))
+        return self._valid(ImmersionSpec, tuple(params), signature, tuple(components))
 
     def _param(self) -> Param:
         tok = self.cur
-        if tok.kind != "name":
-            self._fail(f"expected a parameter name, found {tok.text or 'end of input'!r}")
-        name = tok.text
-        if name == "i" or name in FUNCTION_NAMES or name in _KEYWORDS:
-            self._fail(f"{name!r} is reserved and cannot name a parameter", tok)
+        # "end of input" is not a NAME either
+        self._valid(Param._check_name, tok.text or "end of input")
         self._advance()
         self._expect_op(":")
         self._expect_op("[")
-        lo = self._signed_number()
+        lo = self._number()
         self._expect_op(",")
-        hi = self._signed_number()
+        hi = self._number()
         self._expect_op("]")
-        if not lo < hi:
-            self._fail(f"parameter {name!r}: need lo < hi, got [{lo}, {hi}]", tok)
-        return Param(name, lo, hi)
+        return self._valid(Param, tok.text, lo, hi, tok=tok)
 
     # expression grammar ------------------------------------------------
 
-    def _expr(self) -> Expr:
-        node = self._term()
-        while self.cur.kind == "op" and self.cur.text in "+-":
-            op = self._advance().text
-            node = Bin(op, node, self._term())
-        return node
-
-    def _term(self) -> Expr:
+    def _expr(self, least=1) -> Expr:
+        """Unary operands joined by the binary operators binding at least least."""
         node = self._unary()
-        while self.cur.kind == "op" and self.cur.text in "*/":
+        while self.cur.kind == "op" and _PREC.get(self.cur.text, 0) >= least:
             op = self._advance().text
-            node = Bin(op, node, self._unary())
+            node = Bin(op, node, self._expr(_PREC[op] + 1))  # left-associative
         return node
 
     def _unary(self) -> Expr:
         self.nesting += 1  # every parenthesis, call and negation recurses through here
         if self.nesting > MAX_DEPTH:
             self._fail("expression nested too deeply")
-        if self.cur.kind == "op" and self.cur.text == "-":
-            self._advance()
+        if self._accept("-"):
             node = Neg(self._unary())
         else:
-            node = self._power()
+            node = self._atom()
+            if self._accept("^"):
+                node = Pow(node, self._number(integer=True))
         self.nesting -= 1
-        return node
-
-    def _power(self) -> Expr:
-        node = self._atom()
-        if self.cur.kind == "op" and self.cur.text == "^":
-            self._advance()
-            negative = False
-            if self.cur.kind == "op" and self.cur.text == "-":
-                self._advance()
-                negative = True
-            k = self._integer()
-            node = Pow(node, -k if negative else k)
         return node
 
     def _atom(self) -> Expr:
         tok = self.cur
         if tok.kind == "num":
-            return Num(self._finite(tok))
+            return Num(self._number(signed=False))
         if tok.kind == "name":
             self._advance()
             if tok.text == "i":
                 return Imag()
-            if self.cur.kind == "op" and self.cur.text == "(":
+            if self._accept("("):
                 if tok.text not in FUNCTION_NAMES:
                     raise UnknownFunctionError(
                         f"unknown function {tok.text!r}", tok.line, tok.column
                     )
-                self._advance()
-                arg = self._expr()
-                if self.cur.kind == "op" and self.cur.text == ",":
+                arg, comma = self._expr(), self.cur
+                if self._accept(","):
                     raise ArityError(
-                        f"{tok.text} takes exactly one argument",
-                        self.cur.line,
-                        self.cur.column,
+                        f"{tok.text} takes exactly one argument", comma.line, comma.column
                     )
                 self._expect_op(")")
                 return Call(tok.text, arg)
@@ -376,8 +359,7 @@ class _Parser:
                     f"undeclared parameter {tok.text!r}", tok.line, tok.column
                 )
             return Ref(tok.text)
-        if tok.kind == "op" and tok.text == "(":
-            self._advance()
+        if self._accept("("):
             node = self._expr()
             self._expect_op(")")
             return node
@@ -400,11 +382,10 @@ def parse(text: str) -> ImmersionSpec:
 
 # -- serializer ----------------------------------------------------------------
 
-_PREC_ADD = 10
-_PREC_MUL = 20
-_PREC_NEG = 25
-_PREC_POW = 30
-_PREC_ATOM = 40
+# how tightly operators bind, loosest first, for parse and serialize_expr alike:
+# the binary operators (all left-associative), unary minus, power; other
+# nodes are atoms (5)
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, Neg: 3, Pow: 4}
 
 
 def _fmt_number(x: float) -> str:
@@ -414,13 +395,13 @@ def _fmt_number(x: float) -> str:
 
 
 def _prec(e: Expr) -> int:
-    if isinstance(e, Bin):
-        return _PREC_ADD if e.op in "+-" else _PREC_MUL
-    if isinstance(e, Neg):
-        return _PREC_NEG
-    if isinstance(e, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
+    return _PREC.get(e.op if isinstance(e, Bin) else type(e), 5)
+
+
+def _operand(e: Expr, least: int) -> str:
+    """Text for e as an operand that must bind at least least."""
+    text = serialize_expr(e)
+    return text if _prec(e) >= least else f"({text})"
 
 
 def serialize_expr(e: Expr) -> str:
@@ -434,24 +415,11 @@ def serialize_expr(e: Expr) -> str:
     if isinstance(e, Call):
         return f"{e.fn}({serialize_expr(e.arg)})"
     if isinstance(e, Neg):
-        inner = serialize_expr(e.arg)
-        if _prec(e.arg) < _PREC_NEG:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, Pow):
-        base = serialize_expr(e.base)
-        if _prec(e.base) < _PREC_ATOM:
-            base = f"({base})"
-        return f"{base}^{e.exponent}"
-    if isinstance(e, Bin):
-        mine = _prec(e)
-        left = serialize_expr(e.left)
-        if _prec(e.left) < mine:
-            left = f"({left})"
-        right = serialize_expr(e.right)
-        if _prec(e.right) <= mine:
-            right = f"({right})"
-        return f"{left}{e.op}{right}"
+        return f"-{_operand(e.arg, _prec(e))}"
+    if isinstance(e, Pow):  # its base is an atom
+        return f"{_operand(e.base, _prec(e) + 1)}^{e.exponent}"
+    if isinstance(e, Bin):  # left-associative: the right operand binds tighter
+        return f"{_operand(e.left, _prec(e))}{e.op}{_operand(e.right, _prec(e) + 1)}"
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -499,17 +467,19 @@ def _plan(spec: ImmersionSpec, _identity: int) -> tuple[tuple, tuple[int, ...]]:
     """spec's map as (steps, roots): each distinct subtree once, in the order a
     recursive walk first reaches it, as (node type, field, *operand steps), a
     Ref's field its parameter index; and each component's step.  An invalid node
-    raises KeyError or TypeError.  Keyed on the object too: see module doc."""
+    raises DslError naming it.  Keyed on the object too: see module doc."""
     index, steps = {p.name: k for k, p in enumerate(spec.params)}, {}
 
     def step(e) -> int:
         kind = type(e)
-        if kind not in _NODES or (kind is Pow and type(e.exponent) is not int):
-            raise TypeError(f"not an expression node: {e!r}")
-        name, children, _ = _NODES[kind]
-        field = index[e.name] if kind is Ref else getattr(e, name) if name else None
-        if kind in (Bin, Call) and field not in (_BINARY if kind is Bin else _FUNCTIONS):
-            raise KeyError(field)
+        name, children, _ = _NODES.get(kind, (None, (), None))
+        field = getattr(e, name) if name else None
+        valid = {Ref: index, Bin: _BINARY, Call: _FUNCTIONS}.get(kind)  # its fields, if named
+        if kind not in _NODES or (kind is Pow and type(field) is not int) or (
+            valid is not None and not (type(field) is str and field in valid)
+        ):
+            raise DslError(f"invalid expression node {e!r}")
+        field = index[field] if kind is Ref else field
         operands = tuple(step(getattr(e, child)) for child in children)
         key = (kind, np.float64(field).tobytes() if isinstance(field, float) else field, operands)
         return steps.setdefault(key, (len(steps), (kind, field, *operands)))[0]

@@ -88,8 +88,9 @@ def eval_map_numeric(spec: ImmersionSpec, points) -> np.ndarray:
     pts = np.array(points, dtype=float)
     check_point_in_domain(spec, pts)
     rows, out, error = pts.reshape(-1, spec.num_params).tolist(), [], None
+    run = _compiled(spec, id(spec))  # an invalid node raises here, as itself
     try:
-        _compiled(spec, id(spec))(rows, out)
+        run(rows, out)
     except (OverflowError, ZeroDivisionError, ValueError) as exc:  # ValueError: cmath of inf
         error = exc
     values = np.array(out, dtype=complex).reshape(len(out), len(spec.components))

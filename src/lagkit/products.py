@@ -49,7 +49,8 @@ def circle_product(psi: ImmersionSpec, t_name: str = "t") -> ImmersionSpec:
     """Sweep a spec by the unit circle: components become exp(i*t) * psi_j.
 
     The input must have one parameter fewer than the ambient complex
-    dimension (the half-dimension count of the output).  The product takes
+    dimension (the half-dimension count of the output).  t_name must name a
+    parameter as parse allows (ValueError otherwise).  The product takes
     none of the input's metadata (expected_index, quadric), only a name.
     """
     n = psi.signature.n
@@ -57,10 +58,6 @@ def circle_product(psi: ImmersionSpec, t_name: str = "t") -> ImmersionSpec:
         raise DimensionMismatchError(
             f"circle product needs n-1 = {n - 1} parameters, spec has {psi.num_params}"
         )
-    if not t_name.isidentifier() or t_name == "i":
-        raise ValueError(f"invalid circle parameter name {t_name!r}")
-    if t_name in psi.param_names:
-        raise ValueError(f"parameter name {t_name!r} already used by the input spec")
     phase = Call("exp", Bin("*", Imag(), Ref(t_name)))
     components = tuple(Bin("*", phase, c) for c in psi.components)
     params = (Param(t_name, 0.0, TWO_PI),) + psi.params

@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from lagkit.ambient import AmbientQuadric
+from lagkit.ambient import AmbientQuadric, Signature
 from lagkit.catalog import catalog, catalog_entry, catalog_names
 from lagkit.checks import (
     STRUCTURE_CHECKS,
@@ -27,7 +27,7 @@ from lagkit.checks import (
     run_suite,
     sample_frames,
 )
-from lagkit.dsl import parse
+from lagkit.dsl import Bin, Call, ImmersionSpec, Param, Pow, Ref, parse
 from lagkit.errors import DimensionMismatchError, LagkitError, SingularEvaluationError
 from lagkit.geometry import CHUNK, FrameBatch, build_frame
 from lagkit.products import dilate, translate
@@ -296,6 +296,21 @@ class TestRunSuite:
         cfg = SampleConfig(num_points=8, tol=1e-30)
         report = run_suite(catalog("clifford_torus"), cfg)
         assert not report.checks["lagrangian"].passed
+
+    @pytest.mark.parametrize(
+        "component",
+        [Ref("w"), Pow(Ref("u"), 2.0), Call("tan", Ref("u")), Bin("%", Ref("u"), Ref("v")), "u"],
+        ids=repr,
+    )
+    def test_malformed_tree_gives_error_entries(self, component):
+        # a spec built in code, not parsed: the map's plan names the bad node
+        params = (Param("u", 0.0, 1.0), Param("v", 0.0, 1.0))
+        spec = ImmersionSpec(params, Signature(2, 0), (Ref("v"), component))
+        report = run_suite(spec, CFG)
+        assert not report.passed
+        errors = [e for e in report.checks.values() if e.status == "error"]
+        assert {e.name for e in errors} == {"lagrangian", "spherical", "gauss", "codazzi"}
+        assert {e.reason for e in errors} == {f"invalid expression node {component!r}"}
 
 
 @pytest.mark.parametrize(

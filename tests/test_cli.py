@@ -290,6 +290,13 @@ class TestConstructCommand:
         assert run_main("construct", "real_circle_S3", "--t-name", "w") == 0
         assert "params w:" in capsys.readouterr().out
 
+    def test_reserved_angle_name_is_refused_without_a_position(self, capsys):
+        # the rule is the parameter's own: no position in text the user never wrote
+        assert run_main("construct", "real_circle_S3", "--t-name", "exp") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "lagkit: 'exp' is reserved and cannot name a parameter\n"
+        assert captured.out == ""
+
 
 class TestCrosscheckCommand:
     def test_all_orders(self, capsys):

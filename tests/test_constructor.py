@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagkit.catalog import catalog, catalog_source
-from lagkit.dsl import parse, serialize
-from lagkit.errors import DimensionMismatchError
+from lagkit.dsl import FUNCTION_NAMES, parse, serialize
+from lagkit.errors import DimensionMismatchError, DslError
 from lagkit.findiff import eval_map_numeric
 from lagkit.products import circle_product, dilate, translate
 from lagkit.sampling import sample_points
@@ -59,14 +61,24 @@ class TestCircleProduct:
         with pytest.raises(DimensionMismatchError):
             circle_product(catalog("clifford_torus"))  # already half-dimensional
 
-    def test_angle_name_collision(self):
-        base = catalog("real_sphere_S5")  # params u, v
+    @pytest.mark.parametrize("name", ["exp", "map", "params", "signature", "é", "2t", "i", "u"])
+    def test_angle_name_follows_the_parameter_rule(self, name):
         with pytest.raises(ValueError):
-            circle_product(base, t_name="u")
-        with pytest.raises(ValueError):
-            circle_product(base, t_name="i")
-        with pytest.raises(ValueError):
-            circle_product(base, t_name="2t")
+            circle_product(catalog("real_circle_S3"), t_name=name)  # params u
+
+    @given(st.sampled_from([*FUNCTION_NAMES, "i", "u", "params", "signature", "map"])
+           | st.text("at_2é-", min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_angle_name_accepted_where_parse_accepts_it(self, name):
+        base = catalog("real_circle_S3")
+        try:
+            parse(f"params {name}:[0,1], u:[0,1];\nsignature 2 0;\nmap {name}, u;\n")
+        except DslError:
+            with pytest.raises(ValueError):
+                circle_product(base, t_name=name)
+        else:
+            product = circle_product(base, t_name=name)
+            assert parse(serialize(product)).same_structure(product)
 
     def test_custom_angle_name(self):
         prod = circle_product(catalog("real_circle_S3"), t_name="phase")

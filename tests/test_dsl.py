@@ -32,6 +32,7 @@ from lagkit.dsl import (
 from lagkit.errors import (
     ArityError,
     DomainError,
+    DslError,
     DslSyntaxError,
     SingularEvaluationError,
     UndeclaredParameterError,
@@ -135,6 +136,93 @@ class TestParse:
     def test_negative_exponent(self):
         spec = parse("params u:[1,2];\nsignature 1 0;\nmap u^-2;")
         assert spec.components == (Pow(Ref("u"), -2),)
+
+
+def _text(body, params="u:[0,1]", sig="1 0"):
+    return f"params {params};\nsignature {sig};\nmap {body};\n"
+
+
+# malformed input -> (exception type, message, line, column), frozen so that
+# a change to the parser keeps each outcome; several rows hold two faults,
+# where the order of the checks picks the one reported
+_OUTCOMES = {
+    "empty": ("", DslSyntaxError, "expected keyword 'params', found 'end of input'", 1, 1),
+    "reserved_function": (_text("u", "exp:[0,1]"), DslSyntaxError,
+                          "'exp' is reserved and cannot name a parameter", 1, 8),
+    "reserved_i": (_text("u", "i:[0,1]"), DslSyntaxError,
+                   "'i' is reserved and cannot name a parameter", 1, 8),
+    "reserved_keyword": (_text("u", "map:[0,1]"), DslSyntaxError,
+                         "'map' is reserved and cannot name a parameter", 1, 8),
+    "name_not_a_name": (_text("u", "2t:[0,1]"), DslSyntaxError,
+                        "expected a parameter name, found '2'", 1, 8),
+    "name_missing": ("params :[0,1];", DslSyntaxError,
+                     "expected a parameter name, found ':'", 1, 8),
+    "reserved_before_infinite_bound": (_text("u", "exp:[0,1e999]"), DslSyntaxError,
+                                       "'exp' is reserved and cannot name a parameter", 1, 8),
+    "reserved_before_bad_bound": (_text("u", "sin:[0,x]"), DslSyntaxError,
+                                  "'sin' is reserved and cannot name a parameter", 1, 8),
+    "infinite_hi": (_text("u", "u:[0,1e999]"), DslSyntaxError,
+                    "numeric literal is not a finite number", 1, 13),
+    "infinite_lo_before_order": (_text("u", "u:[1e999,0]"), DslSyntaxError,
+                                 "numeric literal is not a finite number", 1, 11),
+    "bound_not_a_number": (_text("u", "u:[-,1]"), DslSyntaxError,
+                           "expected a number, found ','", 1, 12),
+    "lo_above_hi": (_text("u", "u:[1,0]"), DslSyntaxError,
+                    "parameter 'u': need lo < hi, got [1.0, 0.0]", 1, 8),
+    "lo_equals_hi": (_text("u", "u:[-0.5,-0.5]"), DslSyntaxError,
+                     "parameter 'u': need lo < hi, got [-0.5, -0.5]", 1, 8),
+    "duplicate": (_text("u", "u:[0,1], v:[0,1], v:[0,2], u:[0,1]"), DslSyntaxError,
+                  "duplicate parameter name 'v'", 3, 1),
+    "duplicate_and_bad_signature": (_text("u", "u:[0,1], u:[0,2]", "1 2"), DslSyntaxError,
+                                    "need 0 <= s <= n, got s=2, n=1", 3, 1),
+    "duplicate_before_map_error": (_text("w", "u:[0,1], u:[0,2]"), DslSyntaxError,
+                                   "duplicate parameter name 'u'", 3, 1),
+    "duplicate_before_count": (_text("u, u", "u:[0,1], u:[0,2]"), DslSyntaxError,
+                               "duplicate parameter name 'u'", 3, 1),
+    "count_too_few": (_text("u", sig="2 0"), DslSyntaxError,
+                      "signature declares n=2 but map has 1 components", 4, 1),
+    "count_too_many": (_text("u, u, u", sig="2 0"), DslSyntaxError,
+                       "signature declares n=2 but map has 3 components", 4, 1),
+    "trailing_before_count": ("params u:[0,1];\nsignature 2 0;\nmap u u", DslSyntaxError,
+                              "trailing input 'u'", 3, 7),
+    "too_deep_before_trailing": (_text("+".join(["u"] * (MAX_DEPTH + 1)) + ")"), DslSyntaxError,
+                                 "expression nested too deeply", 3, 206),
+    "nested_too_deeply": (_text("(" * (MAX_DEPTH + 1) + "u" + ")" * (MAX_DEPTH + 1)),
+                          DslSyntaxError, "expression nested too deeply", 3, 105),
+    "signature_negative": (_text("u", sig="-1 0"), DslSyntaxError,
+                           "expected an integer, found '-'", 2, 11),
+    "signature_float": (_text("u", sig="1.5 0"), DslSyntaxError,
+                        "expected an integer, found '1.5'", 2, 11),
+    "signature_s_above_n": (_text("u", sig="1 2"), DslSyntaxError,
+                            "need 0 <= s <= n, got s=2, n=1", 3, 1),
+    "exponent_float": (_text("u^1.5"), DslSyntaxError, "expected an integer, found '1.5'", 3, 7),
+    "exponent_negative_float": (_text("u^-1.5"), DslSyntaxError,
+                                "expected an integer, found '1.5'", 3, 8),
+    "exponent_double_minus": (_text("u^--2"), DslSyntaxError,
+                              "expected an integer, found '-'", 3, 8),
+    "exponent_name": (_text("u^-u"), DslSyntaxError, "expected an integer, found 'u'", 3, 8),
+    "infinite_literal": (_text("1e999*u"), DslSyntaxError,
+                         "numeric literal is not a finite number", 3, 5),
+    "arity": (_text("sin(u, u)"), ArityError, "sin takes exactly one argument", 3, 10),
+    "unknown_function": (_text("tan(u)"), UnknownFunctionError, "unknown function 'tan'", 3, 5),
+    "undeclared": (_text("w"), UndeclaredParameterError, "undeclared parameter 'w'", 3, 5),
+    "dangling_operator": (_text("u +"), DslSyntaxError, "expected an expression, found ';'", 3, 8),
+    "unclosed": (_text("(u"), DslSyntaxError, "expected ')', found ';'", 3, 7),
+    "double_semicolon": (_text("u;"), DslSyntaxError, "trailing input ';'", 3, 7),
+    "bad_character": (_text("u @ u"), DslSyntaxError, "unexpected character '@'", 3, 7),
+    "missing_semicolon": ("params u:[0,1] v:[0,1];", DslSyntaxError,
+                          "expected ';', found 'v'", 1, 16),
+}
+
+
+@pytest.mark.parametrize("case", _OUTCOMES)
+def test_parse_outcome_is_frozen(case):
+    text, kind, message, line, column = _OUTCOMES[case]
+    with pytest.raises(DslError) as err:
+        parse(text)
+    assert type(err.value) is kind
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def _one_component(body):
@@ -463,7 +551,7 @@ class TestSharedEvaluation:
     )
     def test_invalid_node_raises(self, component):
         spec = ImmersionSpec((Param("u", -1.0, 1.0),), Signature(1, 0), (component,))
-        with pytest.raises((KeyError, TypeError)):
+        with pytest.raises(DslError, match=re.escape(f"invalid expression node {component!r}")):
             evaluate_map_jets(spec, (0.5,), 1)
 
 
@@ -489,6 +577,16 @@ class TestRecords:
             Param("u", 0.0, 1.0, lo=0.0)
         with pytest.raises(TypeError):
             parse(GOOD).replace(nmae="typo")
+
+    @pytest.mark.parametrize("name", ["exp", "i", "map", "signature", "2t", "é", "t ", ""])
+    def test_param_refuses_a_name_parse_refuses(self, name):
+        with pytest.raises(ValueError, match="parameter name|cannot name a parameter"):
+            Param(name, 0.0, 1.0)
+
+    def test_spec_refuses_a_repeated_name(self):
+        params = (Param("u", 0.0, 1.0), Param("u", 0.0, 2.0))
+        with pytest.raises(ValueError, match="duplicate parameter name 'u'"):
+            ImmersionSpec(params, Signature(2, 0), (Ref("u"), Ref("u")))
 
     def test_metadata_defaults_and_replace(self):
         spec = parse(GOOD)

@@ -30,7 +30,7 @@ from lagkit.dsl import (
     check_point_in_domain,
     parse,
 )
-from lagkit.errors import DomainError, SingularEvaluationError
+from lagkit.errors import DomainError, DslError, SingularEvaluationError
 from lagkit.findiff import (
     eval_map_numeric,
     finite_difference_oracle,
@@ -201,7 +201,7 @@ class TestCompiledMap:
 
         monkeypatch.setattr(findiff, "exec", refuse, raising=False)
         spec = ImmersionSpec((Param("u", -1.0, 1.0),), Signature(1, 0), (component,))
-        with pytest.raises((KeyError, TypeError)):
+        with pytest.raises(DslError, match=re.escape(f"invalid expression node {component!r}")):
             eval_map_numeric(spec, (0.5,))
         valid = ImmersionSpec((Param("u", -1.0, 1.0),), Signature(1, 0), (Ref("u"),))
         with pytest.raises(AssertionError, match="generated code ran"):
