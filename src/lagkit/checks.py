@@ -31,7 +31,6 @@ from .geometry import (
     contract,
     gauss_residual,
     point_max,
-    project,
     tangent_field,
 )
 from .record import Record
@@ -81,31 +80,32 @@ class SampleConfig(Record):
         return self.tol_third if third else self.tol
 
 
-class CheckEntry(Record, frozen=False):
+class CheckEntry(Record):
     """Outcome of one named residual check."""
 
-    # a constructor of its own: a suite builds about a dozen per spec
-    def __init__(self, name, max_residual, mean_residual, points_evaluated, tolerance, passed,
-                 status="ok", reason=None, worst_point=None, details=None):
-        self.name = name
-        self.max_residual = max_residual  # float, or None without residuals
-        self.mean_residual = mean_residual
-        self.points_evaluated = points_evaluated
-        self.tolerance = tolerance
-        self.passed = passed  # bool, or None when skipped
-        self.status = status  # ok | skipped | error
-        self.reason = reason
-        self.worst_point = worst_point  # the point's coordinates, or None
-        self.details = {} if details is None else details
+    _fields = (
+        "name", "max_residual", "mean_residual",  # residuals: floats, or None without any
+        "points_evaluated", "tolerance", "passed",  # passed: a bool, or None when skipped
+        "status", "reason",  # status: ok | skipped | error
+        "worst_point", "details",  # the point's coordinates, or None; a dict
+    )
+    status = "ok"
+    reason = None
+    worst_point = None
+    details = None
+
+    def __post_init__(self):
+        if self.details is None:
+            self.__dict__["details"] = {}  # a dict of its own for each entry
 
 
-class SphereFit(Record, frozen=False):
+class SphereFit(Record):
     """Least-squares central quadric through the sampled image points."""
 
     _fields = ("center", "radius_sq_signed", "rms_residual")  # center: interleaved (2n,)
 
 
-class Transform(Record, frozen=False):
+class Transform(Record):
     """Recenter/rescale applied before the classification-structure checks."""
 
     _fields = ("center", "scale")  # center: interleaved (2n,)
@@ -325,11 +325,11 @@ def _structure_with_fit(frames, cfg, entries, fit):
         lambda s: assemble_frame(frames.spec, frames.points[s], *(a[s] for a in arrays)),
         len(frames),
     )
-    coeffs, normal = project(fr, apply_j_flat(fr.position))
+    coeffs, grads = tangent_field(fr)
+    normal = apply_j_flat(fr.position) - (coeffs[:, None, :] @ fr.first)[:, 0]  # as project forms it
     vv = (coeffs[:, None, :] @ fr.metric @ coeffs[:, :, None])[:, 0, 0]
     hv = (coeffs[:, None, None] @ fr.sff)[:, :, 0]
     hvv = (coeffs[:, None] @ hv)[:, 0]
-    _, grads = tangent_field(fr)
     nabla_v = grads + contract(fr.christoffels, coeffs[:, None])[..., 0]
     res = {
         "structure_v_tangent": point_max(normal),
@@ -402,7 +402,7 @@ def check_codazzi(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
     return _finish("codazzi", cfg, codazzi_residual(frames), frames)
 
 
-class CheckReport(Record, frozen=False):
+class CheckReport(Record):
     """All check outcomes for one spec, JSON-serializable and byte-stable."""
 
     _fields = ("spec_name", "checks", "sphere_fit", "transform")  # checks: name -> CheckEntry

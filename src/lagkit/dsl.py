@@ -16,9 +16,11 @@ Grammar (UTF-8 text, `#` starts a comment running to end of line):
 only for positive real subexpressions).  Powers take integer exponents only,
 which keeps evaluation total and differentiable on the domain box.  Deeper
 trees or nesting than MAX_DEPTH (100) levels are a DslSyntaxError.  A parameter
-name is a NAME other than i, a function or a keyword, names are unique, and
-lo < hi: Param and ImmersionSpec hold these rules, so a spec built in code
-breaks them with the ValueError whose message parse reports at the token.
+name is a NAME other than i, a function or a keyword, names are unique,
+lo < hi, and a NUMBER is finite (a Num holds one, unsigned; a bound holds
+one with its sign): Num, Param and ImmersionSpec hold these rules, so a spec
+built in code breaks them with the ValueError whose message parse reports at
+the token.
 
 serialize() emits canonical text; parse(serialize(spec)) reproduces the
 params/signature/components structure exactly.
@@ -31,9 +33,9 @@ and operands are, a constant by its exact bits (Num(0.0) == Num(-0.0) as records
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import re
+import sys
 
 import numpy as np
 
@@ -79,6 +81,18 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # the grammar's NAME
 class Num(Record):
     _fields = ("value",)
 
+    def __post_init__(self):
+        self._check_value(self.value)
+
+    @staticmethod
+    def _check_value(value):
+        """The rule for a NUMBER, which parse applies at its token: a finite
+        value not below zero, since a minus sign is a Neg node."""
+        if not abs(value) <= sys.float_info.max:  # NaN too, and ints no float holds
+            raise ValueError("numeric literal is not a finite number")
+        if value < 0:
+            raise ValueError(f"numeric literal {value!r} is negative: a minus sign is a Neg node")
+
 
 class Imag(Record):
     pass
@@ -112,6 +126,8 @@ class Param(Record):
 
     def __post_init__(self):
         self._check_name(self.name)
+        for bound in (self.lo, self.hi):  # a bound is ["-"] NUMBER
+            Num._check_value(abs(bound))
         if not self.lo < self.hi:
             raise ValueError(f"parameter {self.name!r}: need lo < hi, got [{self.lo}, {self.hi}]")
 
@@ -268,8 +284,8 @@ class _Parser:
             value = int(tok.text) if integer else float(tok.text)
         except ValueError:  # more digits than int() converts
             self._fail(f"integer literal of {len(tok.text)} digits is too long", tok)
-        if not (integer or math.isfinite(value)):
-            self._fail("numeric literal is not a finite number", tok)
+        if not integer:
+            self._valid(Num._check_value, value, tok=tok)
         return -value if negative else value
 
     def parse_spec(self) -> ImmersionSpec:

@@ -52,7 +52,7 @@ DET_THRESHOLD = 1e-10
 CHUNK = 256
 
 
-class FrameBatch(Record, frozen=False):
+class FrameBatch(Record):
     """Derivative and metric data of an immersion at B points."""
 
     _fields = (
@@ -152,9 +152,9 @@ def assemble_frame(spec, points, position, first, second, third=None) -> FrameBa
         spec, points, position, first, second, third, eta,
         metric, metric_inv, dmetric, christoffels, sff,
     )
-    if third is not None:
-        frames.dchristoffels = _christoffel_derivatives(frames, weighted)
-    return frames
+    if third is None:
+        return frames
+    return frames.replace(dchristoffels=_christoffel_derivatives(frames, weighted))
 
 
 def contract(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -54,26 +54,16 @@ class Jet:
 
     __slots__ = ("num_vars", "order", "_coeffs", "_pending", "_applied")
 
-    def __init__(self, num_vars, order, value, gradient=None, hessian=None, third=None):
+    def __init__(self, num_vars, order, value):
+        """The constant jet: the given value(s), every derivative zero."""
         if order not in (0, 1, 2, 3):
             raise ValueError(f"jet order must be in 0..3, got {order}")
         if num_vars < 1:
             raise ValueError(f"jet needs at least one variable, got {num_vars}")
-        m = self.num_vars = num_vars
-        self.order, self._pending, self._applied = order, (), None
-        coeffs = [np.array(value, dtype=complex)]
-        batch = coeffs[0].shape
-        for k, block in zip(range(1, order + 1), (gradient, hessian, third)):
-            if block is None:
-                coeffs.append(np.zeros((len(_directions(m)),) + batch, dtype=complex))
-                continue
-            block = np.asarray(block, dtype=complex)
-            if block.shape != batch + (m,) * k:
-                raise DimensionMismatchError(
-                    f"expected block shape {batch + (m,) * k}, got {block.shape}"
-                )
-            coeffs.append(np.moveaxis(block.reshape(batch + (-1,)) @ _monomials(m, k), -1, 0))
-        self._coeffs = tuple(coeffs)
+        self.num_vars, self.order, self._pending, self._applied = num_vars, order, (), None
+        value = np.array(value, dtype=complex)
+        shape = (len(_directions(num_vars)),) + value.shape
+        self._coeffs = (value, *(np.zeros(shape, dtype=complex) for _ in range(order)))
 
     @classmethod
     def seed(cls, var_index, value, num_vars, order) -> "Jet":
@@ -210,15 +200,6 @@ def _directions(m: int) -> np.ndarray:
     """The D = C(m+2, 3) directions s in N^m with |s| = 3, as rows (D, m)."""
     picks = itertools.combinations_with_replacement(range(m), _DEGREE)
     return np.array([[pick.count(t) for t in range(m)] for pick in picks])
-
-
-@functools.cache
-def _monomials(m: int, k: int) -> np.ndarray:
-    """(m^k, D) matrix taking a flattened k-th derivative tensor T to the
-    coefficients T[s, ..., s] / k! along the directions."""
-    s = _directions(m)
-    rows = itertools.product(range(m), repeat=k)
-    return np.array([np.prod(s[:, list(i)], axis=1) for i in rows]) / math.factorial(k)
 
 
 @functools.cache

@@ -71,7 +71,8 @@ def circle_product(psi: ImmersionSpec, t_name: str = "t") -> ImmersionSpec:
 
 
 def translate(spec: ImmersionSpec, offsets) -> ImmersionSpec:
-    """Add a constant ambient vector: components become c_j + component."""
+    """Add a constant ambient vector: components become c_j + component.
+    An offset that is not finite is a ValueError (Num holds finite literals)."""
     offs = [complex(c) for c in offsets]
     if len(offs) != spec.signature.n:
         raise DimensionMismatchError(
@@ -86,7 +87,7 @@ def translate(spec: ImmersionSpec, offsets) -> ImmersionSpec:
 
 
 def dilate(spec: ImmersionSpec, factor: float) -> ImmersionSpec:
-    """Scale all components by a nonzero real factor."""
+    """Scale all components by a nonzero finite real factor (ValueError otherwise)."""
     factor = float(factor)
     if factor == 0:
         raise ValueError("dilation factor must be nonzero")

@@ -4,9 +4,8 @@ Creating a dataclass execs generated methods, about a millisecond per class,
 which a cold `lagkit check` would pay for every record type it imports.  A
 Record subclass names its fields in `_fields`, and class attributes give
 defaults (shared by every record, so never a mutable one).  Records compare
-by type and fields, print like dataclasses, support replace() and refuse
-assignment unless declared with frozen=False; a frozen record computes its
-hash once.
+by type and fields, print like dataclasses, support replace(), refuse
+assignment and compute their hash once.
 vars(record) maps each field to its value, in `_fields` order.
 """
 
@@ -16,18 +15,15 @@ _MISSING = object()  # the default of a field that has none
 
 
 class Record:
-    __slots__ = ("__dict__", "_hash")  # a frozen record's hash, once computed
+    __slots__ = ("__dict__", "_hash")  # the hash, once computed
     _fields: tuple[str, ...] = ()
     _template: dict = {}  # field -> its class-attribute default, or _MISSING
     _required: frozenset = frozenset()  # the fields without a default
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._template = {name: getattr(cls, name, _MISSING) for name in cls._fields}
         cls._required = frozenset(k for k, v in cls._template.items() if v is _MISSING)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__hash__ = None  # mutable: equal records may hash apart later
 
     def __init__(self, *args, **kwargs):
         fields = self._fields

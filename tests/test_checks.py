@@ -588,6 +588,20 @@ class TestReportSerialization:
         report = CheckReport(spec_name="probe", checks={"spherical": entry})
         assert not report.passed
 
+    @pytest.mark.parametrize(
+        "kind", ["FrameBatch", "CheckEntry", "SphereFit", "Transform", "CheckReport"]
+    )
+    def test_records_refuse_assignment(self, kind):
+        spec = catalog("clifford_torus")
+        report = run_suite(spec, CFG)
+        frames = sample_frames(spec, CFG, need_third=True)
+        records = (frames, report.checks["lagrangian"], report.sphere_fit, report.transform, report)
+        (record,) = [r for r in records if type(r).__name__ == kind]
+        for field in vars(record):
+            with pytest.raises(AttributeError, match=f"cannot assign to field {field!r}"):
+                setattr(record, field, None)
+        assert frames.dchristoffels is not None and report.passed
+
     def test_entries_own_their_details_and_reports_pickle(self):
         a, b = (CheckEntry("probe", None, None, 0, 1e-8, None) for _ in range(2))
         assert a.details == {} and a.details is not b.details

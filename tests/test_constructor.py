@@ -111,6 +111,15 @@ class TestAffineTransforms:
         with pytest.raises(ValueError):
             dilate(catalog("clifford_torus"), 0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_factor_or_offset_is_refused(self, bad):
+        # what parse would refuse in serialize(...)'s text, the records refuse
+        spec = catalog("clifford_torus")
+        for make in (lambda: dilate(spec, bad), lambda: translate(spec, (bad, 0.0)),
+                     lambda: translate(spec, (complex(0.0, bad), 0.0))):
+            with pytest.raises(ValueError, match="numeric literal is not a finite number"):
+                make()
+
     def test_offsets_arity_checked(self):
         with pytest.raises(DimensionMismatchError):
             translate(catalog("clifford_torus"), (1.0,))

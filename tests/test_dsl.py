@@ -1,6 +1,7 @@
 """Parser, serializer, and evaluator for the immersion expression language."""
 
 import cmath
+import math
 import pickle
 import re
 import subprocess
@@ -587,6 +588,29 @@ class TestRecords:
         params = (Param("u", 0.0, 1.0), Param("u", 0.0, 2.0))
         with pytest.raises(ValueError, match="duplicate parameter name 'u'"):
             ImmersionSpec(params, Signature(2, 0), (Ref("u"), Ref("u")))
+
+    @pytest.mark.parametrize(
+        "value", [-1.0, -1e-300, math.inf, -math.inf, math.nan, pytest.param(10**400, id="10**400")]
+    )
+    def test_num_refuses_a_literal_parse_refuses(self, value):
+        with pytest.raises(ValueError, match="numeric literal"):
+            Num(value)
+
+    def test_num_keeps_the_sign_of_zero(self):
+        assert math.copysign(1.0, Num(-0.0).value) == -1.0
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
+    def test_param_refuses_a_bound_parse_refuses(self, lo, hi):
+        with pytest.raises(ValueError, match="numeric literal is not a finite number"):
+            Param("u", lo, hi)
+
+    def test_a_negative_literal_serializes_as_a_negation(self):
+        # (-1)^2 + u is 1.5 at u = 0.5, where u+-1^2 would read back as -0.5
+        square = Pow(Neg(Num(1.0)), 2)
+        spec = ImmersionSpec((Param("u", 0.0, 1.0),), Signature(1, 0), (Bin("+", Ref("u"), square),))
+        again = parse(serialize(spec))
+        assert again.same_structure(spec) and serialize_expr(square) == "(-1)^2"
+        assert eval_map_numeric(again, (0.5,)) == eval_map_numeric(spec, (0.5,)) == 1.5
 
     def test_metadata_defaults_and_replace(self):
         spec = parse(GOOD)

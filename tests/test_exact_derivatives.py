@@ -22,7 +22,7 @@ from lagkit.dsl import evaluate_map_jets
 from lagkit.errors import DegenerateMetricError, LagkitError
 from lagkit.findiff import eval_map_numeric
 from lagkit.geometry import build_frame
-from lagkit.jets import _monomials, _weights
+from lagkit.jets import _directions, _weights
 from lagkit.sampling import sample_points
 from test_dsl import _expr_strategy, assert_same_as_walk
 
@@ -60,7 +60,8 @@ def derivative(e, x: str):
         return ZERO if d is ZERO else Neg(d)
     if isinstance(e, Pow):
         d = ZERO if e.exponent == 0 else derivative(e.base, x)
-        return _product(_product(Num(float(e.exponent)), Pow(e.base, e.exponent - 1)), d)
+        k = Num(float(abs(e.exponent)))
+        return _product(_product(k if e.exponent >= 0 else Neg(k), Pow(e.base, e.exponent - 1)), d)
     if isinstance(e, Call):
         return _product(_DERIVATIVE[e.fn](e.arg), derivative(e.arg, x))
     dl, dr = derivative(e.left, x), derivative(e.right, x)
@@ -115,6 +116,14 @@ def assert_jets_exact(spec, points, order=3):
         for c in range(len(spec.components)):
             error = np.abs(tensor[..., c] - exact[k][..., c]).reshape(len(points), -1).max(axis=1)
             assert (error <= 1e-12 * scale).all(), (k, c, (error / scale).max())
+
+
+def _monomials(m: int, k: int) -> np.ndarray:
+    """(m^k, D) matrix taking a flattened k-th derivative tensor T to the
+    coefficients T[s, ..., s] / k! along the directions."""
+    s = _directions(m)
+    rows = itertools.product(range(m), repeat=k)
+    return np.array([np.prod(s[:, list(i)], axis=1) for i in rows]) / math.factorial(k)
 
 
 @pytest.mark.parametrize("m, k", [(m, k) for m in (1, 2, 3, 4) for k in (1, 2, 3)])

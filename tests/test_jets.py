@@ -6,7 +6,8 @@ implementation existed; do not regenerate them from the package itself.
 
 import cmath
 import math
-from itertools import permutations
+from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -281,17 +282,23 @@ def reference_compose_third(u, f1, f2, f3):
 
 
 def random_jet(rng, batch, m, real=False):
-    """A jet of order 3 at batch points with random symmetric derivative blocks."""
+    """A jet of order 3 at batch points with random derivative blocks: a cubic
+    in coordinates seeded at zero, each monomial with a random constant jet
+    as its coefficient."""
 
-    def draw(*shape):
-        x = rng.uniform(-1.0, 1.0, (batch,) + shape)
-        return x if real else x + 1j * rng.uniform(-1.0, 1.0, (batch,) + shape)
+    def draw():
+        x = rng.uniform(-1.0, 1.0, batch)
+        return Jet(m, 3, x if real else x + 1j * rng.uniform(-1.0, 1.0, batch))
 
-    hessian = draw(m, m)
-    third = draw(m, m, m)
-    third = sum(third.transpose(0, *(1 + k for k in p)) for p in permutations(range(3)))
-    value = draw() + (2.0 if real else 0.0)  # sqrt needs positive values
-    return Jet(m, 3, value, draw(m), hessian + hessian.swapaxes(1, 2), third)
+    seeds = [Jet.seed(i, np.zeros(batch), m, 3) for i in range(m)]
+    jet = draw() + (2.0 if real else 0.0)  # sqrt needs positive values
+    for k in (1, 2, 3):
+        for monomial in combinations_with_replacement(seeds, k):
+            term = draw()
+            for seed in monomial:
+                term = term * seed
+            jet = jet + term
+    return jet
 
 
 def _assert_third_close(got, want):
@@ -325,8 +332,8 @@ class TestThirdOrderBlocks:
         a, b = random_jet(rng, 65, m), random_jet(rng, 65, m)
         b = b + 3.0  # values kept away from zero
         inv = 1.0 / b.value
-        recip = Jet(
-            m, 3, inv, (1.0 / b).gradient, (1.0 / b).hessian,
-            reference_compose_third(b, -inv * inv, 2.0 * inv**3, -6.0 * inv**4),
+        recip = SimpleNamespace(
+            value=inv, gradient=(1.0 / b).gradient, hessian=(1.0 / b).hessian,
+            third=reference_compose_third(b, -inv * inv, 2.0 * inv**3, -6.0 * inv**4),
         )
         _assert_third_close((a / b).third, reference_product_third(a, recip))
