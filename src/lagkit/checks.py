@@ -25,7 +25,6 @@ from .errors import DimensionMismatchError, LagkitError
 from .geometry import (
     CHUNK,
     FrameBatch,
-    assemble_frame,
     build_frame,
     codazzi_residual,
     contract,
@@ -73,7 +72,11 @@ class SampleConfig(Record):
 
     def __post_init__(self):
         if self.num_points < 1:
-            raise ValueError("num_points must be >= 1")
+            raise ValueError(f"num_points must be at least 1, got {self.num_points}")
+        for name in ("tol", "tol_third"):  # the JSON report holds no NaN or Infinity
+            tol = getattr(self, name)
+            if not 0 <= tol < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {tol!r}")
 
     def tolerance_for(self, check_name: str) -> float:
         third = any(row[0] == check_name and row[2] == 3 for row in _CHECKS)
@@ -307,24 +310,17 @@ def _structure_with_fit(frames, cfg, entries, fit):
 
     On that immersion the tangential part V of J L must satisfy: V actually
     tangential, <V, V> = epsilon, h(Z, V) = JZ, h(V, V) = -position, and
-    nabla V = 0.  Its frames are assembled from the frames of L, which keep
-    their spec: recentring moves the position only and rescaling multiplies
-    every derivative by k = 1 / scale.  Scaling by the reciprocal, as
-    dilate(spec, 1 / scale) does, gives the arrays of the normalized spec bit
-    for bit, without evaluating it.  Returns (normalized frames, their unit
-    quadric AmbientQuadric(epsilon), structure entries by name); raises _Skip
-    without a transform, and what assembling the frames raised.
+    nabla V = 0.  Its frames are those of L rescaled in closed form
+    (FrameBatch.rescaled with k = 1 / scale), keeping their spec, so the
+    normalized spec is neither evaluated nor assembled.  Returns (normalized
+    frames, their unit quadric AmbientQuadric(epsilon), structure entries by
+    name); raises _Skip without a transform.
     """
     transform, reason = _transform(entries, fit)
     if reason is not None:
         raise _Skip(reason)
     unit = AmbientQuadric(1.0 if fit.radius_sq_signed > 0 else -1.0)  # c = epsilon
-    k = 1.0 / transform.scale
-    arrays = ((frames.position - fit.center) * k, frames.first * k, frames.second * k)
-    fr = _pointwise_on_error(
-        lambda s: assemble_frame(frames.spec, frames.points[s], *(a[s] for a in arrays)),
-        len(frames),
-    )
+    fr = frames.rescaled(fit.center, 1.0 / transform.scale)
     coeffs, grads = tangent_field(fr)
     normal = apply_j_flat(fr.position) - (coeffs[:, None, :] @ fr.first)[:, 0]  # as project forms it
     vv = (coeffs[:, None, :] @ fr.metric @ coeffs[:, :, None])[:, 0, 0]
@@ -484,17 +480,15 @@ class _Suite:
         return q
 
     def bundle(self, skipped=None):
-        """_structure_with_fit, run once: what it raised, it raises again (a
-        skip as _Skip(skipped), when skipped is given)."""
+        """_structure_with_fit, run once: a skip it raised, it raises again (as
+        _Skip(skipped), when skipped is given)."""
         if self._bundle is None:
             try:
                 self._bundle = _structure_with_fit(self._frames, self.cfg, self.entries, self.fit)
-            except (_Skip, LagkitError) as exc:
-                self._bundle = exc
-        if skipped and isinstance(self._bundle, _Skip):
-            raise _Skip(skipped)
-        if isinstance(self._bundle, Exception):
-            raise self._bundle
+            except _Skip as skip:
+                self._bundle = skip
+        if isinstance(self._bundle, _Skip):
+            raise _Skip(skipped) if skipped else self._bundle
         return self._bundle
 
 

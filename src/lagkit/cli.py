@@ -81,16 +81,11 @@ def _parse_quadric(text: str, spec: ImmersionSpec) -> AmbientQuadric:
 
 
 def _config(args) -> SampleConfig:
-    _require(args.samples >= 1, f"--samples must be at least 1, got {args.samples}")
-    for flag, tol in (("--tol", args.tol), ("--tol-third", args.tol_third)):
-        # the JSON report holds no NaN or Infinity
-        _require(0 <= tol < math.inf, f"{flag} must be finite and non-negative, got {tol!r}")
-    return SampleConfig(
-        num_points=args.samples,
-        seed=args.seed,
-        tol=args.tol,
-        tol_third=args.tol_third,
-    )
+    """The SampleConfig of the sampling flags; one it refuses is a usage error."""
+    try:
+        return SampleConfig(args.samples, args.seed, args.tol, args.tol_third)
+    except ValueError as exc:
+        raise _UsageError(f"bad sampling flag: {exc}") from exc
 
 
 def _emit(text: str, out_path: str | None):
@@ -279,6 +274,9 @@ def main(argv=None) -> int:
         return status
     except (_UsageError, LagkitError) as exc:
         print(f"lagkit: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a sample count no memory holds, met past sampling
+        print(f"lagkit: out of memory: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError as exc:  # the reader is gone: shutdown flushes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

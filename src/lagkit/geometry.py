@@ -78,6 +78,23 @@ class FrameBatch(Record):
     def point(self, index: int) -> tuple[float, ...]:
         return tuple(self.points[index].tolist())
 
+    def rescaled(self, center, k: float) -> "FrameBatch":
+        """The frames of (L - center) * k at the same points, in closed form:
+        the derivatives and the second fundamental form scale by k, the metric
+        and its derivatives by k^2 and its inverse by 1/k^2, while the
+        Christoffel symbols and their derivatives stay as they are."""
+        k2 = k * k
+        return self.replace(
+            position=(self.position - center) * k,
+            first=self.first * k,
+            second=self.second * k,
+            third=None if self.third is None else self.third * k,
+            metric=self.metric * k2,
+            metric_inv=self.metric_inv / k2,
+            dmetric=self.dmetric * k2,
+            sff=self.sff * k,
+        )
+
 
 def point_max(x: np.ndarray) -> np.ndarray:
     """max |x| over every axis but the leading point axis (0 for empty slices)."""

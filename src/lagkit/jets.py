@@ -10,12 +10,8 @@ the contiguous point axis; a jet built from scalars has no point axis.
 
 A product is the truncated Cauchy product; exp, sin, cos, sinh, cosh, 1/x and
 sqrt are the univariate chain rule on their derivatives f0..f3 at the values.
-A Python number mixes in as a constant: a shift moves the value, a factor or
-negation every coefficient.  Such constant operations stay pending, a jet
-or function the jet meets seeing them applied, and act on the derivative
-tensors at the end, so k * (f + c) has exactly the tensors of f shifted and
-scaled, also when dsl._plan shares it as an operand: one jet per distinct
-subexpression of a map, constants told apart by their exact bits.
+A Python number mixes in as a constant, applied when the jet meets it: a
+shift moves the value, a factor or a negation scales every coefficient.
 
 The derivative tensors come back by interpolation: T_k = f_k @ W_k for fixed
 (D, m^k) weights, exact rationals rounded once.  `interpolate` applies W_k
@@ -52,7 +48,7 @@ _DEGREE = 3  # every direction s has |s| = 3
 class Jet:
     """Complex values plus Taylor coefficients of a function of m real variables."""
 
-    __slots__ = ("num_vars", "order", "_coeffs", "_pending", "_applied")
+    __slots__ = ("num_vars", "order", "_coeffs")
 
     def __init__(self, num_vars, order, value):
         """The constant jet: the given value(s), every derivative zero."""
@@ -60,7 +56,7 @@ class Jet:
             raise ValueError(f"jet order must be in 0..3, got {order}")
         if num_vars < 1:
             raise ValueError(f"jet needs at least one variable, got {num_vars}")
-        self.num_vars, self.order, self._pending, self._applied = num_vars, order, (), None
+        self.num_vars, self.order = num_vars, order
         value = np.array(value, dtype=complex)
         shape = (len(_directions(num_vars)),) + value.shape
         self._coeffs = (value, *(np.zeros(shape, dtype=complex) for _ in range(order)))
@@ -77,14 +73,8 @@ class Jet:
             out.coeffs[1].T[...] = _directions(num_vars)[:, var_index]
         return out
 
-    @property
-    def coeffs(self) -> tuple:
-        """(value, degree 1, ..., degree order) arrays, pending operations applied once, not in place."""
-        if self._pending and self._applied is None:
-            self._applied = _apply(self._pending, self._coeffs)
-        return self._applied or self._coeffs
-
-    value = property(lambda self: self.coeffs[0])
+    coeffs = property(lambda self: self._coeffs, doc="(value, degree 1, ..., degree order) arrays")
+    value = property(lambda self: self._coeffs[0])
 
     @property
     def blocks(self) -> tuple:
@@ -109,11 +99,11 @@ class Jet:
         return _linear(-self, other, operator.add)
 
     def __neg__(self):
-        return _later(self, lambda arrays: tuple(-x for x in arrays))
+        return _new(self, *(-x for x in self._coeffs))
 
     def __mul__(self, other):
         if _is_scalar(other):
-            return _later(self, lambda arrays: tuple(other * x for x in arrays))
+            return _new(self, *(other * x for x in self._coeffs))
         if not isinstance(other, Jet):
             return NotImplemented
         _check_compat(self, other)
@@ -152,17 +142,15 @@ def _is_scalar(x) -> bool:
 def _linear(a: Jet, b, op) -> Jet:
     """a + b or a - b; a scalar b only shifts the values."""
     if _is_scalar(b):
-        return _later(a, lambda arrays: (op(arrays[0], b), *arrays[1:]))
+        return _new(a, op(a._coeffs[0], b), *a._coeffs[1:])
     if not isinstance(b, Jet):
         return NotImplemented
     _check_compat(a, b)
     return _new(a, *map(op, a.coeffs, b.coeffs))
 
 
-def _new(like: Jet, *coeffs, pending=()) -> Jet:
-    """Jet shaped like `like` holding the given coefficients, with the given
-    pending constant operations (functions on (value, ...) arrays): no copy,
-    no checks.
+def _new(like: Jet, *coeffs) -> Jet:
+    """Jet shaped like `like` holding the given coefficients: no copy, no checks.
 
     Arrays may be shared with an operand (a scalar shift keeps the higher
     coefficients of its jet), so an array must not be written to once its jet
@@ -170,18 +158,7 @@ def _new(like: Jet, *coeffs, pending=()) -> Jet:
     """
     out = object.__new__(Jet)
     out.num_vars, out.order, out._coeffs = like.num_vars, like.order, coeffs
-    out._pending, out._applied = pending, None
     return out
-
-
-def _later(u: Jet, op) -> Jet:
-    return _new(u, *u._coeffs, pending=u._pending + (op,))
-
-
-def _apply(ops, arrays) -> tuple:
-    for op in ops:
-        arrays = op(arrays)
-    return arrays
 
 
 def _check_compat(a: Jet, b: Jet):
@@ -235,8 +212,7 @@ def _weights(m: int, k: int) -> np.ndarray:
 def interpolate(jets: list[Jet]) -> list[np.ndarray]:
     """The blocks (value, gradient, hessian, third) up to the order of the
     jets, which share num_vars, order and point shape, stacked along a last
-    axis of length n, with the pending constant operations of each jet
-    applied to its blocks.
+    axis of length n.
 
     Per degree, the coefficients of all n jets are stacked as (D, points, n)
     and multiplied by W_k in one real matrix product on their float view.
@@ -252,11 +228,6 @@ def interpolate(jets: list[Jet]) -> list[np.ndarray]:
             coeffs = (_weights(m, k).T @ coeffs.view(float).reshape(rows, -1)).view(complex)
         coeffs = coeffs.reshape(m**k, size, n).transpose(1, 0, 2)
         stacked.append(coeffs.reshape(batch + (m,) * k + (n,)))
-    for c, jet in enumerate(jets):
-        if jet._pending:
-            views = tuple(block[..., c] for block in stacked)
-            for view, block in zip(views, _apply(jet._pending, views)):
-                view[...] = block
     return stacked
 
 

@@ -40,7 +40,8 @@ def sample_points(
     Each interval is shrunk by INTERIOR_MARGIN (relative to its length) plus
     extra_margin (absolute, e.g. finite-difference stencil reach) before
     sampling uniformly; point k takes draws k*m .. k*m + m - 1 of the stream.
-    Raises LagkitError for more coordinates than an array can hold.
+    Raises LagkitError for more coordinates than an array, or the memory, can
+    hold.
     """
     boxes = []
     for p in spec.params:
@@ -52,7 +53,7 @@ def sample_points(
     lo, hi = np.array(boxes).T
     try:
         draws = _splitmix64(seed, num_points * len(lo))
-    except ValueError as exc:  # numpy refuses the size before allocating
+        u = (draws >> np.uint64(11)) * 2.0**-53  # on [0, 1)
+        return list(map(tuple, (lo + u.reshape(num_points, len(lo)) * (hi - lo)).tolist()))
+    except (ValueError, MemoryError) as exc:  # numpy refuses the size, or cannot allocate it
         raise LagkitError(f"cannot sample {num_points} points: {exc}") from exc
-    u = (draws >> np.uint64(11)) * 2.0**-53  # on [0, 1)
-    return list(map(tuple, (lo + u.reshape(num_points, len(lo)) * (hi - lo)).tolist()))

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -230,6 +231,7 @@ class TestCheckCommand:
         ("check", "clifford_torus", "--checks", ",", "--json"),
         ("check", "clifford_torus", "--tol", "nan", "--json"),
         ("check", "clifford_torus", "--tol-third", "inf", "--json"),
+        ("check", "clifford_torus", "--tol", "-1"),
         ("construct", "pseudo_legendrian_H3", "--verify", "--samples", "0"),
         ("crosscheck", "clifford_torus", "--step", "-1"),
         ("crosscheck", "clifford_torus", "--step", "0"),
@@ -397,6 +399,27 @@ def test_sample_count_no_array_can_hold_exits_two(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("lagkit: cannot sample ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "samples, message",
+    [(10**8, "cannot sample 100000000 points: "), (10**6, "out of memory: ")],
+    ids=["sampling", "frames"],
+)
+def test_sample_count_no_memory_holds_exits_two(samples, message):
+    # in a 1 GiB address space 10**8 points need 2.2 GiB of draws, and 10**6
+    # points sample but their third derivatives need 1.2 GiB; with one BLAS
+    # thread the space numpy's import reserves does not grow with the cores
+    limit = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "lagkit.cli", "check", "product_S1xS2", "--json",
+         "--samples", str(samples)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert re.fullmatch(f"lagkit: {re.escape(message)}.*\n", proc.stderr), proc.stderr
 
 
 def _quiet_main(*argv):

@@ -584,6 +584,11 @@ class TestRecords:
         with pytest.raises(ValueError, match="parameter name|cannot name a parameter"):
             Param(name, 0.0, 1.0)
 
+    def test_spec_refuses_no_parameters(self):
+        # parse cannot build one: its grammar asks for a parameter first
+        with pytest.raises(ValueError, match="^at least one parameter required$"):
+            ImmersionSpec((), Signature(1, 0), (Num(1.0),))
+
     def test_spec_refuses_a_repeated_name(self):
         params = (Param("u", 0.0, 1.0), Param("u", 0.0, 2.0))
         with pytest.raises(ValueError, match="duplicate parameter name 'u'"):

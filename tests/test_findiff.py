@@ -421,6 +421,12 @@ class TestDomainGuard:
         with pytest.raises(DomainError):
             eval_map_numeric(EXP_SPEC, (3.5,))
 
+    @pytest.mark.parametrize("point", [(), (0.5, 0.5)], ids=["no-coordinates", "two-coordinates"])
+    def test_point_of_the_wrong_length(self, point):
+        message = f"^point has {len(point)} coordinates, spec has 1 parameters$"
+        with pytest.raises(DomainError, match=message):
+            finite_difference_oracle(EXP_SPEC, point, order=1, step=1e-2)
+
     def test_bad_order_and_step(self):
         with pytest.raises(ValueError):
             finite_difference_oracle(EXP_SPEC, (0.0,), order=4, step=1e-2)

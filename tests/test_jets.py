@@ -6,6 +6,7 @@ implementation existed; do not regenerate them from the package itself.
 
 import cmath
 import math
+import re
 from itertools import combinations_with_replacement
 from types import SimpleNamespace
 
@@ -101,6 +102,22 @@ class TestHandComputed:
 
 
 class TestStructure:
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: Jet(2, 4, 0.0), ValueError, "jet order must be in 0..3, got 4"),
+            (lambda: Jet(0, 1, 0.0), ValueError, "jet needs at least one variable, got 0"),
+            (lambda: Jet.seed(2, 0.0, 2, 1), DimensionMismatchError,
+             "seed index 2 out of range for 2 variables"),
+            (lambda: Jet.seed(-1, 0.0, 2, 1), DimensionMismatchError,
+             "seed index -1 out of range for 2 variables"),
+        ],
+        ids=["order-4", "no-variables", "seed-index-past-the-end", "seed-index-negative"],
+    )
+    def test_refuses_a_jet_it_cannot_build(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
+
     def test_seed_blocks(self):
         u = Jet.seed(1, 3.5, 3, 2)
         assert u.value == 3.5
