@@ -79,8 +79,7 @@ class SampleConfig(Record):
                 raise ValueError(f"{name} must be finite and non-negative, got {tol!r}")
 
     def tolerance_for(self, check_name: str) -> float:
-        third = any(row[0] == check_name and row[2] == 3 for row in _CHECKS)
-        return self.tol_third if third else self.tol
+        return self.tol_third if check_name in _THIRD_ORDER else self.tol
 
 
 class CheckEntry(Record):
@@ -117,18 +116,14 @@ class Transform(Record):
 def _finish(name, cfg, residuals, frames, extra_details=None) -> CheckEntry:
     tol = cfg.tolerance_for(name)
     arr = np.asarray(residuals, dtype=float)
-    worst = int(np.argmax(arr))  # the first NaN, if there is one
-    if not math.isfinite(arr[worst]):
+    worst = int(arr.argmax())  # the first NaN, if there is one
+    top = float(arr[worst])
+    if not math.isfinite(top):
         return _errored(name, cfg, f"non-finite residual at {frames.point(worst)}")
-    return CheckEntry(
-        name=name,
-        max_residual=float(arr[worst]),
-        mean_residual=float(arr.mean()),
-        points_evaluated=len(frames),
-        tolerance=tol,
-        passed=bool(arr[worst] <= tol),
-        worst_point=frames.point(worst),
-        details=dict(extra_details or {}),
+    mean = float(arr.sum() / len(arr))  # arr.mean()'s sum and division, without its wrapper
+    return CheckEntry(  # positionally, in _fields order: Record's fast path
+        name, top, mean, len(frames), tol, top <= tol,
+        "ok", None, frames.point(worst), dict(extra_details or {}),
     )
 
 
@@ -154,7 +149,7 @@ def sample_frames(
     When that call raises, the error names the first failing sample point
     (see _pointwise_on_error).
     """
-    points = np.array(sample_points(spec, cfg.num_points, cfg.seed))
+    points = sample_points(spec, cfg.num_points, cfg.seed)
     return _pointwise_on_error(lambda s: build_frame(spec, points[s], need_third), len(points))
 
 
@@ -230,7 +225,7 @@ def fit_hypersphere(frames: FrameBatch, cfg: SampleConfig):
     radius_sq = k + float(inner_flat(center, center, eta))
     residuals = np.abs(rows @ sol - rhs)
     rms = float(np.sqrt(np.mean(residuals**2)))
-    fit = SphereFit(center=center, radius_sq_signed=radius_sq, rms_residual=rms)
+    fit = SphereFit(center, radius_sq, rms)
     entry = _finish(
         "spherical",
         cfg,
@@ -486,9 +481,12 @@ class _Suite:
             try:
                 self._bundle = _structure_with_fit(self._frames, self.cfg, self.entries, self.fit)
             except _Skip as skip:
-                self._bundle = skip
-        if isinstance(self._bundle, _Skip):
-            raise _Skip(skipped) if skipped else self._bundle
+                # its reason alone: the exception's traceback holds the frames
+                # of this call, and those hold this suite, a cycle only the
+                # garbage collector would free
+                self._bundle = str(skip)
+        if isinstance(self._bundle, str):
+            raise _Skip(skipped or self._bundle)
         return self._bundle
 
 
@@ -540,6 +538,7 @@ _CHECKS = (
      lambda s: check_product_metric(s.bundle(_NEEDS_FIT)[0], s.cfg)),
     ("umbilical", 0, 2, _ON_FIT, _lagrangian_umbilical),
 )
+_THIRD_ORDER = frozenset(row[0] for row in _CHECKS if row[2] == 3)  # they get tol_third
 
 
 def run_suite(spec: ImmersionSpec, cfg: SampleConfig | None = None,
@@ -563,7 +562,7 @@ def run_suite(spec: ImmersionSpec, cfg: SampleConfig | None = None,
     # all that checks rest on, and what sphere_fit and transform come from
     wanted = {*(rests_on if checks is None else checks), "lagrangian", "spherical"}
     third = any(order == 3 for name, _, order, _, _ in rows if name in wanted)
-    points = np.array(sample_points(spec, cfg.num_points, cfg.seed))  # a bad count raises
+    points = sample_points(spec, cfg.num_points, cfg.seed)  # a bad count raises
     try:
         frames = _pointwise_on_error(lambda s: build_frame(spec, points[s], third), len(points))
     except LagkitError as exc:  # each check reports it

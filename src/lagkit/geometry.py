@@ -12,9 +12,12 @@ tangent field of J L are computed from the batch alone, without evaluating
 the map again.
 
 Every contraction is one batched matmul on (B, rows, k) reshapes (contract
-pairs trailing axes), with eta folded into one operand of a pairing once; a
-product that a formula repeats with two indices swapped (as d^2 g does with
-<L_pi, L_qj> and <L_qi, L_pj>) is formed once and transposed.
+pairs trailing axes), with eta folded into one operand of a pairing once.  The
+Christoffel symbols come from the pairings that d g is formed from,
+Gamma^k_ij = g^{kl} <L_ij, L_l>, and their derivatives from two more,
+d_p <L_ij, L_l> = <L_pij, L_l> + <L_ij, L_pl>.  The Codazzi residual is formed
+on the part of nabla h that is skew in its first two slots, once for each pair
+i < j, where the terms that cancel there are never formed.
 
 Index conventions, pinned by tests on the round-sphere factor (b is the point):
   dmetric[b, k, i, j]      = d_k g_ij
@@ -152,62 +155,44 @@ def assemble_frame(spec, points, position, first, second, third=None) -> FrameBa
         raise DegenerateMetricError(f"induced metric degenerate at {bad}: |det| = {det:.3e}")
     metric_inv = np.linalg.inv(metric)
 
+    pairs = contract(second, weighted)  # [i, j, l] = <L_ij, L_l>
     # d_k g_ij = <L_ik, L_j> + <L_i, L_jk>
-    half = contract(second, weighted).swapaxes(1, 2)
+    half = pairs.swapaxes(1, 2)
     dmetric = half + half.swapaxes(2, 3)
-
-    # Gamma^k_ij = (1/2) g^{kl} (d_i g_lj + d_j g_li - d_l g_ij)
-    bracket = _bracket(dmetric)
-    rows = bracket.reshape(*metric.shape[:2], -1)  # [l, (i, j)]
-    christoffels = 0.5 * (metric_inv @ rows).reshape(bracket.shape)
+    # Gamma^k_ij = g^{kl} <L_ij, L_l>, the tangent part of L_ij
+    christoffels = contract(metric_inv, pairs)
 
     # h_ij = L_ij - Gamma^k_ij L_k
-    gamma_rows = christoffels.reshape(rows.shape).swapaxes(1, 2)  # [(i, j), k]
+    b, m = metric.shape[:2]
+    gamma_rows = christoffels.reshape(b, m, -1).swapaxes(1, 2)  # [(i, j), k]
     sff = second - (gamma_rows @ first).reshape(second.shape)
 
-    frames = FrameBatch(
+    dchristoffels = None
+    if third is not None:
+        # d_p Gamma^k_ij = g^{kl} (d_p <L_ij, L_l> - d_p g_lq Gamma^q_ij), since
+        # d_p(g^-1) = -g^-1 d_p g g^-1, with d_p <L_ij, L_l> = <L_pij, L_l> + <L_ij, L_pl>
+        lowered = contract(second * eta, second)  # [p, l, i, j] = <L_pl, L_ij>
+        lowered += np.moveaxis(contract(third, weighted), 4, 2)  # <L_pij, L_l>
+        lowered -= (dmetric @ christoffels.reshape(b, m, -1)[:, None]).reshape(lowered.shape)
+        dchristoffels = (metric_inv[:, None] @ lowered.reshape(b, m, m, -1)).reshape(lowered.shape)
+    return FrameBatch(
         spec, points, position, first, second, third, eta,
-        metric, metric_inv, dmetric, christoffels, sff,
+        metric, metric_inv, dmetric, christoffels, sff, dchristoffels,
     )
-    if third is None:
-        return frames
-    return frames.replace(dchristoffels=_christoffel_derivatives(frames, weighted))
 
 
 def contract(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """sum_a x[b, I, a] y[b, J, a] as array [b, I, J], for multi-indices I and J:
     one batched matmul over the trailing axes."""
     batch, a = len(x), x.shape[-1]
-    out = x.reshape(batch, -1, a) @ y.reshape(batch, -1, a).swapaxes(1, 2)
-    return out.reshape(x.shape[:-1] + y.shape[1:-1])
-
-
-def _bracket(dg: np.ndarray) -> np.ndarray:
-    """d_i g_lj + d_j g_li - d_l g_ij as array [..., l, i, j]."""
-    return dg.swapaxes(-3, -2) + np.moveaxis(dg, -3, -1) - dg
+    # matmul takes a C-ordered right operand by its fast path, a transposed view by a slow one
+    right = np.ascontiguousarray(y.reshape(batch, -1, a).swapaxes(1, 2))
+    return (x.reshape(batch, -1, a) @ right).reshape(x.shape[:-1] + y.shape[1:-1])
 
 
 def _require_third(frames: FrameBatch):
     if frames.dchristoffels is None:
         raise ValueError("frames were built without third derivatives; pass need_third=True")
-
-
-def _christoffel_derivatives(frames: FrameBatch, weighted: np.ndarray) -> np.ndarray:
-    """d_p Gamma^k_ij as array [b, p, k, i, j], from the third derivatives."""
-    second, ginv, dg = frames.second, frames.metric_inv, frames.dmetric
-
-    # d_p d_q g_ij = <L_pqi, L_j> + <L_i, L_pqj> + <L_pi, L_qj> + <L_qi, L_pj>: the
-    # second term is the first with i, j swapped, the last the third with p, q swapped
-    outer = contract(frames.third, weighted)
-    inner = contract(second, second * frames.eta).swapaxes(2, 3)
-    d2g = outer + outer.swapaxes(3, 4)
-    d2g += inner
-    d2g += inner.swapaxes(1, 2)
-    # d_p Gamma = g^-1 ((1/2) d_p bracket - d_p g Gamma), since d_p(g^-1) =
-    # -g^-1 d_p g g^-1 and g^-1 bracket = 2 Gamma
-    lowered = 0.5 * _bracket(d2g)
-    lowered -= (dg @ frames.christoffels.reshape(*dg.shape[:2], -1)[:, None]).reshape(d2g.shape)
-    return (ginv[:, None] @ lowered.reshape(*d2g.shape[:3], -1)).reshape(d2g.shape)
 
 
 def riemann_tensor(frames: FrameBatch) -> np.ndarray:
@@ -246,28 +231,28 @@ def codazzi_residual(frames: FrameBatch) -> np.ndarray:
 
     (nabla h)(X, Y, Z) = D_X h(Y, Z) - h(nabla_X Y, Z) - h(Y, nabla_X Z) must be
     symmetric in X, Y for an immersion into a flat ambient space; one value
-    per point.
+    per point.  Its part skew in i, j is, for each pair i < j,
+    nor(L_ijk - L_jik - Gamma^p_jk L_ip + Gamma^p_ik L_jp) - (Gamma^p_ik h_jp -
+    Gamma^p_jk h_ip): d_i Gamma^p_jk L_p is tangent, so the normal projection
+    nor removes it, and Gamma^p_ij h_pk is symmetric in i, j.
     """
     _require_third(frames)
-    gamma = frames.christoffels
-    dgamma = frames.dchristoffels
-    first, second, third = frames.first, frames.second, frames.third
-    h, eta, ginv = frames.sff, frames.eta, frames.metric_inv
-    b, m = gamma.shape[:2]
-    gamma_rows = gamma.reshape(b, m, -1).swapaxes(1, 2)  # [(j, k), m] = Gamma^m_jk
+    first, third, h = frames.first, frames.third, frames.sff
+    b, m = first.shape[:2]
+    gamma_rows = frames.christoffels.reshape(b, m, -1).swapaxes(1, 2)[:, None]  # [(j, k), p]
 
-    # ambient derivative d_i h_jk, then its normal projection; the (B, m, m,
-    # m, 2n) terms are subtracted in place, so that few of them are alive at once
-    nabla_h = third - (np.moveaxis(dgamma, 2, -1).reshape(b, -1, m) @ first).reshape(third.shape)
-    nabla_h -= (gamma_rows[:, None] @ second).reshape(third.shape)
-    tangential = contract(nabla_h, ginv @ (first * eta))
-    nabla_h -= (tangential.reshape(b, -1, m) @ first).reshape(third.shape)
-    del tangential
+    def lead(x):  # [i, j, k] = Gamma^p_jk x_ip
+        return (gamma_rows @ x).reshape(third.shape)
 
-    nabla_h -= (gamma_rows @ h.reshape(b, m, -1)).reshape(third.shape)
-    nabla_h -= (gamma_rows[:, None] @ h).reshape(third.shape).swapaxes(1, 2)
     i, j = np.triu_indices(m, 1)  # each pair of the first two slots once
-    return point_max(nabla_h[:, i, j] - nabla_h[:, j, i])
+    ambient = third - lead(frames.second)
+    skew = ambient[:, i, j] - ambient[:, j, i]
+    del ambient
+    tangential = contract(skew, frames.metric_inv @ (first * frames.eta))
+    skew -= (tangential.reshape(b, -1, m) @ first).reshape(skew.shape)
+    gamma_h = lead(h)
+    skew -= gamma_h[:, j, i] - gamma_h[:, i, j]
+    return point_max(skew)
 
 
 def project(frames: FrameBatch, v: np.ndarray):

@@ -48,8 +48,9 @@ class Record:
         """Validate the fields; subclasses override."""
 
     def replace(self, **changes):
-        """A copy with the given fields changed."""
-        return type(self)(**{**self.__dict__, **changes})
+        """A copy with the given fields changed (a name that is no field makes
+        one argument too many)."""
+        return type(self)(*{**self.__dict__, **changes}.values())
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -34,8 +34,9 @@ def sample_points(
     seed: int,
     *,
     extra_margin: float = 0.0,
-) -> list[tuple[float, ...]]:
-    """Deterministic interior samples of the domain box.
+) -> np.ndarray:
+    """Deterministic interior samples of the domain box, as a C-ordered
+    float64 array (num_points, m) whose row k is point k.
 
     Each interval is shrunk by INTERIOR_MARGIN (relative to its length) plus
     extra_margin (absolute, e.g. finite-difference stencil reach) before
@@ -52,8 +53,10 @@ def sample_points(
         boxes.append((lo, hi))
     lo, hi = np.array(boxes).T
     try:
-        draws = _splitmix64(seed, num_points * len(lo))
-        u = (draws >> np.uint64(11)) * 2.0**-53  # on [0, 1)
-        return list(map(tuple, (lo + u.reshape(num_points, len(lo)) * (hi - lo)).tolist()))
+        draws = _splitmix64(seed, num_points * len(lo)) >> np.uint64(11)
+        points = (draws * 2.0**-53).reshape(num_points, len(lo))  # on [0, 1)
+        points *= hi - lo  # in place: no second array of the coordinates' size
+        points += lo
+        return points
     except (ValueError, MemoryError) as exc:  # numpy refuses the size, or cannot allocate it
         raise LagkitError(f"cannot sample {num_points} points: {exc}") from exc

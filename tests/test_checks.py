@@ -14,6 +14,7 @@ from lagkit.checks import (
     CheckEntry,
     CheckReport,
     SampleConfig,
+    _finish,
     _pointwise_on_error,
     _structure_with_fit,
     _transform,
@@ -60,6 +61,18 @@ class TestSampleConfig:
         assert cfg.tolerance_for("lagrangian") == 1e-9
         assert cfg.tolerance_for("gauss") == 1e-5
         assert cfg.tolerance_for("codazzi") == 1e-5
+
+
+def test_entry_residuals_are_the_array_max_and_mean():
+    # bit for bit, over magnitudes from 1e-20 to 1e5
+    frames = frames_of("clifford_torus")
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        arr = rng.random(len(frames)) * 10.0 ** rng.uniform(-20, 5)
+        entry = _finish("lagrangian", CFG, arr, frames)
+        assert entry.max_residual == float(arr.max())
+        assert entry.mean_residual == float(arr.mean())
+        assert entry.worst_point == frames.point(int(arr.argmax()))
 
 
 class TestLagrangian:
@@ -414,6 +427,32 @@ def test_one_frame_assembly_per_spec(name, monkeypatch):
     assert {k: report.checks[k].passed for k in entry.expects} == entry.expects
 
 
+@pytest.mark.parametrize("name", catalog_names())
+def test_frames_are_freed_when_run_suite_returns(name, monkeypatch):
+    # by reference counting: a skipped structure bundle must not keep the
+    # suite's frames alive in a reference cycle until the garbage collector runs
+    import gc
+    import weakref
+
+    import lagkit.checks as checks
+
+    alive, build = [], checks.build_frame
+
+    def watched(*args):
+        frames = build(*args)
+        alive.append(weakref.ref(frames.first))
+        return frames
+
+    monkeypatch.setattr(checks, "build_frame", watched)
+    entry = catalog_entry(name)
+    gc.disable()
+    try:
+        run_suite(entry.spec, CFG, quadric=entry.quadric)
+        assert alive and all(ref() is None for ref in alive)
+    finally:
+        gc.enable()
+
+
 class TestCheckSubsets:
     """run_suite(checks=...) builds the frames that the named checks read, no more."""
 
@@ -519,7 +558,7 @@ class TestFallbackCost:
 
         cfg = self.CFG
         box = parse("params u:[0,1];\nsignature 1 0;\nmap u;\n")
-        c = sample_points(box, cfg.num_points, cfg.seed)[-1][0]
+        c = float(sample_points(box, cfg.num_points, cfg.seed)[-1, 0])
         # exp(1000) overflows at u = c; 1000 - (1e9 (u - c))^2 is hugely
         # negative at every other sample point
         spec = parse(
@@ -612,7 +651,7 @@ class TestDegenerateSpecs:
     def _outcomes(self, text, quadric):
         spec = parse(text)
         report = run_suite(spec, CFG, quadric=quadric)
-        point = sample_points(spec, CFG.num_points, CFG.seed)[0]
+        point = tuple(sample_points(spec, CFG.num_points, CFG.seed)[0].tolist())
         degenerate = f"induced metric degenerate at {point}: |det| = 0.000e+00"
         assert not report.passed and report.transform is None
         got = [(n, e.status, e.reason) for n, e in report.checks.items()]

@@ -11,6 +11,7 @@ import pytest
 
 from lagkit.ambient import apply_j_flat
 from lagkit.catalog import catalog, catalog_entry, catalog_names
+from lagkit.checks import SampleConfig, check_gauss
 from lagkit.dsl import parse
 from lagkit.errors import DegenerateMetricError
 from lagkit.geometry import (
@@ -142,6 +143,39 @@ class TestCurvatureSymmetries:
             fr = build_frame(spec, pt, need_third=True)
             assert gauss_residual(fr) < 1e-10
             assert codazzi_residual(fr) < 1e-10
+
+
+class TestThirdOrderChecksReadTheirData:
+    """Gauss and Codazzi hold identically for exact jets, so each is pinned to
+    the third-order data it certifies: corrupting it must show."""
+
+    DELTA = 1e-3
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        spec = catalog("product_S1xS2")
+        return build_frame(spec, sample_points(spec, 5, seed=13), need_third=True)
+
+    def test_skew_third_derivative_is_the_codazzi_residual(self, frames):
+        # a unit normal direction per point (max component 1), set into one
+        # (i, j) slot of L_ijk and not into its mirror (j, i): its skew part
+        _, normal = project(frames, frames.position)
+        normal /= np.abs(normal).max(axis=1, keepdims=True)
+        third = frames.third.copy()
+        third[:, 0, 1, 2] += self.DELTA * normal
+        assert codazzi_residual(frames).max() < 1e-12
+        got = codazzi_residual(frames.replace(third=third))
+        np.testing.assert_allclose(got, self.DELTA, rtol=1e-9)
+        third[:, 1, 0, 2] += self.DELTA * normal  # the mirror too: no skew part left
+        assert codazzi_residual(frames.replace(third=third)).max() < 1e-12
+
+    def test_perturbed_christoffel_derivatives_fail_gauss(self, frames):
+        cfg = SampleConfig()
+        assert check_gauss(frames, cfg).passed
+        dgamma = frames.dchristoffels.copy()
+        dgamma[:, 0, 0, 1, 1] += self.DELTA  # d_0 Gamma^0_11
+        entry = check_gauss(frames.replace(dchristoffels=dgamma), cfg)
+        assert not entry.passed and entry.max_residual > 0.1 * self.DELTA
 
 
 class TestMetricIndex:

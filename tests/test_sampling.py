@@ -1,5 +1,7 @@
 """Deterministic sampling: reference stream values and domain margins."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -56,17 +58,17 @@ def test_matches_scalar_generator(name, seed):
     for num_points in (1, 5, 200):
         for margin in (0.0, 0.0202):
             got = sample_points(spec, num_points, seed, extra_margin=margin)
-            assert got == scalar_sample_points(spec, num_points, seed, margin)
-            assert all(type(x) is float for pt in got for x in pt)
+            assert np.array_equal(got, scalar_sample_points(spec, num_points, seed, margin))
+            assert got.dtype == np.float64 and got.flags.c_contiguous
 
 
 def test_bit_identical_for_seed():
     spec = catalog("whitney_sphere")
     a = sample_points(spec, 20, seed=42)
     b = sample_points(spec, 20, seed=42)
-    assert a == b
+    assert np.array_equal(a, b)
     c = sample_points(spec, 20, seed=43)
-    assert a != c
+    assert not np.array_equal(a, c)
 
 
 def test_points_are_interior():
@@ -98,6 +100,20 @@ def test_point_count_and_arity():
     pts = sample_points(spec, 7, seed=5)
     assert len(pts) == 7
     assert all(len(p) == 3 for p in pts)
+
+
+def test_large_sample_holds_few_copies_of_the_coordinates():
+    # the array is built in place: no list of tuples, no chain of temporaries
+    spec = catalog("product_S1xS2")
+    tracemalloc.start()
+    try:
+        pts = sample_points(spec, 10**6, 42)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    coordinate_bytes = 10**6 * 3 * 8  # float64
+    assert peak <= 5 * coordinate_bytes
+    assert pts.shape == (10**6, 3) and pts.nbytes == coordinate_bytes
 
 
 # counts numpy refuses before allocating anything; a smaller count would
