@@ -160,16 +160,15 @@ def _pointwise_on_error(build, size) -> FrameBatch:
     a point-by-point walk would (the batch error, should no point raise)."""
     try:
         return build(slice(0, size))
-    except LagkitError as exc:
-        error = exc
-    for start in range(0, size, CHUNK):
-        try:
-            build(slice(start, start + CHUNK))
-        except LagkitError:
-            for i in range(start, min(start + CHUNK, size)):
-                build(slice(i, i + 1))
-            break
-    raise error
+    except LagkitError:  # kept by no name: its traceback holds this frame
+        for start in range(0, size, CHUNK):
+            try:
+                build(slice(start, start + CHUNK))
+            except LagkitError:
+                for i in range(start, min(start + CHUNK, size)):
+                    build(slice(i, i + 1))
+                break
+        raise
 
 
 def check_lagrangian(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
@@ -450,14 +449,14 @@ class _Suite:
     """What the checks of one run_suite call share."""
 
     def __init__(self, cfg, quadric, frames):
-        self.cfg, self.quadric, self._frames = cfg, quadric, frames  # or what building raised
+        self.cfg, self.quadric, self._frames = cfg, quadric, frames  # or why building failed
         self.entries: dict[str, CheckEntry] = {}
         self.fit = self._bundle = None
 
     def call(self, check, *args):
         """check(frames, cfg, *args): args may skip before the frames fail."""
-        if isinstance(self._frames, LagkitError):
-            raise self._frames
+        if isinstance(self._frames, str):
+            raise LagkitError(self._frames)
         return check(self._frames, self.cfg, *args)
 
     def fit_quadric(self) -> CheckEntry:
@@ -565,8 +564,8 @@ def run_suite(spec: ImmersionSpec, cfg: SampleConfig | None = None,
     points = sample_points(spec, cfg.num_points, cfg.seed)  # a bad count raises
     try:
         frames = _pointwise_on_error(lambda s: build_frame(spec, points[s], third), len(points))
-    except LagkitError as exc:  # each check reports it
-        frames = exc
+    except LagkitError as exc:  # each check reports it, by its reason alone (as bundle does)
+        frames = str(exc)
 
     suite = _Suite(cfg, spec.quadric if quadric is None else quadric, frames)
     entries = suite.entries

@@ -11,17 +11,18 @@ The 4-point stencil matters: third derivatives of some catalog maps are large
 
 Each spec's map is compiled once to straight-line Python, one statement per
 step of its plan (dsl._plan): each distinct subexpression, constants by exact
-bits, once, in walk order, so every value and error is the walk's.  An
-oracle call stacks the points of all its stencils, centre first, adding to
-each coordinate its offsets in the order the nested stencil adds them; rows
-that add the same offsets to every coordinate in the same order are the same
-floats at any point and step, so they are merged once per (m, order).  It
-evaluates each distinct point (keyed on its exact bits) once, in
-first-request order, in one batch; and collapses the values with the nested
-stencil's weighted sum in one pass per level, innermost first, each pass over
-the rows of every order that level reaches.  Every coordinate and
-floating-point operation is the nested stencils', so the tensors are
-bit-identical to theirs.
+bits, once, in walk order, so every value and error is the walk's; the values
+of all rows go to one flat list.  An oracle call stacks the points of all its
+stencils, centre first, adding to each coordinate its offsets in the order the
+nested stencil adds them; rows that add the same offsets to every coordinate
+in the same order are the same floats at any point and step, so they are
+merged once per (m, order).  It evaluates each distinct point once, in one
+batch, in first-request order, keyed in a dict on its exact bits (-0.0 and
+0.0 are two points, as in the nested stencils); and collapses the values in
+one pass per level, innermost first, over the rows of every order that level
+reaches: one multiply by the weights, then the adds in the nested order,
+((w0 v0 + w1 v1) + w2 v2) + w3 v3.  Every coordinate and floating-point
+operation is the nested stencils', so the tensors are bit-identical to theirs.
 """
 
 from __future__ import annotations
@@ -46,13 +47,14 @@ __all__ = [
 _OFFSETS = (-2.0, -1.0, 1.0, 2.0)
 _WEIGHTS = (1.0, -8.0, 8.0, -1.0)
 _NORM = 12.0
+_WEIGHT_COLUMN = np.array(_WEIGHTS)[:, None]
 _BINARY = {"+": "+", "-": "-", "*": "*", "/": "/"}  # operator -> its source text
 
 
 @functools.lru_cache(maxsize=64)  # compiled maps kept, least recently used dropped first
 def _compiled(spec: ImmersionSpec, _identity: int):
-    """spec's map as run(rows, out), appending the component values of each row
-    to out, one statement per step of its plan (dsl._plan), keyed as the plan.
+    """spec's map as run(rows, out), extending the flat list out by the component
+    values of each row, one statement per step of its plan (dsl._plan), keyed as the plan.
     Its source holds generated names and fixed text only (constants and
     functions are read from K): a bad node raises, in _plan, before code runs."""
     steps, roots = _plan(spec, _identity)
@@ -74,7 +76,7 @@ def _compiled(spec: ImmersionSpec, _identity: int):
     }
     for i, (kind, field, *operands) in enumerate(steps):
         lines.append(f"        t{i} = {rules[kind](field, *(f't{j}' for j in operands))}")
-    lines.append(f"        out.append(({''.join(f't{r}, ' for r in roots)}))")
+    lines.append(f"        out += {''.join(f't{r}, ' for r in roots)}")
     namespace = {"K": tuple(consts)}
     exec(compile("\n".join(lines), "<compiled map>", "exec"), namespace)
     return namespace["run"]
@@ -93,13 +95,13 @@ def eval_map_numeric(spec: ImmersionSpec, points) -> np.ndarray:
         run(rows, out)
     except (OverflowError, ZeroDivisionError, ValueError) as exc:  # ValueError: cmath of inf
         error = exc
-    values = np.array(out, dtype=complex).reshape(len(out), len(spec.components))
+    values = np.array(out, dtype=complex).reshape(-1, len(spec.components))
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise SingularEvaluationError(f"map not finite at {tuple(rows[np.argmin(finite)])}")
     if error is not None:
         raise SingularEvaluationError(
-            f"map cannot be evaluated at {tuple(rows[len(out)])}: {error}"
+            f"map cannot be evaluated at {tuple(rows[len(values)])}: {error}"
         ) from error
     return values[0] if pts.ndim == 1 else values
 
@@ -159,37 +161,51 @@ def finite_difference_oracle(
         raise DomainError(f"point has {x.shape[0]} coordinates, spec has {m} parameters")
 
     size, levels, rows = _stencil(m, order)
-    pts = np.tile(x, size)
+    pts = np.empty((size, m))
+    pts[...] = x
     # each coordinate's offsets in the order the nested stencil adds them: same floats
     for index, offset in levels:
-        pts[index] += offset * step
-    pts = pts.reshape(size, m)
-    # each distinct point once, in first-request order
-    keys = pts.view(np.dtype((np.void, pts.itemsize * m))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    requested = np.sort(first)
-    values = eval_map_numeric(spec, pts[requested])[np.searchsorted(requested, first)[inverse][rows]]
+        pts.reshape(-1)[index] += offset * step
+    # each distinct point once, keyed on its exact bits (-0.0 is not 0.0), in
+    # first-request order
+    slots = {}
+    keys = pts.view(np.dtype((np.void, pts.itemsize * m))).ravel().tolist()
+    slot = [slots.setdefault(key, len(slots)) for key in keys]
+    distinct = np.frombuffer(b"".join(slots)).reshape(-1, m)
+    values = eval_map_numeric(spec, distinct)[np.array(slot)[rows]]
 
     with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
         out, v = {0: values[0]}, values[1:]
         # one pass per level, innermost first, over the rows of every order it
-        # reaches: ((w0 v0 + w1 v1) + w2 v2) + w3 v3, then / (12 h), as nested;
-        # order k is done after k passes, and its m^k rows lead the rest
+        # reaches: ((w0 v0 + w1 v1) + w2 v2) + w3 v3, then / (12 h), as nested
+        # (not a sum over the 4 terms, whose order and start numpy does not
+        # fix); order k is done after k passes, and its m^k rows lead the rest
         for k in range(1, order + 1):
-            v = v.reshape(-1, len(_OFFSETS), v.shape[-1])
-            head, *tail = (w * v[:, s] for s, w in enumerate(_WEIGHTS))
-            v = sum(tail, head) / (_NORM * step)
+            t = v.reshape(-1, len(_WEIGHTS), v.shape[-1]) * _WEIGHT_COLUMN
+            v = t[:, 0] + t[:, 1]
+            v += t[:, 2]
+            v += t[:, 3]
+            v /= _NORM * step
             out[k], v = v[: m**k].reshape((m,) * k + (-1,)), v[m**k :]
     if not all(np.isfinite(t).all() for t in out.values()):
         raise SingularEvaluationError(f"finite differences not finite at {tuple(x.tolist())}")
     return out
 
 
+def _deviations(spec: ImmersionSpec, point, order: int, step: float):
+    """The oracle's tensors, and max |jet - finite difference| per order (1..order)."""
+    from .dsl import evaluate_map_jets  # the jet code, looked up when called
+
+    fd = finite_difference_oracle(spec, point, order, step)
+    jt = evaluate_map_jets(spec, point, order)  # a batch of one: [0] is the oracle's layout
+    return fd, {k: float(np.abs(jt[k][0] - fd[k]).max()) for k in range(1, order + 1)}
+
+
 def jet_fd_deviation(
     spec: ImmersionSpec, point, order: int, step: float
 ) -> dict[int, float]:
     """Max |jet - finite difference| per derivative order (1..order)."""
-    return {k: dev for k, (dev, _) in jet_fd_comparison(spec, point, order, step).items()}
+    return _deviations(spec, point, order, step)[1]
 
 
 def jet_fd_comparison(
@@ -197,11 +213,5 @@ def jet_fd_comparison(
 ) -> dict[int, tuple[float, float]]:
     """(max |jet - finite difference|, max |finite difference|) per derivative
     order (1..order): the deviation and the size it is to be judged against."""
-    from .dsl import evaluate_map_jets  # the jet code, looked up when called
-
-    fd = finite_difference_oracle(spec, point, order, step)
-    jt = evaluate_map_jets(spec, point, order)  # a batch of one: [0] is the oracle's layout
-    return {
-        k: (float(np.max(np.abs(jt[k][0] - fd[k]))), float(np.max(np.abs(fd[k]))))
-        for k in range(1, order + 1)
-    }
+    fd, dev = _deviations(spec, point, order, step)
+    return {k: (d, float(np.abs(fd[k]).max())) for k, d in dev.items()}

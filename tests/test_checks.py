@@ -453,6 +453,25 @@ def test_frames_are_freed_when_run_suite_returns(name, monkeypatch):
         gc.enable()
 
 
+def test_failed_frames_leave_no_reference_cycle():
+    # the error building the frames raised is reported by every check: the
+    # suite must not keep it, whose traceback holds the frames of run_suite
+    import gc
+
+    spec = parse("params u:[0,1], v:[0,1];\nsignature 2 0;\nmap u, u;\n")  # degenerate metric
+    cfg = SampleConfig(num_points=50)
+    run_suite(spec, cfg)  # builds and caches the spec's plan, which leaves a cycle of its own
+    gc.collect()
+    gc.disable()
+    try:
+        report = run_suite(spec, cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    entry = report.checks["lagrangian"]
+    assert entry.status == "error" and entry.reason.startswith("induced metric degenerate at (")
+
+
 class TestCheckSubsets:
     """run_suite(checks=...) builds the frames that the named checks read, no more."""
 

@@ -6,6 +6,7 @@ before it is trusted to cross-check the jet evaluator anywhere else.
 
 import cmath
 import itertools
+import math
 import re
 
 import numpy as np
@@ -34,6 +35,7 @@ from lagkit.errors import DomainError, DslError, SingularEvaluationError
 from lagkit.findiff import (
     eval_map_numeric,
     finite_difference_oracle,
+    jet_fd_comparison,
     jet_fd_deviation,
 )
 from lagkit.sampling import sample_points
@@ -171,6 +173,16 @@ class TestCompiledMap:
         errors = [outcome for outcome in want if outcome[0] != "value"]
         batch = errors[0] if errors else ("value", b"".join(v for _, v in want))
         assert _outcome(lambda: eval_map_numeric(spec, points)) == batch
+
+    @pytest.mark.parametrize("component, reason", [
+        (Bin("/", Ref("v"), Ref("u")), "cannot be evaluated at (0.0, 2.0): complex division by zero"),
+        (Bin("*", Ref("v"), Num(1e308)), "not finite at (0.0, 2.0)"),
+    ], ids=["raises", "not-finite"])
+    def test_a_failing_last_row_is_named(self, component, reason):
+        # the values of all components of all rows are one flat list
+        spec = ImmersionSpec(_UV, Signature(3, 0), (Ref("u"), component, Imag()))
+        with pytest.raises(SingularEvaluationError, match=f"^map {re.escape(reason)}$"):
+            eval_map_numeric(spec, [(0.5, 1.0), (0.25, 0.0), (-0.5, 1.5), (0.0, 2.0)])
 
     def test_deeper_than_the_python_parser_nests(self):
         with pytest.raises(SyntaxError):  # CPython's limit of 200 nested parentheses
@@ -336,6 +348,48 @@ class TestStencilSharing:
         # all of them in one batch
         assert calls == [len(seen)]
 
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_minus_zero_is_evaluated_apart_from_zero(self, order, monkeypatch):
+        # x + (-h) + h is +0.0 for x = -0.0: that row and the centre are two
+        # points, as in the nested stencils, each evaluated once
+        seen = []
+
+        def recording(spec, points):
+            seen.extend(np.array(points, dtype=float, ndmin=2).tolist())
+            return eval_map_numeric(spec, points)
+
+        monkeypatch.setattr(findiff, "eval_map_numeric", recording)
+        nested_oracle(U2V_SPEC, (-0.0, 0.5), order, 1e-2)
+        requested, seen[:] = [np.array(row).tobytes() for row in seen], []
+        finite_difference_oracle(U2V_SPEC, (-0.0, 0.5), order, 1e-2)
+        assert [np.array(row).tobytes() for row in seen] == list(dict.fromkeys(requested))
+        signs = {math.copysign(1.0, u) for u, v in seen if u == 0.0 and v == 0.5}
+        assert signs == {-1.0, 1.0}
+
+    @given(
+        st.lists(_expr_strategy(max_leaves=6), min_size=1, max_size=3).map(tuple),
+        st.tuples(st.floats(-0.5, 0.5), st.floats(0.5, 1.5)),
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([1e-4, 1e-2, 0.05]),
+    )
+    @example((Ref("u"), Bin("*", Ref("u"), Ref("v"))), (-0.0, 1.0), 2, 1e-2)
+    @example((Bin("*", Num(0.0), Ref("u")), Call("cos", Ref("u"))), (-0.0, 0.5), 3, 0.05)
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_nested_stencils_on_any_map(self, components, point, order, step):
+        spec = ImmersionSpec(_UV, Signature(len(components), 0), components)
+
+        def nested():
+            with np.errstate(all="ignore"):  # quotients that are not finite raise below
+                tensors = list(nested_oracle(spec, point, order, step).values())
+            if not all(np.isfinite(t).all() for t in tensors):
+                raise SingularEvaluationError(f"finite differences not finite at {point}")
+            return np.concatenate([t.ravel() for t in tensors])
+
+        got = _outcome(lambda: np.concatenate(
+            [t.ravel() for t in finite_difference_oracle(spec, point, order, step).values()]
+        ))
+        assert got == _outcome(nested)
+
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_first_failing_point_is_reported(self, order):
         spec = parse("params u:[0,1], v:[0,2];\nsignature 2 0;\nmap exp(1000*u*v), v;\n")
@@ -435,6 +489,19 @@ class TestDomainGuard:
 
 
 class TestJetsAgainstOracle:
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_deviation_is_the_comparisons_first(self, name):
+        spec = catalog(name)
+        for order, step in {1: 1e-4, 2: 1e-4, 3: 1e-2}.items():
+            for pt in sample_points(spec, 2, seed=order, extra_margin=2.02 * order * step):
+                dev = jet_fd_deviation(spec, pt, order, step)
+                comparison = jet_fd_comparison(spec, pt, order, step)
+                assert dev.keys() == comparison.keys() == set(range(1, order + 1))
+                for k, (d, size) in comparison.items():
+                    assert np.float64(dev[k]).tobytes() == np.float64(d).tobytes(), (order, k)
+                    assert size > 0
+
+
     @pytest.mark.parametrize("name", catalog_names())
     def test_low_orders_everywhere(self, name):
         spec = catalog(name)
