@@ -28,6 +28,11 @@ params/signature/components structure exactly.
 Both evaluators, the jets here and findiff's cmath code, run one plan per spec
 object (_plan): each distinct subtree once, subtrees the same when type, fields
 and operands are, a constant by its exact bits (Num(0.0) == Num(-0.0) as records).
+Each compiles it once per spec object to straight-line code; here (_compiled)
+kernel calls on the jets' stacked (value, high) pairs, number-or-jet dispatch,
+Pow's square-and-multiply and a constant divisor's reciprocal settled at
+compile time, and a step free of parameters computed then unless it raises or
+warns.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import functools
 import operator
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -457,25 +463,9 @@ def serialize(spec: ImmersionSpec) -> str:
 _FUNCTIONS = {name: getattr(jets, name) for name in FUNCTION_NAMES}
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
-
-def _apply(fn, x, *rest):
-    """fn(x, *rest); on complex scalars alone, through the jet code at order 0:
-    values free of parameters stay scalars, so 2*u costs one scaling."""
-    if isinstance(x, Jet) or (rest and isinstance(rest[0], Jet)):
-        return fn(x, *rest)
-    return complex(fn(Jet(1, 0, x), *rest).value)
-
-
-# node type -> (field a plan step keeps, operand fields, jet operation on (field, seeds, *operands))
-_NODES = {
-    Num: ("value", (), lambda value, seeds: complex(value)),
-    Imag: (None, (), lambda _, seeds: 1j),
-    Ref: ("name", (), lambda k, seeds: seeds[k]),
-    Neg: (None, ("arg",), lambda _, seeds, a: -a),
-    Bin: ("op", ("left", "right"), lambda op, seeds, a, b: _apply(_BINARY[op], a, b)),
-    Pow: ("exponent", ("base",), lambda k, seeds, a: _apply(jets.ipow, a, k)),
-    Call: ("fn", ("arg",), lambda fn, seeds, a: _apply(_FUNCTIONS[fn], a)),
-}
+# node type -> (field a plan step keeps, operand fields)
+_NODES = {Num: ("value", ()), Imag: (None, ()), Ref: ("name", ()), Neg: (None, ("arg",)),
+          Bin: ("op", ("left", "right")), Pow: ("exponent", ("base",)), Call: ("fn", ("arg",))}
 
 
 @functools.lru_cache(maxsize=64)  # plans kept, least recently used dropped first
@@ -485,23 +475,104 @@ def _plan(spec: ImmersionSpec, _identity: int) -> tuple[tuple, tuple[int, ...]]:
     Ref's field its parameter index; and each component's step.  An invalid node
     raises DslError naming it.  Keyed on the object too: see module doc."""
     index, steps = {p.name: k for k, p in enumerate(spec.params)}, {}
-
-    def step(e) -> int:
-        kind = type(e)
-        name, children, _ = _NODES.get(kind, (None, (), None))
-        field = getattr(e, name) if name else None
-        valid = {Ref: index, Bin: _BINARY, Call: _FUNCTIONS}.get(kind)  # its fields, if named
-        if kind not in _NODES or (kind is Pow and type(field) is not int) or (
-            valid is not None and not (type(field) is str and field in valid)
-        ):
-            raise DslError(f"invalid expression node {e!r}")
-        field = index[field] if kind is Ref else field
-        operands = tuple(step(getattr(e, child)) for child in children)
-        key = (kind, np.float64(field).tobytes() if isinstance(field, float) else field, operands)
-        return steps.setdefault(key, (len(steps), (kind, field, *operands)))[0]
-
-    roots = tuple(step(c) for c in spec.components)
+    roots = tuple(_step(c, index, steps) for c in spec.components)
     return tuple(s for _, s in steps.values()), roots
+
+
+def _step(e, index: dict, steps: dict) -> int:
+    """The plan step of e, added to steps (key -> (step, entry)) with its operands."""
+    kind = type(e)
+    name, children = _NODES.get(kind, (None, ()))
+    field = getattr(e, name) if name else None
+    valid = {Ref: index, Bin: _BINARY, Call: _FUNCTIONS}.get(kind)  # its fields, if named
+    if kind not in _NODES or (kind is Pow and type(field) is not int) or (
+        valid is not None and not (type(field) is str and field in valid)
+    ):
+        raise DslError(f"invalid expression node {e!r}")
+    field = index[field] if kind is Ref else field
+    operands = tuple(_step(getattr(e, child), index, steps) for child in children)
+    key = (kind, np.float64(field).tobytes() if isinstance(field, float) else field, operands)
+    return steps.setdefault(key, (len(steps), (kind, field, *operands)))[0]
+
+
+def _number(fn, x, *rest) -> complex:
+    """fn(x, *rest) for a number x, through the jet code at order 0."""
+    return complex(fn(Jet(1, 0, x), *rest).value)
+
+
+# (node type or operator, which operands are jets) -> the step's expression on
+# its field f, operands a, b, c = 1/b and value v: a number mixes in as Jet
+# applies it, and a step on numbers alone is the order-0 jet code
+_RULES = {
+    (Num, ()): "complex({v})", (Imag, ()): "1j", (Ref, ()): "(x[{f}], s[{f}])",
+    (Neg, (0,)): "-{a}", (Pow, (0,)): "_number(ipow, {a}, {f})",
+    (Call, (0,)): "_number(_FUNCTIONS[{f!r}], {a})", (Call, (1,)): "_{f}({a})",
+    (Neg, (1,)): "(-{a}[0], -{a}[1])", ("*", (1, 1)): "_product({a}, {b})",
+    ("+", (1, 1)): "({a}[0] + {b}[0], {a}[1] + {b}[1])", ("+", (1, 0)): "({a}[0] + {b}, {a}[1])",
+    ("-", (1, 1)): "({a}[0] - {b}[0], {a}[1] - {b}[1])", ("-", (1, 0)): "({a}[0] - {b}, {a}[1])",
+    ("+", (0, 1)): "({b}[0] + {a}, {b}[1])", ("-", (0, 1)): "(-{b}[0] + {a}, -{b}[1])",
+    ("*", (1, 0)): "_scaled({b}, {a})", ("*", (0, 1)): "_scaled({a}, {b})",
+    ("/", (1, 0)): "_scaled({c}, {a})", ("/", (0, 1)): "_scaled({a}, _reciprocal({b}))",
+    ("/", (1, 1)): "_product({a}, _reciprocal({b}))",
+} | {(op, (0, 0)): "_number(_BINARY[{f!r}], {a}, {b})" for op in _BINARY}
+
+
+@functools.lru_cache(maxsize=64)  # compiled plans kept, least recently used dropped first
+def _compiled(spec: ImmersionSpec, _identity: int):
+    """spec's plan (_plan) as run(values, highs) -> each component's jet, a
+    (value, high) pair, or its number: one statement of kernel calls per step
+    on a parameter (_RULES), Pow's square-and-multiply unrolled.  A step on
+    numbers alone, and 1/b for a jet divided by a number b, is computed here
+    once if that neither raises nor warns, else in its place on every call.
+    The source holds generated names, fixed text, and the operator, function
+    and exponent _plan validated."""
+    steps, roots = _plan(spec, _identity)
+    scope = vars(jets) | {"_number": _number, "_BINARY": _BINARY, "_FUNCTIONS": _FUNCTIONS}
+    lines, names, jet = ["def run(x, s):"], [], set()
+
+    def emit(name, text) -> str:
+        lines.append(f"    {name} = {text}")
+        return name
+
+    def number(name, text, *operands) -> str:
+        """name of text's value: a constant if it folds, else a statement."""
+        if all(a in scope for a in operands):
+            try:
+                with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    value = eval(text, scope)
+                if not caught:
+                    scope[name] = value
+                    return name
+            except Exception:  # it raises on every call instead
+                pass
+        return emit(name, text)
+
+    for i, (kind, field, *operands) in enumerate(steps):
+        args = [names[j] for j in operands]
+        on, (a, b) = tuple(a in jet for a in args), (args + [None, None])[:2]
+        is_jet = kind is Ref or any(on)
+        if kind is Pow and is_jet:  # square and multiply, as jets.ipow
+            out, base, k = None, a, abs(field)
+            while k:
+                if k & 1:
+                    out = emit(f"p{len(lines)}", f"_product({out}, {base})") if out else base
+                base = emit(f"p{len(lines)}", f"_product({base}, {base})") if k > 1 else base
+                k >>= 1
+            one = f"(np.ones_like({a}[0]), np.zeros_like({a}[1]))"
+            names.append(out if field > 0 else emit(f"t{i}", f"_reciprocal({out})" if out else one))
+        else:
+            scope[f"v{i}"] = field  # a Num's value is read, not written as text
+            inverse = field == "/" and on == (1, 0)
+            c = number(f"r{i}", f"_number(ipow, {b}, -1)", b) if inverse else None
+            rule = _RULES[field if kind is Bin else kind, on]
+            text = rule.format(a=a, b=b, c=c, f=field, v=f"v{i}")
+            names.append(emit(f"t{i}", text) if is_jet else number(f"c{i}", text, *args))
+        if is_jet:
+            jet.add(names[-1])
+    lines.append(f"    return {''.join(names[r] + ', ' for r in roots)}")
+    exec(compile("\n".join(lines), "<compiled jets>", "exec"), scope)
+    return scope.pop("run")  # not kept in its own globals: no reference cycle
 
 
 _SLACK = 1e-12  # how far outside the box a coordinate may round
@@ -536,29 +607,23 @@ def evaluate_map_jets(spec: ImmersionSpec, points, order: int) -> list[np.ndarra
     order, at a batch of interior points.
 
     points is one point (m,) or a batch (B, m); either way the tensors are
-    (B, m, ..., m, n), B = 1 for a single point, and each step of the spec's plan
-    (_plan) is one jet operation for the whole batch.  The jets of all components
-    are interpolated together (jets.interpolate).  Raises SingularEvaluationError
-    when the map or one of its derivatives overflows or is not finite at some point.
+    (B, m, ..., m, n), B = 1 for a single point, and the spec's plan runs
+    compiled (_compiled), each step one kernel call for the whole batch.  The
+    jets of all components are interpolated together into one buffer
+    (jets._interpolate).  Raises SingularEvaluationError when the map or one of
+    its derivatives overflows or is not finite at some point.
     """
     pts = np.array(points, dtype=float, ndmin=2)
-    m = spec.num_params
     check_point_in_domain(spec, pts)
-    steps, roots = _plan(spec, id(spec))
-    seeds, values = [Jet.seed(k, pts[:, k], m, order) for k in range(m)], []
-    try:
-        with np.errstate(all="ignore"):  # rejected just below
-            for kind, field, *operands in steps:
-                values.append(_NODES[kind][2](field, seeds, *[values[i] for i in operands]))
-    except OverflowError as exc:
-        where = tuple(pts[0].tolist()) if len(pts) == 1 else f"one of {len(pts)} points"
-        raise SingularEvaluationError(f"map overflows at {where}: {exc}") from exc
-    out = [values[r] for r in roots]
-    # a constant component is a jet with zero derivatives
-    out = [j if isinstance(j, Jet) else Jet(m, order, np.full(len(pts), j)) for j in out]
+    run = _compiled(spec, id(spec))
     with np.errstate(all="ignore"):  # rejected just below
-        tensors = jets.interpolate(out)
-    if not all(np.isfinite(t).all() for t in tensors):  # then find the first such point
+        try:
+            out = run(*jets._seeds(pts, order))
+        except OverflowError as exc:
+            where = tuple(pts[0].tolist()) if len(pts) == 1 else f"one of {len(pts)} points"
+            raise SingularEvaluationError(f"map overflows at {where}: {exc}") from exc
+        buffer, tensors = jets._interpolate(spec.num_params, order, pts.shape[:1], out)
+    if not np.isfinite(buffer).all():  # then find the first such point
         finite = [np.isfinite(t).reshape(len(pts), -1).all(axis=1) for t in tensors]
         finite = np.all(finite, axis=0)
         bad = tuple(pts[np.argmin(finite)].tolist())

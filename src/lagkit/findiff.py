@@ -79,7 +79,7 @@ def _compiled(spec: ImmersionSpec, _identity: int):
     lines.append(f"        out += {''.join(f't{r}, ' for r in roots)}")
     namespace = {"K": tuple(consts)}
     exec(compile("\n".join(lines), "<compiled map>", "exec"), namespace)
-    return namespace["run"]
+    return namespace.pop("run")  # not kept in its own globals: no reference cycle
 
 
 def eval_map_numeric(spec: ImmersionSpec, points) -> np.ndarray:

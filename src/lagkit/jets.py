@@ -4,19 +4,24 @@ A Jet holds a complex quantity f of m real variables at B points as
 univariate Taylor series (Griewank, Utke & Walther, Math. Comp. 69, 2000;
 Griewank & Walther, Evaluating Derivatives, ch. 13): the coefficients f_k of
 t -> f(x + t s), k <= order <= 3, along the D = C(m+2, 3) directions s in N^m
-with |s| = 3, one direction set for every order.  The value f_0 is an array
-(B,), degree k one (D, B), so the value broadcasts over the directions along
-the contiguous point axis; a jet built from scalars has no point axis.
+with |s| = 3, one direction set for every order.  It is one stacked pair: the
+value f_0 (B,), held as (1, 1, B), and `high`, degrees 1..order as
+(order, D, B), so the value broadcasts over degrees and directions along the
+contiguous point axis; a jet built from scalars has no point axis.
 
-A product is the truncated Cauchy product; exp, sin, cos, sinh, cosh, 1/x and
-sqrt are the univariate chain rule on their derivatives f0..f3 at the values.
-A Python number mixes in as a constant, applied when the jet meets it: a
-shift moves the value, a factor or a negation scales every coefficient.
+The arithmetic is kernels on such pairs, which Jet's operators and dsl's
+compiled plans call: the truncated Cauchy product, and for exp, sin, cos,
+sinh, cosh, 1/x and sqrt the chain rule on their derivatives f0..f3 at the
+values.  Every factor of a product has the slabs' three axes: numpy rounds a
+complex product of single elements over unequal axes ((1,) x (1, 1)) without
+the fused multiply-add of its other loops, so a point's jets would depend on
+its batch.  A number mixes in as a constant: a shift moves the value and
+shares `high` with its operand, so no kernel writes into an operand's arrays.
 
 The derivative tensors come back by interpolation: T_k = f_k @ W_k for fixed
 (D, m^k) weights, exact rationals rounded once.  `interpolate` applies W_k
 once per degree to the coefficients of all its jets stacked, as one real
-matrix product on the complex-as-float view.
+matrix product on the complex-as-float view, into one buffer for all degrees.
 
 The guards act per point, one offending point raising for the whole jet: the
 division guard and the overflow guard of exp/sin/cos/sinh/cosh (OverflowError,
@@ -48,18 +53,17 @@ _DEGREE = 3  # every direction s has |s| = 3
 class Jet:
     """Complex values plus Taylor coefficients of a function of m real variables."""
 
-    __slots__ = ("num_vars", "order", "_coeffs")
+    __slots__ = ("num_vars", "order", "pair")
 
     def __init__(self, num_vars, order, value):
         """The constant jet: the given value(s), every derivative zero."""
-        if order not in (0, 1, 2, 3):
-            raise ValueError(f"jet order must be in 0..3, got {order}")
+        _check_order(order)
         if num_vars < 1:
             raise ValueError(f"jet needs at least one variable, got {num_vars}")
         self.num_vars, self.order = num_vars, order
         value = np.array(value, dtype=complex)
-        shape = (len(_directions(num_vars)),) + value.shape
-        self._coeffs = (value, *(np.zeros(shape, dtype=complex) for _ in range(order)))
+        shape = (order, len(_directions(num_vars))) + value.shape
+        self.pair = (value[None, None], np.zeros(shape, dtype=complex))
 
     @classmethod
     def seed(cls, var_index, value, num_vars, order) -> "Jet":
@@ -70,11 +74,12 @@ class Jet:
             )
         out = cls(num_vars, order, value)
         if order >= 1:
-            out.coeffs[1].T[...] = _directions(num_vars)[:, var_index]
+            out.high[0].T[...] = _directions(num_vars)[:, var_index]
         return out
 
-    coeffs = property(lambda self: self._coeffs, doc="(value, degree 1, ..., degree order) arrays")
-    value = property(lambda self: self._coeffs[0])
+    value = property(lambda self: self.pair[0][0, 0, ...])
+    high = property(lambda self: self.pair[1], doc="degrees 1..order stacked (order, D, B)")
+    coeffs = property(lambda self: (self.value, *self.high), doc="(value, degree 1, ..., order)")
 
     @property
     def blocks(self) -> tuple:
@@ -99,37 +104,30 @@ class Jet:
         return _linear(-self, other, operator.add)
 
     def __neg__(self):
-        return _new(self, *(-x for x in self._coeffs))
+        return _new(self, -self.pair[0], -self.high)
 
     def __mul__(self, other):
         if _is_scalar(other):
-            return _new(self, *(other * x for x in self._coeffs))
+            return _new(self, *_scaled(other, self.pair))
         if not isinstance(other, Jet):
             return NotImplemented
         _check_compat(self, other)
-        a, b = self.coeffs, other.coeffs
-        out = [a[0] * b[0]]
-        for k in range(1, self.order + 1):
-            c = a[0] * b[k] + a[k] * b[0]
-            for j in range(1, k):
-                c += a[j] * b[k - j]
-            out.append(c)
-        return _new(self, *out)
+        return _new(self, *_product(self.pair, other.pair))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if _is_scalar(other):
-            return self * complex(_reciprocal(Jet(1, 0, other)).value)
+            return self * _reciprocal(Jet(1, 0, other).pair)[0].item()
         if not isinstance(other, Jet):
             return NotImplemented
         _check_compat(self, other)
-        return self * _reciprocal(other)
+        return _new(self, *_product(self.pair, _reciprocal(other.pair)))
 
     def __rtruediv__(self, other):
         if not _is_scalar(other):
             return NotImplemented
-        return other * _reciprocal(self)
+        return other * _new(self, *_reciprocal(self.pair))
 
     def __repr__(self):
         return f"Jet(m={self.num_vars}, order={self.order}, value={self.value})"
@@ -142,22 +140,17 @@ def _is_scalar(x) -> bool:
 def _linear(a: Jet, b, op) -> Jet:
     """a + b or a - b; a scalar b only shifts the values."""
     if _is_scalar(b):
-        return _new(a, op(a._coeffs[0], b), *a._coeffs[1:])
+        return _new(a, op(a.pair[0], b), a.high)
     if not isinstance(b, Jet):
         return NotImplemented
     _check_compat(a, b)
-    return _new(a, *map(op, a.coeffs, b.coeffs))
+    return _new(a, op(a.pair[0], b.pair[0]), op(a.high, b.high))
 
 
-def _new(like: Jet, *coeffs) -> Jet:
-    """Jet shaped like `like` holding the given coefficients: no copy, no checks.
-
-    Arrays may be shared with an operand (a scalar shift keeps the higher
-    coefficients of its jet), so an array must not be written to once its jet
-    is built.
-    """
+def _new(like: Jet, value, high) -> Jet:
+    """Jet shaped like `like` holding the given pair: no copy, no checks."""
     out = object.__new__(Jet)
-    out.num_vars, out.order, out._coeffs = like.num_vars, like.order, coeffs
+    out.num_vars, out.order, out.pair = like.num_vars, like.order, (value, high)
     return out
 
 
@@ -167,6 +160,21 @@ def _check_compat(a: Jet, b: Jet):
             f"jet mismatch: (m={a.num_vars}, order={a.order}) vs "
             f"(m={b.num_vars}, order={b.order})"
         )
+
+
+def _check_order(order):
+    if order not in (0, 1, 2, 3):
+        raise ValueError(f"jet order must be in 0..3, got {order}")
+
+
+def _seeds(points: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinate jets at points (B, m) as values (m, 1, 1, B) and highs
+    (m, order, D, B), one allocation each: seed k is (values[k], highs[k])."""
+    _check_order(order)
+    dirs = _directions(points.shape[1]).T
+    high = np.zeros((len(dirs), order, dirs.shape[1], len(points)), dtype=complex)
+    high[:, :1] = dirs[:, None, :, None]  # degree 1, if any
+    return np.ascontiguousarray(points.T, dtype=complex)[:, None, None], high
 
 
 # -- directions and interpolation ----------------------------------------------
@@ -212,48 +220,73 @@ def _weights(m: int, k: int) -> np.ndarray:
 def interpolate(jets: list[Jet]) -> list[np.ndarray]:
     """The blocks (value, gradient, hessian, third) up to the order of the
     jets, which share num_vars, order and point shape, stacked along a last
-    axis of length n.
-
-    Per degree, the coefficients of all n jets are stacked as (D, points, n)
-    and multiplied by W_k in one real matrix product on their float view.
-    """
-    m, order, batch = jets[0].num_vars, jets[0].order, jets[0]._coeffs[0].shape
-    size, n, stacked = math.prod(batch), len(jets), []
-    for k in range(order + 1):
-        rows = len(_directions(m)) if k else 1  # the value is one coefficient
-        coeffs = np.empty((rows, size, n), dtype=complex)
-        for c, jet in enumerate(jets):
-            coeffs[..., c] = jet._coeffs[k].reshape(rows, size)
-        if k:
-            coeffs = (_weights(m, k).T @ coeffs.view(float).reshape(rows, -1)).view(complex)
-        coeffs = coeffs.reshape(m**k, size, n).transpose(1, 0, 2)
-        stacked.append(coeffs.reshape(batch + (m,) * k + (n,)))
-    return stacked
+    axis of length n."""
+    u = jets[0]
+    return _interpolate(u.num_vars, u.order, u.value.shape, [jet.pair for jet in jets])[1]
 
 
-# -- elementary functions ------------------------------------------------------
+def _interpolate(m, order, batch, pairs) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(buffer, blocks): interpolate's blocks, views of one flat buffer, for
+    (value, high) pairs or numbers (constant jets).  The coefficients of all
+    n are stacked as (order, D, points, n), and per degree multiplied by W_k
+    in one real matrix product on their float view."""
+    size, n, rows = math.prod(batch), len(pairs), len(_directions(m))
+    buffer = np.empty(size * n * sum(m**k for k in range(order + 1)), dtype=complex)
+    value = buffer[: size * n].reshape(size, n)
+    high = np.empty((order, rows, size, n), dtype=complex)
+    for c, u in enumerate(pairs):
+        if type(u) is tuple:
+            value[:, c], high[..., c] = u[0].reshape(size), u[1].reshape(order, rows, size)
+        else:
+            value[:, c], high[..., c] = u, 0
+    blocks, start = [value.reshape(batch + (n,))], value.size
+    for k in range(1, order + 1):
+        block = buffer[start : start + size * m**k * n].reshape(size, m**k, n)
+        start += block.size
+        t = (_weights(m, k).T @ high[k - 1].view(float).reshape(rows, -1)).view(complex)
+        block[...] = t.reshape(m**k, size, n).transpose(1, 0, 2)
+        blocks.append(block.reshape(batch + (m,) * k + (n,)))
+    return buffer, blocks
 
 
-def _compose(u: Jet, f0, f1, f2, f3) -> Jet:
+# -- kernels on (value, high) pairs ---------------------------------------------
+
+
+def _scaled(c, u):
+    """The number c times the pair u."""
+    return c * u[0], c * u[1]
+
+
+def _product(a, b):
+    """Truncated Cauchy product: degree k is a0 bk + ak b0 + sum_{0<j<k} aj b(k-j),
+    summed in that order."""
+    (a0, ah), (b0, bh) = a, b
+    high = a0 * bh
+    high += ah * b0
+    if len(high) > 1:
+        high[1:] += ah[:1] * bh[:-1]
+    if len(high) > 2:
+        high[2:] += ah[1:2] * bh[:1]
+    return a0 * b0, high
+
+
+def _compose(u, f0, f1, f2, f3):
     """Chain rule for f(u) given the derivatives of f at the values of u:
     f(u)_1 = f1 u_1, f(u)_2 = f1 u_2 + f2 u_1^2 / 2,
     f(u)_3 = f1 u_3 + f2 u_1 u_2 + f3 u_1^3 / 6."""
-    _, *c = u.coeffs
-    out = [f0]
-    if u.order >= 1:
-        out.append(f1 * c[0])
-    if u.order >= 2:
-        u1sq = c[0] * c[0]
-        out.append(f1 * c[1] + 0.5 * f2 * u1sq)
-    if u.order >= 3:
-        third = f1 * c[2] + f2 * (c[0] * c[1])
-        third += f3 / 6.0 * (u1sq * c[0])
-        out.append(third)
-    return _new(u, *out)
+    uh = u[1]
+    high = f1 * uh
+    if len(high) > 1:
+        u1sq = uh[:1] * uh[:1]
+        high[1:2] += 0.5 * f2 * u1sq
+    if len(high) > 2:
+        high[2:] += f2 * (uh[:1] * uh[1:2])
+        high[2:] += f3 / 6.0 * (u1sq * uh[:1])
+    return f0, high
 
 
-def _reciprocal(u: Jet) -> Jet:
-    v = u.value
+def _reciprocal(u):
+    v = u[0]
     modsq = v.real * v.real + v.imag * v.imag
     small = modsq < _DIV_WARN
     if small.any():
@@ -269,42 +302,30 @@ def _reciprocal(u: Jet) -> Jet:
     return _compose(u, inv, -inv * inv, 2.0 * inv**3, -6.0 * inv**4)
 
 
-def _at_values(u: Jet, *fns) -> list[np.ndarray]:
-    """fn(u.value) for each fn.  OverflowError, as cmath raises it, where any
-    image is not finite at a finite value."""
-    out = [fn(u.value) for fn in fns]
+def _at_values(v, *fns) -> list[np.ndarray]:
+    """fn(v) for each fn.  OverflowError, as cmath raises it, where any image
+    is not finite at a finite value."""
+    out = [fn(v) for fn in fns]
     images = np.isfinite(out)
-    if not images.all() and (np.isfinite(u.value) & ~images).any():
+    if not images.all() and (np.isfinite(v) & ~images).any():
         raise OverflowError("math range error")
     return out
 
 
-def exp(u: Jet) -> Jet:
-    (e,) = _at_values(u, np.exp)
-    return _compose(u, e, e, e, e)
+def _elementary(fns, derivatives):
+    """The kernel of f(u), where fns give images at the values of u, and
+    derivatives(*images) the derivatives f0..f3 of f there."""
+    return lambda u: _compose(u, *derivatives(*_at_values(u[0], *fns)))
 
 
-def sin(u: Jet) -> Jet:
-    s, c = _at_values(u, np.sin, np.cos)
-    return _compose(u, s, c, -s, -c)
+_exp = _elementary((np.exp,), lambda e: (e, e, e, e))
+_sin = _elementary((np.sin, np.cos), lambda s, c: (s, c, -s, -c))
+_cos = _elementary((np.sin, np.cos), lambda s, c: (c, -s, -c, s))
+_sinh = _elementary((np.sinh, np.cosh), lambda s, c: (s, c, s, c))
+_cosh = _elementary((np.sinh, np.cosh), lambda s, c: (c, s, c, s))
 
 
-def cos(u: Jet) -> Jet:
-    s, c = _at_values(u, np.sin, np.cos)
-    return _compose(u, c, -s, -c, s)
-
-
-def sinh(u: Jet) -> Jet:
-    s, c = _at_values(u, np.sinh, np.cosh)
-    return _compose(u, s, c, s, c)
-
-
-def cosh(u: Jet) -> Jet:
-    s, c = _at_values(u, np.sinh, np.cosh)
-    return _compose(u, c, s, c, s)
-
-
-def sqrt(u: Jet) -> Jet:
+def _sqrt(u):
     """Square root for numerically real, positive arguments.
 
     The DSL only needs sqrt on positive real subexpressions (constants like
@@ -313,11 +334,10 @@ def sqrt(u: Jet) -> Jet:
     imaginary part above 1e-9 * max(1, |Re value|) at some point is rejected
     loudly.  The result is real: its imaginary parts are exactly zero.
     """
-    x = u.value.real
-    imag = np.max(
-        [np.abs(c.imag).reshape((-1,) + x.shape).max(axis=0) for c in u.coeffs], axis=0
-    )
-    if (imag > _SQRT_IMAG * np.maximum(1.0, np.abs(x))).any():
+    v, h = u
+    x = v.real
+    imag = np.abs(h.imag).reshape((-1,) + x.shape).max(axis=0, initial=0.0)
+    if (np.maximum(np.abs(v.imag), imag) > _SQRT_IMAG * np.maximum(1.0, np.abs(x))).any():
         raise SingularEvaluationError("sqrt of a non-real expression")
     tiny = x < _SQRT_GUARD
     if tiny.any():
@@ -325,14 +345,25 @@ def sqrt(u: Jet) -> Jet:
             f"sqrt at non-positive or tiny value {float(x.flat[np.argmax(tiny)])!r}"
         )
     r = np.sqrt(x)
-    real = _new(u, *(c.real + 0j for c in u.coeffs))
-    return _compose(real, r + 0j, 0.5 / r, -0.25 / r**3, 0.375 / r**5)
+    return _compose((v, h.real + 0j), r + 0j, 0.5 / r, -0.25 / r**3, 0.375 / r**5)
+
+
+def _lift(name, kernel):
+    """The function on jets of a kernel."""
+    fn = lambda u: _new(u, *kernel(u.pair))  # noqa: E731
+    fn.__name__, fn.__qualname__, fn.__doc__ = name, name, kernel.__doc__
+    return fn
+
+
+exp, sin, cos, sinh, cosh, sqrt = (
+    _lift(name, globals()[f"_{name}"]) for name in ("exp", "sin", "cos", "sinh", "cosh", "sqrt")
+)
 
 
 def ipow(u: Jet, k: int) -> Jet:
     """Integer power by repeated multiplication (negative via reciprocal)."""
     if k < 0:
-        return _reciprocal(ipow(u, -k))
+        return _new(u, *_reciprocal(ipow(u, -k).pair))
     out = None
     base = u
     while k:
@@ -341,5 +372,5 @@ def ipow(u: Jet, k: int) -> Jet:
         base = base * base if k > 1 else base
         k >>= 1
     if out is None:
-        return _new(u, np.ones_like(u.value), *(np.zeros_like(c) for c in u.coeffs[1:]))
+        return _new(u, np.ones_like(u.pair[0]), np.zeros_like(u.high))
     return out

@@ -1,6 +1,7 @@
 """Parser, serializer, and evaluator for the immersion expression language."""
 
 import cmath
+import gc
 import math
 import pickle
 import re
@@ -445,16 +446,24 @@ def eval_expr(e, env):
     return rule(e, env)
 
 
+def _apply(fn, x, *rest):
+    """fn(x, *rest); on complex scalars alone, through the jet code at order 0:
+    values free of parameters stay scalars, so 2*u costs one scaling."""
+    if isinstance(x, Jet) or (rest and isinstance(rest[0], Jet)):
+        return fn(x, *rest)
+    return complex(fn(Jet(1, 0, x), *rest).value)
+
+
 _RULES = {
     Num: lambda e, env: complex(e.value),
     Imag: lambda e, env: 1j,
     Ref: lambda e, env: env[e.name],
     Neg: lambda e, env: -eval_expr(e.arg, env),
-    Bin: lambda e, env: dsl._apply(
+    Bin: lambda e, env: _apply(
         dsl._BINARY[e.op], eval_expr(e.left, env), eval_expr(e.right, env)
     ),
-    Pow: lambda e, env: dsl._apply(jets.ipow, eval_expr(e.base, env), e.exponent),
-    Call: lambda e, env: dsl._apply(dsl._FUNCTIONS[e.fn], eval_expr(e.arg, env)),
+    Pow: lambda e, env: _apply(jets.ipow, eval_expr(e.base, env), e.exponent),
+    Call: lambda e, env: _apply(dsl._FUNCTIONS[e.fn], eval_expr(e.arg, env)),
 }
 
 
@@ -554,6 +563,97 @@ class TestSharedEvaluation:
         spec = ImmersionSpec((Param("u", -1.0, 1.0),), Signature(1, 0), (component,))
         with pytest.raises(DslError, match=re.escape(f"invalid expression node {component!r}")):
             evaluate_map_jets(spec, (0.5,), 1)
+
+
+def _garbage_after(run):
+    """Objects run() leaves for the garbage collector, counted with it off."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestCompiledPlan:
+    """The plan runs compiled: a point's jets do not depend on its batch, a
+    constant is computed once unless it raises or warns, and no reference
+    cycle is left behind."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_a_point_does_not_depend_on_its_batch(self, name):
+        spec = catalog(name)
+        pts = sample_points(spec, 200, seed=13)
+        for order in (1, 2, 3):
+            batch = evaluate_map_jets(spec, pts, order)
+            for b in range(0, len(pts), 7):
+                alone = evaluate_map_jets(spec, pts[b], order)
+                assert [t[0].tobytes() for t in alone] == [t[b].tobytes() for t in batch]
+
+    @given(
+        st.sampled_from([1, 2]).flatmap(
+            lambda m: st.tuples(
+                st.just(m),
+                shared_components(_leaf.filter(lambda e: m == 2 or e != Ref("v"))),
+                st.lists(st.tuples(st.floats(-1, 1), st.floats(0, 2)), min_size=2, max_size=4),
+            )
+        ),
+        st.sampled_from([1, 2, 3]),
+    )
+    @settings(max_examples=200, deadline=None)
+    # one curve whose products multiply two non-real numbers
+    @example((1, (Bin("*", Call("exp", Bin("*", Bin("+", Num(1.0), Imag()), Ref("u"))),
+                       Call("sin", Bin("-", Num(2.0), Bin("*", Imag(), Ref("u"))))),
+                  Pow(Bin("+", Ref("u"), Imag()), 3)), [(0.3, 0.0), (0.7, 0.0)]), 3)
+    def test_a_point_of_a_drawn_map_does_not_depend_on_its_batch(self, case, order):
+        m, components, points = case
+        spec = ImmersionSpec(_UV[:m], Signature(2, 0), components)
+        pts = np.array(points)[:, :m]
+        try:
+            batch = evaluate_map_jets(spec, pts, order)
+        except (SingularEvaluationError, RuntimeWarning):
+            return  # singular or poorly conditioned at some point
+        for b in range(len(pts)):
+            alone = evaluate_map_jets(spec, pts[b], order)
+            assert [t[0].tobytes() for t in alone] == [t[b].tobytes() for t in batch]
+
+    def test_a_constant_is_computed_once_per_compiled_plan(self, monkeypatch):
+        spec = parse("params u:[0,1]; signature 1 0; map sqrt(3)*u;")
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return compose(*args)
+
+        compose = jets._compose
+        monkeypatch.setattr(jets, "_compose", counting)
+        first, second = (evaluate_map_jets(spec, (0.5,), 3) for _ in range(2))
+        assert len(calls) == 1  # sqrt(3), once: u is only scaled
+        assert [t.tobytes() for t in first] == [t.tobytes() for t in second]
+        assert first[1][0, 0, 0] == math.sqrt(3)
+
+    def test_a_constant_that_raises_raises_on_every_evaluation(self):
+        spec = parse("params u:[0,1]; signature 1 0; map u + 1/(1-1);")
+        for _ in range(2):
+            with pytest.raises(SingularEvaluationError, match=r"^division by 0j$"):
+                evaluate_map_jets(spec, (0.5,), 2)
+
+    def test_a_constant_that_warns_warns_on_every_evaluation(self):
+        spec = parse("params u:[0,1]; signature 1 0; map u/1e-7;")
+        message = re.escape("division by poorly conditioned value (1e-07+0j)")
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning, match=f"^{message}$"):
+                evaluate_map_jets(spec, (0.5,), 2)
+
+    def test_first_evaluations_leave_no_reference_cycle(self):
+        from lagkit.checks import SampleConfig, run_suite
+        from lagkit.findiff import jet_fd_deviation
+
+        spec = parse("params u:[0,1], v:[0,1]; signature 2 0; map u, u;")
+        assert _garbage_after(lambda: run_suite(spec, SampleConfig(num_points=20))) == 0
+        spec = parse("params u:[0,1], v:[0,1]; signature 2 0; map u*v, u*v*v;")
+        assert _garbage_after(lambda: jet_fd_deviation(spec, (0.5, 0.5), 3, 1e-2)) == 0
 
 
 class TestRecords:

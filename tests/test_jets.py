@@ -354,3 +354,86 @@ class TestThirdOrderBlocks:
             third=reference_compose_third(b, -inv * inv, 2.0 * inv**3, -6.0 * inv**4),
         )
         _assert_third_close((a / b).third, reference_product_third(a, recip))
+
+
+# -- kernels against the per-degree formulas, byte for byte --------------------
+
+
+# numpy rounds a complex product of one element each over unequal axes
+# ((1,) x (1, 1)) without the fused multiply-add of its other loops; the kernels
+# give every factor the axes of the degree slabs, and so do these references,
+# with the value as a row (1, B), so that one rounding holds for every shape.
+
+
+def per_degree_product(a, b):
+    """Degree k of a b as a0 bk + ak b0 + sum_{0<j<k} aj b(k-j), in that order."""
+    out = [a[0] * b[0]]
+    for k in range(1, len(a)):
+        c = a[0][None] * b[k] + a[k] * b[0][None]
+        for j in range(1, k):
+            c += a[j] * b[k - j]
+        out.append(c)
+    return out
+
+
+def per_degree_compose(u, f0, f1, f2, f3):
+    """f(u) from the derivatives of f at u's values, one degree at a time."""
+    out, (f1, f2, f3) = [f0], (f[None] for f in (f1, f2, f3))
+    if len(u) > 1:
+        out.append(f1 * u[1])
+    if len(u) > 2:
+        u1sq = u[1] * u[1]
+        out.append(f1 * u[2] + 0.5 * f2 * u1sq)
+    if len(u) > 3:
+        third = f1 * u[3] + f2 * (u[1] * u[2])
+        third += f3 / 6.0 * (u1sq * u[1])
+        out.append(third)
+    return out
+
+
+def _bytes(coeffs):
+    return [(np.shape(c), np.asarray(c).tobytes()) for c in coeffs]
+
+
+_number = st.one_of(
+    st.integers(-3, 3),
+    st.floats(-3, 3, allow_nan=False),
+    st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestKernels:
+    @given(
+        st.integers(1, 3), st.integers(0, 3), st.sampled_from([1, 5]),
+        st.integers(0, 2**32 - 1), _number, _number,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_per_degree_formulas_and_operands_untouched(self, m, order, batch, seed, c, d):
+        rng = np.random.default_rng(seed)
+
+        def drawn(shift):
+            jet = Jet(m, order, shift + rng.normal(size=batch) + 1j * rng.normal(size=batch))
+            jet.high[...] = rng.normal(size=jet.high.shape) + 1j * rng.normal(size=jet.high.shape)
+            return jet
+
+        a, b = drawn(0.0), drawn(4.0)  # b's values stay away from zero
+        before = _bytes([a.value, a.high, b.value, b.high])
+        shifted = a + c  # shares a.high
+        scaled = d * (c - b)
+        assert shifted.high is a.high
+        assert _bytes((shifted * b).coeffs) == _bytes(per_degree_product(shifted.coeffs, b.coeffs))
+        assert _bytes((scaled * shifted).coeffs) == _bytes(
+            per_degree_product(scaled.coeffs, shifted.coeffs)
+        )
+        e, s, k = np.exp(shifted.value), np.sin(shifted.value), np.cos(shifted.value)
+        assert _bytes(jets.exp(shifted).coeffs) == _bytes(
+            per_degree_compose(shifted.coeffs, e, e, e, e)
+        )
+        assert _bytes(jets.sin(shifted).coeffs) == _bytes(
+            per_degree_compose(shifted.coeffs, s, k, -s, -k)
+        )
+        inv = 1.0 / b.value
+        want = per_degree_compose(b.coeffs, inv, -inv * inv, 2.0 * inv**3, -6.0 * inv**4)
+        assert _bytes((1 / b).coeffs) == _bytes([1 * w for w in want])
+        assert _bytes((shifted / b).coeffs) == _bytes(per_degree_product(shifted.coeffs, want))
+        assert _bytes([a.value, a.high, b.value, b.high]) == before
