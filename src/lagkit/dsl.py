@@ -29,10 +29,8 @@ Both evaluators, the jets here and findiff's cmath code, run one plan per spec
 object (_plan): each distinct subtree once, subtrees the same when type, fields
 and operands are, a constant by its exact bits (Num(0.0) == Num(-0.0) as records).
 Each compiles it once per spec object to straight-line code; here (_compiled)
-kernel calls on the jets' stacked (value, high) pairs, number-or-jet dispatch,
-Pow's square-and-multiply and a constant divisor's reciprocal settled at
-compile time, and a step free of parameters computed then unless it raises or
-warns.
+one kernel call per step on the jets' stacked (value, high) pairs, whether
+an operand is a number or a jet settled at compile time.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ import functools
 import operator
 import re
 import sys
-import warnings
 
 import numpy as np
 
@@ -56,7 +53,6 @@ from .errors import (
     UnknownFunctionError,
 )
 from . import jets
-from .jets import Jet
 from .record import Record
 
 __all__ = [
@@ -495,82 +491,37 @@ def _step(e, index: dict, steps: dict) -> int:
     return steps.setdefault(key, (len(steps), (kind, field, *operands)))[0]
 
 
-def _number(fn, x, *rest) -> complex:
-    """fn(x, *rest) for a number x, through the jet code at order 0."""
-    return complex(fn(Jet(1, 0, x), *rest).value)
-
-
 # (node type or operator, which operands are jets) -> the step's expression on
-# its field f, operands a, b, c = 1/b and value v: a number mixes in as Jet
-# applies it, and a step on numbers alone is the order-0 jet code
+# field f, operands a, b and value v: Jet's kernel for an operator on a jet
+# (jets._OPERATORS), the order-0 jet code on numbers alone (jets._number)
 _RULES = {
     (Num, ()): "complex({v})", (Imag, ()): "1j", (Ref, ()): "(x[{f}], s[{f}])",
-    (Neg, (0,)): "-{a}", (Pow, (0,)): "_number(ipow, {a}, {f})",
+    (Neg, (0,)): "-{a}", (Neg, (1,)): "_negative({a})",
+    (Pow, (0,)): "_number(ipow, {a}, {f})", (Pow, (1,)): "_ipow({a}, {f})",
     (Call, (0,)): "_number(_FUNCTIONS[{f!r}], {a})", (Call, (1,)): "_{f}({a})",
-    (Neg, (1,)): "(-{a}[0], -{a}[1])", ("*", (1, 1)): "_product({a}, {b})",
-    ("+", (1, 1)): "({a}[0] + {b}[0], {a}[1] + {b}[1])", ("+", (1, 0)): "({a}[0] + {b}, {a}[1])",
-    ("-", (1, 1)): "({a}[0] - {b}[0], {a}[1] - {b}[1])", ("-", (1, 0)): "({a}[0] - {b}, {a}[1])",
-    ("+", (0, 1)): "({b}[0] + {a}, {b}[1])", ("-", (0, 1)): "(-{b}[0] + {a}, -{b}[1])",
-    ("*", (1, 0)): "_scaled({b}, {a})", ("*", (0, 1)): "_scaled({a}, {b})",
-    ("/", (1, 0)): "_scaled({c}, {a})", ("/", (0, 1)): "_scaled({a}, _reciprocal({b}))",
-    ("/", (1, 1)): "_product({a}, _reciprocal({b}))",
-} | {(op, (0, 0)): "_number(_BINARY[{f!r}], {a}, {b})" for op in _BINARY}
+} | {(op, (0, 0)): "_number(_BINARY[{f!r}], {a}, {b})" for op in _BINARY} | {
+    key: "_OPERATORS[{f!r}, {on}]({a}, {b})" for key in jets._OPERATORS
+}
 
 
 @functools.lru_cache(maxsize=64)  # compiled plans kept, least recently used dropped first
 def _compiled(spec: ImmersionSpec, _identity: int):
     """spec's plan (_plan) as run(values, highs) -> each component's jet, a
-    (value, high) pair, or its number: one statement of kernel calls per step
-    on a parameter (_RULES), Pow's square-and-multiply unrolled.  A step on
-    numbers alone, and 1/b for a jet divided by a number b, is computed here
-    once if that neither raises nor warns, else in its place on every call.
-    The source holds generated names, fixed text, and the operator, function
-    and exponent _plan validated."""
+    (value, high) pair, or its number: one statement per step (_RULES), whether
+    each operand is a number or a jet settled here.  The source holds generated
+    names, fixed text, and the operator, function and exponent _plan validated."""
     steps, roots = _plan(spec, _identity)
-    scope = vars(jets) | {"_number": _number, "_BINARY": _BINARY, "_FUNCTIONS": _FUNCTIONS}
-    lines, names, jet = ["def run(x, s):"], [], set()
-
-    def emit(name, text) -> str:
-        lines.append(f"    {name} = {text}")
-        return name
-
-    def number(name, text, *operands) -> str:
-        """name of text's value: a constant if it folds, else a statement."""
-        if all(a in scope for a in operands):
-            try:
-                with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    value = eval(text, scope)
-                if not caught:
-                    scope[name] = value
-                    return name
-            except Exception:  # it raises on every call instead
-                pass
-        return emit(name, text)
-
+    scope = vars(jets) | {"_BINARY": _BINARY, "_FUNCTIONS": _FUNCTIONS}
+    lines, jet = ["def run(x, s):"], set()
     for i, (kind, field, *operands) in enumerate(steps):
-        args = [names[j] for j in operands]
-        on, (a, b) = tuple(a in jet for a in args), (args + [None, None])[:2]
-        is_jet = kind is Ref or any(on)
-        if kind is Pow and is_jet:  # square and multiply, as jets.ipow
-            out, base, k = None, a, abs(field)
-            while k:
-                if k & 1:
-                    out = emit(f"p{len(lines)}", f"_product({out}, {base})") if out else base
-                base = emit(f"p{len(lines)}", f"_product({base}, {base})") if k > 1 else base
-                k >>= 1
-            one = f"(np.ones_like({a}[0]), np.zeros_like({a}[1]))"
-            names.append(out if field > 0 else emit(f"t{i}", f"_reciprocal({out})" if out else one))
-        else:
-            scope[f"v{i}"] = field  # a Num's value is read, not written as text
-            inverse = field == "/" and on == (1, 0)
-            c = number(f"r{i}", f"_number(ipow, {b}, -1)", b) if inverse else None
-            rule = _RULES[field if kind is Bin else kind, on]
-            text = rule.format(a=a, b=b, c=c, f=field, v=f"v{i}")
-            names.append(emit(f"t{i}", text) if is_jet else number(f"c{i}", text, *args))
-        if is_jet:
-            jet.add(names[-1])
-    lines.append(f"    return {''.join(names[r] + ', ' for r in roots)}")
+        on = tuple(int(j in jet) for j in operands)
+        if kind is Ref or any(on):
+            jet.add(i)
+        scope[f"v{i}"] = field  # a Num's value is read, not written as text
+        args = dict(zip("ab", (f"t{j}" for j in operands)))
+        rule = _RULES[field if kind is Bin else kind, on]
+        lines.append(f"    t{i} = " + rule.format(f=field, v=f"v{i}", on=on, **args))
+    lines.append(f"    return {''.join(f't{r}, ' for r in roots)}")
     exec(compile("\n".join(lines), "<compiled jets>", "exec"), scope)
     return scope.pop("run")  # not kept in its own globals: no reference cycle
 
@@ -615,10 +566,9 @@ def evaluate_map_jets(spec: ImmersionSpec, points, order: int) -> list[np.ndarra
     """
     pts = np.array(points, dtype=float, ndmin=2)
     check_point_in_domain(spec, pts)
-    run = _compiled(spec, id(spec))
     with np.errstate(all="ignore"):  # rejected just below
         try:
-            out = run(*jets._seeds(pts, order))
+            out = _compiled(spec, id(spec))(*jets._seeds(pts, order))
         except OverflowError as exc:
             where = tuple(pts[0].tolist()) if len(pts) == 1 else f"one of {len(pts)} points"
             raise SingularEvaluationError(f"map overflows at {where}: {exc}") from exc

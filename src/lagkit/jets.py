@@ -10,13 +10,14 @@ value f_0 (B,), held as (1, 1, B), and `high`, degrees 1..order as
 contiguous point axis; a jet built from scalars has no point axis.
 
 The arithmetic is kernels on such pairs, which Jet's operators and dsl's
-compiled plans call: the truncated Cauchy product, and for exp, sin, cos,
-sinh, cosh, 1/x and sqrt the chain rule on their derivatives f0..f3 at the
-values.  Every factor of a product has the slabs' three axes: numpy rounds a
-complex product of single elements over unequal axes ((1,) x (1, 1)) without
-the fused multiply-add of its other loops, so a point's jets would depend on
-its batch.  A number mixes in as a constant: a shift moves the value and
+compiled plans call (_OPERATORS): the truncated Cauchy product, and for exp,
+sin, cos, sinh, cosh, 1/x and sqrt the chain rule on their derivatives f0..f3
+at the values.  A number mixes in as a constant: a shift moves the value and
 shares `high` with its operand, so no kernel writes into an operand's arrays.
+Every factor of a product has the slabs' three axes, so one point and a batch
+take the same numpy loops (numpy 2.4.6's AVX2 and AVX-512 code rounds a
+(1,) x (1, 1) complex product without the fused multiply-add of its other
+loops): that a point's jets are the bits of its row in a batch is tested.
 
 The derivative tensors come back by interpolation: T_k = f_k @ W_k for fixed
 (D, m^k) weights, exact rationals rounded once.  `interpolate` applies W_k
@@ -34,7 +35,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import warnings
 
 import numpy as np
@@ -48,6 +48,28 @@ _DIV_WARN = 1e-12
 _SQRT_GUARD = 1e-12
 _SQRT_IMAG = 1e-9
 _DEGREE = 3  # every direction s has |s| = 3
+
+
+def _operator(op: str, reflected: bool = False):
+    """Jet's method for op, or its reflected form, with a jet of the same shape
+    or a number as the other operand: the kernel _OPERATORS holds for them."""
+
+    def method(self, other):
+        if isinstance(other, Jet):
+            if (other.num_vars, other.order) != (self.num_vars, self.order):
+                raise DimensionMismatchError(
+                    f"jet mismatch: (m={self.num_vars}, order={self.order}) vs "
+                    f"(m={other.num_vars}, order={other.order})"
+                )
+            other, on = other.pair, (1, 1)
+        elif isinstance(other, (int, float, complex, np.number)):
+            on = (0, 1) if reflected else (1, 0)
+        else:
+            return NotImplemented
+        a, b = (other, self.pair) if reflected else (self.pair, other)
+        return _new(self, *_OPERATORS[op, on](a, b))
+
+    return method
 
 
 class Jet:
@@ -90,61 +112,16 @@ class Jet:
     hessian = property(lambda self: self.blocks[2] if self.order >= 2 else None)
     third = property(lambda self: self.blocks[3] if self.order >= 3 else None)
 
-    # -- arithmetic ---------------------------------------------------------
+    # -- arithmetic: the kernels of _OPERATORS ----------------------------------
 
-    def __add__(self, other):
-        return _linear(self, other, operator.add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return _linear(self, other, operator.sub)
-
-    def __rsub__(self, other):
-        return _linear(-self, other, operator.add)
+    __add__, __sub__, __mul__, __truediv__ = (_operator(op) for op in "+-*/")
+    __radd__, __rsub__, __rmul__, __rtruediv__ = (_operator(op, True) for op in "+-*/")
 
     def __neg__(self):
-        return _new(self, -self.pair[0], -self.high)
-
-    def __mul__(self, other):
-        if _is_scalar(other):
-            return _new(self, *_scaled(other, self.pair))
-        if not isinstance(other, Jet):
-            return NotImplemented
-        _check_compat(self, other)
-        return _new(self, *_product(self.pair, other.pair))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if _is_scalar(other):
-            return self * _reciprocal(Jet(1, 0, other).pair)[0].item()
-        if not isinstance(other, Jet):
-            return NotImplemented
-        _check_compat(self, other)
-        return _new(self, *_product(self.pair, _reciprocal(other.pair)))
-
-    def __rtruediv__(self, other):
-        if not _is_scalar(other):
-            return NotImplemented
-        return other * _new(self, *_reciprocal(self.pair))
+        return _new(self, *_negative(self.pair))
 
     def __repr__(self):
         return f"Jet(m={self.num_vars}, order={self.order}, value={self.value})"
-
-
-def _is_scalar(x) -> bool:
-    return isinstance(x, (int, float, complex, np.number))
-
-
-def _linear(a: Jet, b, op) -> Jet:
-    """a + b or a - b; a scalar b only shifts the values."""
-    if _is_scalar(b):
-        return _new(a, op(a.pair[0], b), a.high)
-    if not isinstance(b, Jet):
-        return NotImplemented
-    _check_compat(a, b)
-    return _new(a, op(a.pair[0], b.pair[0]), op(a.high, b.high))
 
 
 def _new(like: Jet, value, high) -> Jet:
@@ -152,14 +129,6 @@ def _new(like: Jet, value, high) -> Jet:
     out = object.__new__(Jet)
     out.num_vars, out.order, out.pair = like.num_vars, like.order, (value, high)
     return out
-
-
-def _check_compat(a: Jet, b: Jet):
-    if a.num_vars != b.num_vars or a.order != b.order:
-        raise DimensionMismatchError(
-            f"jet mismatch: (m={a.num_vars}, order={a.order}) vs "
-            f"(m={b.num_vars}, order={b.order})"
-        )
 
 
 def _check_order(order):
@@ -250,6 +219,15 @@ def _interpolate(m, order, batch, pairs) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 # -- kernels on (value, high) pairs ---------------------------------------------
+
+
+def _number(fn, x, *rest) -> complex:
+    """fn(x, *rest) for a number x, through the jet code at order 0."""
+    return complex(fn(Jet(1, 0, x), *rest).value)
+
+
+def _negative(u):
+    return -u[0], -u[1]
 
 
 def _scaled(c, u):
@@ -348,29 +326,45 @@ def _sqrt(u):
     return _compose((v, h.real + 0j), r + 0j, 0.5 / r, -0.25 / r**3, 0.375 / r**5)
 
 
+def _ipow(u, k: int):
+    """Integer power by square and multiply (negative via reciprocal)."""
+    if k < 0:
+        return _reciprocal(_ipow(u, -k))
+    out, base = None, u
+    while k:
+        if k & 1:
+            out = base if out is None else _product(out, base)
+        base = _product(base, base) if k > 1 else base
+        k >>= 1
+    return (np.ones_like(u[0]), np.zeros_like(u[1])) if out is None else out
+
+
 def _lift(name, kernel):
     """The function on jets of a kernel."""
-    fn = lambda u: _new(u, *kernel(u.pair))  # noqa: E731
+    fn = lambda u, *args: _new(u, *kernel(u.pair, *args))  # noqa: E731
     fn.__name__, fn.__qualname__, fn.__doc__ = name, name, kernel.__doc__
     return fn
 
 
-exp, sin, cos, sinh, cosh, sqrt = (
-    _lift(name, globals()[f"_{name}"]) for name in ("exp", "sin", "cos", "sinh", "cosh", "sqrt")
+# (operator, which operands are jets) -> its kernel on pairs and numbers, for
+# Jet's operators and dsl's compiled plans alike; a shift shares `high`
+_OPERATORS = {
+    ("+", (1, 1)): lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    ("-", (1, 1)): lambda a, b: (a[0] - b[0], a[1] - b[1]),
+    ("*", (1, 1)): _product,
+    ("/", (1, 1)): lambda a, b: _product(a, _reciprocal(b)),
+    ("+", (1, 0)): lambda a, c: (a[0] + c, a[1]),
+    ("-", (1, 0)): lambda a, c: (a[0] - c, a[1]),
+    ("*", (1, 0)): lambda a, c: _scaled(c, a),
+    ("/", (1, 0)): lambda a, c: _scaled(_number(ipow, c, -1), a),
+    ("+", (0, 1)): lambda c, b: (b[0] + c, b[1]),
+    ("-", (0, 1)): lambda c, b: (-b[0] + c, -b[1]),
+    ("*", (0, 1)): _scaled,
+    ("/", (0, 1)): lambda c, b: _scaled(c, _reciprocal(b)),
+}
+
+
+exp, sin, cos, sinh, cosh, sqrt, ipow = (
+    _lift(name, globals()[f"_{name}"])
+    for name in ("exp", "sin", "cos", "sinh", "cosh", "sqrt", "ipow")
 )
-
-
-def ipow(u: Jet, k: int) -> Jet:
-    """Integer power by repeated multiplication (negative via reciprocal)."""
-    if k < 0:
-        return _new(u, *_reciprocal(ipow(u, -k).pair))
-    out = None
-    base = u
-    while k:
-        if k & 1:
-            out = base if out is None else out * base
-        base = base * base if k > 1 else base
-        k >>= 1
-    if out is None:
-        return _new(u, np.ones_like(u.pair[0]), np.zeros_like(u.high))
-    return out
