@@ -1,8 +1,8 @@
 """Residual checks certifying the defining identities of an immersion.
 
 sample_frames builds the frames of the immersion at the deterministic interior
-sample points as one FrameBatch, with one build_frame call (which evaluates
-the map in chunks of at most geometry.CHUNK points); every check is a pure
+sample points as one FrameBatch, with one build_frame call (and one more per
+test that fails, to name the first failing point: _build); every check is a pure
 function of that batch, evaluates a named residual at all points as one array
 reduction over the point axis, and reports max/mean together with the worst
 offender.  The table _CHECKS names every check (its names are stable API)
@@ -23,7 +23,6 @@ from .ambient import AmbientQuadric, apply_j_flat, inner_flat
 from .dsl import ImmersionSpec
 from .errors import DimensionMismatchError, LagkitError
 from .geometry import (
-    CHUNK,
     FrameBatch,
     build_frame,
     codazzi_residual,
@@ -147,27 +146,20 @@ def sample_frames(
     """Frames of spec at the configured sample points, from one build_frame call.
 
     When that call raises, the error names the first failing sample point
-    (see _pointwise_on_error).
+    (see _build).
     """
-    points = sample_points(spec, cfg.num_points, cfg.seed)
-    return _pointwise_on_error(lambda s: build_frame(spec, points[s], need_third), len(points))
+    return _build(spec, sample_points(spec, cfg.num_points, cfg.seed), need_third)
 
 
-def _pointwise_on_error(build, size) -> FrameBatch:
-    """build(slice) on all size points.  When it raises, the CHUNK slices run
-    again in order and, in the first that raises, its points one at a time,
-    so the error names the first failing point, with its message, exactly as
-    a point-by-point walk would (the batch error, should no point raise)."""
+def _build(spec, points, need_third) -> FrameBatch:
+    """build_frame at points.  An error at row > 0 came from the first point to
+    fail its test, and an earlier point may fail a later test: the points before
+    the row are built too, so the error raised is a point-by-point walk's."""
     try:
-        return build(slice(0, size))
-    except LagkitError:  # kept by no name: its traceback holds this frame
-        for start in range(0, size, CHUNK):
-            try:
-                build(slice(start, start + CHUNK))
-            except LagkitError:
-                for i in range(start, min(start + CHUNK, size)):
-                    build(slice(i, i + 1))
-                break
+        return build_frame(spec, points, need_third)
+    except LagkitError as exc:  # unbound when the handler exits: no reference cycle
+        if exc.row:
+            _build(spec, points[: exc.row], need_third)
         raise
 
 
@@ -563,7 +555,7 @@ def run_suite(spec: ImmersionSpec, cfg: SampleConfig | None = None,
     third = any(order == 3 for name, _, order, _, _ in rows if name in wanted)
     points = sample_points(spec, cfg.num_points, cfg.seed)  # a bad count raises
     try:
-        frames = _pointwise_on_error(lambda s: build_frame(spec, points[s], third), len(points))
+        frames = _build(spec, points, third)
     except LagkitError as exc:  # each check reports it, by its reason alone (as bundle does)
         frames = str(exc)
 

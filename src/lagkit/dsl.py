@@ -548,9 +548,9 @@ def check_point_in_domain(spec: ImmersionSpec, points):
     lo, hi = _box(spec.params)
     inside = (lo <= pts) & (pts <= hi)  # NaN is outside too
     if not inside.all():
-        bad = np.argwhere(~inside)[0]
-        p, x = spec.params[bad[1]], float(pts[tuple(bad)])
-        raise DomainError(f"coordinate {p.name}={x!r} outside [{p.lo}, {p.hi}]")
+        row, col = np.argwhere(~inside)[0].tolist()
+        p, x = spec.params[col], float(pts[row, col])
+        raise DomainError(f"coordinate {p.name}={x!r} outside [{p.lo}, {p.hi}]", row=row)
 
 
 def evaluate_map_jets(spec: ImmersionSpec, points, order: int) -> list[np.ndarray]:
@@ -561,21 +561,21 @@ def evaluate_map_jets(spec: ImmersionSpec, points, order: int) -> list[np.ndarra
     (B, m, ..., m, n), B = 1 for a single point, and the spec's plan runs
     compiled (_compiled), each step one kernel call for the whole batch.  The
     jets of all components are interpolated together into one buffer
-    (jets._interpolate).  Raises SingularEvaluationError when the map or one of
-    its derivatives overflows or is not finite at some point.
+    (jets._interpolate).  Raises SingularEvaluationError with the row of the
+    first point where the map cannot be evaluated or a derivative is not finite.
     """
     pts = np.array(points, dtype=float, ndmin=2)
     check_point_in_domain(spec, pts)
     with np.errstate(all="ignore"):  # rejected just below
         try:
             out = _compiled(spec, id(spec))(*jets._seeds(pts, order))
-        except OverflowError as exc:
-            where = tuple(pts[0].tolist()) if len(pts) == 1 else f"one of {len(pts)} points"
-            raise SingularEvaluationError(f"map overflows at {where}: {exc}") from exc
+        except SingularEvaluationError as exc:  # a guard's: name its point
+            message = f"map cannot be evaluated at {tuple(pts[exc.row].tolist())}: {exc}"
+            raise SingularEvaluationError(message, row=exc.row) from exc
         buffer, tensors = jets._interpolate(spec.num_params, order, pts.shape[:1], out)
     if not np.isfinite(buffer).all():  # then find the first such point
         finite = [np.isfinite(t).reshape(len(pts), -1).all(axis=1) for t in tensors]
-        finite = np.all(finite, axis=0)
-        bad = tuple(pts[np.argmin(finite)].tolist())
-        raise SingularEvaluationError(f"map or its derivatives not finite at {bad}")
+        row = int(np.argmin(np.all(finite, axis=0)))
+        bad = tuple(pts[row].tolist())
+        raise SingularEvaluationError(f"map or its derivatives not finite at {bad}", row=row)
     return tensors

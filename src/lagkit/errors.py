@@ -2,7 +2,12 @@
 
 
 class LagkitError(Exception):
-    """Base class for package-specific errors."""
+    """Base class for package-specific errors.  row: the first row of a batch (of
+    points, or of a jet's values) to fail the test raising it, 0 also for all rows."""
+
+    def __init__(self, *args, row: int = 0):
+        super().__init__(*args)
+        self.row = row
 
 
 class DimensionMismatchError(LagkitError, ValueError):

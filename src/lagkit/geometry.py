@@ -33,7 +33,7 @@ import numpy as np
 
 from .ambient import apply_j_flat, metric_diagonal
 from .dsl import ImmersionSpec, evaluate_map_jets
-from .errors import DegenerateMetricError, SingularEvaluationError
+from .errors import DegenerateMetricError, LagkitError, SingularEvaluationError
 from .record import Record
 
 __all__ = [
@@ -110,7 +110,7 @@ def build_frame(spec: ImmersionSpec, points, need_third: bool = False) -> FrameB
     points is one point (m,) or a batch (B, m); a single point gives a batch
     of one.  The map is evaluated once per chunk of at most CHUNK points and
     the frames of all B points are assembled at once.  Raises what
-    evaluate_map_jets and assemble_frame raise, for the first failing chunk.
+    evaluate_map_jets (its row shifted to the batch) and assemble_frame raise.
     """
     pts = np.array(points, dtype=float, ndmin=2)
     order = 3 if need_third else 2
@@ -120,8 +120,12 @@ def build_frame(spec: ImmersionSpec, points, need_third: bool = False) -> FrameB
     blocks = [np.empty((len(pts),) + (m,) * k + (n,), dtype=complex) for k in range(order + 1)]
     for start in range(0, len(pts), CHUNK):
         chunk = slice(start, start + CHUNK)
-        for block, tensor in zip(blocks, evaluate_map_jets(spec, pts[chunk], order)):
-            block[chunk] = tensor
+        try:
+            for block, tensor in zip(blocks, evaluate_map_jets(spec, pts[chunk], order)):
+                block[chunk] = tensor
+        except LagkitError as exc:  # its row in the chunk, now in the batch
+            exc.row += start
+            raise
         del tensor  # the chunk's highest-order tensor, not needed by assemble_frame
     return assemble_frame(spec, pts, *(block.view(float) for block in blocks))
 
@@ -131,7 +135,7 @@ def assemble_frame(spec, points, position, first, second, third=None) -> FrameBa
 
     Raises SingularEvaluationError when the metric is not finite, and
     DegenerateMetricError when |det(g / max |g_ij|)| < 1e-10, at some point;
-    the message names the first such point met by the test that fails.
+    the error names, by row too, the first such point met by the failing test.
     """
     eta = metric_diagonal(spec.signature)
     weighted = first * eta  # <x, L_j> is contract(x, weighted)
@@ -140,8 +144,9 @@ def assemble_frame(spec, points, position, first, second, third=None) -> FrameBa
         metric = 0.5 * (metric + np.swapaxes(metric, 1, 2))
     finite = np.isfinite(metric).all(axis=(1, 2))
     if not finite.all():
-        bad = tuple(points[np.argmin(finite)].tolist())
-        raise SingularEvaluationError(f"induced metric not finite at {bad}")
+        i = int(np.argmin(finite))
+        bad = tuple(points[i].tolist())
+        raise SingularEvaluationError(f"induced metric not finite at {bad}", row=i)
     # compare det(g / scale), since scale**m can overflow where det g does not
     scale = np.abs(metric).max(axis=(1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):  # scale 0 is degenerate
@@ -151,8 +156,8 @@ def assemble_frame(spec, points, position, first, second, third=None) -> FrameBa
     if degenerate.any():
         i = int(np.argmax(degenerate))
         det = abs(float(np.linalg.det(metric[i])))
-        bad = tuple(points[i].tolist())
-        raise DegenerateMetricError(f"induced metric degenerate at {bad}: |det| = {det:.3e}")
+        bad = f"{tuple(points[i].tolist())}: |det| = {det:.3e}"
+        raise DegenerateMetricError(f"induced metric degenerate at {bad}", row=i)
     metric_inv = np.linalg.inv(metric)
 
     pairs = contract(second, weighted)  # [i, j, l] = <L_ij, L_l>

@@ -20,14 +20,14 @@ take the same numpy loops (numpy 2.4.6's AVX2 and AVX-512 code rounds a
 loops): that a point's jets are the bits of its row in a batch is tested.
 
 The derivative tensors come back by interpolation: T_k = f_k @ W_k for fixed
-(D, m^k) weights, exact rationals rounded once.  `interpolate` applies W_k
+(D, m^k) weights, exact rationals rounded once.  `_interpolate` applies W_k
 once per degree to the coefficients of all its jets stacked, as one real
 matrix product on the complex-as-float view, into one buffer for all degrees.
 
-The guards act per point, one offending point raising for the whole jet: the
-division guard and the overflow guard of exp/sin/cos/sinh/cosh (OverflowError,
-as cmath raises it) on the values, the sqrt guard on the imaginary parts of
-all coefficients; dsl.evaluate_map_jets rejects non-finite tensors.
+The guards act per point, the first offending point raising one
+SingularEvaluationError with its row for the whole jet (_guard): division and
+overflow of exp/sin/cos/sinh/cosh (cmath's "math range error") on the values,
+sqrt on the values and the imaginary parts of all coefficients.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, SingularEvaluationError
 
-__all__ = ["Jet", "interpolate"]
+__all__ = ["Jet"]
 
 _DIV_GUARD = 1e-300
 _DIV_WARN = 1e-12
@@ -106,7 +106,8 @@ class Jet:
     @property
     def blocks(self) -> tuple:
         """(value, gradient, hessian, third) up to the jet's order."""
-        return tuple(block[..., 0] for block in interpolate([self]))
+        blocks = _interpolate(self.num_vars, self.order, self.value.shape, [self.pair])[1]
+        return tuple(block[..., 0] for block in blocks)
 
     gradient = property(lambda self: self.blocks[1] if self.order >= 1 else None)
     hessian = property(lambda self: self.blocks[2] if self.order >= 2 else None)
@@ -186,19 +187,13 @@ def _weights(m: int, k: int) -> np.ndarray:
     return np.array([columns[i] for i in indices]).T
 
 
-def interpolate(jets: list[Jet]) -> list[np.ndarray]:
-    """The blocks (value, gradient, hessian, third) up to the order of the
-    jets, which share num_vars, order and point shape, stacked along a last
-    axis of length n."""
-    u = jets[0]
-    return _interpolate(u.num_vars, u.order, u.value.shape, [jet.pair for jet in jets])[1]
-
-
 def _interpolate(m, order, batch, pairs) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(buffer, blocks): interpolate's blocks, views of one flat buffer, for
-    (value, high) pairs or numbers (constant jets).  The coefficients of all
-    n are stacked as (order, D, points, n), and per degree multiplied by W_k
-    in one real matrix product on their float view."""
+    """(buffer, blocks): the blocks (value, gradient, hessian, third) up to
+    order of n (value, high) pairs or numbers (constant jets) at points of
+    shape batch, stacked along a last axis of length n, as views of one flat
+    buffer.  The coefficients of all n are stacked as (order, D, points, n),
+    and per degree multiplied by W_k in one real matrix product on their
+    float view."""
     size, n, rows = math.prod(batch), len(pairs), len(_directions(m))
     buffer = np.empty(size * n * sum(m**k for k in range(order + 1)), dtype=complex)
     value = buffer[: size * n].reshape(size, n)
@@ -268,9 +263,7 @@ def _reciprocal(u):
     modsq = v.real * v.real + v.imag * v.imag
     small = modsq < _DIV_WARN
     if small.any():
-        tiny = modsq < _DIV_GUARD
-        if tiny.any():
-            raise SingularEvaluationError(f"division by {complex(v.flat[np.argmax(tiny)])!r}")
+        _guard(modsq < _DIV_GUARD, lambda i: f"division by {complex(v.flat[i])!r}")
         warnings.warn(
             f"division by poorly conditioned value {complex(v.flat[np.argmax(small)])!r}",
             RuntimeWarning,
@@ -280,13 +273,21 @@ def _reciprocal(u):
     return _compose(u, inv, -inv * inv, 2.0 * inv**3, -6.0 * inv**4)
 
 
+def _guard(bad, message):
+    """Raise SingularEvaluationError(message(row), row=row) at the first row
+    where bad holds, if any."""
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise SingularEvaluationError(message(row), row=row)
+
+
 def _at_values(v, *fns) -> list[np.ndarray]:
-    """fn(v) for each fn.  OverflowError, as cmath raises it, where any image
-    is not finite at a finite value."""
+    """fn(v) for each fn.  Guarded, with cmath's OverflowError message, where
+    any image is not finite at a finite value."""
     out = [fn(v) for fn in fns]
     images = np.isfinite(out)
-    if not images.all() and (np.isfinite(v) & ~images).any():
-        raise OverflowError("math range error")
+    if not images.all():
+        _guard((np.isfinite(v) & ~images).any(axis=0), lambda i: "math range error")
     return out
 
 
@@ -315,13 +316,9 @@ def _sqrt(u):
     v, h = u
     x = v.real
     imag = np.abs(h.imag).reshape((-1,) + x.shape).max(axis=0, initial=0.0)
-    if (np.maximum(np.abs(v.imag), imag) > _SQRT_IMAG * np.maximum(1.0, np.abs(x))).any():
-        raise SingularEvaluationError("sqrt of a non-real expression")
-    tiny = x < _SQRT_GUARD
-    if tiny.any():
-        raise SingularEvaluationError(
-            f"sqrt at non-positive or tiny value {float(x.flat[np.argmax(tiny)])!r}"
-        )
+    nonreal = np.maximum(np.abs(v.imag), imag) > _SQRT_IMAG * np.maximum(1.0, np.abs(x))
+    _guard(nonreal, lambda i: "sqrt of a non-real expression")
+    _guard(x < _SQRT_GUARD, lambda i: f"sqrt at non-positive or tiny value {float(x.flat[i])!r}")
     r = np.sqrt(x)
     return _compose((v, h.real + 0j), r + 0j, 0.5 / r, -0.25 / r**3, 0.375 / r**5)
 

@@ -6,6 +6,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lagkit.ambient import AmbientQuadric, Signature
 from lagkit.catalog import catalog, catalog_entry, catalog_names
@@ -14,8 +16,8 @@ from lagkit.checks import (
     CheckEntry,
     CheckReport,
     SampleConfig,
+    _build,
     _finish,
-    _pointwise_on_error,
     _structure_with_fit,
     _transform,
     check_cubic_symmetry,
@@ -41,6 +43,25 @@ SPHERE = AmbientQuadric(1.0)
 def frames_of(name_or_spec, cfg=CFG):
     spec = catalog(name_or_spec) if isinstance(name_or_spec, str) else name_or_spec
     return sample_frames(spec, cfg)
+
+
+def pole_spec(num_points):
+    """(u + i v + 1/(u - u0), v + i u, its pole (u0, v0)): the last of the
+    num_points sample points at the default seed."""
+    box = "params u:[0,1], v:[0,1];\nsignature 2 0;\n"
+    u0, v0 = sample_points(parse(box + "map u, v;\n"), num_points, SampleConfig.seed)[-1].tolist()
+    return parse(box + f"map u + i*v + 1/(u - {u0!r}), v + i*u;\n"), (u0, v0)
+
+
+def walk_first_error(spec, points, need_third):
+    """(index, type, message) of the first point at which build_frame, called
+    point by point, raises; None when none does."""
+    for i, pt in enumerate(points):
+        try:
+            build_frame(spec, pt, need_third)
+        except LagkitError as exc:
+            return i, type(exc), str(exc)
+    return None
 
 
 class TestSampleConfig:
@@ -458,18 +479,24 @@ def test_failed_frames_leave_no_reference_cycle():
     # suite must not keep it, whose traceback holds the frames of run_suite
     import gc
 
-    spec = parse("params u:[0,1], v:[0,1];\nsignature 2 0;\nmap u, u;\n")  # degenerate metric
     cfg = SampleConfig(num_points=50)
-    run_suite(spec, cfg)  # builds and caches the spec's plan, which leaves a cycle of its own
-    gc.collect()
-    gc.disable()
-    try:
-        report = run_suite(spec, cfg)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-    entry = report.checks["lagrangian"]
-    assert entry.status == "error" and entry.reason.startswith("induced metric degenerate at (")
+    degenerate = parse("params u:[0,1], v:[0,1];\nsignature 2 0;\nmap u, u;\n")
+    for spec, reason in [
+        # degenerate at every point: an error about every row, raised after one build
+        (degenerate, "induced metric degenerate"),
+        # a pole at the last point: the points before it are built again
+        (pole_spec(cfg.num_points)[0], "map cannot be evaluated"),
+    ]:
+        run_suite(spec, cfg)  # builds and caches the spec's plan, which leaves a cycle of its own
+        gc.collect()
+        gc.disable()
+        try:
+            report = run_suite(spec, cfg)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        entry = report.checks["lagrangian"]
+        assert entry.status == "error" and entry.reason.startswith(f"{reason} at (")
 
 
 class TestCheckSubsets:
@@ -557,7 +584,11 @@ class TestChunks:
         # the chunk holds points whose map overflows and, before them in sample
         # order, a point whose map is finite but whose metric is not
         assert first.startswith("induced metric not finite at (")
-        assert any(message.startswith("map overflows at (") for message in messages)
+        assert any(
+            message.startswith("map cannot be evaluated at (")
+            and message.endswith("): math range error")
+            for message in messages
+        )
         with pytest.raises(SingularEvaluationError) as info:
             sample_frames(spec, self.CFG, need_third=True)
         assert str(info.value) == first
@@ -566,11 +597,11 @@ class TestChunks:
 
 
 class TestFallbackCost:
-    """A failing batch is walked chunk by chunk, then point by point inside the
-    first failing chunk only: at most 1 + ceil(N / CHUNK) + CHUNK builds."""
+    """A failing batch is built again only on the points before the row of its
+    error, once per test that fails: a map failing at the last point costs 2 builds."""
 
     CFG = SampleConfig(num_points=8 * CHUNK + 1, seed=7)
-    BOUND = 1 + math.ceil(CFG.num_points / CHUNK) + CHUNK
+    BOUND = 2
 
     def test_map_failing_at_the_last_point(self, monkeypatch):
         import lagkit.checks as checks
@@ -589,23 +620,101 @@ class TestFallbackCost:
                 build_frame(spec, pt, need_third=True)
             except LagkitError as exc:
                 walk.append((i, str(exc)))
-        assert walk == [(cfg.num_points - 1, f"map overflows at ({c!r},): math range error")]
+        message = f"map cannot be evaluated at ({c!r},): math range error"
+        assert walk == [(cfg.num_points - 1, message)]
         calls = []
         build = checks.build_frame
         monkeypatch.setattr(checks, "build_frame", lambda *a: calls.append(a) or build(*a))
         with pytest.raises(SingularEvaluationError) as info:
             sample_frames(spec, cfg, need_third=True)
-        assert str(info.value) == walk[0][1]
+        assert str(info.value) == walk[0][1] and info.value.row == cfg.num_points - 1
         assert len(calls) <= self.BOUND
 
-    def test_batch_error_kept_when_no_point_fails(self):
-        def build(s):
-            if s.stop - s.start > 1:
-                raise SingularEvaluationError(f"batch {s.start}:{s.stop} fails")
-            return s
+    def test_a_pole_at_the_last_point_is_named_by_every_error_entry(self, monkeypatch):
+        import lagkit.checks as checks
 
-        with pytest.raises(SingularEvaluationError, match="^batch 0:200 fails$"):
-            _pointwise_on_error(build, 200)
+        spec, (u0, v0) = pole_spec(200)
+        calls, build = [], checks.build_frame
+        monkeypatch.setattr(checks, "build_frame", lambda *a: calls.append(len(a[1])) or build(*a))
+        report = run_suite(spec, SampleConfig(num_points=200))
+        assert len(calls) <= 2 and calls[0] == 200
+        errors = {e.name: e.reason for e in report.checks.values() if e.status == "error"}
+        reason = f"map cannot be evaluated at ({u0!r}, {v0!r}): division by 0j"
+        assert errors == dict.fromkeys(["lagrangian", "spherical", "gauss", "codazzi"], reason)
+
+    def test_batch_error_kept_when_no_point_fails(self, monkeypatch):
+        # an error about every row (row 0) is raised after one build; one at
+        # row 5 builds the 5 points before it, which pass, and is raised again
+        import lagkit.checks as checks
+
+        calls = []
+
+        def build(spec, points, need_third):
+            calls.append(len(points))
+            if len(points) > 5:
+                raise SingularEvaluationError(f"batch of {len(points)} fails", row=row)
+            return points
+
+        monkeypatch.setattr(checks, "build_frame", build)
+        for row, builds in [(0, [200]), (5, [200, 5])]:
+            calls.clear()
+            with pytest.raises(SingularEvaluationError, match="^batch of 200 fails$") as info:
+                _build(None, np.zeros((200, 1)), False)
+            assert info.value.row == row and calls == builds
+
+
+# a term of a map u of u in [0, 1] that is singular at u = c alone, for sample
+# points more than 1e-7 apart: the spike (1e9 (u - c))^2 exceeds 1e4 elsewhere
+SPIKE = "(1000000000*(u-{c!r}))^2"
+FAULTS = {
+    "division": "1/(1 - exp(-" + SPIKE + "))",  # division by 0j
+    "sqrt": "sqrt(1 - 2*exp(-" + SPIKE + "))",  # sqrt at -1.0
+    "overflow": "exp(1000 - " + SPIKE + ")",  # exp(1000) overflows
+    # finite jets, but the slope ~2e9 e^399 squares past the float range in the metric
+    "metric": "exp(400 - (1000000000*(u-{c_left!r}))^2)",
+    # the slope of u cancelled: the metric is 0
+    "degenerate": "({c!r}-u)*exp(-" + SPIKE + ")",
+}
+
+
+class TestPlantedFaults:
+    """Faults planted at sample points: sample_frames raises exactly the first
+    error of a point-by-point build_frame walk."""
+
+    @given(
+        st.sampled_from([12, 40, CHUNK + 44]).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(st.integers(0, n - 1), st.sampled_from(sorted(FAULTS))),
+                    min_size=1,
+                    max_size=3,
+                    unique_by=lambda fault: fault[0],
+                ),
+            )
+        ),
+        st.booleans(),
+    )
+    # an earlier point fails a later test than the batch's error: a retry
+    @example((40, [(30, "overflow"), (10, "metric")]), False)
+    # the batch fails in its second chunk, a point of the first at assembly
+    @example((CHUNK + 44, [(CHUNK + 20, "division"), (3, "degenerate")]), True)
+    @settings(max_examples=40, deadline=None)
+    def test_first_error_of_the_point_walk(self, case, need_third):
+        num_points, faults = case
+        cfg = SampleConfig(num_points=num_points, seed=7)
+        box = parse("params u:[0,1];\nsignature 1 0;\nmap u;\n")
+        us = sample_points(box, cfg.num_points, cfg.seed)[:, 0]
+        assert np.diff(np.sort(us)).min() > 1e-7
+        terms = [
+            FAULTS[kind].format(c=float(us[i]), c_left=float(us[i]) - 1e-9) for i, kind in faults
+        ]
+        spec = parse(f"params u:[0,1];\nsignature 1 0;\nmap u + {' + '.join(terms)};\n")
+        index, kind, message = walk_first_error(spec, us[:, None], need_third)
+        assert index == min(i for i, _ in faults)
+        with pytest.raises(LagkitError) as info:
+            sample_frames(spec, cfg, need_third)
+        assert (type(info.value), str(info.value)) == (kind, message)
 
 
 class TestReportSerialization:

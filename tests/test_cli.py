@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 from lagkit.ambient import Signature
 from lagkit.catalog import catalog_names, catalog_source
-from lagkit.checks import STRUCTURE_CHECKS
+from lagkit.checks import STRUCTURE_CHECKS, SampleConfig
 from lagkit.cli import main
 from lagkit.dsl import ImmersionSpec, Param, parse, serialize
+from test_checks import pole_spec
 from test_dsl import _expr_strategy
 
 
@@ -201,6 +202,16 @@ class TestCheckCommand:
             run_main("check", "clifford_torus", "--tol", "1e-30", "--tol-third", "1e-30")
             == 1
         )
+
+    def test_a_pole_at_a_sample_point_is_an_error_naming_it(self, tmp_path, capsys):
+        spec, (u0, v0) = pole_spec(SampleConfig.num_points)  # at the last default sample point
+        path = tmp_path / "pole.imm"
+        path.write_text(serialize(spec))
+        assert run_main("check", str(path)) == 1
+        captured = capsys.readouterr()
+        line = f"ERROR  (map cannot be evaluated at ({u0!r}, {v0!r}): division by 0j)"
+        assert captured.out.count(line) == 4  # lagrangian, spherical, gauss, codazzi
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
         "text",

@@ -424,7 +424,7 @@ class TestEvaluation:
         spec = parse("params u:[0,800];\nsignature 1 0;\nmap cosh(u);\n")
         from lagkit.dsl import evaluate_map_jets
 
-        with pytest.raises(SingularEvaluationError, match="overflows"):
+        with pytest.raises(SingularEvaluationError, match="cannot be evaluated"):
             evaluate_map_jets(spec, (750.0,), order=1)
         with pytest.raises(SingularEvaluationError, match="cannot be evaluated"):
             eval_map_numeric(spec, (750.0,))
@@ -475,25 +475,28 @@ def walk_map_jets(spec, points, order):
     try:
         with np.errstate(all="ignore"):
             out = [eval_expr(c, env) for c in spec.components]
-    except OverflowError as exc:
-        where = tuple(pts[0].tolist()) if len(pts) == 1 else f"one of {len(pts)} points"
-        raise SingularEvaluationError(f"map overflows at {where}: {exc}") from exc
+    except SingularEvaluationError as exc:  # a jet guard's, at the point of its row
+        where = tuple(pts[exc.row].tolist())
+        raise SingularEvaluationError(
+            f"map cannot be evaluated at {where}: {exc}", row=exc.row
+        ) from exc
     out = [j if isinstance(j, Jet) else Jet(m, order, np.full(len(pts), j)) for j in out]
     with np.errstate(all="ignore"):
-        tensors = jets.interpolate(out)
+        tensors = jets._interpolate(m, order, pts.shape[:1], [j.pair for j in out])[1]
     if not all(np.isfinite(t).all() for t in tensors):
         finite = [np.isfinite(t).reshape(len(pts), -1).all(axis=1) for t in tensors]
-        bad = tuple(pts[np.argmin(np.all(finite, axis=0))].tolist())
-        raise SingularEvaluationError(f"map or its derivatives not finite at {bad}")
+        row = int(np.argmin(np.all(finite, axis=0)))
+        bad = tuple(pts[row].tolist())
+        raise SingularEvaluationError(f"map or its derivatives not finite at {bad}", row=row)
     return tensors
 
 
 def _outcome(evaluate):
-    """("value", shape and bytes of each tensor) or (exception type, message)."""
+    """("value", shape and bytes of each tensor) or (exception type, message, row)."""
     try:
         return "value", [(t.shape, t.tobytes()) for t in evaluate()]
     except Exception as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc), getattr(exc, "row", None)
 
 
 def assert_same_as_walk(spec, points, order=3):
@@ -621,7 +624,8 @@ class TestCompiledPlan:
     def test_a_constant_that_raises_raises_on_every_evaluation(self):
         spec = parse("params u:[0,1]; signature 1 0; map u + 1/(1-1);")
         for _ in range(2):
-            with pytest.raises(SingularEvaluationError, match=r"^division by 0j$"):
+            message = r"^map cannot be evaluated at \(0\.5,\): division by 0j$"
+            with pytest.raises(SingularEvaluationError, match=message):
                 evaluate_map_jets(spec, (0.5,), 2)
 
     def test_a_constant_that_warns_warns_on_every_evaluation(self):

@@ -168,14 +168,32 @@ class TestGuards:
         with pytest.raises(SingularEvaluationError):
             jets.sqrt(z)
 
+    @pytest.mark.parametrize(
+        "fn, values, message, row",
+        [
+            (lambda u: 1.0 / u, [1.0, 2.0, 0.0, 0.0], "division by 0j", 2),
+            (jets.sqrt, [1.0, -1.0, 4.0, -2.0], "sqrt at non-positive or tiny value -1.0", 1),
+            (jets.sqrt, [1.0, 4.0, 1j, 2j], "sqrt of a non-real expression", 2),
+        ],
+        ids=["division", "sqrt-negative", "sqrt-non-real"],
+    )
+    def test_a_guard_raises_with_the_row_of_its_first_offending_point(
+        self, fn, values, message, row
+    ):
+        with pytest.raises(SingularEvaluationError) as info:
+            fn(Jet.seed(0, np.array(values), 1, 3))
+        assert (str(info.value), info.value.row) == (message, row)
+
     @pytest.mark.parametrize("fn", ["exp", "sin", "cos", "sinh", "cosh"])
     def test_overflow_at_one_point_raises_as_cmath_does(self, fn):
         big = 800j if fn in ("sin", "cos") else 800.0
         with pytest.raises(OverflowError, match="math range error"):
             getattr(cmath, fn)(big)
+        # one error type for every guard, with cmath's message and the row of the point
         u = Jet(1, 1, np.array([0.5, big]))
-        with np.errstate(all="ignore"), pytest.raises(OverflowError, match="math range error"):
+        with np.errstate(all="ignore"), pytest.raises(SingularEvaluationError) as info:
             getattr(jets, fn)(u)
+        assert str(info.value) == "math range error" and info.value.row == 1
 
 
 class TestComplexJets:
