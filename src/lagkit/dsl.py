@@ -495,7 +495,7 @@ def _step(e, index: dict, steps: dict) -> int:
 # field f, operands a, b and value v: Jet's kernel for an operator on a jet
 # (jets._OPERATORS), the order-0 jet code on numbers alone (jets._number)
 _RULES = {
-    (Num, ()): "complex({v})", (Imag, ()): "1j", (Ref, ()): "(x[{f}], s[{f}])",
+    (Num, ()): "float({v})", (Imag, ()): "1j", (Ref, ()): "(x[{f}], s[{f}])",
     (Neg, (0,)): "-{a}", (Neg, (1,)): "_negative({a})",
     (Pow, (0,)): "_number(ipow, {a}, {f})", (Pow, (1,)): "_ipow({a}, {f})",
     (Call, (0,)): "_number(_FUNCTIONS[{f!r}], {a})", (Call, (1,)): "_{f}({a})",
@@ -508,11 +508,14 @@ _RULES = {
 def _compiled(spec: ImmersionSpec, _identity: int):
     """spec's plan (_plan) as run(values, highs) -> each component's jet, a
     (value, high) pair, or its number: one statement per step (_RULES), whether
-    each operand is a number or a jet settled here.  The source holds generated
-    names, fixed text, and the operator, function and exponent _plan validated."""
+    each operand is a number or a jet settled here, and each step's jet freed
+    after its last use, which keeps the plan's peak memory down.  The source
+    holds generated names, fixed text, and the operator, function and exponent
+    _plan validated."""
     steps, roots = _plan(spec, _identity)
     scope = vars(jets) | {"_BINARY": _BINARY, "_FUNCTIONS": _FUNCTIONS}
     lines, jet = ["def run(x, s):"], set()
+    last = {j: i for i, (_, _, *operands) in enumerate(steps) for j in operands}  # last use
     for i, (kind, field, *operands) in enumerate(steps):
         on = tuple(int(j in jet) for j in operands)
         if kind is Ref or any(on):
@@ -521,6 +524,7 @@ def _compiled(spec: ImmersionSpec, _identity: int):
         args = dict(zip("ab", (f"t{j}" for j in operands)))
         rule = _RULES[field if kind is Bin else kind, on]
         lines.append(f"    t{i} = " + rule.format(f=field, v=f"v{i}", on=on, **args))
+        lines += [f"    del t{j}" for j in sorted(set(operands)) if last[j] == i and j not in roots]
     lines.append(f"    return {''.join(f't{r}, ' for r in roots)}")
     exec(compile("\n".join(lines), "<compiled jets>", "exec"), scope)
     return scope.pop("run")  # not kept in its own globals: no reference cycle
@@ -553,27 +557,33 @@ def check_point_in_domain(spec: ImmersionSpec, points):
         raise DomainError(f"coordinate {p.name}={x!r} outside [{p.lo}, {p.hi}]", row=row)
 
 
-def evaluate_map_jets(spec: ImmersionSpec, points, order: int) -> list[np.ndarray]:
+def evaluate_map_jets(spec: ImmersionSpec, points, order: int, out=None) -> list[np.ndarray]:
     """The tensors (value, gradient, hessian, third) of the component map, up to
     order, at a batch of interior points.
 
     points is one point (m,) or a batch (B, m); either way the tensors are
-    (B, m, ..., m, n), B = 1 for a single point, and the spec's plan runs
-    compiled (_compiled), each step one kernel call for the whole batch.  The
-    jets of all components are interpolated together into one buffer
-    (jets._interpolate).  Raises SingularEvaluationError with the row of the
-    first point where the map cannot be evaluated or a derivative is not finite.
+    complex (B, m, ..., m, n), B = 1 for a single point, written into the
+    arrays out if given (build_frame's rows), else new.  The spec's plan runs
+    compiled (_compiled), each step one kernel call for the whole batch, and
+    the jets of all components are interpolated together (jets._interpolate).
+    Raises SingularEvaluationError with the row of the first point where the
+    map cannot be evaluated or a derivative is not finite.
     """
     pts = np.array(points, dtype=float, ndmin=2)
     check_point_in_domain(spec, pts)
+    return _map_jets(spec, pts, order, out)
+
+
+def _map_jets(spec: ImmersionSpec, pts: np.ndarray, order: int, out=None) -> list[np.ndarray]:
+    """evaluate_map_jets at points (B, m) already checked against the box."""
     with np.errstate(all="ignore"):  # rejected just below
         try:
-            out = _compiled(spec, id(spec))(*jets._seeds(pts, order))
+            pairs = _compiled(spec, id(spec))(*jets._seeds(pts, order))
         except SingularEvaluationError as exc:  # a guard's: name its point
             message = f"map cannot be evaluated at {tuple(pts[exc.row].tolist())}: {exc}"
             raise SingularEvaluationError(message, row=exc.row) from exc
-        buffer, tensors = jets._interpolate(spec.num_params, order, pts.shape[:1], out)
-    if not np.isfinite(buffer).all():  # then find the first such point
+        tensors = jets._interpolate(spec.num_params, order, len(pts), pairs, out)
+    if not all(np.isfinite(t).all() for t in tensors):  # then find the first such point
         finite = [np.isfinite(t).reshape(len(pts), -1).all(axis=1) for t in tensors]
         row = int(np.argmin(np.all(finite, axis=0)))
         bad = tuple(pts[row].tolist())

@@ -194,10 +194,10 @@ def finite_difference_oracle(
 
 def _deviations(spec: ImmersionSpec, point, order: int, step: float):
     """The oracle's tensors, and max |jet - finite difference| per order (1..order)."""
-    from .dsl import evaluate_map_jets  # the jet code, looked up when called
+    from .dsl import _map_jets  # jet code at call time, unchecked: the oracle checked the centre
 
     fd = finite_difference_oracle(spec, point, order, step)
-    jt = evaluate_map_jets(spec, point, order)  # a batch of one: [0] is the oracle's layout
+    jt = _map_jets(spec, np.array(point, dtype=float, ndmin=2), order)  # [0]: the oracle's layout
     return fd, {k: float(np.abs(jt[k][0] - fd[k]).max()) for k in range(1, order + 1)}
 
 

@@ -29,6 +29,8 @@ Index conventions, pinned by tests on the round-sphere factor (b is the point):
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .ambient import apply_j_flat, metric_diagonal
@@ -108,25 +110,28 @@ def build_frame(spec: ImmersionSpec, points, need_third: bool = False) -> FrameB
     """Evaluate the immersion at a batch of points and assemble its geometry.
 
     points is one point (m,) or a batch (B, m); a single point gives a batch
-    of one.  The map is evaluated once per chunk of at most CHUNK points and
-    the frames of all B points are assembled at once.  Raises what
+    of one.  The map is evaluated once per chunk of at most CHUNK points, into
+    the chunk's rows of the frames' arrays, and the frames of all B points are
+    assembled at once.  Raises what
     evaluate_map_jets (its row shifted to the batch) and assemble_frame raise.
     """
     pts = np.array(points, dtype=float, ndmin=2)
     order = 3 if need_third else 2
     m, n = spec.num_params, spec.signature.n
     # a complex128 array is stored as (re, im) pairs, so the component jets
-    # laid along a last axis and viewed as float give the ambient layout
-    blocks = [np.empty((len(pts),) + (m,) * k + (n,), dtype=complex) for k in range(order + 1)]
+    # laid along a last axis and viewed as float give the ambient layout; one
+    # buffer for all blocks took fewer page faults than one array per block
+    shapes = [(len(pts),) + (m,) * k + (n,) for k in range(order + 1)]
+    ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+    buffer = np.empty(ends[-1], dtype=complex)
+    blocks = [buffer[end - math.prod(s) : end].reshape(s) for s, end in zip(shapes, ends)]
     for start in range(0, len(pts), CHUNK):
         chunk = slice(start, start + CHUNK)
         try:
-            for block, tensor in zip(blocks, evaluate_map_jets(spec, pts[chunk], order)):
-                block[chunk] = tensor
+            evaluate_map_jets(spec, pts[chunk], order, [block[chunk] for block in blocks])
         except LagkitError as exc:  # its row in the chunk, now in the batch
             exc.row += start
             raise
-        del tensor  # the chunk's highest-order tensor, not needed by assemble_frame
     return assemble_frame(spec, pts, *(block.view(float) for block in blocks))
 
 

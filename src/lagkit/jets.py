@@ -1,13 +1,15 @@
 """Truncated Taylor arithmetic up to third order, over a point axis.
 
-A Jet holds a complex quantity f of m real variables at B points as
+A Jet holds a real or complex quantity f of m real variables at B points as
 univariate Taylor series (Griewank, Utke & Walther, Math. Comp. 69, 2000;
 Griewank & Walther, Evaluating Derivatives, ch. 13): the coefficients f_k of
 t -> f(x + t s), k <= order <= 3, along the D = C(m+2, 3) directions s in N^m
 with |s| = 3, one direction set for every order.  It is one stacked pair: the
 value f_0 (B,), held as (1, 1, B), and `high`, degrees 1..order as
 (order, D, B), so the value broadcasts over degrees and directions along the
-contiguous point axis; a jet built from scalars has no point axis.
+contiguous point axis; a jet built from scalars has no point axis.  An array
+is float64 while it is real (seeds, jets of real values), else complex128: a
+kernel's result has the type of all its operands, one code path for both.
 
 The arithmetic is kernels on such pairs, which Jet's operators and dsl's
 compiled plans call (_OPERATORS): the truncated Cauchy product, and for exp,
@@ -22,7 +24,8 @@ loops): that a point's jets are the bits of its row in a batch is tested.
 The derivative tensors come back by interpolation: T_k = f_k @ W_k for fixed
 (D, m^k) weights, exact rationals rounded once.  `_interpolate` applies W_k
 once per degree to the coefficients of all its jets stacked, as one real
-matrix product on the complex-as-float view, into one buffer for all degrees.
+matrix product on the complex-as-float view, into new complex blocks or the
+caller's (build_frame's frames).
 
 The guards act per point, the first offending point raising one
 SingularEvaluationError with its row for the whole jet (_guard): division and
@@ -73,7 +76,7 @@ def _operator(op: str, reflected: bool = False):
 
 
 class Jet:
-    """Complex values plus Taylor coefficients of a function of m real variables."""
+    """Real or complex values plus Taylor coefficients of a function of m real variables."""
 
     __slots__ = ("num_vars", "order", "pair")
 
@@ -83,9 +86,9 @@ class Jet:
         if num_vars < 1:
             raise ValueError(f"jet needs at least one variable, got {num_vars}")
         self.num_vars, self.order = num_vars, order
-        value = np.array(value, dtype=complex)
+        value = np.array(value, dtype=complex if np.iscomplexobj(value) else float)
         shape = (order, len(_directions(num_vars))) + value.shape
-        self.pair = (value[None, None], np.zeros(shape, dtype=complex))
+        self.pair = (value[None, None], np.zeros(shape, dtype=value.dtype))
 
     @classmethod
     def seed(cls, var_index, value, num_vars, order) -> "Jet":
@@ -106,8 +109,8 @@ class Jet:
     @property
     def blocks(self) -> tuple:
         """(value, gradient, hessian, third) up to the jet's order."""
-        blocks = _interpolate(self.num_vars, self.order, self.value.shape, [self.pair])[1]
-        return tuple(block[..., 0] for block in blocks)
+        blocks = _interpolate(self.num_vars, self.order, self.value.size, [self.pair])
+        return tuple(block.reshape(self.value.shape + block.shape[1:-1]) for block in blocks)
 
     gradient = property(lambda self: self.blocks[1] if self.order >= 1 else None)
     hessian = property(lambda self: self.blocks[2] if self.order >= 2 else None)
@@ -138,13 +141,14 @@ def _check_order(order):
 
 
 def _seeds(points: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The coordinate jets at points (B, m) as values (m, 1, 1, B) and highs
-    (m, order, D, B), one allocation each: seed k is (values[k], highs[k])."""
+    """The coordinate jets at points (B, m) as real values (m, 1, 1, B) and
+    highs (m, order, D, 1), the same at every point, which the kernels
+    broadcast: seed k is (values[k], highs[k])."""
     _check_order(order)
     dirs = _directions(points.shape[1]).T
-    high = np.zeros((len(dirs), order, dirs.shape[1], len(points)), dtype=complex)
+    high = np.zeros((len(dirs), order, dirs.shape[1], 1))
     high[:, :1] = dirs[:, None, :, None]  # degree 1, if any
-    return np.ascontiguousarray(points.T, dtype=complex)[:, None, None], high
+    return np.ascontiguousarray(points.T, dtype=float)[:, None, None], high
 
 
 # -- directions and interpolation ----------------------------------------------
@@ -187,38 +191,33 @@ def _weights(m: int, k: int) -> np.ndarray:
     return np.array([columns[i] for i in indices]).T
 
 
-def _interpolate(m, order, batch, pairs) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(buffer, blocks): the blocks (value, gradient, hessian, third) up to
-    order of n (value, high) pairs or numbers (constant jets) at points of
-    shape batch, stacked along a last axis of length n, as views of one flat
-    buffer.  The coefficients of all n are stacked as (order, D, points, n),
-    and per degree multiplied by W_k in one real matrix product on their
-    float view."""
-    size, n, rows = math.prod(batch), len(pairs), len(_directions(m))
-    buffer = np.empty(size * n * sum(m**k for k in range(order + 1)), dtype=complex)
-    value = buffer[: size * n].reshape(size, n)
-    high = np.empty((order, rows, size, n), dtype=complex)
+def _interpolate(m, order, size, pairs, out=None) -> list[np.ndarray]:
+    """The blocks (value, gradient, hessian, third) up to order of n (value,
+    high) pairs or numbers (constant jets) at size points, stacked along a last
+    axis of length n: complex (size, m, ..., m, n), written into the arrays
+    out if given, else new.  Per degree, the coefficients of all n are staged
+    as complex (D, size, n), a seed's broadcast along the points, and
+    multiplied by W_k in one real matrix product on their float view."""
+    n, rows = len(pairs), len(_directions(m))
+    if out is None:
+        out = [np.empty((size,) + (m,) * k + (n,), dtype=complex) for k in range(order + 1)]
     for c, u in enumerate(pairs):
-        if type(u) is tuple:
-            value[:, c], high[..., c] = u[0].reshape(size), u[1].reshape(order, rows, size)
-        else:
-            value[:, c], high[..., c] = u, 0
-    blocks, start = [value.reshape(batch + (n,))], value.size
+        out[0][:, c] = u[0].reshape(size) if type(u) is tuple else u
+    high = np.empty((rows, size, n), dtype=complex)
     for k in range(1, order + 1):
-        block = buffer[start : start + size * m**k * n].reshape(size, m**k, n)
-        start += block.size
-        t = (_weights(m, k).T @ high[k - 1].view(float).reshape(rows, -1)).view(complex)
-        block[...] = t.reshape(m**k, size, n).transpose(1, 0, 2)
-        blocks.append(block.reshape(batch + (m,) * k + (n,)))
-    return buffer, blocks
+        for c, u in enumerate(pairs):
+            high[..., c] = u[1][k - 1].reshape(rows, -1) if type(u) is tuple else 0
+        t = (_weights(m, k).T @ high.view(float).reshape(rows, -1)).view(complex)
+        out[k][...] = t.reshape((m,) * k + (size, n)).transpose(k, *range(k), k + 1)
+    return out
 
 
 # -- kernels on (value, high) pairs ---------------------------------------------
 
 
-def _number(fn, x, *rest) -> complex:
+def _number(fn, x, *rest) -> float | complex:
     """fn(x, *rest) for a number x, through the jet code at order 0."""
-    return complex(fn(Jet(1, 0, x), *rest).value)
+    return fn(Jet(1, 0, x), *rest).value.item()
 
 
 def _negative(u):
@@ -232,9 +231,9 @@ def _scaled(c, u):
 
 def _product(a, b):
     """Truncated Cauchy product: degree k is a0 bk + ak b0 + sum_{0<j<k} aj b(k-j),
-    summed in that order."""
+    summed in that order, of the result type of all four arrays."""
     (a0, ah), (b0, bh) = a, b
-    high = a0 * bh
+    high = (a0 * bh).astype(np.result_type(a0, bh, ah, b0), copy=False)
     high += ah * b0
     if len(high) > 1:
         high[1:] += ah[:1] * bh[:-1]
@@ -246,7 +245,8 @@ def _product(a, b):
 def _compose(u, f0, f1, f2, f3):
     """Chain rule for f(u) given the derivatives of f at the values of u:
     f(u)_1 = f1 u_1, f(u)_2 = f1 u_2 + f2 u_1^2 / 2,
-    f(u)_3 = f1 u_3 + f2 u_1 u_2 + f3 u_1^3 / 6."""
+    f(u)_3 = f1 u_3 + f2 u_1 u_2 + f3 u_1^3 / 6.  The f have the dtype of u's
+    value, so f1 u_1 already has the result type of every operand."""
     uh = u[1]
     high = f1 * uh
     if len(high) > 1:
@@ -311,16 +311,16 @@ def _sqrt(u):
     sqrt(3)); a general complex branch would not stay differentiable across
     the cut, so an argument whose value or any Taylor coefficient has an
     imaginary part above 1e-9 * max(1, |Re value|) at some point is rejected
-    loudly.  The result is real: its imaginary parts are exactly zero.
+    loudly.  The result is real (float64).
     """
     v, h = u
     x = v.real
-    imag = np.abs(h.imag).reshape((-1,) + x.shape).max(axis=0, initial=0.0)
+    imag = np.abs(h.imag).max(axis=(0, 1), initial=0.0)  # per point
     nonreal = np.maximum(np.abs(v.imag), imag) > _SQRT_IMAG * np.maximum(1.0, np.abs(x))
     _guard(nonreal, lambda i: "sqrt of a non-real expression")
     _guard(x < _SQRT_GUARD, lambda i: f"sqrt at non-positive or tiny value {float(x.flat[i])!r}")
     r = np.sqrt(x)
-    return _compose((v, h.real + 0j), r + 0j, 0.5 / r, -0.25 / r**3, 0.375 / r**5)
+    return _compose((v, h.real), r, 0.5 / r, -0.25 / r**3, 0.375 / r**5)
 
 
 def _ipow(u, k: int):

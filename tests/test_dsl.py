@@ -447,15 +447,15 @@ def eval_expr(e, env):
 
 
 def _apply(fn, x, *rest):
-    """fn(x, *rest); on complex scalars alone, through the jet code at order 0:
+    """fn(x, *rest); on scalars alone, through the jet code at order 0:
     values free of parameters stay scalars, so 2*u costs one scaling."""
     if isinstance(x, Jet) or (rest and isinstance(rest[0], Jet)):
         return fn(x, *rest)
-    return complex(fn(Jet(1, 0, x), *rest).value)
+    return fn(Jet(1, 0, x), *rest).value.item()
 
 
-_RULES = {
-    Num: lambda e, env: complex(e.value),
+_RULES = {  # a constant is real, as a parameter's seed is
+    Num: lambda e, env: float(e.value),
     Imag: lambda e, env: 1j,
     Ref: lambda e, env: env[e.name],
     Neg: lambda e, env: -eval_expr(e.arg, env),
@@ -467,11 +467,14 @@ _RULES = {
 }
 
 
-def walk_map_jets(spec, points, order):
+def walk_map_jets(spec, points, order, dtype=float):
+    """The walk's tensors; with dtype=complex every seed is complex, so every
+    step that meets a parameter runs in complex arithmetic."""
     pts = np.array(points, dtype=float, ndmin=2)
     m = spec.num_params
     check_point_in_domain(spec, pts)
-    env = {p.name: Jet.seed(k, pts[:, k], m, order) for k, p in enumerate(spec.params)}
+    env = {p.name: Jet.seed(k, pts[:, k].astype(dtype), m, order)
+           for k, p in enumerate(spec.params)}
     try:
         with np.errstate(all="ignore"):
             out = [eval_expr(c, env) for c in spec.components]
@@ -482,7 +485,7 @@ def walk_map_jets(spec, points, order):
         ) from exc
     out = [j if isinstance(j, Jet) else Jet(m, order, np.full(len(pts), j)) for j in out]
     with np.errstate(all="ignore"):
-        tensors = jets._interpolate(m, order, pts.shape[:1], [j.pair for j in out])[1]
+        tensors = jets._interpolate(m, order, len(pts), [j.pair for j in out])
     if not all(np.isfinite(t).all() for t in tensors):
         finite = [np.isfinite(t).reshape(len(pts), -1).all(axis=1) for t in tensors]
         row = int(np.argmin(np.all(finite, axis=0)))
@@ -566,6 +569,104 @@ class TestSharedEvaluation:
         spec = ImmersionSpec((Param("u", -1.0, 1.0),), Signature(1, 0), (component,))
         with pytest.raises(DslError, match=re.escape(f"invalid expression node {component!r}")):
             evaluate_map_jets(spec, (0.5,), 1)
+
+
+_MIXED = ["v*(u+i)", "(u+i)*v", "v/(u+i)", "(u+i)-v", "2*(u+i)", "sin(u+i)*v"]
+_MIXED_POINTS = {
+    "point": [(0.3, 1.7)],
+    "batch": [(0.3, 1.7), (-0.8, 0.2), (0.0, 1.0), (0.9, 0.5), (-0.25, 1.25)],
+}
+
+
+def _signless(outcome):
+    """An outcome with the value a division guard names as its modulus: the
+    signs of its zero parts follow the dtype (complex(-0.0) is (-0+0j), -(0j)
+    is -0j)."""
+    if outcome[0] == "value":
+        return outcome
+    message = re.sub(r"(division by (?:poorly conditioned value )?)(\S+)$",
+                     lambda x: f"{x[1]}{abs(complex(x[2]))}", outcome[1])
+    return outcome[0], message, outcome[2]
+
+
+def assert_real_steps_as_complex(spec, points, order):
+    """The compiled plan gives the walk's tensors and errors bit for bit, and
+    its tensors and errors are those of complex arithmetic, the tensors to
+    1e-12 of the map's size (real and complex exp, sin, ... may round apart)."""
+    assert_same_as_walk(spec, points, order)
+    want = _signless(_outcome(lambda: walk_map_jets(spec, points, order, dtype=complex)))
+    got = _signless(_outcome(lambda: evaluate_map_jets(spec, points, order)))
+    assert got[0] == want[0]
+    if got[0] != "value":
+        assert got == want
+        return
+    got = evaluate_map_jets(spec, points, order)
+    want = walk_map_jets(spec, points, order, dtype=complex)
+    size = max(1.0, *(np.abs(w).max() for w in want))
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12 * size)
+
+
+class TestRealAndComplexSteps:
+    """Parameters and constants are real, and a step stays real until a
+    complex operand meets it; the kernels promote where one does."""
+
+    def test_dtypes(self):
+        assert Jet.seed(0, np.array([0.5, 0.7]), 2, 3).high.dtype == np.float64
+        assert Jet(2, 3, 0.5).value.dtype == np.float64
+        assert Jet(2, 3, 0.5j).high.dtype == np.complex128
+        values, highs = jets._seeds(np.array([(0.5, 1.0)]), 3)
+        assert values.dtype == highs.dtype == np.float64
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("where", list(_MIXED_POINTS))
+    @pytest.mark.parametrize("text", _MIXED)
+    def test_mixed_operands(self, text, where, order):
+        # v*(u+i): a real product times a pair with a complex value and a real high
+        spec = parse(f"params u:[-1,1], v:[0,2];\nsignature 1 0;\nmap {text};\n")
+        assert_real_steps_as_complex(spec, _MIXED_POINTS[where], order)
+
+    @given(
+        shared_components(),
+        st.lists(st.tuples(st.floats(-1, 1), st.floats(0, 2)), min_size=1, max_size=4),
+        st.sampled_from([1, 2, 3]),
+    )
+    # a real step at -0.0 divides by (-0+0j), its complex counterpart by (-0-0j)
+    @example((Num(1.0), Bin("/", Num(1.0), Neg(Bin("*", Num(1.0), Ref("u"))))), [(0.0, 0.0)], 1)
+    @settings(max_examples=200, deadline=None)
+    def test_generated_maps(self, components, points, order):
+        assert_real_steps_as_complex(ImmersionSpec(_UV, Signature(2, 0), components), points, order)
+
+    @pytest.mark.parametrize("order", [1, 3])
+    @pytest.mark.parametrize(
+        "text, points, kernel, message",
+        [
+            ("1/(u - 0.5)", [(0.25,), (0.5,), (0.75,), (0.5,)], "_reciprocal",
+             "map cannot be evaluated at (0.5,): division by 0j"),
+            ("sqrt(u - 0.5)", [(0.75,), (0.25,), (0.0,)], "_sqrt",
+             "map cannot be evaluated at (0.25,): sqrt at non-positive or tiny value -0.25"),
+            ("sqrt(u - 0.5)", [(0.75,), (0.5 + 1e-13,)], "_sqrt",
+             "map cannot be evaluated at (0.5000000000001,): "
+             "sqrt at non-positive or tiny value 1.000310945187266e-13"),
+            ("exp(800*u)", [(0.5,), (1.0,), (0.9,)], "_exp",
+             "map cannot be evaluated at (1.0,): math range error"),
+            ("sinh(800*u)", [(0.5,), (1.0,)], "_sinh",
+             "map cannot be evaluated at (1.0,): math range error"),
+            ("cosh(800*u)", [(0.5,), (1.0,)], "_cosh",
+             "map cannot be evaluated at (1.0,): math range error"),
+        ],
+        ids=["division", "sqrt-negative", "sqrt-tiny", "exp", "sinh", "cosh"],
+    )
+    def test_a_guard_on_a_real_step(self, monkeypatch, text, points, kernel, message, order):
+        # the messages and rows every step in complex128 gave
+        operands = []
+        fn = getattr(jets, kernel)
+        monkeypatch.setattr(jets, kernel, lambda u: operands.append(u[0].dtype) or fn(u))
+        spec = parse(f"params u:[0,1];\nsignature 1 0;\nmap {text};\n")  # compiled anew
+        with pytest.raises(SingularEvaluationError) as info:
+            evaluate_map_jets(spec, points, order)
+        assert (str(info.value), info.value.row) == (message, 1)
+        assert operands == [np.float64]
 
 
 def _garbage_after(run):

@@ -12,7 +12,8 @@ import pytest
 from lagkit.ambient import apply_j_flat
 from lagkit.catalog import catalog, catalog_entry, catalog_names
 from lagkit.checks import SampleConfig, check_gauss
-from lagkit.dsl import parse
+from lagkit import jets
+from lagkit.dsl import evaluate_map_jets, parse
 from lagkit.errors import DegenerateMetricError
 from lagkit.geometry import (
     CHUNK,
@@ -25,6 +26,36 @@ from lagkit.geometry import (
     tangent_field,
 )
 from lagkit.sampling import sample_points
+
+
+class TestFramesOnTheJetsBuffer:
+    """The map's jets are interpolated straight into the frames' arrays, a
+    chunk's rows at a time: no jet block is copied."""
+
+    @pytest.mark.parametrize("batch", [1, 200, CHUNK])
+    @pytest.mark.parametrize("name", ["product_S1xS2", "whitney_sphere"])
+    def test_frames_share_the_jets_buffer(self, monkeypatch, name, batch):
+        spec, written = catalog(name), []
+        interpolate = jets._interpolate
+        monkeypatch.setattr(
+            jets, "_interpolate", lambda *a: written.append(interpolate(*a)) or written[-1]
+        )
+        fr = build_frame(spec, sample_points(spec, batch, seed=3), need_third=True)
+        (blocks,) = written
+        for got, block in zip((fr.position, fr.first, fr.second, fr.third), blocks, strict=True):
+            assert np.shares_memory(got, block) and got.shape == block.view(float).shape
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_several_chunks_match_their_chunks_row_for_row(self, name):
+        spec = catalog(name)
+        pts = sample_points(spec, 2 * CHUNK + 1, seed=3)
+        fr = build_frame(spec, pts, need_third=True)
+        for start in range(0, len(pts), CHUNK):
+            rows = slice(start, start + CHUNK)
+            tensors = evaluate_map_jets(spec, pts[rows], 3)
+            frames = (fr.position, fr.first, fr.second, fr.third)
+            for got, want in zip(frames, tensors, strict=True):
+                assert got[rows].tobytes() == want.view(float).tobytes()
 
 
 def clifford_position(t, u):
