@@ -16,6 +16,7 @@ construct imports products, and crosscheck findiff, when they run, so a
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -262,15 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help; fold both through
-        return int(exc.code or 0)
-    try:
-        status = args.fn(args)
-        sys.stdout.flush()  # a closed stdout shows here, not at shutdown
+        try:
+            args = build_parser().parse_args(argv)
+            status = args.fn(args)
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors and 0 on --help; fold both through
+            status = int(exc.code or 0)
+        sys.stdout.flush()  # an unwritable stdout shows here, not at shutdown
         return status
     except (_UsageError, LagkitError) as exc:
         print(f"lagkit: {exc}", file=sys.stderr)
@@ -278,11 +278,21 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a sample count no memory holds, met past sampling
         print(f"lagkit: out of memory: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError as exc:  # the reader is gone: shutdown flushes to devnull
+    except OSError as exc:  # the commands catch their own file errors: this is stdout's
+        # a closed pipe or a full disk: the shutdown flush then writes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"lagkit: cannot write stdout: {exc}", file=sys.stderr)
         return 2
 
 
+def run():
+    """The process entry (`python -m lagkit.cli`, the `lagkit` script): exit
+    with main's status, its output flushed. The objects alive then are frozen,
+    so the exit-time collections skip them; the OS frees them anyway."""
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, output formats, determinism."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -486,21 +487,61 @@ class TestExitContract:
     ids=lambda argv: argv[0],
 )
 def test_closed_stdout_exits_two_without_a_traceback(argv):
-    # the reader is gone before the child writes: with stdout unbuffered the
-    # write fails, buffered the flush at the end does
-    for unbuffered in ("1", ""):
-        read, write = os.pipe()
-        os.close(read)
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "lagkit.cli", *argv],
-                stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
-                env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
-            )
-        finally:
-            os.close(write)
-        assert proc.returncode == 2, proc.stderr
-        assert re.fullmatch(r"lagkit: cannot write stdout: .*\n", proc.stderr), proc.stderr
+    # the reader is gone before the child writes, or the disk is full: with
+    # stdout unbuffered the write fails, buffered the flush at the end does
+    for target in ("closed pipe", "/dev/full"):
+        for unbuffered in ("1", ""):
+            if target == "closed pipe":
+                read, write = os.pipe()
+                os.close(read)
+            else:
+                write = os.open(target, os.O_WRONLY)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "lagkit.cli", *argv],
+                    stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+                    env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+                )
+            finally:
+                os.close(write)
+            assert proc.returncode == 2, (target, unbuffered, proc.stderr)
+            assert re.fullmatch(r"lagkit: cannot write stdout: .*\n", proc.stderr), proc.stderr
+
+
+def _script_entry():
+    """The function `[project.scripts]` names for the `lagkit` command."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")) as fh:
+        return re.search(r'^lagkit = "lagkit\.cli:(\w+)"$', fh.read(), re.M).group(1)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["runpy.run_module('lagkit.cli', run_name='__main__')",
+     f"import lagkit.cli; lagkit.cli.{_script_entry()}()"],
+    ids=["module", "script"],
+)
+def test_process_entry_exits_with_the_import_time_objects_frozen(entry):
+    # an atexit hook runs after the entry's sys.exit: the objects alive at the
+    # end of the command are in the permanent generation, so exit collects none
+    script = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+        "sys.argv = ['lagkit', 'catalog', '--json']\n"
+        f"{entry}\n"
+    )
+    proc = _cold("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)) == 12
+    assert int(proc.stderr) > 0
+
+
+@pytest.mark.parametrize(
+    "argv", [["catalog", "--json"], ["check", "real_circle_S3", "--json"], ["check", "--bad"]]
+)
+def test_main_in_process_leaves_the_collector_as_it_found_it(argv, capsys):
+    before = gc.get_freeze_count()
+    assert run_main(*argv) in (0, 2)
+    assert gc.get_freeze_count() == before
 
 
 class TestCatalogCommand:
