@@ -14,6 +14,7 @@ Everything here is immutable value math; functions are pure.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -47,10 +48,13 @@ class Signature(Record):
         return 2 * self.n
 
 
+@functools.lru_cache(maxsize=64)
 def metric_diagonal(sig: Signature) -> np.ndarray:
-    """Diagonal of the real inner product in the interleaved layout (index 2s)."""
+    """Diagonal of the real inner product in the interleaved layout (index 2s),
+    built once per signature and read-only."""
     eta = np.ones(sig.real_dim)
     eta[: 2 * sig.s] = -1.0
+    eta.flags.writeable = False  # one array for every caller
     return eta
 
 

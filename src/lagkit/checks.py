@@ -2,14 +2,17 @@
 
 sample_frames builds the frames of the immersion at the deterministic interior
 sample points as one FrameBatch, with one build_frame call (and one more per
-test that fails, to name the first failing point: _build); every check is a pure
-function of that batch, evaluates a named residual at all points as one array
-reduction over the point axis, and reports max/mean together with the worst
-offender.  The table _CHECKS names every check (its names are stable API)
-and decides which checks a spec gets, in what order, from which frames and
-resting on which others; run_suite walks it, building the frames of a spec
-once and rescaling them onto the fitted quadric, and emits a CheckReport
-whose JSON form is byte-stable for a fixed seed.
+test that fails, to name the first failing point: _build).  Every check is a
+pure function of that batch: a named residual row, one value per point, whose
+max and mean its entry reports together with the worst offender.  The products
+that several checks read (J L, J dL_i, <dL_i, J L>, the membership residual)
+are formed once per batch (FrameBatch.shared).  The table _CHECKS names every
+check (its names are stable API) and decides which checks a spec gets, in what
+order, from which frames and resting on which others; run_suite walks it,
+building the frames of a spec once and rescaling them onto the fitted quadric.
+It reduces the spec's rows as one stack (_reduce), the rows that later checks
+rest on as soon as those run, and emits a CheckReport whose JSON form is
+byte-stable for a fixed seed.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 
 import numpy as np
 
-from .ambient import AmbientQuadric, apply_j_flat, inner_flat
+from .ambient import AmbientQuadric, inner_flat
 from .dsl import ImmersionSpec
 from .errors import DimensionMismatchError, LagkitError
 from .geometry import (
@@ -28,6 +31,7 @@ from .geometry import (
     codazzi_residual,
     contract,
     gauss_residual,
+    j_of,
     point_max,
     tangent_field,
 )
@@ -112,32 +116,35 @@ class Transform(Record):
     _fields = ("center", "scale")  # center: interleaved (2n,)
 
 
+def _reduce(cfg, points, rows: dict) -> list[CheckEntry]:
+    """The entries of residual rows {name: (row (B,), details or None)} at points
+    (B, m), reduced as one (K, B) stack: each row's max at its first worst point
+    (the first NaN, if there is one: a max that is not finite makes an error
+    entry), and its mean as its sum over B, the bits of the row's own .mean()."""
+    stack = np.array([row for row, _ in rows.values()], dtype=float)
+    worst = stack.argmax(axis=1)
+    top = stack[np.arange(len(stack)), worst]
+    means = (np.add.reduce(stack, axis=1) / len(points)).tolist()
+    entries = []
+    for (name, (_, details)), t, finite, mean, point in zip(
+        rows.items(), top.tolist(), np.isfinite(top).tolist(), means, points[worst].tolist()
+    ):
+        tol = cfg.tolerance_for(name)
+        entries.append(CheckEntry(  # positionally, in _fields order: Record's fast path
+            name, t, mean, len(points), tol, t <= tol, "ok", None, tuple(point), dict(details or {})
+        ) if finite else _errored(name, cfg, f"non-finite residual at {tuple(point)}"))
+    return entries
+
+
 def _finish(name, cfg, residuals, frames, extra_details=None) -> CheckEntry:
-    tol = cfg.tolerance_for(name)
-    arr = np.asarray(residuals, dtype=float)
-    worst = int(arr.argmax())  # the first NaN, if there is one
-    top = float(arr[worst])
-    if not math.isfinite(top):
-        return _errored(name, cfg, f"non-finite residual at {frames.point(worst)}")
-    mean = float(arr.sum() / len(arr))  # arr.mean()'s sum and division, without its wrapper
-    return CheckEntry(  # positionally, in _fields order: Record's fast path
-        name, top, mean, len(frames), tol, top <= tol,
-        "ok", None, frames.point(worst), dict(extra_details or {}),
-    )
+    """The entry of one residual row (_reduce)."""
+    return _reduce(cfg, frames.points, {name: (residuals, extra_details)})[0]
 
 
 def _errored(name, cfg, reason, status="error") -> CheckEntry:
     """An entry without residuals: an error fails the report, a skip does not."""
-    return CheckEntry(
-        name=name,
-        max_residual=None,
-        mean_residual=None,
-        points_evaluated=0,
-        tolerance=cfg.tolerance_for(name),
-        passed=False if status == "error" else None,
-        status=status,
-        reason=reason,
-    )
+    tol, failed = cfg.tolerance_for(name), False if status == "error" else None
+    return CheckEntry(name, None, None, 0, tol, failed, status, reason, None, None)
 
 
 def sample_frames(
@@ -169,25 +176,33 @@ def check_lagrangian(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
     Requires the half-dimensional parameter count; the frames themselves
     guarantee a nondegenerate induced metric at every sampled point.
     """
+    return _finish("lagrangian", cfg, _isotropy(frames), frames)
+
+
+def _isotropy(frames: FrameBatch) -> np.ndarray:
     spec = frames.spec
     if spec.num_params != spec.signature.n:
         raise DimensionMismatchError(
             f"Lagrangian check needs n = {spec.signature.n} parameters, "
             f"spec has {spec.num_params} (not half-dimensional)"
         )
-    return _finish("lagrangian", cfg, point_max(_omega(frames)), frames)
+    return point_max(_omega(frames))
 
 
 def _omega(frames: FrameBatch) -> np.ndarray:
     """<J dL_i, dL_j> at each point, (B, m, m)."""
-    jfirst = apply_j_flat(frames.first)
-    return (jfirst * frames.eta) @ np.swapaxes(frames.first, 1, 2)
+    return (frames.shared(j_of, "first") * frames.eta) @ frames.first.transpose(0, 2, 1)
 
 
-def _v_pairing(frames: FrameBatch) -> np.ndarray:
-    """<dL_i, J L> at each point, (B, m)."""
-    jpos = apply_j_flat(frames.position)
-    return (frames.first @ (frames.eta * jpos)[..., None])[..., 0]
+def _horizontality(frames: FrameBatch) -> np.ndarray:
+    """max_i |<dL_i, J L>| at each point."""
+    jpos = frames.shared(j_of, "position")
+    return point_max((frames.first @ (frames.eta * jpos)[..., None])[..., 0])
+
+
+def _eta_position(frames: FrameBatch) -> np.ndarray:
+    """eta L, (B, 2n): <x, L> is x @ it."""
+    return frames.eta * frames.position
 
 
 def fit_hypersphere(frames: FrameBatch, cfg: SampleConfig):
@@ -196,35 +211,32 @@ def fit_hypersphere(frames: FrameBatch, cfg: SampleConfig):
     <L, L> - 2 <L, p> = k is linear in (p, k); the signed square radius is
     k + <p, p>.  Returns (SphereFit | None, CheckEntry named "spherical").
     """
+    try:
+        fit, (residuals, details) = _fit(frames)
+    except LagkitError as exc:
+        return None, _errored("spherical", cfg, str(exc))
+    return fit, _finish("spherical", cfg, residuals, frames, details)
+
+
+def _fit(frames: FrameBatch):
     eta = frames.eta
     dim = len(eta)
     needed = dim + 2
     if len(frames) < needed:
-        return None, _errored(
-            "spherical", cfg, f"need at least {needed} sample points, have {len(frames)}"
-        )
-    pos = frames.position
-    rows = np.hstack([2.0 * pos * eta, np.ones((len(frames), 1))])
-    rhs = (pos * eta * pos).sum(axis=1)
+        raise LagkitError(f"need at least {needed} sample points, have {len(frames)}")
+    pos, eta_pos = frames.position, frames.shared(_eta_position)
+    rows = np.concatenate((2.0 * eta_pos, np.ones((len(frames), 1))), axis=1)
+    rhs = np.add.reduce(eta_pos * pos, axis=1)
     sol, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
     if rank < dim + 1:
-        return None, _errored(
-            "spherical", cfg, f"fit normal system is rank deficient (rank {rank})"
-        )
+        raise LagkitError(f"fit normal system is rank deficient (rank {rank})")
     center = sol[:dim]
     k = float(sol[dim])
     radius_sq = k + float(inner_flat(center, center, eta))
     residuals = np.abs(rows @ sol - rhs)
-    rms = float(np.sqrt(np.mean(residuals**2)))
-    fit = SphereFit(center, radius_sq, rms)
-    entry = _finish(
-        "spherical",
-        cfg,
-        residuals,
-        frames,
-        extra_details={"rms_residual": rms, "radius_sq_signed": radius_sq},
-    )
-    return fit, entry
+    rms = float(np.sqrt(np.add.reduce(residuals**2) / len(residuals)))  # np.mean's bits
+    details = {"rms_residual": rms, "radius_sq_signed": radius_sq}
+    return SphereFit(center, radius_sq, rms), (residuals, details)
 
 
 def check_legendrian(
@@ -232,31 +244,29 @@ def check_legendrian(
 ) -> CheckEntry:
     """Legendrian conditions on a declared quadric: membership, J-position
     normal to the image, J of tangents normal to the image."""
+    return _finish("legendrian", cfg, _legendrian(frames, quadric), frames)
+
+
+def _legendrian(frames: FrameBatch, quadric: AmbientQuadric) -> np.ndarray:
     spec = frames.spec
     if spec.num_params != spec.signature.n - 1:
         raise DimensionMismatchError(
             f"Legendrian check needs n-1 = {spec.signature.n - 1} parameters, "
             f"spec has {spec.num_params}"
         )
-    residuals = np.maximum.reduce(
-        [
-            _membership(frames, quadric),
-            point_max(_v_pairing(frames)),
-            point_max(_omega(frames)),
-        ]
-    )
-    return _finish("legendrian", cfg, residuals, frames)
+    membership, horizontality = frames.shared(_membership, quadric), frames.shared(_horizontality)
+    return np.maximum.reduce([membership, horizontality, point_max(_omega(frames))])
 
 
 def _membership(frames: FrameBatch, quadric: AmbientQuadric) -> np.ndarray:
-    """|<L, L> - 1/c| at each point."""
-    pos = frames.position
-    return np.abs(inner_flat(pos, pos, frames.eta) - quadric.radius_sq_signed)
+    """|<L, L> - 1/c| at each point (inner_flat's product)."""
+    norms = (frames.shared(_eta_position)[:, None, :] @ frames.position[:, :, None])[:, 0, 0]
+    return np.abs(norms - quadric.radius_sq_signed)
 
 
 def check_horizontal(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
     """Horizontality over the circle action: tangents orthogonal to J-position."""
-    return _finish("horizontal", cfg, point_max(_v_pairing(frames)), frames)
+    return _finish("horizontal", cfg, frames.shared(_horizontality), frames)
 
 
 def check_cubic_symmetry(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
@@ -265,10 +275,12 @@ def check_cubic_symmetry(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
     With h already symmetric it suffices to compare the cyclic rotation,
     <h_ij, J dL_k> = <h_jk, J dL_i>.
     """
-    jfirst = apply_j_flat(frames.first)
-    cubic = contract(frames.sff * frames.eta, jfirst)
-    residuals = point_max(cubic - cubic.transpose(0, 3, 1, 2))
-    return _finish("cubic_symmetry", cfg, residuals, frames)
+    return _finish("cubic_symmetry", cfg, _cubic_asymmetry(frames), frames)
+
+
+def _cubic_asymmetry(frames: FrameBatch) -> np.ndarray:
+    cubic = contract(frames.sff * frames.eta, frames.shared(j_of, "first"))
+    return point_max(cubic - cubic.transpose(0, 3, 1, 2))
 
 
 _NEEDS_LAGRANGIAN = "requires the Lagrangian check to pass"
@@ -291,7 +303,7 @@ def _transform(entries, fit):
     return Transform(fit.center.copy(), math.sqrt(abs(fit.radius_sq_signed))), None
 
 
-def _structure_with_fit(frames, cfg, entries, fit):
+def _structure_with_fit(frames, entries, fit):
     """The structure bundle, run on the frames of (L - center) / scale.
 
     On that immersion the tangential part V of J L must satisfy: V actually
@@ -299,8 +311,8 @@ def _structure_with_fit(frames, cfg, entries, fit):
     nabla V = 0.  Its frames are those of L rescaled in closed form
     (FrameBatch.rescaled with k = 1 / scale), keeping their spec, so the
     normalized spec is neither evaluated nor assembled.  Returns (normalized
-    frames, their unit quadric AmbientQuadric(epsilon), structure entries by
-    name); raises _Skip without a transform.
+    frames, their unit quadric AmbientQuadric(epsilon), the structure checks'
+    (row, details) by name); raises _Skip without a transform.
     """
     transform, reason = _transform(entries, fit)
     if reason is not None:
@@ -308,20 +320,18 @@ def _structure_with_fit(frames, cfg, entries, fit):
     unit = AmbientQuadric(1.0 if fit.radius_sq_signed > 0 else -1.0)  # c = epsilon
     fr = frames.rescaled(fit.center, 1.0 / transform.scale)
     coeffs, grads = tangent_field(fr)
-    normal = apply_j_flat(fr.position) - (coeffs[:, None, :] @ fr.first)[:, 0]  # as project forms it
+    normal = fr.shared(j_of, "position") - (coeffs[:, None, :] @ fr.first)[:, 0]  # as in project
     vv = (coeffs[:, None, :] @ fr.metric @ coeffs[:, :, None])[:, 0, 0]
     hv = (coeffs[:, None, None] @ fr.sff)[:, :, 0]
     hvv = (coeffs[:, None] @ hv)[:, 0]
     nabla_v = grads + contract(fr.christoffels, coeffs[:, None])[..., 0]
-    res = {
-        "structure_v_tangent": point_max(normal),
-        "structure_v_unit": np.abs(vv - unit.c),
-        "structure_h_mixed": point_max(hv - apply_j_flat(fr.first)),
-        "structure_h_vv": point_max(hvv + fr.position),
-        "structure_v_parallel": point_max(nabla_v),
+    return fr, unit, {
+        "structure_v_tangent": (point_max(normal), None),
+        "structure_v_unit": (np.abs(vv - unit.c), {"epsilon": unit.c}),
+        "structure_h_mixed": (point_max(hv - fr.shared(j_of, "first")), None),
+        "structure_h_vv": (point_max(hvv + fr.position), None),
+        "structure_v_parallel": (point_max(nabla_v), None),
     }
-    details = {"structure_v_unit": {"epsilon": unit.c}}
-    return fr, unit, {name: _finish(name, cfg, r, fr, details.get(name)) for name, r in res.items()}
 
 
 def check_product_metric(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
@@ -330,6 +340,11 @@ def check_product_metric(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
     Checks g_{t u_j} = 0, the u-block independent of t, and g_tt constant of
     modulus one; the g_tt value lands in the entry details.
     """
+    residuals, details = _product_metric(frames)
+    return _finish("product_metric", cfg, residuals, frames, details)
+
+
+def _product_metric(frames: FrameBatch):
     g, dg = frames.metric, frames.dmetric
     gtt = g[:, 0, 0]
     residuals = np.maximum.reduce(
@@ -340,13 +355,7 @@ def check_product_metric(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
             np.abs(np.abs(gtt) - 1.0),
         ]
     )
-    return _finish(
-        "product_metric",
-        cfg,
-        residuals,
-        frames,
-        extra_details={"g_tt": float(np.mean(gtt))},
-    )
+    return residuals, {"g_tt": float(np.add.reduce(gtt) / len(gtt))}  # np.mean's bits
 
 
 def check_umbilical_relation(
@@ -358,20 +367,22 @@ def check_umbilical_relation(
     tangent to the quadric: <h_ij + c g_ij L, L> = 0.  Membership is verified
     first; the factor c equals the usual sign epsilon on unit quadrics.
     """
-    membership = _membership(frames, quadric)
+    try:
+        return _finish("umbilical", cfg, _umbilical(frames, cfg, quadric), frames)
+    except LagkitError as exc:
+        return _errored("umbilical", cfg, str(exc))
+
+
+def _umbilical(frames: FrameBatch, cfg: SampleConfig, quadric: AmbientQuadric) -> np.ndarray:
+    membership = frames.shared(_membership, quadric)
     outside = membership > 1e4 * max(cfg.tolerance_for("umbilical"), 1e-10)
-    if outside.any():
-        i = int(np.argmax(outside))
-        return _errored(
-            "umbilical",
-            cfg,
-            f"membership failure at {frames.point(i)}: "
-            f"|<L,L> - 1/c| = {membership[i]:.3e}",
-        )
+    if np.logical_or.reduce(outside):
+        i = int(outside.argmax())
+        gap = f"|<L,L> - 1/c| = {membership[i]:.3e}"
+        raise LagkitError(f"membership failure at {frames.point(i)}: {gap}")
     pos = frames.position
     inquadric = frames.sff + quadric.c * frames.metric[..., None] * pos[:, None, None, :]
-    residuals = point_max(contract(inquadric, (frames.eta * pos)[:, None]))
-    return _finish("umbilical", cfg, residuals, frames)
+    return point_max(contract(inquadric, frames.shared(_eta_position)[:, None]))
 
 
 def check_gauss(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
@@ -442,24 +453,32 @@ class _Suite:
 
     def __init__(self, cfg, quadric, frames):
         self.cfg, self.quadric, self._frames = cfg, quadric, frames  # or why building failed
-        self.entries: dict[str, CheckEntry] = {}
+        self.entries: dict[str, CheckEntry | None] = {}  # None: its row is pending
+        self.pending = {}  # name -> (row, details), for the next _reduce
         self.fit = self._bundle = None
 
-    def call(self, check, *args):
-        """check(frames, cfg, *args): args may skip before the frames fail."""
+    def call(self, residual, *args):
+        """residual(frames, *args): args may skip before the frames fail."""
         if isinstance(self._frames, str):
             raise LagkitError(self._frames)
-        return check(self._frames, self.cfg, *args)
+        return residual(self._frames, *args)
 
-    def fit_quadric(self) -> CheckEntry:
-        self.fit, entry = self.call(fit_hypersphere)
-        return entry
+    def reduce(self):
+        """Enter the entries of the pending rows, reduced as one stack."""
+        for entry in _reduce(self.cfg, self._frames.points, self.pending):
+            self.entries[entry.name] = entry
+        self.pending = {}
+
+    def fit_quadric(self):
+        self.fit, residuals = self.call(_fit)
+        return residuals
 
     def target(self) -> AmbientQuadric:
         """The declared quadric, else the fitted one if the fit passes on a central quadric."""
         q, fit = self.quadric, self.fit
         if q is None and self.entries["spherical"].passed:
-            central = np.max(np.abs(fit.center)) <= 1e-6 and abs(fit.radius_sq_signed) >= 1e-6
+            off = np.maximum.reduce(np.abs(fit.center))
+            central = off <= 1e-6 and abs(fit.radius_sq_signed) >= 1e-6
             q = AmbientQuadric(1.0 / fit.radius_sq_signed) if central else None
         if q is None:
             raise _Skip("no quadric declared and the fit found none")
@@ -470,7 +489,7 @@ class _Suite:
         _Skip(skipped), when skipped is given)."""
         if self._bundle is None:
             try:
-                self._bundle = _structure_with_fit(self._frames, self.cfg, self.entries, self.fit)
+                self._bundle = _structure_with_fit(self._frames, self.entries, self.fit)
             except _Skip as skip:
                 # its reason alone: the exception's traceback holds the frames
                 # of this call, and those hold this suite, a cycle only the
@@ -481,7 +500,7 @@ class _Suite:
         return self._bundle
 
 
-def _legendrian_fit(s: _Suite) -> CheckEntry:
+def _legendrian_fit(s: _Suite):
     if s.quadric is not None:
         # A declared quadric is authoritative; low-dimensional images
         # rarely determine the fit anyway (real curves never do).
@@ -489,21 +508,21 @@ def _legendrian_fit(s: _Suite) -> CheckEntry:
     return s.fit_quadric()
 
 
-def _cubic_symmetry(s: _Suite) -> CheckEntry:
+def _cubic_symmetry(s: _Suite) -> np.ndarray:
     if not s.entries["lagrangian"].passed:
         raise _Skip(_NEEDS_LAGRANGIAN)
-    return s.call(check_cubic_symmetry)
+    return s.call(_cubic_asymmetry)
 
 
-def _lagrangian_umbilical(s: _Suite) -> CheckEntry:
+def _lagrangian_umbilical(s: _Suite) -> np.ndarray:
     """On the normalized frames, else on those of L against a declared quadric."""
     try:
         frames_n, unit, _ = s.bundle(_NEEDS_FIT)
     except _Skip:
         if s.quadric is None:
             raise
-        return s.call(check_umbilical_relation, s.quadric)
-    return check_umbilical_relation(frames_n, s.cfg, unit)
+        return s.call(_umbilical, s.cfg, s.quadric)
+    return _umbilical(frames_n, s.cfg, unit)
 
 
 _ON_FIT = ("lagrangian", "spherical")
@@ -511,22 +530,23 @@ _ON_FIT = ("lagrangian", "spherical")
 # One row per check, in report order: its name, chain (n - m: 0 for m = n, the
 # Lagrangian chain, 1 for m = n - 1, the Legendrian one, None for every spec),
 # the order of the derivatives it reads, the checks it rests on, and
-# run(suite) -> its entry (None for no entry), or _Skip.  A row looks its check
-# up in this module's globals when it runs, so a check patched here is the one run.
+# run(suite) -> its residual row, a (row, details) pair, None for no entry, or
+# _Skip, or LagkitError (an error entry).  The residual functions it calls are
+# those its check_ function reduces on its own (_finish); a row looks them up in
+# this module's globals when it runs, so a function patched here is the one run.
 _CHECKS = (
-    ("lagrangian", 0, 2, (), lambda s: s.call(check_lagrangian)),
+    ("lagrangian", 0, 2, (), lambda s: s.call(_isotropy)),
     ("spherical", 0, 2, (), lambda s: s.fit_quadric()),
     ("spherical", 1, 2, (), _legendrian_fit),
-    ("legendrian", 1, 2, ("spherical",), lambda s: s.call(check_legendrian, s.target())),
+    ("legendrian", 1, 2, ("spherical",), lambda s: s.call(_legendrian, s.target())),
     ("horizontal", 1, 2, ("spherical",),  # over the circle action: on a sphere (c > 0) only
-     lambda s: s.call(check_horizontal) if s.target().c > 0 else None),
-    ("umbilical", 1, 2, ("spherical",), lambda s: s.call(check_umbilical_relation, s.target())),
-    ("gauss", None, 3, (), lambda s: s.call(check_gauss)),
-    ("codazzi", None, 3, (), lambda s: s.call(check_codazzi)),
+     lambda s: s.call(FrameBatch.shared, _horizontality) if s.target().c > 0 else None),
+    ("umbilical", 1, 2, ("spherical",), lambda s: s.call(_umbilical, s.cfg, s.target())),
+    ("gauss", None, 3, (), lambda s: s.call(gauss_residual)),
+    ("codazzi", None, 3, (), lambda s: s.call(codazzi_residual)),
     ("cubic_symmetry", 0, 2, ("lagrangian",), _cubic_symmetry),
     *((name, 0, 2, _ON_FIT, lambda s, name=name: s.bundle()[2][name]) for name in STRUCTURE_CHECKS),
-    ("product_metric", 0, 2, _ON_FIT,
-     lambda s: check_product_metric(s.bundle(_NEEDS_FIT)[0], s.cfg)),
+    ("product_metric", 0, 2, _ON_FIT, lambda s: _product_metric(s.bundle(_NEEDS_FIT)[0])),
     ("umbilical", 0, 2, _ON_FIT, _lagrangian_umbilical),
 )
 _THIRD_ORDER = frozenset(row[0] for row in _CHECKS if row[2] == 3)  # they get tol_third
@@ -545,6 +565,8 @@ def run_suite(spec: ImmersionSpec, cfg: SampleConfig | None = None,
     not pass; its sphere_fit and transform are the full suite's.  A map that
     fails at a sample point makes each check an error entry; sampling that
     fails (a count no array holds) raises, as does a check the spec does not get.
+    The checks' rows are reduced as one stack, those that a check to run rests
+    on before it runs.
     """
     cfg = cfg or SampleConfig()
     m, n = spec.num_params, spec.signature.n
@@ -561,16 +583,24 @@ def run_suite(spec: ImmersionSpec, cfg: SampleConfig | None = None,
 
     suite = _Suite(cfg, spec.quadric if quadric is None else quadric, frames)
     entries = suite.entries
-    for name, _, _, _, run in rows:
-        if name in wanted:
-            try:
-                entry = run(suite)
-            except _Skip as skip:
-                entry = _errored(name, cfg, str(skip), status="skipped")
-            except LagkitError as exc:
-                entry = _errored(name, cfg, str(exc))
-            if entry is not None:
-                entries[name] = entry
+    for name, _, _, needs, run in rows:
+        if name not in wanted:
+            continue
+        if not suite.pending.keys().isdisjoint(needs):  # a verdict it reads is pending
+            suite.reduce()
+        try:
+            entry = run(suite)
+        except _Skip as skip:
+            entry = _errored(name, cfg, str(skip), status="skipped")
+        except LagkitError as exc:
+            entry = _errored(name, cfg, str(exc))
+        if type(entry) is CheckEntry:
+            entries[name] = entry
+        elif entry is not None:  # a residual row: its entry comes from the next reduce
+            entries[name] = None
+            suite.pending[name] = entry if type(entry) is tuple else (entry, None)
+    if suite.pending:
+        suite.reduce()
     transform = _transform(entries, suite.fit)[0] if m == n else None
     if checks is not None:
         unknown = [name for name in checks if name not in entries]  # horizontal, off a sphere

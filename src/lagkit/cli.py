@@ -219,10 +219,16 @@ def _add_sampling_args(p):
                    help="tolerance for third-order checks")
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        """argparse drops the OSError of a failed write: one to stdout reaches main."""
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        file.write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="lagkit", description="Lagrangian immersion verification kernel"
-    )
+    top = _Parser(prog="lagkit", description="Lagrangian immersion verification kernel")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="run the verification suite")

@@ -551,7 +551,7 @@ def check_point_in_domain(spec: ImmersionSpec, points):
         )
     lo, hi = _box(spec.params)
     inside = (lo <= pts) & (pts <= hi)  # NaN is outside too
-    if not inside.all():
+    if not np.logical_and.reduce(inside, axis=None):
         row, col = np.argwhere(~inside)[0].tolist()
         p, x = spec.params[col], float(pts[row, col])
         raise DomainError(f"coordinate {p.name}={x!r} outside [{p.lo}, {p.hi}]", row=row)
@@ -583,7 +583,7 @@ def _map_jets(spec: ImmersionSpec, pts: np.ndarray, order: int, out=None) -> lis
             message = f"map cannot be evaluated at {tuple(pts[exc.row].tolist())}: {exc}"
             raise SingularEvaluationError(message, row=exc.row) from exc
         tensors = jets._interpolate(spec.num_params, order, len(pts), pairs, out)
-    if not all(np.isfinite(t).all() for t in tensors):  # then find the first such point
+    if not all(np.logical_and.reduce(np.isfinite(t), axis=None) for t in tensors):  # find the row
         finite = [np.isfinite(t).reshape(len(pts), -1).all(axis=1) for t in tensors]
         row = int(np.argmin(np.all(finite, axis=0)))
         bad = tuple(pts[row].tolist())

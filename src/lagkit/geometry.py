@@ -17,7 +17,9 @@ Christoffel symbols come from the pairings that d g is formed from,
 Gamma^k_ij = g^{kl} <L_ij, L_l>, and their derivatives from two more,
 d_p <L_ij, L_l> = <L_pij, L_l> + <L_ij, L_pl>.  The Codazzi residual is formed
 on the part of nabla h that is skew in its first two slots, once for each pair
-i < j, where the terms that cancel there are never formed.
+i < j (the pairs of each m built once), where the terms that cancel there are
+never formed.  Reductions call the ufuncs' reduce, and axes move by transpose,
+without numpy's Python wrappers.
 
 Index conventions, pinned by tests on the round-sphere factor (b is the point):
   dmetric[b, k, i, j]      = d_k g_ij
@@ -29,6 +31,7 @@ Index conventions, pinned by tests on the round-sphere factor (b is the point):
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -60,6 +63,7 @@ CHUNK = 256
 class FrameBatch(Record):
     """Derivative and metric data of an immersion at B points."""
 
+    __slots__ = ("_shared",)  # product key -> value (see shared), outside the fields
     _fields = (
         "spec",
         "points",  # (B, m)
@@ -77,6 +81,16 @@ class FrameBatch(Record):
     )
     dchristoffels = None
 
+    def shared(self, product, *args) -> np.ndarray:
+        """product(self, *args), formed by its first call and kept with the batch:
+        the products of the fields that several checks read."""
+        if not hasattr(self, "_shared"):  # its first product (a copy starts afresh)
+            object.__setattr__(self, "_shared", {})
+        key = (product, *args)
+        if key not in self._shared:
+            self._shared[key] = product(self, *args)
+        return self._shared[key]
+
     def __len__(self) -> int:
         return len(self.points)
 
@@ -84,26 +98,33 @@ class FrameBatch(Record):
         return tuple(self.points[index].tolist())
 
     def rescaled(self, center, k: float) -> "FrameBatch":
-        """The frames of (L - center) * k at the same points, in closed form:
-        the derivatives and the second fundamental form scale by k, the metric
-        and its derivatives by k^2 and its inverse by 1/k^2, while the
-        Christoffel symbols and their derivatives stay as they are."""
+        """The frames of (L - center) * k at the same points, to second order,
+        in closed form: the derivatives and the second fundamental form scale by
+        k, the metric and its derivatives by k^2 and its inverse by 1/k^2, while
+        the Christoffel symbols stay as they are.  No check on them reads
+        third-order data, so they carry none."""
         k2 = k * k
         return self.replace(
             position=(self.position - center) * k,
             first=self.first * k,
             second=self.second * k,
-            third=None if self.third is None else self.third * k,
             metric=self.metric * k2,
             metric_inv=self.metric_inv / k2,
             dmetric=self.dmetric * k2,
             sff=self.sff * k,
+            third=None,
+            dchristoffels=None,
         )
 
 
 def point_max(x: np.ndarray) -> np.ndarray:
     """max |x| over every axis but the leading point axis (0 for empty slices)."""
-    return np.abs(x).reshape(len(x), -1).max(axis=1, initial=0.0)
+    return np.maximum.reduce(np.abs(x).reshape(len(x), -1), axis=1, initial=0.0)
+
+
+def j_of(frames: FrameBatch, field: str) -> np.ndarray:
+    """J applied to a field of frames: frames.shared(j_of, "position") is J L."""
+    return apply_j_flat(getattr(frames, field))
 
 
 def build_frame(spec: ImmersionSpec, points, need_third: bool = False) -> FrameBatch:
@@ -122,7 +143,7 @@ def build_frame(spec: ImmersionSpec, points, need_third: bool = False) -> FrameB
     # laid along a last axis and viewed as float give the ambient layout; one
     # buffer for all blocks took fewer page faults than one array per block
     shapes = [(len(pts),) + (m,) * k + (n,) for k in range(order + 1)]
-    ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+    ends = np.add.accumulate([math.prod(shape) for shape in shapes]).tolist()
     buffer = np.empty(ends[-1], dtype=complex)
     blocks = [buffer[end - math.prod(s) : end].reshape(s) for s, end in zip(shapes, ends)]
     for start in range(0, len(pts), CHUNK):
@@ -144,21 +165,19 @@ def assemble_frame(spec, points, position, first, second, third=None) -> FrameBa
     """
     eta = metric_diagonal(spec.signature)
     weighted = first * eta  # <x, L_j> is contract(x, weighted)
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # rejected just below
         metric = contract(weighted, first)
         metric = 0.5 * (metric + np.swapaxes(metric, 1, 2))
-    finite = np.isfinite(metric).all(axis=(1, 2))
-    if not finite.all():
+        # compare det(g / scale), since scale**m can overflow where det g does not
+        scale = np.maximum.reduce(np.abs(metric), axis=(1, 2))  # 0 is degenerate
+        scaled_det = np.abs(np.linalg.det(metric / scale[:, None, None]))
+    finite = np.logical_and.reduce(np.isfinite(metric), axis=(1, 2))
+    if not np.logical_and.reduce(finite):
         i = int(np.argmin(finite))
         bad = tuple(points[i].tolist())
         raise SingularEvaluationError(f"induced metric not finite at {bad}", row=i)
-    # compare det(g / scale), since scale**m can overflow where det g does not
-    scale = np.abs(metric).max(axis=(1, 2))
-    with np.errstate(divide="ignore", invalid="ignore"):  # scale 0 is degenerate
-        degenerate = (scale == 0.0) | (
-            np.abs(np.linalg.det(metric / scale[:, None, None])) < DET_THRESHOLD
-        )
-    if degenerate.any():
+    degenerate = (scale == 0.0) | (scaled_det < DET_THRESHOLD)
+    if np.logical_or.reduce(degenerate):
         i = int(np.argmax(degenerate))
         det = abs(float(np.linalg.det(metric[i])))
         bad = f"{tuple(points[i].tolist())}: |det| = {det:.3e}"
@@ -182,7 +201,7 @@ def assemble_frame(spec, points, position, first, second, third=None) -> FrameBa
         # d_p Gamma^k_ij = g^{kl} (d_p <L_ij, L_l> - d_p g_lq Gamma^q_ij), since
         # d_p(g^-1) = -g^-1 d_p g g^-1, with d_p <L_ij, L_l> = <L_pij, L_l> + <L_ij, L_pl>
         lowered = contract(second * eta, second)  # [p, l, i, j] = <L_pl, L_ij>
-        lowered += np.moveaxis(contract(third, weighted), 4, 2)  # <L_pij, L_l>
+        lowered += contract(third, weighted).transpose(0, 1, 4, 2, 3)  # <L_pij, L_l>
         lowered -= (dmetric @ christoffels.reshape(b, m, -1)[:, None]).reshape(lowered.shape)
         dchristoffels = (metric_inv[:, None] @ lowered.reshape(b, m, m, -1)).reshape(lowered.shape)
     return FrameBatch(
@@ -213,7 +232,7 @@ def riemann_tensor(frames: FrameBatch) -> np.ndarray:
     # x[i, j, k, l] = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk; R^l_ijk is x minus
     # x with i, j swapped
     prod = (gamma.reshape(b, m * m, m) @ gamma.reshape(b, m, -1)).reshape(dgamma.shape)
-    x = np.moveaxis(dgamma, 2, -1) + np.moveaxis(prod, 1, -1)
+    x = dgamma.transpose(0, 1, 3, 4, 2) + prod.transpose(0, 2, 3, 4, 1)
     up = x - x.swapaxes(1, 2)
     return (up.reshape(b, -1, m) @ frames.metric).reshape(up.shape)
 
@@ -254,7 +273,7 @@ def codazzi_residual(frames: FrameBatch) -> np.ndarray:
     def lead(x):  # [i, j, k] = Gamma^p_jk x_ip
         return (gamma_rows @ x).reshape(third.shape)
 
-    i, j = np.triu_indices(m, 1)  # each pair of the first two slots once
+    i, j = slot_pairs(m)  # each pair of the first two slots once
     ambient = third - lead(frames.second)
     skew = ambient[:, i, j] - ambient[:, j, i]
     del ambient
@@ -263,6 +282,15 @@ def codazzi_residual(frames: FrameBatch) -> np.ndarray:
     gamma_h = lead(h)
     skew -= gamma_h[:, j, i] - gamma_h[:, i, j]
     return point_max(skew)
+
+
+@functools.lru_cache(maxsize=None)  # one entry per dimension m met
+def slot_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(m, 1), built once per m and read-only: one array pair
+    for every caller."""
+    i, j = np.triu_indices(m, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def project(frames: FrameBatch, v: np.ndarray):
@@ -287,10 +315,10 @@ def tangent_field(frames: FrameBatch) -> tuple[np.ndarray, np.ndarray]:
     (B, m, m) with grad[b, i, k] = d_i a^k).
     """
     eta = frames.eta
-    jpos = apply_j_flat(frames.position)
+    jpos = frames.shared(j_of, "position")
     values, _ = project(frames, jpos)
     drhs = contract(frames.second, (eta * jpos)[:, None])[..., 0] + contract(
-        apply_j_flat(frames.first), frames.first * eta
+        frames.shared(j_of, "first"), frames.first * eta
     )
     slope = drhs - contract(frames.dmetric, values[:, None])[..., 0]
     return values, slope @ frames.metric_inv

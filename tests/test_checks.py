@@ -18,6 +18,7 @@ from lagkit.checks import (
     SampleConfig,
     _build,
     _finish,
+    _reduce,
     _structure_with_fit,
     _transform,
     check_cubic_symmetry,
@@ -94,6 +95,56 @@ def test_entry_residuals_are_the_array_max_and_mean():
         assert entry.max_residual == float(arr.max())
         assert entry.mean_residual == float(arr.mean())
         assert entry.worst_point == frames.point(int(arr.argmax()))
+
+
+def test_stacked_reduction_is_each_rows_own_reduction():
+    # bit for bit: the rows of one (K, B) stack reduce to each row's own max,
+    # first argmax and mean, whatever K and the magnitudes
+    frames = frames_of("clifford_torus")
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        rows = {
+            f"row{k}": (rng.random(len(frames)) * 10.0 ** rng.uniform(-20, 5), None)
+            for k in range(int(rng.integers(1, 12)))
+        }
+        entries = _reduce(CFG, frames.points, rows)
+        assert [entry.name for entry in entries] == list(rows)
+        for entry, (row, _) in zip(entries, rows.values()):
+            assert entry.max_residual == float(row.max())
+            assert entry.mean_residual == float(row.mean())
+            assert entry.worst_point == frames.point(int(row.argmax()))
+
+
+@pytest.mark.parametrize("residual, check", [("gauss_residual", "gauss"), ("codazzi_residual", "codazzi")])
+@pytest.mark.parametrize("name", ["product_S1xS2", "real_sphere_S5"])  # one of each chain
+def test_a_non_finite_row_in_the_suite_stack_errs_alone(name, residual, check, monkeypatch):
+    # run_suite looks each residual function up in the module's globals: a row
+    # with an inf before its first NaN makes that check an error naming the
+    # first NaN point, and every other entry reduced in the same stack, and the
+    # fit and transform, keep their bits
+    import lagkit.checks as module
+
+    entry, cfg = catalog_entry(name), SampleConfig(num_points=20, seed=7)
+    want = run_suite(entry.spec, cfg, quadric=entry.quadric).to_dict()
+    compute = getattr(module, residual)
+
+    def poisoned(frames):
+        row = compute(frames).copy()
+        row[[2, 5, 9]] = [np.inf, np.nan, np.nan]
+        return row
+
+    monkeypatch.setattr(module, residual, poisoned)
+    report = run_suite(entry.spec, cfg, quadric=entry.quadric)
+    first_nan = tuple(sample_points(entry.spec, cfg.num_points, cfg.seed)[5].tolist())
+    errored = report.checks[check]
+    assert (errored.status, errored.passed) == ("error", False)
+    assert errored.reason == f"non-finite residual at {first_nan}"
+    got = report.to_dict()
+    assert list(got["checks"]) == list(want["checks"])
+    for other in want["checks"]:
+        if other != check:
+            assert got["checks"][other] == want["checks"][other], other
+    assert (got["sphere_fit"], got["transform"]) == (want["sphere_fit"], want["transform"])
 
 
 class TestLagrangian:
@@ -408,17 +459,19 @@ def reference_normalized_spec(spec, transform):
 )
 def test_normalized_frames_equal_those_of_the_normalized_spec(spec, num_points):
     # the rescaled frames are those of the normalized spec to rounding: each
-    # field within 1e-12 of its largest entry (or of 1), third order included
+    # field within 1e-12 of its largest entry (or of 1); they are built to
+    # second order, as no check on them reads third-order data
     cfg = SampleConfig(num_points=num_points, seed=7)
     frames = sample_frames(spec, cfg, need_third=True)
     fit, fit_entry = fit_hypersphere(frames, cfg)
     lag = check_lagrangian(frames, cfg)
     entries = {"lagrangian": lag, "spherical": fit_entry}
-    derived, _, _ = _structure_with_fit(frames, cfg, entries, fit)
+    derived, _, _ = _structure_with_fit(frames, entries, fit)
     transform, _ = _transform(entries, fit)
-    reference = sample_frames(reference_normalized_spec(spec, transform), cfg, need_third=True)
+    reference = sample_frames(reference_normalized_spec(spec, transform), cfg)
+    assert derived.third is derived.dchristoffels is None
     for name in FrameBatch._fields:
-        if name != "spec":
+        if name not in ("spec", "third", "dchristoffels"):
             ours, theirs = getattr(derived, name), getattr(reference, name)
             assert ours.shape == theirs.shape, name
             bound = 1e-12 * max(1.0, np.abs(theirs).max())
@@ -512,9 +565,9 @@ class TestCheckSubsets:
             return build(spec, points, need_third)
 
         monkeypatch.setattr(module, "build_frame", counting)
-        for name in ("check_gauss", "check_codazzi"):
-            check = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *a, c=check, n=name: called.append(n) or c(*a))
+        for name in ("gauss_residual", "codazzi_residual"):
+            residual = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, c=residual, n=name: called.append(n) or c(*a))
         report = run_suite(catalog("product_S1xS2"), CFG, checks=checks)
         return report, orders, called
 
@@ -525,7 +578,7 @@ class TestCheckSubsets:
 
     def test_gauss_builds_third_order_frames(self, monkeypatch):
         report, orders, called = self._run(monkeypatch, ["gauss"])
-        assert orders == [True] and called == ["check_gauss"]
+        assert orders == [True] and called == ["gauss_residual"]
         assert list(report.checks) == ["gauss"] and report.checks["gauss"].passed
 
     def test_a_check_the_spec_does_not_get_raises(self):

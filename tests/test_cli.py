@@ -483,8 +483,10 @@ class TestExitContract:
         ["construct", "real_circle_S3"],
         ["crosscheck", "real_circle_S3", "--points", "1"],
         ["catalog", "--json"],
+        ["--help"],
+        ["check", "--help"],
     ],
-    ids=lambda argv: argv[0],
+    ids=lambda argv: " ".join(argv) if "--help" in argv else argv[0],
 )
 def test_closed_stdout_exits_two_without_a_traceback(argv):
     # the reader is gone before the child writes, or the disk is full: with

@@ -9,9 +9,10 @@ import math
 import numpy as np
 import pytest
 
-from lagkit.ambient import apply_j_flat
+from lagkit import sampling
+from lagkit.ambient import Signature, apply_j_flat, metric_diagonal
 from lagkit.catalog import catalog, catalog_entry, catalog_names
-from lagkit.checks import SampleConfig, check_gauss
+from lagkit.checks import SampleConfig, check_gauss, run_suite
 from lagkit import jets
 from lagkit.dsl import evaluate_map_jets, parse
 from lagkit.errors import DegenerateMetricError
@@ -23,8 +24,10 @@ from lagkit.geometry import (
     project,
     riemann_tensor,
     sectional_curvature,
+    slot_pairs,
     tangent_field,
 )
+from lagkit.products import circle_product
 from lagkit.sampling import sample_points
 
 
@@ -369,3 +372,53 @@ class TestContractionsMatchEinsum:
         _assert_relative(codazzi_residual(fr), want["codazzi"], scale)
         for got, ref in zip(tangent_field(fr), want["tangent_field"]):
             _assert_relative(got, ref)
+
+
+# -- constants built once per dimension, and a dimension the catalog lacks -------
+
+
+def _assert_read_only(array):
+    assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        array[...] = 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_codazzi_pairs_are_triu_indices_built_once_and_read_only(m):
+    i, j = slot_pairs(m)
+    want_i, want_j = np.triu_indices(m, 1)
+    np.testing.assert_array_equal(i, want_i)
+    np.testing.assert_array_equal(j, want_j)
+    assert i.dtype == want_i.dtype and j.dtype == want_j.dtype
+    assert slot_pairs(m)[0] is i and slot_pairs(m)[1] is j
+    _assert_read_only(i)
+    _assert_read_only(j)
+
+
+def test_metric_diagonal_and_sampling_box_are_built_once_and_read_only():
+    eta = metric_diagonal(Signature(3, 1))
+    assert metric_diagonal(Signature(3, 1)) is eta
+    _assert_read_only(eta)
+    spec = catalog("product_S1xS2")
+    box = sampling._box(spec.params, 0.0)
+    assert sampling._box(spec.params, 0.0) is box
+    _assert_read_only(box)
+
+
+# the real 3-sphere in C^4, Legendrian in S^7: its circle product is Lagrangian with m = 4
+REAL_S3_IN_C4 = parse(
+    "params a:[-1.2,1.2], u:[-1.2,1.2], v:[0,6.283185307179586];\nsignature 4 0;\n"
+    "map cos(a)*cos(u)*cos(v), cos(a)*cos(u)*sin(v), cos(a)*sin(u), sin(a);\n"
+)
+
+
+def test_gauss_and_codazzi_hold_at_m_4():
+    # beyond the catalog's m <= 3: (B, 4, 4, 4, 4) Gauss terms and six Codazzi
+    # slot pairs, on a product S^1 x S^3 whose curvature does not vanish
+    spec = circle_product(REAL_S3_IN_C4)
+    assert (spec.num_params, spec.signature.n) == (4, 4)
+    report = run_suite(spec, SampleConfig(num_points=50))
+    for name in ("gauss", "codazzi"):
+        entry = report.checks[name]
+        assert entry.status == "ok" and entry.passed and entry.points_evaluated == 50, entry
+    assert report.passed, {k: e.max_residual for k, e in report.checks.items()}
