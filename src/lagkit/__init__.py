@@ -32,7 +32,6 @@ _EXPORTS = {
         "FrameBatch", "build_frame", "codazzi_residual", "gauss_residual", "riemann_tensor",
         "sectional_curvature",
     ),
-    "jets": ("Jet",),
     "products": ("circle_product", "dilate", "translate"),
     "sampling": ("sample_points",),
 }

@@ -385,16 +385,6 @@ def _umbilical(frames: FrameBatch, cfg: SampleConfig, quadric: AmbientQuadric) -
     return point_max(contract(inquadric, frames.shared(_eta_position)[:, None]))
 
 
-def check_gauss(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
-    """Gauss equation residual; the frames need third derivatives."""
-    return _finish("gauss", cfg, gauss_residual(frames), frames)
-
-
-def check_codazzi(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
-    """Codazzi equation residual; the frames need third derivatives."""
-    return _finish("codazzi", cfg, codazzi_residual(frames), frames)
-
-
 class CheckReport(Record):
     """All check outcomes for one spec, JSON-serializable and byte-stable."""
 
@@ -531,9 +521,9 @@ _ON_FIT = ("lagrangian", "spherical")
 # Lagrangian chain, 1 for m = n - 1, the Legendrian one, None for every spec),
 # the order of the derivatives it reads, the checks it rests on, and
 # run(suite) -> its residual row, a (row, details) pair, None for no entry, or
-# _Skip, or LagkitError (an error entry).  The residual functions it calls are
-# those its check_ function reduces on its own (_finish); a row looks them up in
-# this module's globals when it runs, so a function patched here is the one run.
+# _Skip, or LagkitError (an error entry).  A row looks the residual functions
+# it calls (those a check_ function reduces with _finish) up in this module's
+# globals when it runs, so a function patched here is the one run.
 _CHECKS = (
     ("lagrangian", 0, 2, (), lambda s: s.call(_isotropy)),
     ("spherical", 0, 2, (), lambda s: s.fit_quadric()),

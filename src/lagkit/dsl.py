@@ -36,7 +36,6 @@ an operand is a number or a jet settled at compile time.
 from __future__ import annotations
 
 import functools
-import operator
 import re
 import sys
 
@@ -456,8 +455,8 @@ def serialize(spec: ImmersionSpec) -> str:
 
 # -- evaluation ----------------------------------------------------------------
 
-_FUNCTIONS = {name: getattr(jets, name) for name in FUNCTION_NAMES}
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_FUNCTIONS = {name: getattr(jets, f"_{name}") for name in FUNCTION_NAMES}  # their kernels
+_BINARY = ("+", "-", "*", "/")  # the operators a Bin may hold
 
 # node type -> (field a plan step keeps, operand fields)
 _NODES = {Num: ("value", ()), Imag: (None, ()), Ref: ("name", ()), Neg: (None, ("arg",)),
@@ -492,14 +491,14 @@ def _step(e, index: dict, steps: dict) -> int:
 
 
 # (node type or operator, which operands are jets) -> the step's expression on
-# field f, operands a, b and value v: Jet's kernel for an operator on a jet
-# (jets._OPERATORS), the order-0 jet code on numbers alone (jets._number)
+# field f, operands a, b and value v: the kernel on pairs where an operand is a
+# jet, that kernel on a number's order-0 pair where none is (jets._number)
 _RULES = {
     (Num, ()): "float({v})", (Imag, ()): "1j", (Ref, ()): "(x[{f}], s[{f}])",
     (Neg, (0,)): "-{a}", (Neg, (1,)): "_negative({a})",
-    (Pow, (0,)): "_number(ipow, {a}, {f})", (Pow, (1,)): "_ipow({a}, {f})",
-    (Call, (0,)): "_number(_FUNCTIONS[{f!r}], {a})", (Call, (1,)): "_{f}({a})",
-} | {(op, (0, 0)): "_number(_BINARY[{f!r}], {a}, {b})" for op in _BINARY} | {
+    (Pow, (0,)): "_number(_ipow, {a}, {f})", (Pow, (1,)): "_ipow({a}, {f})",
+    (Call, (0,)): "_number(_{f}, {a})", (Call, (1,)): "_{f}({a})",
+} | {(op, (0, 0)): "_number(_OPERATORS[{f!r}, (1, 0)], {a}, {b})" for op in _BINARY} | {
     key: "_OPERATORS[{f!r}, {on}]({a}, {b})" for key in jets._OPERATORS
 }
 
@@ -513,7 +512,7 @@ def _compiled(spec: ImmersionSpec, _identity: int):
     holds generated names, fixed text, and the operator, function and exponent
     _plan validated."""
     steps, roots = _plan(spec, _identity)
-    scope = vars(jets) | {"_BINARY": _BINARY, "_FUNCTIONS": _FUNCTIONS}
+    scope = dict(vars(jets))
     lines, jet = ["def run(x, s):"], set()
     last = {j: i for i, (_, _, *operands) in enumerate(steps) for j in operands}  # last use
     for i, (kind, field, *operands) in enumerate(steps):

@@ -1,18 +1,18 @@
 """Truncated Taylor arithmetic up to third order, over a point axis.
 
-A Jet holds a real or complex quantity f of m real variables at B points as
+A jet is a real or complex quantity f of m real variables at B points as
 univariate Taylor series (Griewank, Utke & Walther, Math. Comp. 69, 2000;
 Griewank & Walther, Evaluating Derivatives, ch. 13): the coefficients f_k of
 t -> f(x + t s), k <= order <= 3, along the D = C(m+2, 3) directions s in N^m
 with |s| = 3, one direction set for every order.  It is one stacked pair: the
 value f_0 (B,), held as (1, 1, B), and `high`, degrees 1..order as
 (order, D, B), so the value broadcasts over degrees and directions along the
-contiguous point axis; a jet built from scalars has no point axis.  An array
+contiguous point axis; a number's jet (_number) has no point axis.  An array
 is float64 while it is real (seeds, jets of real values), else complex128: a
 kernel's result has the type of all its operands, one code path for both.
 
-The arithmetic is kernels on such pairs, which Jet's operators and dsl's
-compiled plans call (_OPERATORS): the truncated Cauchy product, and for exp,
+The arithmetic is kernels on such pairs, which dsl's compiled plans call, an
+operator's through _OPERATORS: the truncated Cauchy product, and for exp,
 sin, cos, sinh, cosh, 1/x and sqrt the chain rule on their derivatives f0..f3
 at the values.  A number mixes in as a constant: a shift moves the value and
 shares `high` with its operand, so no kernel writes into an operand's arrays.
@@ -42,9 +42,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SingularEvaluationError
-
-__all__ = ["Jet"]
+from .errors import SingularEvaluationError
 
 _DIV_GUARD = 1e-300
 _DIV_WARN = 1e-12
@@ -53,98 +51,12 @@ _SQRT_IMAG = 1e-9
 _DEGREE = 3  # every direction s has |s| = 3
 
 
-def _operator(op: str, reflected: bool = False):
-    """Jet's method for op, or its reflected form, with a jet of the same shape
-    or a number as the other operand: the kernel _OPERATORS holds for them."""
-
-    def method(self, other):
-        if isinstance(other, Jet):
-            if (other.num_vars, other.order) != (self.num_vars, self.order):
-                raise DimensionMismatchError(
-                    f"jet mismatch: (m={self.num_vars}, order={self.order}) vs "
-                    f"(m={other.num_vars}, order={other.order})"
-                )
-            other, on = other.pair, (1, 1)
-        elif isinstance(other, (int, float, complex, np.number)):
-            on = (0, 1) if reflected else (1, 0)
-        else:
-            return NotImplemented
-        a, b = (other, self.pair) if reflected else (self.pair, other)
-        return _new(self, *_OPERATORS[op, on](a, b))
-
-    return method
-
-
-class Jet:
-    """Real or complex values plus Taylor coefficients of a function of m real variables."""
-
-    __slots__ = ("num_vars", "order", "pair")
-
-    def __init__(self, num_vars, order, value):
-        """The constant jet: the given value(s), every derivative zero."""
-        _check_order(order)
-        if num_vars < 1:
-            raise ValueError(f"jet needs at least one variable, got {num_vars}")
-        self.num_vars, self.order = num_vars, order
-        value = np.array(value, dtype=complex if np.iscomplexobj(value) else float)
-        shape = (order, len(_directions(num_vars))) + value.shape
-        self.pair = (value[None, None], np.zeros(shape, dtype=value.dtype))
-
-    @classmethod
-    def seed(cls, var_index, value, num_vars, order) -> "Jet":
-        """Jet of the coordinate function x_{var_index} at the given value(s)."""
-        if not 0 <= var_index < num_vars:
-            raise DimensionMismatchError(
-                f"seed index {var_index} out of range for {num_vars} variables"
-            )
-        out = cls(num_vars, order, value)
-        if order >= 1:
-            out.high[0].T[...] = _directions(num_vars)[:, var_index]
-        return out
-
-    value = property(lambda self: self.pair[0][0, 0, ...])
-    high = property(lambda self: self.pair[1], doc="degrees 1..order stacked (order, D, B)")
-    coeffs = property(lambda self: (self.value, *self.high), doc="(value, degree 1, ..., order)")
-
-    @property
-    def blocks(self) -> tuple:
-        """(value, gradient, hessian, third) up to the jet's order."""
-        blocks = _interpolate(self.num_vars, self.order, self.value.size, [self.pair])
-        return tuple(block.reshape(self.value.shape + block.shape[1:-1]) for block in blocks)
-
-    gradient = property(lambda self: self.blocks[1] if self.order >= 1 else None)
-    hessian = property(lambda self: self.blocks[2] if self.order >= 2 else None)
-    third = property(lambda self: self.blocks[3] if self.order >= 3 else None)
-
-    # -- arithmetic: the kernels of _OPERATORS ----------------------------------
-
-    __add__, __sub__, __mul__, __truediv__ = (_operator(op) for op in "+-*/")
-    __radd__, __rsub__, __rmul__, __rtruediv__ = (_operator(op, True) for op in "+-*/")
-
-    def __neg__(self):
-        return _new(self, *_negative(self.pair))
-
-    def __repr__(self):
-        return f"Jet(m={self.num_vars}, order={self.order}, value={self.value})"
-
-
-def _new(like: Jet, value, high) -> Jet:
-    """Jet shaped like `like` holding the given pair: no copy, no checks."""
-    out = object.__new__(Jet)
-    out.num_vars, out.order, out.pair = like.num_vars, like.order, (value, high)
-    return out
-
-
-def _check_order(order):
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"jet order must be in 0..3, got {order}")
-
-
 def _seeds(points: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """The coordinate jets at points (B, m) as real values (m, 1, 1, B) and
     highs (m, order, D, 1), the same at every point, which the kernels
     broadcast: seed k is (values[k], highs[k])."""
-    _check_order(order)
+    if order not in (0, 1, 2, 3):
+        raise ValueError(f"jet order must be in 0..3, got {order}")
     dirs = _directions(points.shape[1]).T
     high = np.zeros((len(dirs), order, dirs.shape[1], 1))
     high[:, :1] = dirs[:, None, :, None]  # degree 1, if any
@@ -215,9 +127,11 @@ def _interpolate(m, order, size, pairs, out=None) -> list[np.ndarray]:
 # -- kernels on (value, high) pairs ---------------------------------------------
 
 
-def _number(fn, x, *rest) -> float | complex:
-    """fn(x, *rest) for a number x, through the jet code at order 0."""
-    return fn(Jet(1, 0, x), *rest).value.item()
+def _number(kernel, x, *rest) -> float | complex:
+    """kernel(x, *rest) for a number x, run on its order-0 pair: the jet
+    code's arithmetic and guards on a constant."""
+    value = np.array(x, dtype=complex if np.iscomplexobj(x) else float)
+    return kernel((value[None, None], np.zeros((0, 1), dtype=value.dtype)), *rest)[0].item()
 
 
 def _negative(u):
@@ -336,15 +250,8 @@ def _ipow(u, k: int):
     return (np.ones_like(u[0]), np.zeros_like(u[1])) if out is None else out
 
 
-def _lift(name, kernel):
-    """The function on jets of a kernel."""
-    fn = lambda u, *args: _new(u, *kernel(u.pair, *args))  # noqa: E731
-    fn.__name__, fn.__qualname__, fn.__doc__ = name, name, kernel.__doc__
-    return fn
-
-
 # (operator, which operands are jets) -> its kernel on pairs and numbers, for
-# Jet's operators and dsl's compiled plans alike; a shift shares `high`
+# dsl's compiled plans and _number; a shift shares `high`
 _OPERATORS = {
     ("+", (1, 1)): lambda a, b: (a[0] + b[0], a[1] + b[1]),
     ("-", (1, 1)): lambda a, b: (a[0] - b[0], a[1] - b[1]),
@@ -353,15 +260,10 @@ _OPERATORS = {
     ("+", (1, 0)): lambda a, c: (a[0] + c, a[1]),
     ("-", (1, 0)): lambda a, c: (a[0] - c, a[1]),
     ("*", (1, 0)): lambda a, c: _scaled(c, a),
-    ("/", (1, 0)): lambda a, c: _scaled(_number(ipow, c, -1), a),
+    ("/", (1, 0)): lambda a, c: _scaled(_number(_ipow, c, -1), a),
     ("+", (0, 1)): lambda c, b: (b[0] + c, b[1]),
     ("-", (0, 1)): lambda c, b: (-b[0] + c, -b[1]),
     ("*", (0, 1)): _scaled,
     ("/", (0, 1)): lambda c, b: _scaled(c, _reciprocal(b)),
 }
 
-
-exp, sin, cos, sinh, cosh, sqrt, ipow = (
-    _lift(name, globals()[f"_{name}"])
-    for name in ("exp", "sin", "cos", "sinh", "cosh", "sqrt", "ipow")
-)

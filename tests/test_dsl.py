@@ -42,7 +42,6 @@ from lagkit.errors import (
 )
 from lagkit.dsl import check_point_in_domain, evaluate_map_jets
 from lagkit.findiff import eval_map_numeric
-from lagkit.jets import Jet
 from lagkit.sampling import sample_points
 
 
@@ -437,8 +436,8 @@ class TestEvaluation:
 
 
 # Reference evaluator: the recursive walk of the expression tree that the plan
-# replaced, one jet operation per node and occurrence.  evaluate_map_jets must
-# give its tensors and errors exactly.
+# replaced, one kernel call per node and occurrence on (value, high) pairs.
+# evaluate_map_jets must give its tensors and errors exactly.
 def eval_expr(e, env):
     rule = _RULES.get(type(e))
     if rule is None:
@@ -446,23 +445,27 @@ def eval_expr(e, env):
     return rule(e, env)
 
 
-def _apply(fn, x, *rest):
-    """fn(x, *rest); on scalars alone, through the jet code at order 0:
-    values free of parameters stay scalars, so 2*u costs one scaling."""
-    if isinstance(x, Jet) or (rest and isinstance(rest[0], Jet)):
-        return fn(x, *rest)
-    return fn(Jet(1, 0, x), *rest).value.item()
+def _apply(kernel, x, *rest):
+    """kernel(x, *rest); on numbers alone, on x's order-0 pair (jets._number):
+    values free of parameters stay numbers, so 2*u costs one scaling."""
+    return kernel(x, *rest) if type(x) is tuple else jets._number(kernel, x, *rest)
+
+
+def _binary(op, a, b):
+    """The kernel of op on the operands a, b: pairs or numbers."""
+    on = (type(a) is tuple, type(b) is tuple)
+    if any(on):
+        return jets._OPERATORS[op, on](a, b)
+    return jets._number(jets._OPERATORS[op, (1, 0)], a, b)
 
 
 _RULES = {  # a constant is real, as a parameter's seed is
     Num: lambda e, env: float(e.value),
     Imag: lambda e, env: 1j,
     Ref: lambda e, env: env[e.name],
-    Neg: lambda e, env: -eval_expr(e.arg, env),
-    Bin: lambda e, env: _apply(
-        dsl._BINARY[e.op], eval_expr(e.left, env), eval_expr(e.right, env)
-    ),
-    Pow: lambda e, env: _apply(jets.ipow, eval_expr(e.base, env), e.exponent),
+    Neg: lambda e, env: _apply(jets._negative, eval_expr(e.arg, env)),
+    Bin: lambda e, env: _binary(e.op, eval_expr(e.left, env), eval_expr(e.right, env)),
+    Pow: lambda e, env: _apply(jets._ipow, eval_expr(e.base, env), e.exponent),
     Call: lambda e, env: _apply(dsl._FUNCTIONS[e.fn], eval_expr(e.arg, env)),
 }
 
@@ -471,21 +474,27 @@ def walk_map_jets(spec, points, order, dtype=float):
     """The walk's tensors; with dtype=complex every seed is complex, so every
     step that meets a parameter runs in complex arithmetic."""
     pts = np.array(points, dtype=float, ndmin=2)
-    m = spec.num_params
+    m, dirs = spec.num_params, jets._directions(spec.num_params)
     check_point_in_domain(spec, pts)
-    env = {p.name: Jet.seed(k, pts[:, k].astype(dtype), m, order)
-           for k, p in enumerate(spec.params)}
+    env = {}
+    for k, p in enumerate(spec.params):  # x_k: value pts[:, k], degree 1 the directions' s_k
+        high = np.zeros((order, len(dirs), len(pts)), dtype=dtype)
+        high[:1] = dirs[:, k, None]
+        env[p.name] = (pts[:, k].astype(dtype)[None, None], high)
     try:
         with np.errstate(all="ignore"):
             out = [eval_expr(c, env) for c in spec.components]
-    except SingularEvaluationError as exc:  # a jet guard's, at the point of its row
+    except SingularEvaluationError as exc:  # a kernel guard's, at the point of its row
         where = tuple(pts[exc.row].tolist())
         raise SingularEvaluationError(
             f"map cannot be evaluated at {where}: {exc}", row=exc.row
         ) from exc
-    out = [j if isinstance(j, Jet) else Jet(m, order, np.full(len(pts), j)) for j in out]
+    for c, j in enumerate(out):  # a number's jet: its value at every point, no derivative
+        if type(j) is not tuple:
+            value = np.full(len(pts), j)
+            out[c] = (value[None, None], np.zeros((order, len(dirs), len(pts)), value.dtype))
     with np.errstate(all="ignore"):
-        tensors = jets._interpolate(m, order, len(pts), [j.pair for j in out])
+        tensors = jets._interpolate(m, order, len(pts), out)
     if not all(np.isfinite(t).all() for t in tensors):
         finite = [np.isfinite(t).reshape(len(pts), -1).all(axis=1) for t in tensors]
         row = int(np.argmin(np.all(finite, axis=0)))
@@ -612,9 +621,6 @@ class TestRealAndComplexSteps:
     complex operand meets it; the kernels promote where one does."""
 
     def test_dtypes(self):
-        assert Jet.seed(0, np.array([0.5, 0.7]), 2, 3).high.dtype == np.float64
-        assert Jet(2, 3, 0.5).value.dtype == np.float64
-        assert Jet(2, 3, 0.5j).high.dtype == np.complex128
         values, highs = jets._seeds(np.array([(0.5, 1.0)]), 3)
         assert values.dtype == highs.dtype == np.float64
 
@@ -750,6 +756,58 @@ class TestCompiledPlan:
         assert _garbage_after(lambda: run_suite(spec, SampleConfig(num_points=20))) == 0
         spec = parse("params u:[0,1], v:[0,1]; signature 2 0; map u*v, u*v*v;")
         assert _garbage_after(lambda: jet_fd_deviation(spec, (0.5, 0.5), 3, 1e-2)) == 0
+
+
+# (constant, dtype of its value, float.hex of its real and imaginary parts):
+# frozen bits of the jet code's arithmetic, not to be regenerated from it
+_NUMBER_STEPS = [
+    ("2+3", "float64", "0x1.4000000000000p+2", "0x0.0p+0"),
+    ("2-3", "float64", "-0x1.0000000000000p+0", "0x0.0p+0"),
+    ("2*3", "float64", "0x1.8000000000000p+2", "0x0.0p+0"),
+    ("2/3", "float64", "0x1.5555555555555p-1", "0x0.0p+0"),
+    ("-(2/3)", "float64", "-0x1.5555555555555p-1", "0x0.0p+0"),
+    ("3^2", "float64", "0x1.2000000000000p+3", "0x0.0p+0"),
+    ("2^-3", "float64", "0x1.0000000000000p-3", "0x0.0p+0"),
+    ("3^0", "float64", "0x1.0000000000000p+0", "0x0.0p+0"),
+    ("exp(1/2)", "float64", "0x1.a61298e1e069cp+0", "0x0.0p+0"),
+    ("sin(1/2)", "float64", "0x1.eaee8744b05f0p-2", "0x0.0p+0"),
+    ("cos(1/2)", "float64", "0x1.c1528065b7d50p-1", "0x0.0p+0"),
+    ("sinh(1/2)", "float64", "0x1.0acd00fe63b97p-1", "0x0.0p+0"),
+    ("cosh(1/2)", "float64", "0x1.20ac1862ae8d0p+0", "0x0.0p+0"),
+    ("sqrt(3)", "float64", "0x1.bb67ae8584caap+0", "0x0.0p+0"),
+    ("(1+i)+2", "complex128", "0x1.8000000000000p+1", "0x1.0000000000000p+0"),
+    ("2-(1+i)", "complex128", "0x1.0000000000000p+0", "-0x1.0000000000000p+0"),
+    ("(2*i)*3", "complex128", "0x0.0p+0", "0x1.8000000000000p+2"),
+    ("(1+i)*(2-i)", "complex128", "0x1.8000000000000p+1", "0x1.0000000000000p+0"),
+    ("2/(1+i)", "complex128", "0x1.0000000000000p+0", "-0x1.0000000000000p+0"),
+    ("(1+i)/3", "complex128", "0x1.5555555555555p-2", "0x1.5555555555555p-2"),
+    ("(1+i)/(2-i)", "complex128", "0x1.999999999999ap-3", "0x1.3333333333334p-1"),
+    ("(1+i)^3", "complex128", "-0x1.0000000000000p+1", "0x1.0000000000000p+1"),
+    ("(1+i)^-2", "complex128", "0x0.0p+0", "-0x1.0000000000000p-1"),
+    ("(2*i)^0", "complex128", "0x1.0000000000000p+0", "0x0.0p+0"),
+    ("exp(i)", "complex128", "0x1.14a280fb5068cp-1", "0x1.aed548f090ceep-1"),
+    ("sin(1+i)", "complex128", "0x1.4c67b74f6cc4fp+0", "0x1.4519fd8047f92p-1"),
+    ("cos(1+i)", "complex128", "0x1.aadea96f4359bp-1", "-0x1.fa50ccd2ae8f3p-1"),
+    ("sinh(1+i)", "complex128", "0x1.4519fd8047f92p-1", "0x1.4c67b74f6cc4fp+0"),
+    ("cosh(1+i)", "complex128", "0x1.aadea96f4359bp-1", "0x1.fa50ccd2ae8f3p-1"),
+    ("sqrt(2+0*i)", "float64", "0x1.6a09e667f3bcdp+0", "0x0.0p+0"),
+]
+
+
+class TestNumberSteps:
+    """A step whose operands are numbers runs its kernel on a number's order-0
+    pair, so a constant has the bits of the jet code's arithmetic."""
+
+    @pytest.mark.parametrize(
+        "text, dtype, real, imag", _NUMBER_STEPS, ids=[c[0] for c in _NUMBER_STEPS]
+    )
+    def test_value(self, text, dtype, real, imag):
+        spec = parse(f"params u:[0,1];\nsignature 1 0;\nmap {text};\n")
+        (got,) = dsl._compiled(spec, id(spec))(*jets._seeds(np.array([(0.5,)]), 0))
+        assert np.asarray(got).dtype == dtype
+        assert (complex(got).real.hex(), complex(got).imag.hex()) == (real, imag)
+        (value,) = evaluate_map_jets(spec, (0.5,), 0)
+        assert value.tobytes() == np.complex128(got).tobytes()
 
 
 class TestRecords:

@@ -29,6 +29,7 @@ from lagkit.dsl import (
     Pow,
     Ref,
     check_point_in_domain,
+    evaluate_map_jets,
     parse,
 )
 from lagkit.errors import DomainError, DslError, SingularEvaluationError
@@ -294,14 +295,21 @@ class TestOracleAgainstClosedForms:
 
 def test_oracle_runs_without_jet_arithmetic(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the finite-difference oracle multiplied jets")
+        raise AssertionError("the finite-difference oracle ran jet arithmetic")
 
-    monkeypatch.setattr(jets.Jet, "__mul__", refuse)
-    monkeypatch.setattr(jets.Jet, "__rmul__", refuse)
+    for key in jets._OPERATORS:  # the compiled plans share this dict
+        monkeypatch.setitem(jets._OPERATORS, key, refuse)
+    for kernel in ("_compose", "_product"):  # the other kernels look them up in jets
+        monkeypatch.setattr(jets, kernel, refuse)
     closed_forms = TestOracleAgainstClosedForms()
     closed_forms.test_exponential_derivatives()
     closed_forms.test_polynomial_first_derivative_is_near_exact()
     closed_forms.test_mixed_partial()
+    # the patches bite: a plan compiled now runs into each
+    for text in ("u*v", "exp(u)", "u^2"):
+        spec = parse(f"params u:[0,1], v:[0,1];\nsignature 1 0;\nmap {text};\n")
+        with pytest.raises(AssertionError, match="ran jet arithmetic"):
+            evaluate_map_jets(spec, (0.5, 0.5), 1)
 
 
 def _identity_cases():
