@@ -17,9 +17,7 @@ _EXPORTS = {
     "ambient": ("AmbientQuadric", "Signature"),
     "catalog": ("CatalogEntry", "catalog", "catalog_entry", "catalog_names", "catalog_source"),
     "checks": (
-        "CheckEntry", "CheckReport", "SampleConfig", "SphereFit", "Transform",
-        "check_cubic_symmetry", "check_horizontal", "check_lagrangian", "check_legendrian",
-        "check_product_metric", "check_umbilical_relation", "fit_hypersphere", "run_suite",
+        "CheckEntry", "CheckReport", "SampleConfig", "SphereFit", "Transform", "run_suite",
         "sample_frames",
     ),
     "dsl": ("ImmersionSpec", "Param", "parse", "serialize"),

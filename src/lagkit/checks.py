@@ -8,11 +8,11 @@ max and mean its entry reports together with the worst offender.  The products
 that several checks read (J L, J dL_i, <dL_i, J L>, the membership residual)
 are formed once per batch (FrameBatch.shared).  The table _CHECKS names every
 check (its names are stable API) and decides which checks a spec gets, in what
-order, from which frames and resting on which others; run_suite walks it,
-building the frames of a spec once and rescaling them onto the fitted quadric.
-It reduces the spec's rows as one stack (_reduce), the rows that later checks
-rest on as soon as those run, and emits a CheckReport whose JSON form is
-byte-stable for a fixed seed.
+order, from which frames and resting on which others; run_suite, the one way
+to run a check, walks it, building the frames of a spec once and rescaling
+them onto the fitted quadric.  It reduces the spec's rows as one stack
+(_reduce), the rows that later checks rest on as soon as those run, and emits
+a CheckReport whose JSON form is byte-stable for a fixed seed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .ambient import AmbientQuadric, inner_flat
 from .dsl import ImmersionSpec
-from .errors import DimensionMismatchError, LagkitError
+from .errors import LagkitError
 from .geometry import (
     FrameBatch,
     build_frame,
@@ -45,13 +45,6 @@ __all__ = [
     "Transform",
     "CheckReport",
     "sample_frames",
-    "check_lagrangian",
-    "fit_hypersphere",
-    "check_legendrian",
-    "check_horizontal",
-    "check_cubic_symmetry",
-    "check_product_metric",
-    "check_umbilical_relation",
     "run_suite",
 ]
 
@@ -136,11 +129,6 @@ def _reduce(cfg, points, rows: dict) -> list[CheckEntry]:
     return entries
 
 
-def _finish(name, cfg, residuals, frames, extra_details=None) -> CheckEntry:
-    """The entry of one residual row (_reduce)."""
-    return _reduce(cfg, frames.points, {name: (residuals, extra_details)})[0]
-
-
 def _errored(name, cfg, reason, status="error") -> CheckEntry:
     """An entry without residuals: an error fails the report, a skip does not."""
     tol, failed = cfg.tolerance_for(name), False if status == "error" else None
@@ -170,22 +158,9 @@ def _build(spec, points, need_third) -> FrameBatch:
         raise
 
 
-def check_lagrangian(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
-    """Isotropy of the image: <J dL_i, dL_j> vanishes for all i, j.
-
-    Requires the half-dimensional parameter count; the frames themselves
-    guarantee a nondegenerate induced metric at every sampled point.
-    """
-    return _finish("lagrangian", cfg, _isotropy(frames), frames)
-
-
 def _isotropy(frames: FrameBatch) -> np.ndarray:
-    spec = frames.spec
-    if spec.num_params != spec.signature.n:
-        raise DimensionMismatchError(
-            f"Lagrangian check needs n = {spec.signature.n} parameters, "
-            f"spec has {spec.num_params} (not half-dimensional)"
-        )
+    """Isotropy of the image, max_ij |<J dL_i, dL_j>| at each point (the frames
+    guarantee a nondegenerate induced metric at every sampled point)."""
     return point_max(_omega(frames))
 
 
@@ -195,7 +170,8 @@ def _omega(frames: FrameBatch) -> np.ndarray:
 
 
 def _horizontality(frames: FrameBatch) -> np.ndarray:
-    """max_i |<dL_i, J L>| at each point."""
+    """Horizontality over the circle action, tangents orthogonal to
+    J-position: max_i |<dL_i, J L>| at each point."""
     jpos = frames.shared(j_of, "position")
     return point_max((frames.first @ (frames.eta * jpos)[..., None])[..., 0])
 
@@ -205,20 +181,10 @@ def _eta_position(frames: FrameBatch) -> np.ndarray:
     return frames.eta * frames.position
 
 
-def fit_hypersphere(frames: FrameBatch, cfg: SampleConfig):
-    """Least-squares fit of <L - p, L - p> = r^2 (signed) over sampled points.
-
-    <L, L> - 2 <L, p> = k is linear in (p, k); the signed square radius is
-    k + <p, p>.  Returns (SphereFit | None, CheckEntry named "spherical").
-    """
-    try:
-        fit, (residuals, details) = _fit(frames)
-    except LagkitError as exc:
-        return None, _errored("spherical", cfg, str(exc))
-    return fit, _finish("spherical", cfg, residuals, frames, details)
-
-
 def _fit(frames: FrameBatch):
+    """Least-squares fit of <L - p, L - p> = r^2 (signed) over the sampled
+    points: (SphereFit, (its residual row, details)).  <L, L> - 2 <L, p> = k
+    is linear in (p, k); the signed square radius is k + <p, p>."""
     eta = frames.eta
     dim = len(eta)
     needed = dim + 2
@@ -239,21 +205,9 @@ def _fit(frames: FrameBatch):
     return SphereFit(center, radius_sq, rms), (residuals, details)
 
 
-def check_legendrian(
-    frames: FrameBatch, cfg: SampleConfig, quadric: AmbientQuadric
-) -> CheckEntry:
-    """Legendrian conditions on a declared quadric: membership, J-position
-    normal to the image, J of tangents normal to the image."""
-    return _finish("legendrian", cfg, _legendrian(frames, quadric), frames)
-
-
 def _legendrian(frames: FrameBatch, quadric: AmbientQuadric) -> np.ndarray:
-    spec = frames.spec
-    if spec.num_params != spec.signature.n - 1:
-        raise DimensionMismatchError(
-            f"Legendrian check needs n-1 = {spec.signature.n - 1} parameters, "
-            f"spec has {spec.num_params}"
-        )
+    """Legendrian conditions on a quadric, the worst at each point: membership,
+    J-position normal to the image, J of tangents normal to the image."""
     membership, horizontality = frames.shared(_membership, quadric), frames.shared(_horizontality)
     return np.maximum.reduce([membership, horizontality, point_max(_omega(frames))])
 
@@ -264,21 +218,10 @@ def _membership(frames: FrameBatch, quadric: AmbientQuadric) -> np.ndarray:
     return np.abs(norms - quadric.radius_sq_signed)
 
 
-def check_horizontal(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
-    """Horizontality over the circle action: tangents orthogonal to J-position."""
-    return _finish("horizontal", cfg, frames.shared(_horizontality), frames)
-
-
-def check_cubic_symmetry(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
-    """Total symmetry of <h(X, Y), JZ> in its three slots.
-
-    With h already symmetric it suffices to compare the cyclic rotation,
-    <h_ij, J dL_k> = <h_jk, J dL_i>.
-    """
-    return _finish("cubic_symmetry", cfg, _cubic_asymmetry(frames), frames)
-
-
 def _cubic_asymmetry(frames: FrameBatch) -> np.ndarray:
+    """Total symmetry of <h(X, Y), JZ> in its three slots.  With h already
+    symmetric it suffices to compare the cyclic rotation,
+    <h_ij, J dL_k> = <h_jk, J dL_i>."""
     cubic = contract(frames.sff * frames.eta, frames.shared(j_of, "first"))
     return point_max(cubic - cubic.transpose(0, 3, 1, 2))
 
@@ -334,17 +277,10 @@ def _structure_with_fit(frames, entries, fit):
     }
 
 
-def check_product_metric(frames: FrameBatch, cfg: SampleConfig) -> CheckEntry:
-    """Product block structure in adapted coordinates (first parameter = angle).
-
-    Checks g_{t u_j} = 0, the u-block independent of t, and g_tt constant of
-    modulus one; the g_tt value lands in the entry details.
-    """
-    residuals, details = _product_metric(frames)
-    return _finish("product_metric", cfg, residuals, frames, details)
-
-
 def _product_metric(frames: FrameBatch):
+    """Product block structure in adapted coordinates (first parameter = angle):
+    g_{t u_j} = 0, the u-block independent of t, and g_tt constant of modulus
+    one.  (The residual row, details holding the mean g_tt.)"""
     g, dg = frames.metric, frames.dmetric
     gtt = g[:, 0, 0]
     residuals = np.maximum.reduce(
@@ -358,22 +294,13 @@ def _product_metric(frames: FrameBatch):
     return residuals, {"g_tt": float(np.add.reduce(gtt) / len(gtt))}  # np.mean's bits
 
 
-def check_umbilical_relation(
-    frames: FrameBatch, cfg: SampleConfig, quadric: AmbientQuadric
-) -> CheckEntry:
+def _umbilical(frames: FrameBatch, cfg: SampleConfig, quadric: AmbientQuadric) -> np.ndarray:
     """Consistency of the flat and in-quadric second fundamental forms.
 
     For an immersion inside <L, L> = 1/c the in-quadric form h + c g L must be
     tangent to the quadric: <h_ij + c g_ij L, L> = 0.  Membership is verified
     first; the factor c equals the usual sign epsilon on unit quadrics.
     """
-    try:
-        return _finish("umbilical", cfg, _umbilical(frames, cfg, quadric), frames)
-    except LagkitError as exc:
-        return _errored("umbilical", cfg, str(exc))
-
-
-def _umbilical(frames: FrameBatch, cfg: SampleConfig, quadric: AmbientQuadric) -> np.ndarray:
     membership = frames.shared(_membership, quadric)
     outside = membership > 1e4 * max(cfg.tolerance_for("umbilical"), 1e-10)
     if np.logical_or.reduce(outside):
@@ -522,8 +449,8 @@ _ON_FIT = ("lagrangian", "spherical")
 # the order of the derivatives it reads, the checks it rests on, and
 # run(suite) -> its residual row, a (row, details) pair, None for no entry, or
 # _Skip, or LagkitError (an error entry).  A row looks the residual functions
-# it calls (those a check_ function reduces with _finish) up in this module's
-# globals when it runs, so a function patched here is the one run.
+# it calls (_isotropy, _fit, _legendrian, ...) up in this module's globals when
+# it runs, so a function patched here is the one run.
 _CHECKS = (
     ("lagrangian", 0, 2, (), lambda s: s.call(_isotropy)),
     ("spherical", 0, 2, (), lambda s: s.fit_quadric()),

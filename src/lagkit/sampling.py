@@ -45,9 +45,11 @@ def sample_points(
     Each interval is shrunk by INTERIOR_MARGIN (relative to its length) plus
     extra_margin (absolute, e.g. finite-difference stencil reach) before
     sampling uniformly; point k takes draws k*m .. k*m + m - 1 of the stream.
-    Raises LagkitError for more coordinates than an array, or the memory, can
-    hold.
+    Raises LagkitError for a negative count, or more coordinates than an
+    array, or the memory, can hold.
     """
+    if num_points < 0:
+        raise LagkitError(f"cannot sample {num_points} points: the count is negative")
     lo, width = _box(spec.params, extra_margin)
     try:
         draws = _splitmix64(seed, num_points * len(lo)) >> np.uint64(11)

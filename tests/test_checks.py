@@ -17,22 +17,15 @@ from lagkit.checks import (
     CheckReport,
     SampleConfig,
     _build,
-    _finish,
+    _isotropy,
+    _product_metric,
     _reduce,
     _structure_with_fit,
-    _transform,
-    check_cubic_symmetry,
-    check_horizontal,
-    check_lagrangian,
-    check_legendrian,
-    check_product_metric,
-    check_umbilical_relation,
-    fit_hypersphere,
     run_suite,
     sample_frames,
 )
 from lagkit.dsl import Bin, Call, ImmersionSpec, Param, Pow, Ref, parse
-from lagkit.errors import DimensionMismatchError, LagkitError, SingularEvaluationError
+from lagkit.errors import LagkitError, SingularEvaluationError
 from lagkit.geometry import CHUNK, FrameBatch, build_frame
 from lagkit.products import dilate, translate
 from lagkit.sampling import sample_points
@@ -44,6 +37,19 @@ SPHERE = AmbientQuadric(1.0)
 def frames_of(name_or_spec, cfg=CFG):
     spec = catalog(name_or_spec) if isinstance(name_or_spec, str) else name_or_spec
     return sample_frames(spec, cfg)
+
+
+def check_of(name_or_spec, check, cfg=CFG, quadric=None):
+    """The entry of one check, as run_suite(checks=[check]) reports it."""
+    spec = catalog(name_or_spec) if isinstance(name_or_spec, str) else name_or_spec
+    return run_suite(spec, cfg, quadric, checks=[check]).checks[check]
+
+
+def fit_of(name_or_spec, cfg=CFG):
+    """(sphere_fit, spherical entry) of run_suite(checks=["spherical"])."""
+    spec = catalog(name_or_spec) if isinstance(name_or_spec, str) else name_or_spec
+    report = run_suite(spec, cfg, checks=["spherical"])
+    return report.sphere_fit, report.checks["spherical"]
 
 
 def pole_spec(num_points):
@@ -85,27 +91,16 @@ class TestSampleConfig:
         assert cfg.tolerance_for("codazzi") == 1e-5
 
 
-def test_entry_residuals_are_the_array_max_and_mean():
-    # bit for bit, over magnitudes from 1e-20 to 1e5
-    frames = frames_of("clifford_torus")
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        arr = rng.random(len(frames)) * 10.0 ** rng.uniform(-20, 5)
-        entry = _finish("lagrangian", CFG, arr, frames)
-        assert entry.max_residual == float(arr.max())
-        assert entry.mean_residual == float(arr.mean())
-        assert entry.worst_point == frames.point(int(arr.argmax()))
-
-
 def test_stacked_reduction_is_each_rows_own_reduction():
     # bit for bit: the rows of one (K, B) stack reduce to each row's own max,
-    # first argmax and mean, whatever K and the magnitudes
+    # first argmax and mean, whatever K (a lone row too) and the magnitudes,
+    # from 1e-20 to 1e5
     frames = frames_of("clifford_torus")
     rng = np.random.default_rng(5)
-    for _ in range(40):
+    for count in [1] * 20 + rng.integers(2, 12, size=40).tolist():
         rows = {
             f"row{k}": (rng.random(len(frames)) * 10.0 ** rng.uniform(-20, 5), None)
-            for k in range(int(rng.integers(1, 12)))
+            for k in range(count)
         }
         entries = _reduce(CFG, frames.points, rows)
         assert [entry.name for entry in entries] == list(rows)
@@ -149,26 +144,22 @@ def test_a_non_finite_row_in_the_suite_stack_errs_alone(name, residual, check, m
 
 class TestLagrangian:
     def test_passes_on_clifford(self):
-        entry = check_lagrangian(frames_of("clifford_torus"), CFG)
+        entry = check_of("clifford_torus", "lagrangian")
         assert entry.passed and entry.status == "ok"
         assert entry.max_residual < 1e-14
         assert entry.points_evaluated == 12
         assert len(entry.worst_point) == 2
 
     def test_complex_line_fails_by_two(self):
-        entry = check_lagrangian(frames_of("control_non_lagrangian"), CFG)
+        entry = check_of("control_non_lagrangian", "lagrangian")
         assert not entry.passed
         assert entry.max_residual == pytest.approx(2.0)
         assert entry.mean_residual == pytest.approx(2.0)
 
-    def test_wrong_dimension_raises(self):
-        with pytest.raises(DimensionMismatchError):
-            check_lagrangian(frames_of("real_circle_S3"), CFG)
-
     def test_non_finite_residual_is_an_error(self):
         frames = frames_of("clifford_torus")
         frames.first[3, 0, 0] = np.nan
-        entry = check_lagrangian(frames, CFG)
+        (entry,) = _reduce(CFG, frames.points, {"lagrangian": (_isotropy(frames), None)})
         assert entry.status == "error" and entry.passed is False
         assert entry.reason == f"non-finite residual at {frames.point(3)}"
 
@@ -176,31 +167,31 @@ class TestLagrangian:
 class TestHypersphereFit:
     def test_recovers_translated_scaled_torus(self):
         moved = translate(dilate(catalog("clifford_torus"), 2.0), (1.0 + 0.5j, -2j))
-        fit, entry = fit_hypersphere(frames_of(moved), CFG)
+        fit, entry = fit_of(moved)
         assert entry.passed
         np.testing.assert_allclose(fit.center, [1.0, 0.5, 0.0, -2.0], atol=1e-9)
         assert fit.radius_sq_signed == pytest.approx(4.0)
         assert fit.rms_residual < 1e-12
 
     def test_negative_square_radius(self):
-        fit, entry = fit_hypersphere(frames_of("theorem43_example"), CFG)
+        fit, entry = fit_of("theorem43_example")
         assert entry.passed
         assert fit.radius_sq_signed == pytest.approx(-1.0)
 
     def test_rank_deficient_image(self):
-        # a purely real curve never determines the center
-        fit, entry = fit_hypersphere(frames_of("real_circle_S3"), CFG)
+        # a purely real curve never determines the center; the suite fits a
+        # Legendrian only when no quadric is declared
+        fit, entry = fit_of(catalog("real_circle_S3").replace(quadric=None))
         assert fit is None
         assert entry.status == "error" and entry.passed is False
         assert "rank" in entry.reason
 
     def test_not_enough_points(self):
-        cfg = SampleConfig(num_points=3)
-        fit, entry = fit_hypersphere(frames_of("clifford_torus", cfg), cfg)
+        fit, entry = fit_of("clifford_torus", SampleConfig(num_points=3))
         assert fit is None and entry.status == "error"
 
     def test_whitney_is_not_spherical(self):
-        fit, entry = fit_hypersphere(frames_of("whitney_sphere"), CFG)
+        fit, entry = fit_of("whitney_sphere")
         assert entry.status == "ok"
         assert not entry.passed
         assert entry.max_residual > 0.05
@@ -219,26 +210,22 @@ class TestLegendrian:
     )
     def test_catalog_legendrians(self, name):
         entry = catalog_entry(name)
-        result = check_legendrian(frames_of(entry.spec), CFG, entry.quadric)
+        result = check_of(entry.spec, "legendrian", quadric=entry.quadric)
         assert result.passed, (name, result.max_residual)
 
     def test_hopf_direction_fails(self):
         entry = catalog_entry("control_non_horizontal")
-        result = check_legendrian(frames_of(entry.spec), CFG, entry.quadric)
+        result = check_of(entry.spec, "legendrian", quadric=entry.quadric)
         assert not result.passed
         assert result.max_residual == pytest.approx(1.0)
-
-    def test_wrong_dimension_raises(self):
-        with pytest.raises(DimensionMismatchError):
-            check_legendrian(frames_of("clifford_torus"), CFG, SPHERE)
 
 
 class TestHorizontal:
     def test_passes_on_real_circle(self):
-        assert check_horizontal(frames_of("real_circle_S3"), CFG).passed
+        assert check_of("real_circle_S3", "horizontal").passed
 
     def test_fails_by_one_on_hopf_direction(self):
-        entry = check_horizontal(frames_of("control_non_horizontal"), CFG)
+        entry = check_of("control_non_horizontal", "horizontal")
         assert not entry.passed
         assert entry.max_residual == pytest.approx(1.0)
 
@@ -284,30 +271,33 @@ class TestStructureBundle:
 
 class TestProductMetric:
     def test_clifford(self):
-        entry = check_product_metric(frames_of("clifford_torus"), CFG)
+        entry = check_of("clifford_torus", "product_metric")
         assert entry.passed
         assert entry.details["g_tt"] == pytest.approx(1.0)
 
     def test_lorentzian_angle_block(self):
-        entry = check_product_metric(frames_of("theorem43_example"), CFG)
+        entry = check_of("theorem43_example", "product_metric")
         assert entry.passed
         assert entry.details["g_tt"] == pytest.approx(-1.0)
 
     def test_whitney_is_not_a_product(self):
-        entry = check_product_metric(frames_of("whitney_sphere"), CFG)
+        # the suite skips it on an image that lies on no quadric: the row on raw frames
+        frames = frames_of("whitney_sphere")
+        (entry,) = _reduce(CFG, frames.points, {"product_metric": _product_metric(frames)})
         assert not entry.passed
 
 
 class TestUmbilical:
     def test_passes_on_unit_quadric_members(self):
         sphere = AmbientQuadric(1.0)
-        assert check_umbilical_relation(frames_of("clifford_torus"), CFG, sphere).passed
+        assert check_of("clifford_torus", "umbilical", quadric=sphere).passed
         ads = AmbientQuadric(-1.0)
-        assert check_umbilical_relation(frames_of("theorem43_example"), CFG, ads).passed
+        assert check_of("theorem43_example", "umbilical", quadric=ads).passed
 
     def test_membership_violation_is_an_error(self):
+        # not spherical, so the suite checks L itself against the declared quadric
         sphere = AmbientQuadric(1.0)
-        entry = check_umbilical_relation(frames_of("whitney_sphere"), CFG, sphere)
+        entry = check_of("whitney_sphere", "umbilical", quadric=sphere)
         assert entry.status == "error"
         assert "membership" in entry.reason
 
@@ -463,12 +453,9 @@ def test_normalized_frames_equal_those_of_the_normalized_spec(spec, num_points):
     # second order, as no check on them reads third-order data
     cfg = SampleConfig(num_points=num_points, seed=7)
     frames = sample_frames(spec, cfg, need_third=True)
-    fit, fit_entry = fit_hypersphere(frames, cfg)
-    lag = check_lagrangian(frames, cfg)
-    entries = {"lagrangian": lag, "spherical": fit_entry}
-    derived, _, _ = _structure_with_fit(frames, entries, fit)
-    transform, _ = _transform(entries, fit)
-    reference = sample_frames(reference_normalized_spec(spec, transform), cfg)
+    report = run_suite(spec, cfg, checks=["lagrangian", "spherical"])
+    derived, _, _ = _structure_with_fit(frames, report.checks, report.sphere_fit)
+    reference = sample_frames(reference_normalized_spec(spec, report.transform), cfg)
     assert derived.third is derived.dchristoffels is None
     for name in FrameBatch._fields:
         if name not in ("spec", "third", "dchristoffels"):
@@ -581,9 +568,19 @@ class TestCheckSubsets:
         assert orders == [True] and called == ["gauss_residual"]
         assert list(report.checks) == ["gauss"] and report.checks["gauss"].passed
 
-    def test_a_check_the_spec_does_not_get_raises(self):
-        with pytest.raises(LagkitError, match="legendrian"):
-            run_suite(catalog("product_S1xS2"), CFG, checks=["legendrian"])
+    @pytest.mark.parametrize(
+        "name, check",
+        [
+            # Legendrian checks on Lagrangian chain entries, and the reverse
+            ("product_S1xS2", "legendrian"),
+            ("clifford_torus", "legendrian"),
+            ("real_circle_S3", "lagrangian"),
+            ("real_circle_S3", "cubic_symmetry"),
+        ],
+    )
+    def test_a_check_the_spec_does_not_get_raises(self, name, check):
+        with pytest.raises(LagkitError, match=f"^{name} gets no check {check}; it gets: "):
+            run_suite(catalog(name), CFG, checks=[check])
 
 
 class TestChunks:
@@ -795,7 +792,7 @@ class TestReportSerialization:
         assert a == b
 
     def test_error_entry_fails_report(self):
-        fit, entry = fit_hypersphere(frames_of("real_circle_S3"), CFG)
+        _, entry = fit_of(catalog("real_circle_S3").replace(quadric=None))  # rank deficient
         report = CheckReport(spec_name="probe", checks={"spherical": entry})
         assert not report.passed
 

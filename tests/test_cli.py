@@ -2,9 +2,11 @@
 
 import contextlib
 import gc
+import importlib
 import io
 import json
 import os
+import pkgutil
 import re
 import resource
 import subprocess
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lagkit
 from lagkit.ambient import Signature
 from lagkit.catalog import catalog_names, catalog_source
 from lagkit.checks import STRUCTURE_CHECKS, SampleConfig
@@ -591,6 +594,20 @@ def test_every_public_name_resolves():
     )
     proc = _cold("-c", script)
     assert proc.returncode == 0, proc.stderr
+
+
+def _star_names(module):
+    """The names `from module import *` binds: its __all__, else its public globals."""
+    return getattr(module, "__all__", [n for n in vars(module) if not n.startswith("_")])
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(lagkit.__path__)))
+def test_export_lists_name_only_what_exists(name):
+    # a deleted function cannot linger in __all__ or in the package's export table
+    module = importlib.import_module(f"lagkit.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+    if name in lagkit._EXPORTS:
+        assert set(lagkit._EXPORTS[name]) - set(_star_names(module)) == set()
 
 
 def test_console_script_entry_point():

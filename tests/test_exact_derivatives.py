@@ -16,12 +16,11 @@ from hypothesis import strategies as st
 
 from lagkit.ambient import Signature
 from lagkit.catalog import catalog, catalog_names
-from lagkit.checks import SampleConfig, check_lagrangian
+from lagkit.checks import SampleConfig, run_suite
 from lagkit.dsl import Bin, Call, Expr, Imag, ImmersionSpec, Neg, Num, Param, Pow, Ref
 from lagkit.dsl import evaluate_map_jets
-from lagkit.errors import DegenerateMetricError, LagkitError
+from lagkit.errors import LagkitError
 from lagkit.findiff import eval_map_numeric
-from lagkit.geometry import build_frame
 from lagkit.jets import _directions, _weights
 from lagkit.sampling import sample_points
 from test_dsl import _expr_strategy, assert_same_as_walk
@@ -202,15 +201,16 @@ def gradient_graph(m, s, f, eps=0.0):
 
 
 def lagrangian_entry(spec):
-    """check_lagrangian at 30 points; the map's derivatives repeat subterms of
-    f, so the jets are held to the recursive walk's tensors there too."""
-    points = np.array(sample_points(spec, 30, seed=1))
-    assert_same_as_walk(spec, points)
-    try:
-        frames = build_frame(spec, points)
-    except DegenerateMetricError:  # s > 0 only: the induced metric can be singular
+    """The lagrangian entry of run_suite at 30 points; the map's derivatives
+    repeat subterms of f, so the jets are held to the recursive walk's tensors
+    there too."""
+    cfg = SampleConfig(num_points=30, seed=1)
+    assert_same_as_walk(spec, sample_points(spec, cfg.num_points, cfg.seed))
+    entry = run_suite(spec, cfg, checks=["lagrangian"]).checks["lagrangian"]
+    if entry.status == "error":  # s > 0 only: the induced metric can be singular
+        assert entry.reason.startswith("induced metric degenerate at ("), entry.reason
         reject()
-    return check_lagrangian(frames, SampleConfig(num_points=30))
+    return entry
 
 
 @given(_graphs(1))

@@ -116,6 +116,15 @@ def test_large_sample_holds_few_copies_of_the_coordinates():
     assert pts.shape == (10**6, 3) and pts.nbytes == coordinate_bytes
 
 
+@pytest.mark.parametrize("count", [-1, -5])
+def test_negative_count_raises(count):
+    # as an oversized count does; zero is the (0, m) array the docstring promises
+    spec = catalog("clifford_torus")
+    with pytest.raises(LagkitError, match=f"^cannot sample {count} points: the count is negative$"):
+        sample_points(spec, count, seed=0)
+    assert sample_points(spec, 0, seed=0).shape == (0, 2)
+
+
 # counts numpy refuses before allocating anything; a smaller count would
 # really try to allocate, so none is tested
 @pytest.mark.parametrize("count", [10**20, 10**22, 2**63])
