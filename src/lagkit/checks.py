@@ -341,19 +341,11 @@ class CheckReport(Record):
             if e.details:
                 item["details"] = dict(e.details)
             checks[name] = item
-        fit = None
-        if self.sphere_fit is not None:
-            fit = {
-                "center": [float(x) for x in self.sphere_fit.center],
-                "radius_sq_signed": float(self.sphere_fit.radius_sq_signed),
-                "rms_residual": float(self.sphere_fit.rms_residual),
-            }
-        transform = None
-        if self.transform is not None:
-            transform = {
-                "center": [float(x) for x in self.transform.center],
-                "scale": float(self.transform.scale),
-            }
+        # the fit and the transform by their fields: floats, the center a list
+        fit, transform = (None if record is None else {
+            key: [float(x) for x in value] if key == "center" else float(value)
+            for key, value in vars(record).items()
+        } for record in (self.sphere_fit, self.transform))
         return {
             "spec_name": self.spec_name,
             "transform": transform,

@@ -1,25 +1,18 @@
 """Induced geometry of an immersion: metric, connection, curvature.
 
-A FrameBatch bundles the derivative data of the immersion at a batch of B
-points, in interleaved real coordinates, together with the induced metric, the
-Christoffel symbols (and their derivatives, at third order), and the second
-fundamental form of the flat ambient space.  Every array carries the point
-axis first; assemble_frame builds them from the map's derivatives, which
-build_frame gets from one batched map evaluation per chunk of at most CHUNK
-points before it assembles the frames of the whole batch at once.  Curvature,
-the classical compatibility identities (Gauss and Codazzi equations) and the
-tangent field of J L are computed from the batch alone, without evaluating
-the map again.
+A FrameBatch holds, at B points (every array's leading axis), the map's
+derivatives in interleaved real coordinates, the induced metric, the
+Christoffel symbols (at third order with their derivatives) and the second
+fundamental form.  build_frame evaluates the map per chunk of at most CHUNK
+points and assembles the whole batch at once; curvature, the Gauss and Codazzi
+residuals and the tangent field of J L come from the batch alone.
 
-Every contraction is one batched matmul on (B, rows, k) reshapes (contract
-pairs trailing axes), with eta folded into one operand of a pairing once.  The
-Christoffel symbols come from the pairings that d g is formed from,
-Gamma^k_ij = g^{kl} <L_ij, L_l>, and their derivatives from two more,
-d_p <L_ij, L_l> = <L_pij, L_l> + <L_ij, L_pl>.  The Codazzi residual is formed
-on the part of nabla h that is skew in its first two slots, once for each pair
-i < j (the pairs of each m built once), where the terms that cancel there are
-never formed.  Reductions call the ufuncs' reduce, and axes move by transpose,
-without numpy's Python wrappers.
+Each contraction is one matmul per point on (B, rows, k) reshapes (contract),
+never one per point and index, and each elementwise step reads C-ordered
+operands: an intermediate is formed in the layout its next step reads, and a
+permuted read is one np.take of positions built once per m (_gathers).  So
+d_p Gamma^k_ij is formed as [k, p, i, j] and R as [l, i, j, k], both viewed in
+the conventions below; second and sff are read as L_ij = L_ji, third as it is.
 
 Index conventions, pinned by tests on the round-sphere factor (b is the point):
   dmetric[b, k, i, j]      = d_k g_ij
@@ -53,15 +46,14 @@ __all__ = [
     "tangent_field",
 ]
 
-DET_THRESHOLD = 1e-10
-
 # points per map evaluation: bounds the memory of the batched jets, and takes
 # the 200 sample points of a large run in one evaluation
 CHUNK = 256
 
 
 class FrameBatch(Record):
-    """Derivative and metric data of an immersion at B points."""
+    """Derivative and metric data of an immersion at B points: second, sff and christoffels
+    are symmetric in i, j bit for bit, third in all its slots, and a hand-built batch keeps that."""
 
     __slots__ = ("_shared",)  # product key -> value (see shared), outside the fields
     _fields = (
@@ -176,7 +168,7 @@ def assemble_frame(spec, points, position, first, second, third=None) -> FrameBa
         i = int(np.argmin(finite))
         bad = tuple(points[i].tolist())
         raise SingularEvaluationError(f"induced metric not finite at {bad}", row=i)
-    degenerate = (scale == 0.0) | (scaled_det < DET_THRESHOLD)
+    degenerate = (scale == 0.0) | (scaled_det < 1e-10)
     if np.logical_or.reduce(degenerate):
         i = int(np.argmax(degenerate))
         det = abs(float(np.linalg.det(metric[i])))
@@ -185,9 +177,8 @@ def assemble_frame(spec, points, position, first, second, third=None) -> FrameBa
     metric_inv = np.linalg.inv(metric)
 
     pairs = contract(second, weighted)  # [i, j, l] = <L_ij, L_l>
-    # d_k g_ij = <L_ik, L_j> + <L_i, L_jk>
-    half = pairs.swapaxes(1, 2)
-    dmetric = half + half.swapaxes(2, 3)
+    # d_k g_ij = <L_ik, L_j> + <L_i, L_jk> = <L_ki, L_j> + <L_kj, L_i>
+    dmetric = pairs + pairs.swapaxes(2, 3)
     # Gamma^k_ij = g^{kl} <L_ij, L_l>, the tangent part of L_ij
     christoffels = contract(metric_inv, pairs)
 
@@ -200,10 +191,12 @@ def assemble_frame(spec, points, position, first, second, third=None) -> FrameBa
     if third is not None:
         # d_p Gamma^k_ij = g^{kl} (d_p <L_ij, L_l> - d_p g_lq Gamma^q_ij), since
         # d_p(g^-1) = -g^-1 d_p g g^-1, with d_p <L_ij, L_l> = <L_pij, L_l> + <L_ij, L_pl>
-        lowered = contract(second * eta, second)  # [p, l, i, j] = <L_pl, L_ij>
-        lowered += contract(third, weighted).transpose(0, 1, 4, 2, 3)  # <L_pij, L_l>
-        lowered -= (dmetric @ christoffels.reshape(b, m, -1)[:, None]).reshape(lowered.shape)
-        dchristoffels = (metric_inv[:, None] @ lowered.reshape(b, m, m, -1)).reshape(lowered.shape)
+        lowered = contract(second * eta, second)  # [l, p, i, j] = <L_lp, L_ij>
+        lowered += contract(weighted, third).reshape(lowered.shape)  # <L_pij, L_l>
+        slopes = dmetric.swapaxes(1, 2).reshape(b, m * m, m)  # [(l, p), q] = d_p g_lq
+        lowered -= (slopes @ christoffels.reshape(b, m, -1)).reshape(lowered.shape)
+        raised = metric_inv @ lowered.reshape(b, m, -1)  # [k, (p, i, j)]
+        dchristoffels = raised.reshape(lowered.shape).swapaxes(1, 2)
     return FrameBatch(
         spec, points, position, first, second, third, eta,
         metric, metric_inv, dmetric, christoffels, sff, dchristoffels,
@@ -229,30 +222,35 @@ def riemann_tensor(frames: FrameBatch) -> np.ndarray:
     _require_third(frames)
     dgamma, gamma = frames.dchristoffels, frames.christoffels
     b, m = gamma.shape[:2]
-    # x[i, j, k, l] = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk; R^l_ijk is x minus
-    # x with i, j swapped
-    prod = (gamma.reshape(b, m * m, m) @ gamma.reshape(b, m, -1)).reshape(dgamma.shape)
-    x = dgamma.transpose(0, 1, 3, 4, 2) + prod.transpose(0, 2, 3, 4, 1)
-    up = x - x.swapaxes(1, 2)
-    return (up.reshape(b, -1, m) @ frames.metric).reshape(up.shape)
+    # x[l, i, j, k] = d_i Gamma^l_jk + Gamma^l_iq Gamma^q_jk; R^l_ijk is x - x[l, j, i, k]
+    prod = gamma.reshape(b, m * m, m) @ gamma.reshape(b, m, -1)  # [(l, i), (j, k)]
+    x = (dgamma.swapaxes(1, 2) + prod.reshape(dgamma.shape)).reshape(b, -1)
+    x -= x.take(_gathers(m)[2], axis=1)
+    lowered = frames.metric.swapaxes(1, 2) @ x.reshape(b, m, -1)  # [l, (i, j, k)]
+    return lowered.reshape(dgamma.shape).transpose(0, 2, 3, 4, 1)
 
 
 def sectional_curvature(frames: FrameBatch, i: int, j: int, riemann=None) -> np.ndarray:
-    """Sectional curvature of the coordinate 2-plane spanned by d_i, d_j, per point."""
+    """Sectional curvature of the coordinate 2-plane spanned by d_i, d_j, per point.
+    The plane is degenerate where |g_ii g_jj - g_ij^2| <= 1e-14 max(|g_ii g_jj|, g_ij^2)."""
     r = riemann_tensor(frames) if riemann is None else riemann
     g = frames.metric
-    denom = g[:, i, i] * g[:, j, j] - g[:, i, j] ** 2
-    if (np.abs(denom) < 1e-14).any():
-        raise DegenerateMetricError(f"coordinate plane ({i},{j}) is metrically degenerate")
-    return r[:, i, j, j, i] / denom
+    diagonal, cross = g[:, i, i] * g[:, j, j], g[:, i, j] ** 2
+    degenerate = np.abs(diagonal - cross) <= 1e-14 * np.maximum(np.abs(diagonal), cross)
+    if np.logical_or.reduce(degenerate):
+        row = int(np.argmax(degenerate))
+        bad = f"({i},{j}) is metrically degenerate at {frames.point(row)}"
+        raise DegenerateMetricError(f"coordinate plane {bad}", row=row)
+    return r[:, i, j, j, i] / (diagonal - cross)
 
 
 def gauss_residual(frames: FrameBatch) -> np.ndarray:
     """Max deviation in the Gauss identity R_ijkl = <h_il,h_jk> - <h_ik,h_jl>, per point."""
-    r = riemann_tensor(frames)
-    h = frames.sff
-    pairs = contract(h, h * frames.eta)  # [i, l, j, k] = <h_il, h_jk>
-    return point_max(r - pairs.transpose(0, 1, 3, 4, 2) + pairs.transpose(0, 1, 3, 2, 4))
+    r = riemann_tensor(frames).transpose(0, 4, 1, 2, 3)  # [l, i, j, k], C-ordered
+    pairs = contract(frames.sff, frames.sff * frames.eta)  # [l, i, j, k] = <h_li, h_jk>
+    r -= pairs  # then + <h_ik, h_jl>, pairs read at [i, k, j, l]
+    r += pairs.reshape(len(r), -1).take(_gathers(r.shape[1])[3], axis=1).reshape(r.shape)
+    return point_max(r)
 
 
 def codazzi_residual(frames: FrameBatch) -> np.ndarray:
@@ -263,34 +261,44 @@ def codazzi_residual(frames: FrameBatch) -> np.ndarray:
     per point.  Its part skew in i, j is, for each pair i < j,
     nor(L_ijk - L_jik - Gamma^p_jk L_ip + Gamma^p_ik L_jp) - (Gamma^p_ik h_jp -
     Gamma^p_jk h_ip): d_i Gamma^p_jk L_p is tangent, so the normal projection
-    nor removes it, and Gamma^p_ij h_pk is symmetric in i, j.
+    nor removes it, and Gamma^p_ij h_pk is symmetric in i, j.  It reads third
+    as it is, second and sff as x_ip = x_pi: a batch built by hand keeps that.
     """
     _require_third(frames)
-    first, third, h = frames.first, frames.third, frames.sff
-    b, m = first.shape[:2]
-    gamma_rows = frames.christoffels.reshape(b, m, -1).swapaxes(1, 2)[:, None]  # [(j, k), p]
-
-    def lead(x):  # [i, j, k] = Gamma^p_jk x_ip
-        return (gamma_rows @ x).reshape(third.shape)
-
-    i, j = slot_pairs(m)  # each pair of the first two slots once
-    ambient = third - lead(frames.second)
-    skew = ambient[:, i, j] - ambient[:, j, i]
+    first, third = frames.first, frames.third
+    b, m, a = first.shape
+    gamma_rows = frames.christoffels.reshape(b, m, -1).swapaxes(1, 2)  # [(j, k), p]
+    third_rows, lead_rows = _gathers(m)[4:]  # (2, pairs * m): rows (i, j, k), then (j, i, k)
+    # Gamma^p_jk x_ip = Gamma^p_jk x_pi, formed as [j, k, i], at those rows, each when read
+    leads = ((gamma_rows @ x.reshape(b, m, -1)).reshape(b, -1, a).take(lead_rows, axis=1)
+             for x in (frames.second, frames.sff))
+    ambient = third.reshape(b, -1, a).take(third_rows, axis=1) - next(leads)
+    skew = ambient[:, 0] - ambient[:, 1]
     del ambient
-    tangential = contract(skew, frames.metric_inv @ (first * frames.eta))
-    skew -= (tangential.reshape(b, -1, m) @ first).reshape(skew.shape)
-    gamma_h = lead(h)
-    skew -= gamma_h[:, j, i] - gamma_h[:, i, j]
+    # its tangential part, by the dual frame g^{pq} L_q formed transposed
+    skew -= skew @ ((first * frames.eta).swapaxes(1, 2) @ frames.metric_inv.swapaxes(1, 2)) @ first
+    gamma_h = next(leads)
+    skew -= gamma_h[:, 1] - gamma_h[:, 0]
     return point_max(skew)
 
 
 @functools.lru_cache(maxsize=None)  # one entry per dimension m met
-def slot_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(m, 1), built once per m and read-only: one array pair
-    for every caller."""
+def _gathers(m: int) -> tuple[np.ndarray, ...]:
+    """Read-only, built once per m: the slot pairs i < j; the flat positions of a
+    C-ordered block's [l, j, i, k] and [i, k, j, l] at each [l, i, j, k]; and of
+    rows (i, j, k), then (j, i, k), of each pair in [i, j, k] and in [j, k, i]."""
     i, j = np.triu_indices(m, 1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
+    cube, block = np.arange(m**3).reshape((m,) * 3), np.arange(m**4).reshape((m,) * 4)
+    flat = [i, j, block.transpose(0, 2, 1, 3).ravel(), block.transpose(3, 0, 2, 1).ravel()]
+    flat += [np.stack([x[i, j].ravel(), x[j, i].ravel()]) for x in (cube, cube.transpose(2, 0, 1))]
+    for x in flat:
+        x.flags.writeable = False
+    return tuple(flat)
+
+
+def slot_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(m, 1), built once per m and read-only (see _gathers)."""
+    return _gathers(m)[:2]
 
 
 def project(frames: FrameBatch, v: np.ndarray):

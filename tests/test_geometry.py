@@ -4,6 +4,7 @@ The flat square torus and the round 2-sphere have completely explicit frames;
 every tensor below was derived by hand before the implementation existed.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from lagkit.geometry import (
     slot_pairs,
     tangent_field,
 )
-from lagkit.products import circle_product
+from lagkit.products import circle_product, dilate
 from lagkit.sampling import sample_points
 
 
@@ -281,6 +282,32 @@ class TestDegeneracy:
         with pytest.raises(DegenerateMetricError):
             sectional_curvature(fr, 0, 0)
 
+    def test_null_plane_error_names_its_row(self):
+        spec = catalog("theorem42_example")
+        fr = build_frame(spec, sample_points(spec, 4, seed=5), need_third=True)
+        with pytest.raises(DegenerateMetricError, match="plane \\(0,0\\)") as info:
+            sectional_curvature(fr, 0, 0)
+        assert info.value.row == 0 and str(fr.point(0)) in str(info.value)
+        # the first degenerate row of a batch whose other rows are not
+        spec = catalog("clifford_torus")
+        fr = build_frame(spec, sample_points(spec, 6, seed=5), need_third=True)
+        metric = fr.metric.copy()
+        metric[3] = metric[4] = [[1.0, 1.0], [1.0, 1.0]]
+        with pytest.raises(DegenerateMetricError) as info:
+            sectional_curvature(fr.replace(metric=metric), 0, 1)
+        assert info.value.row == 3 and str(fr.point(3)) in str(info.value)
+
+    @pytest.mark.parametrize("name, plane", [("clifford_torus", (0, 1)), ("product_S1xS2", (1, 2))])
+    def test_sectional_curvature_does_not_depend_on_units(self, name, plane):
+        # dilating by k = 2^-20 scales the metric by k^2 (~1e-12 I on the flat
+        # Clifford torus, not degenerate) and the curvature by k^-2
+        k = 2.0**-20
+        spec = catalog(name)
+        points = sample_points(spec, 20, seed=3)
+        want = sectional_curvature(build_frame(spec, points, need_third=True), *plane)
+        got = sectional_curvature(build_frame(dilate(spec, k), points, need_third=True), *plane)
+        np.testing.assert_allclose(got, want / k**2, rtol=1e-12, atol=1e-12 / k**2)
+
 
 # -- the contractions against their einsum forms --------------------------------
 
@@ -289,6 +316,23 @@ SPEC_M3_S2 = parse(
     "params x:[0.1,0.9], y:[0.1,0.9], z:[0.1,0.9];\nsignature 3 2;\n"
     "map x + i*exp(y), y*cosh(z) + i*x*z, 2*z + i*sin(x*y);\n"
 )
+
+# m = n = 5: the Whitney sphere W^5 in C^5, in hyperspherical angles
+_W = "(1+i*sin(a))/(1+sin(a)^2)*cos(a)"
+SPEC_W5 = parse(
+    "params a:[-1.2,1.2], b:[0,6.283185307179586], c:[-1.2,1.2], d:[-1.2,1.2], e:[-1.2,1.2];\n"
+    "signature 5 0;\n"
+    f"map {_W}*sin(c), {_W}*cos(c)*sin(d), {_W}*cos(c)*cos(d)*sin(e), "
+    f"{_W}*cos(c)*cos(d)*cos(e)*cos(b), {_W}*cos(c)*cos(d)*cos(e)*sin(b);\n"
+)
+
+BEYOND_CATALOG = ("m3_s2", "m4_circle_product", "m5_whitney")
+
+
+def _spec(name):
+    """A catalog entry, or one of the specs of BEYOND_CATALOG."""
+    beyond = dict(zip(BEYOND_CATALOG, (SPEC_M3_S2, SPEC_M4, SPEC_W5)))
+    return beyond[name] if name in beyond else catalog(name)
 
 
 def _reference_bracket(dg):
@@ -358,9 +402,9 @@ def _assert_relative(got, want, scale=None):
 
 class TestContractionsMatchEinsum:
     @pytest.mark.parametrize("batch", [1, CHUNK + 1])
-    @pytest.mark.parametrize("name", list(catalog_names()) + ["m3_s2"])
+    @pytest.mark.parametrize("name", list(catalog_names()) + list(BEYOND_CATALOG))
     def test_frames_curvature_and_residuals(self, name, batch):
-        spec = SPEC_M3_S2 if name == "m3_s2" else catalog(name)
+        spec = _spec(name)
         fr = build_frame(spec, sample_points(spec, batch, seed=17), need_third=True)
         want = reference_geometry(fr)
         for key in ("metric", "metric_inv", "dmetric", "christoffels", "sff", "dchristoffels"):
@@ -372,6 +416,26 @@ class TestContractionsMatchEinsum:
         _assert_relative(codazzi_residual(fr), want["codazzi"], scale)
         for got, ref in zip(tangent_field(fr), want["tangent_field"]):
             _assert_relative(got, ref)
+
+
+class TestSymmetriesTheKernelsRead:
+    """build_frame gives second and sff symmetric in i, j bit for bit, as the
+    kernels read them, and christoffels too, and third in all three slots."""
+
+    @staticmethod
+    def _assert_bitwise(x, y):
+        assert x.tobytes() == y.tobytes(), np.abs(x - y).max()
+
+    @pytest.mark.parametrize("batch", [1, 200, 513])
+    @pytest.mark.parametrize("name", list(catalog_names()) + list(BEYOND_CATALOG))
+    def test_frames_are_bitwise_symmetric(self, name, batch):
+        spec = _spec(name)
+        fr = build_frame(spec, sample_points(spec, batch, seed=29), need_third=True)
+        self._assert_bitwise(fr.second, fr.second.swapaxes(1, 2))
+        self._assert_bitwise(fr.sff, fr.sff.swapaxes(1, 2))
+        self._assert_bitwise(fr.christoffels, fr.christoffels.swapaxes(2, 3))
+        for axes in itertools.permutations((1, 2, 3)):
+            self._assert_bitwise(fr.third, fr.third.transpose(0, *axes, 4))
 
 
 # -- constants built once per dimension, and a dimension the catalog lacks -------
@@ -410,6 +474,7 @@ REAL_S3_IN_C4 = parse(
     "params a:[-1.2,1.2], u:[-1.2,1.2], v:[0,6.283185307179586];\nsignature 4 0;\n"
     "map cos(a)*cos(u)*cos(v), cos(a)*cos(u)*sin(v), cos(a)*sin(u), sin(a);\n"
 )
+SPEC_M4 = circle_product(REAL_S3_IN_C4)
 
 
 def test_gauss_and_codazzi_hold_at_m_4():
