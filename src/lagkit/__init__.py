@@ -16,10 +16,7 @@ import types
 _EXPORTS = {
     "ambient": ("AmbientQuadric", "Signature"),
     "catalog": ("CatalogEntry", "catalog", "catalog_entry", "catalog_names", "catalog_source"),
-    "checks": (
-        "CheckEntry", "CheckReport", "SampleConfig", "SphereFit", "Transform", "run_suite",
-        "sample_frames",
-    ),
+    "checks": ("CheckEntry", "CheckReport", "SampleConfig", "SphereFit", "Transform", "run_suite"),
     "dsl": ("ImmersionSpec", "Param", "parse", "serialize"),
     "errors": (
         "DegenerateMetricError", "DimensionMismatchError", "DomainError", "DslError",

@@ -1,16 +1,15 @@
 """Built-in immersion catalog.
 
-Base entries are parsed from the DSL sources shipped as package data under
-catalog_data/; the product entries are derived from them with circle_product
-so the constructor path is exercised by the catalog itself.  Every shipped
-source, products included, must stay byte-identical to
-serialize(catalog(name)).
+Every entry is parsed from its DSL source, shipped as package data under
+catalog_data/, which stays byte-identical to serialize(catalog(name)).  The
+sources of the four product entries are serialize(circle_product(base)) of
+their base entries, which the tests pin, so the catalog loads no constructor.
 
 Names, parameter counts, signatures, quadrics, summaries and expectations
 are a static table, so listing the catalog builds no spec.  An entry's
-spec is built on its first catalog_entry or catalog call, with the spec of its
-base for a product, and the same objects come back on every later call (the
-crosscheck oracle caches its compiled map per spec object).
+spec is built on its first catalog_entry or catalog call, and the same objects
+come back on every later call (the crosscheck oracle caches its compiled map
+per spec object).
 """
 
 from __future__ import annotations
@@ -71,10 +70,9 @@ _LAGRANGIAN_OK = {
     "umbilical": True,
 }
 
-# name -> the summary and expects of its CatalogEntry, the spec's parameter
-# count and signature (so the table needs no spec), and how to build the spec:
-# from its shipped source, or as the circle product of a base entry; quadric
-# and expected_index (the metric index) are what the spec declares
+# name -> the summary and expects of its CatalogEntry, and the spec's parameter
+# count and signature (so the table needs no spec); quadric and expected_index
+# (the metric index) are what the spec parsed from its shipped source declares
 _ROWS = {
     "real_circle_S3": dict(
         params=1, signature=Signature(2, 0), expected_index=0,
@@ -83,7 +81,6 @@ _ROWS = {
         expects=dict(_LEGENDRIAN_OK, horizontal=True),
     ),
     "clifford_torus": dict(
-        base="real_circle_S3",
         params=2, signature=Signature(2, 0), expected_index=0,
         quadric=_SPHERE,
         summary="flat square torus exp(i t) (cos u, sin u) inside the unit 3-sphere",
@@ -96,7 +93,6 @@ _ROWS = {
         expects=dict(_LEGENDRIAN_OK, horizontal=True),
     ),
     "product_S1xS2": dict(
-        base="real_sphere_S5",
         params=3, signature=Signature(3, 0), expected_index=0,
         quadric=_SPHERE,
         summary="circle times round 2-sphere, Lagrangian in C^3",
@@ -133,14 +129,12 @@ _ROWS = {
         expects=dict(_LEGENDRIAN_OK, horizontal=True),
     ),
     "theorem42_example": dict(
-        base="pseudo_legendrian_S3_index1",
         params=2, signature=Signature(2, 1), expected_index=1,
         quadric=_SPHERE,
         summary="Lorentzian product surface exp(i t) (sinh u, cosh u) in the indefinite unit sphere",
         expects=dict(_LAGRANGIAN_OK),
     ),
     "theorem43_example": dict(
-        base="pseudo_legendrian_H3",
         params=2, signature=Signature(2, 1), expected_index=1,
         quadric=_HYPERBOLIC,
         summary="Lorentzian product surface exp(i t) (cosh u, sinh u) in the anti-de-Sitter quadric",
@@ -164,13 +158,9 @@ _ROWS = {
 @functools.cache
 def _entry(name: str) -> CatalogEntry:
     row = _ROWS[name]
-    if "base" in row:
-        from .products import circle_product  # only product entries need it
-
-        spec = circle_product(catalog(row["base"]))
-    else:
-        spec = parse(_read_source(name))
-    spec = spec.replace(name=name, expected_index=row.get("expected_index"), quadric=row["quadric"])
+    spec = parse(_read_source(name)).replace(
+        name=name, expected_index=row.get("expected_index"), quadric=row["quadric"]
+    )
     return CatalogEntry(name, spec, row["summary"], row["expects"])
 
 

@@ -1,18 +1,18 @@
 """Residual checks certifying the defining identities of an immersion.
 
-sample_frames builds the frames of the immersion at the deterministic interior
-sample points as one FrameBatch, with one build_frame call (and one more per
-test that fails, to name the first failing point: _build).  Every check is a
-pure function of that batch: a named residual row, one value per point, whose
+run_suite, the one way to run a check, builds the frames of the immersion at
+the deterministic interior sample points as one FrameBatch, with one
+build_frame call (whose error names the first failing point).  Every check is
+a pure function of that batch: a named residual row, one value per point, whose
 max and mean its entry reports together with the worst offender.  The products
 that several checks read (J L, J dL_i, <dL_i, J L>, the membership residual)
 are formed once per batch (FrameBatch.shared).  The table _CHECKS names every
 check (its names are stable API) and decides which checks a spec gets, in what
-order, from which frames and resting on which others; run_suite, the one way
-to run a check, walks it, building the frames of a spec once and rescaling
-them onto the fitted quadric.  It reduces the spec's rows as one stack
-(_reduce), the rows that later checks rest on as soon as those run, and emits
-a CheckReport whose JSON form is byte-stable for a fixed seed.
+order, from which frames and resting on which others; run_suite walks it,
+rescaling the frames of a spec onto the fitted quadric.  It reduces the spec's
+rows as one stack (_reduce), the rows that later checks rest on as soon as
+those run, and emits a CheckReport whose JSON form is byte-stable for a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "SphereFit",
     "Transform",
     "CheckReport",
-    "sample_frames",
     "run_suite",
 ]
 
@@ -133,29 +132,6 @@ def _errored(name, cfg, reason, status="error") -> CheckEntry:
     """An entry without residuals: an error fails the report, a skip does not."""
     tol, failed = cfg.tolerance_for(name), False if status == "error" else None
     return CheckEntry(name, None, None, 0, tol, failed, status, reason, None, None)
-
-
-def sample_frames(
-    spec: ImmersionSpec, cfg: SampleConfig, need_third: bool = False
-) -> FrameBatch:
-    """Frames of spec at the configured sample points, from one build_frame call.
-
-    When that call raises, the error names the first failing sample point
-    (see _build).
-    """
-    return _build(spec, sample_points(spec, cfg.num_points, cfg.seed), need_third)
-
-
-def _build(spec, points, need_third) -> FrameBatch:
-    """build_frame at points.  An error at row > 0 came from the first point to
-    fail its test, and an earlier point may fail a later test: the points before
-    the row are built too, so the error raised is a point-by-point walk's."""
-    try:
-        return build_frame(spec, points, need_third)
-    except LagkitError as exc:  # unbound when the handler exits: no reference cycle
-        if exc.row:
-            _build(spec, points[: exc.row], need_third)
-        raise
 
 
 def _isotropy(frames: FrameBatch) -> np.ndarray:
@@ -486,7 +462,7 @@ def run_suite(spec: ImmersionSpec, cfg: SampleConfig | None = None,
     third = any(order == 3 for name, _, order, _, _ in rows if name in wanted)
     points = sample_points(spec, cfg.num_points, cfg.seed)  # a bad count raises
     try:
-        frames = _build(spec, points, third)
+        frames = build_frame(spec, points, third)
     except LagkitError as exc:  # each check reports it, by its reason alone (as bundle does)
         frames = str(exc)
 

@@ -57,7 +57,6 @@ class FrameBatch(Record):
 
     __slots__ = ("_shared",)  # product key -> value (see shared), outside the fields
     _fields = (
-        "spec",
         "points",  # (B, m)
         "position",  # (B, 2n)
         "first",  # (B, m, 2n)
@@ -125,8 +124,10 @@ def build_frame(spec: ImmersionSpec, points, need_third: bool = False) -> FrameB
     points is one point (m,) or a batch (B, m); a single point gives a batch
     of one.  The map is evaluated once per chunk of at most CHUNK points, into
     the chunk's rows of the frames' arrays, and the frames of all B points are
-    assembled at once.  Raises what
-    evaluate_map_jets (its row shifted to the batch) and assemble_frame raise.
+    assembled at once.  Raises the first error of a point-by-point walk: what
+    evaluate_map_jets (its row shifted to the batch) or assemble_frame raises
+    names the first point to fail that test, and an earlier point may fail a
+    later test, so the points before its row are built too.
     """
     pts = np.array(points, dtype=float, ndmin=2)
     order = 3 if need_third else 2
@@ -138,14 +139,19 @@ def build_frame(spec: ImmersionSpec, points, need_third: bool = False) -> FrameB
     ends = np.add.accumulate([math.prod(shape) for shape in shapes]).tolist()
     buffer = np.empty(ends[-1], dtype=complex)
     blocks = [buffer[end - math.prod(s) : end].reshape(s) for s, end in zip(shapes, ends)]
-    for start in range(0, len(pts), CHUNK):
-        chunk = slice(start, start + CHUNK)
-        try:
-            evaluate_map_jets(spec, pts[chunk], order, [block[chunk] for block in blocks])
-        except LagkitError as exc:  # its row in the chunk, now in the batch
-            exc.row += start
-            raise
-    return assemble_frame(spec, pts, *(block.view(float) for block in blocks))
+    try:
+        for start in range(0, len(pts), CHUNK):
+            chunk = slice(start, start + CHUNK)
+            try:
+                evaluate_map_jets(spec, pts[chunk], order, [block[chunk] for block in blocks])
+            except LagkitError as exc:  # its row in the chunk, now in the batch
+                exc.row += start
+                raise
+        return assemble_frame(spec, pts, *(block.view(float) for block in blocks))
+    except LagkitError as exc:  # unbound when the handler exits: no reference cycle
+        if exc.row:
+            build_frame(spec, pts[: exc.row], need_third)
+        raise
 
 
 def assemble_frame(spec, points, position, first, second, third=None) -> FrameBatch:
@@ -198,7 +204,7 @@ def assemble_frame(spec, points, position, first, second, third=None) -> FrameBa
         raised = metric_inv @ lowered.reshape(b, m, -1)  # [k, (p, i, j)]
         dchristoffels = raised.reshape(lowered.shape).swapaxes(1, 2)
     return FrameBatch(
-        spec, points, position, first, second, third, eta,
+        points, position, first, second, third, eta,
         metric, metric_inv, dmetric, christoffels, sff, dchristoffels,
     )
 
@@ -294,11 +300,6 @@ def _gathers(m: int) -> tuple[np.ndarray, ...]:
     for x in flat:
         x.flags.writeable = False
     return tuple(flat)
-
-
-def slot_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(m, 1), built once per m and read-only (see _gathers)."""
-    return _gathers(m)[:2]
 
 
 def project(frames: FrameBatch, v: np.ndarray):

@@ -10,6 +10,7 @@ from lagkit.catalog import catalog, catalog_entry, catalog_names, catalog_source
 from lagkit.checks import SampleConfig, run_suite
 from lagkit.dsl import parse, serialize
 from lagkit.errors import UnknownSpecError
+from lagkit.products import circle_product
 
 CFG = SampleConfig(num_points=14, seed=13)
 
@@ -30,6 +31,22 @@ def test_shipped_source_is_canonical(name):
     assert parse(src).same_structure(catalog(name))
 
 
+# each product entry's base: its shipped source is the circle product of the base
+PRODUCT_BASES = {
+    "clifford_torus": "real_circle_S3",
+    "product_S1xS2": "real_sphere_S5",
+    "theorem42_example": "pseudo_legendrian_S3_index1",
+    "theorem43_example": "pseudo_legendrian_H3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_BASES))
+def test_product_source_is_the_circle_product_of_its_base(name):
+    product = circle_product(catalog(PRODUCT_BASES[name]))
+    assert serialize(product) == catalog_source(name)
+    assert product.same_structure(catalog(name))
+
+
 def test_catalog_names_parses_no_source():
     # a fresh process, so that parse is counted from before lagkit.catalog loads
     script = (
@@ -40,7 +57,7 @@ def test_catalog_names_parses_no_source():
         "from lagkit.catalog import catalog, catalog_names\n"
         "catalog_names()\n"
         "print(len(calls))\n"
-        "catalog('clifford_torus')  # the product and its base, one parse\n"
+        "catalog('clifford_torus')  # a product, from its own source: one parse\n"
         "print(len(calls))\n"
     )
     proc = subprocess.run(

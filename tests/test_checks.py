@@ -16,13 +16,11 @@ from lagkit.checks import (
     CheckEntry,
     CheckReport,
     SampleConfig,
-    _build,
     _isotropy,
     _product_metric,
     _reduce,
     _structure_with_fit,
     run_suite,
-    sample_frames,
 )
 from lagkit.dsl import Bin, Call, ImmersionSpec, Param, Pow, Ref, parse
 from lagkit.errors import LagkitError, SingularEvaluationError
@@ -34,9 +32,10 @@ CFG = SampleConfig(num_points=12, seed=7)
 SPHERE = AmbientQuadric(1.0)
 
 
-def frames_of(name_or_spec, cfg=CFG):
+def frames_of(name_or_spec, cfg=CFG, need_third=False):
+    """The frames of a catalog entry or spec at the sample points of cfg."""
     spec = catalog(name_or_spec) if isinstance(name_or_spec, str) else name_or_spec
-    return sample_frames(spec, cfg)
+    return build_frame(spec, sample_points(spec, cfg.num_points, cfg.seed), need_third)
 
 
 def check_of(name_or_spec, check, cfg=CFG, quadric=None):
@@ -452,13 +451,13 @@ def test_normalized_frames_equal_those_of_the_normalized_spec(spec, num_points):
     # field within 1e-12 of its largest entry (or of 1); they are built to
     # second order, as no check on them reads third-order data
     cfg = SampleConfig(num_points=num_points, seed=7)
-    frames = sample_frames(spec, cfg, need_third=True)
+    frames = frames_of(spec, cfg, need_third=True)
     report = run_suite(spec, cfg, checks=["lagrangian", "spherical"])
     derived, _, _ = _structure_with_fit(frames, report.checks, report.sphere_fit)
-    reference = sample_frames(reference_normalized_spec(spec, report.transform), cfg)
+    reference = frames_of(reference_normalized_spec(spec, report.transform), cfg)
     assert derived.third is derived.dchristoffels is None
     for name in FrameBatch._fields:
-        if name not in ("spec", "third", "dchristoffels"):
+        if name not in ("third", "dchristoffels"):
             ours, theirs = getattr(derived, name), getattr(reference, name)
             assert ours.shape == theirs.shape, name
             bound = 1e-12 * max(1.0, np.abs(theirs).max())
@@ -595,16 +594,13 @@ class TestChunks:
     @pytest.mark.parametrize("name", catalog_names())
     def test_chunked_frames_equal_single_point_frames(self, name):
         entry = catalog_entry(name)
-        chunked = sample_frames(entry.spec, self.CFG, need_third=True)
+        chunked = frames_of(entry.spec, self.CFG, need_third=True)
         singles = [build_frame(entry.spec, pt, need_third=True) for pt in self._points(entry.spec)]
         assert len(chunked) == len(singles) == self.CFG.num_points
         for name in FrameBatch._fields:
-            if name != "spec":
-                parts = [getattr(frame, name) for frame in singles]
-                single = parts[0] if name == "eta" else np.concatenate(parts)
-                np.testing.assert_allclose(
-                    getattr(chunked, name), single, rtol=1e-12, atol=1e-12
-                )
+            parts = [getattr(frame, name) for frame in singles]
+            single = parts[0] if name == "eta" else np.concatenate(parts)
+            np.testing.assert_allclose(getattr(chunked, name), single, rtol=1e-12, atol=1e-12)
         report = run_suite(entry.spec, self.CFG, quadric=entry.quadric)
         assert {k: report.checks[k].passed for k in entry.expects} == entry.expects
 
@@ -640,7 +636,7 @@ class TestChunks:
             for message in messages
         )
         with pytest.raises(SingularEvaluationError) as info:
-            sample_frames(spec, self.CFG, need_third=True)
+            build_frame(spec, self._points(spec), need_third=True)
         assert str(info.value) == first
         report = run_suite(spec, self.CFG)
         assert report.checks["lagrangian"].reason == first
@@ -648,13 +644,14 @@ class TestChunks:
 
 class TestFallbackCost:
     """A failing batch is built again only on the points before the row of its
-    error, once per test that fails: a map failing at the last point costs 2 builds."""
+    error, once per test that fails: a map failing at the last point costs 2
+    builds, counted at lagkit.geometry.build_frame, where the retry recurses."""
 
     CFG = SampleConfig(num_points=8 * CHUNK + 1, seed=7)
     BOUND = 2
 
     def test_map_failing_at_the_last_point(self, monkeypatch):
-        import lagkit.checks as checks
+        import lagkit.geometry as geometry
 
         cfg = self.CFG
         box = parse("params u:[0,1];\nsignature 1 0;\nmap u;\n")
@@ -673,19 +670,26 @@ class TestFallbackCost:
         message = f"map cannot be evaluated at ({c!r},): math range error"
         assert walk == [(cfg.num_points - 1, message)]
         calls = []
-        build = checks.build_frame
-        monkeypatch.setattr(checks, "build_frame", lambda *a: calls.append(a) or build(*a))
+        build = geometry.build_frame
+        monkeypatch.setattr(geometry, "build_frame", lambda *a: calls.append(a) or build(*a))
         with pytest.raises(SingularEvaluationError) as info:
-            sample_frames(spec, cfg, need_third=True)
+            geometry.build_frame(spec, sample_points(spec, cfg.num_points, cfg.seed), True)
         assert str(info.value) == walk[0][1] and info.value.row == cfg.num_points - 1
         assert len(calls) <= self.BOUND
 
     def test_a_pole_at_the_last_point_is_named_by_every_error_entry(self, monkeypatch):
         import lagkit.checks as checks
+        import lagkit.geometry as geometry
 
         spec, (u0, v0) = pole_spec(200)
-        calls, build = [], checks.build_frame
-        monkeypatch.setattr(checks, "build_frame", lambda *a: calls.append(len(a[1])) or build(*a))
+        calls, build = [], geometry.build_frame
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return build(*args)
+
+        for module in (checks, geometry):  # run_suite's call, then the retry's
+            monkeypatch.setattr(module, "build_frame", counted)
         report = run_suite(spec, SampleConfig(num_points=200))
         assert len(calls) <= 2 and calls[0] == 200
         errors = {e.name: e.reason for e in report.checks.values() if e.status == "error"}
@@ -695,21 +699,22 @@ class TestFallbackCost:
     def test_batch_error_kept_when_no_point_fails(self, monkeypatch):
         # an error about every row (row 0) is raised after one build; one at
         # row 5 builds the 5 points before it, which pass, and is raised again
-        import lagkit.checks as checks
+        import lagkit.geometry as geometry
 
-        calls = []
+        calls, evaluate = [], geometry.evaluate_map_jets
 
-        def build(spec, points, need_third):
+        def failing(spec, points, order, out):
             calls.append(len(points))
             if len(points) > 5:
                 raise SingularEvaluationError(f"batch of {len(points)} fails", row=row)
-            return points
+            return evaluate(spec, points, order, out)
 
-        monkeypatch.setattr(checks, "build_frame", build)
+        monkeypatch.setattr(geometry, "evaluate_map_jets", failing)
+        spec = parse("params u:[0,1];\nsignature 1 0;\nmap u;\n")
         for row, builds in [(0, [200]), (5, [200, 5])]:
             calls.clear()
             with pytest.raises(SingularEvaluationError, match="^batch of 200 fails$") as info:
-                _build(None, np.zeros((200, 1)), False)
+                build_frame(spec, np.linspace(0.1, 0.9, 200)[:, None])
             assert info.value.row == row and calls == builds
 
 
@@ -728,8 +733,8 @@ FAULTS = {
 
 
 class TestPlantedFaults:
-    """Faults planted at sample points: sample_frames raises exactly the first
-    error of a point-by-point build_frame walk."""
+    """Faults planted at sample points: build_frame on the sample points raises
+    exactly the first error of a point-by-point build_frame walk."""
 
     @given(
         st.sampled_from([12, 40, CHUNK + 44]).flatmap(
@@ -763,7 +768,7 @@ class TestPlantedFaults:
         index, kind, message = walk_first_error(spec, us[:, None], need_third)
         assert index == min(i for i, _ in faults)
         with pytest.raises(LagkitError) as info:
-            sample_frames(spec, cfg, need_third)
+            build_frame(spec, sample_points(spec, cfg.num_points, cfg.seed), need_third)
         assert (type(info.value), str(info.value)) == (kind, message)
 
 
@@ -802,7 +807,7 @@ class TestReportSerialization:
     def test_records_refuse_assignment(self, kind):
         spec = catalog("clifford_torus")
         report = run_suite(spec, CFG)
-        frames = sample_frames(spec, CFG, need_third=True)
+        frames = frames_of(spec, CFG, need_third=True)
         records = (frames, report.checks["lagrangian"], report.sphere_fit, report.transform, report)
         (record,) = [r for r in records if type(r).__name__ == kind]
         for field in vars(record):

@@ -19,13 +19,13 @@ from lagkit.dsl import evaluate_map_jets, parse
 from lagkit.errors import DegenerateMetricError
 from lagkit.geometry import (
     CHUNK,
+    _gathers,
     build_frame,
     codazzi_residual,
     gauss_residual,
     project,
     riemann_tensor,
     sectional_curvature,
-    slot_pairs,
     tangent_field,
 )
 from lagkit.products import circle_product, dilate
@@ -449,14 +449,15 @@ def _assert_read_only(array):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_codazzi_pairs_are_triu_indices_built_once_and_read_only(m):
-    i, j = slot_pairs(m)
+    gathers = _gathers(m)
+    i, j = gathers[:2]
     want_i, want_j = np.triu_indices(m, 1)
     np.testing.assert_array_equal(i, want_i)
     np.testing.assert_array_equal(j, want_j)
     assert i.dtype == want_i.dtype and j.dtype == want_j.dtype
-    assert slot_pairs(m)[0] is i and slot_pairs(m)[1] is j
-    _assert_read_only(i)
-    _assert_read_only(j)
+    assert all(again is x for again, x in zip(_gathers(m), gathers, strict=True))
+    for x in gathers:
+        _assert_read_only(x)
 
 
 def test_metric_diagonal_and_sampling_box_are_built_once_and_read_only():
