@@ -160,7 +160,9 @@ def _compose(u, f0, f1, f2, f3):
     """Chain rule for f(u) given the derivatives of f at the values of u:
     f(u)_1 = f1 u_1, f(u)_2 = f1 u_2 + f2 u_1^2 / 2,
     f(u)_3 = f1 u_3 + f2 u_1 u_2 + f3 u_1^3 / 6.  The f have the dtype of u's
-    value, so f1 u_1 already has the result type of every operand."""
+    value, so f1 u_1 already has the result type of every operand.  The 1/6
+    is a real factor, not a divisor: numpy divides a complex array by 6.0 as
+    x * (1/6), so a real step would round apart from its complex twin."""
     uh = u[1]
     high = f1 * uh
     if len(high) > 1:
@@ -168,7 +170,7 @@ def _compose(u, f0, f1, f2, f3):
         high[1:2] += 0.5 * f2 * u1sq
     if len(high) > 2:
         high[2:] += f2 * (uh[:1] * uh[1:2])
-        high[2:] += f3 / 6.0 * (u1sq * uh[:1])
+        high[2:] += f3 * (1.0 / 6.0) * (u1sq * uh[:1])
     return f0, high
 
 
@@ -184,7 +186,8 @@ def _reciprocal(u):
             stacklevel=3,
         )
     inv = 1.0 / v
-    return _compose(u, inv, -inv * inv, 2.0 * inv**3, -6.0 * inv**4)
+    sq = inv * inv  # products, not **: complex ** rounds apart from real **
+    return _compose(u, inv, -sq, 2.0 * (sq * inv), -6.0 * (sq * sq))
 
 
 def _guard(bad, message):

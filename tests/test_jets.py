@@ -413,7 +413,7 @@ def per_degree_compose(u, f0, f1, f2, f3):
         out.append(f1 * u[2] + 0.5 * f2 * u1sq)
     if len(u) > 3:
         third = f1 * u[3] + f2 * (u[1] * u[2])
-        third += f3 / 6.0 * (u1sq * u[1])
+        third += f3 * (1.0 / 6.0) * (u1sq * u[1])
         out.append(third)
     return out
 
@@ -470,7 +470,8 @@ class TestKernels:
             per_degree_compose(coeffs(shifted), s, k, -s, -k)
         )
         inv = 1.0 / coeffs(b)[0]
-        want = per_degree_compose(coeffs(b), inv, -inv * inv, 2.0 * inv**3, -6.0 * inv**4)
+        sq = inv * inv
+        want = per_degree_compose(coeffs(b), inv, -sq, 2.0 * (sq * inv), -6.0 * (sq * sq))
         assert _bytes(coeffs(jets._OPERATORS["/", (0, 1)](1, b))) == _bytes([1 * w for w in want])
         assert _bytes(coeffs(_div(shifted, b))) == _bytes(per_degree_product(coeffs(shifted), want))
         assert _bytes([*a, *b]) == before
