@@ -13,6 +13,9 @@ operands: an intermediate is formed in the layout its next step reads, and a
 permuted read is one np.take of positions built once per m (_gathers).  So
 d_p Gamma^k_ij is formed as [k, p, i, j] and R as [l, i, j, k], both viewed in
 the conventions below; second and sff are read as L_ij = L_ji, third as it is.
+The metric's inverse and its conditioning test come from one expansion in minors
+of g / max |g_ij| (inverse), by such gathers, for every m and with no LAPACK
+call: the determinant is tested against 1e-10, and the cofactors over it give g^-1.
 
 Index conventions, pinned by tests on the round-sphere factor (b is the point):
   dmetric[b, k, i, j]      = d_k g_ij
@@ -166,21 +169,18 @@ def assemble_frame(spec, points, position, first, second, third=None) -> FrameBa
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # rejected just below
         metric = contract(weighted, first)
         metric = 0.5 * (metric + np.swapaxes(metric, 1, 2))
-        # compare det(g / scale), since scale**m can overflow where det g does not
-        scale = np.maximum.reduce(np.abs(metric), axis=(1, 2))  # 0 is degenerate
-        scaled_det = np.abs(np.linalg.det(metric / scale[:, None, None]))
-    finite = np.logical_and.reduce(np.isfinite(metric), axis=(1, 2))
+        scale, det, metric_inv = inverse(metric)  # det(g / scale): scale**m may overflow
+    finite = np.isfinite(scale)
     if not np.logical_and.reduce(finite):
         i = int(np.argmin(finite))
         bad = tuple(points[i].tolist())
         raise SingularEvaluationError(f"induced metric not finite at {bad}", row=i)
-    degenerate = (scale == 0.0) | (scaled_det < 1e-10)
+    degenerate = (scale == 0.0) | (np.abs(det) < 1e-10)
     if np.logical_or.reduce(degenerate):
         i = int(np.argmax(degenerate))
-        det = abs(float(np.linalg.det(metric[i])))
-        bad = f"{tuple(points[i].tolist())}: |det| = {det:.3e}"
+        tested = abs(det[i]) if scale[i] else 0.0
+        bad = f"{tuple(points[i].tolist())}: |det(g / max|g_ij|)| = {tested:.3e}"
         raise DegenerateMetricError(f"induced metric degenerate at {bad}", row=i)
-    metric_inv = np.linalg.inv(metric)
 
     pairs = contract(second, weighted)  # [i, j, l] = <L_ij, L_l>
     # d_k g_ij = <L_ik, L_j> + <L_i, L_jk> = <L_ki, L_j> + <L_kj, L_i>
@@ -218,6 +218,25 @@ def contract(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x.reshape(batch, -1, a) @ right).reshape(x.shape[:-1] + y.shape[1:-1])
 
 
+def inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """s = max |g_ij| (nan or inf where g is not finite), det(g / s) (nan where s is 0)
+    and g^-1 per point.  Each k x k minor the cofactors need is formed once, along its
+    last row, from those of order k - 1, by one gather of rows (minor, point) per term."""
+    b, m = g.shape[:2]
+    flat = np.ascontiguousarray(g.reshape(b, -1).T)
+    signed = np.concatenate((flat, -flat))
+    scale = np.maximum.reduce(signed, axis=0)  # max(g_ij, -g_ij), propagating nan
+    signed /= scale
+    *tables, adj_at, adj_sign = _gathers(m)[4:]
+    below, minors = np.ones((1, b)), signed[: m * m]  # the minors of order 0 and 1
+    for minor_at, entry_at in zip(tables[::2], tables[1::2]):  # orders 2 .. m
+        terms = minors.take(minor_at, axis=0) * signed.take(entry_at, axis=0)
+        below, minors = minors, np.add.reduce(terms, axis=0)
+    inv = np.empty((b, m, m))  # written transposed, so C-ordered for the matmuls that read it
+    np.divide(below.take(adj_at, axis=0) * adj_sign, minors[0] * scale, out=inv.reshape(b, -1).T)
+    return scale, minors[0], inv
+
+
 def _require_third(frames: FrameBatch):
     if frames.dchristoffels is None:
         raise ValueError("frames were built without third derivatives; pass need_third=True")
@@ -231,7 +250,7 @@ def riemann_tensor(frames: FrameBatch) -> np.ndarray:
     # x[l, i, j, k] = d_i Gamma^l_jk + Gamma^l_iq Gamma^q_jk; R^l_ijk is x - x[l, j, i, k]
     prod = gamma.reshape(b, m * m, m) @ gamma.reshape(b, m, -1)  # [(l, i), (j, k)]
     x = (dgamma.swapaxes(1, 2) + prod.reshape(dgamma.shape)).reshape(b, -1)
-    x -= x.take(_gathers(m)[2], axis=1)
+    x -= x.take(_gathers(m)[0], axis=1)
     lowered = frames.metric.swapaxes(1, 2) @ x.reshape(b, m, -1)  # [l, (i, j, k)]
     return lowered.reshape(dgamma.shape).transpose(0, 2, 3, 4, 1)
 
@@ -255,7 +274,7 @@ def gauss_residual(frames: FrameBatch) -> np.ndarray:
     r = riemann_tensor(frames).transpose(0, 4, 1, 2, 3)  # [l, i, j, k], C-ordered
     pairs = contract(frames.sff, frames.sff * frames.eta)  # [l, i, j, k] = <h_li, h_jk>
     r -= pairs  # then + <h_ik, h_jl>, pairs read at [i, k, j, l]
-    r += pairs.reshape(len(r), -1).take(_gathers(r.shape[1])[3], axis=1).reshape(r.shape)
+    r += pairs.reshape(len(r), -1).take(_gathers(r.shape[1])[1], axis=1).reshape(r.shape)
     return point_max(r)
 
 
@@ -274,7 +293,7 @@ def codazzi_residual(frames: FrameBatch) -> np.ndarray:
     first, third = frames.first, frames.third
     b, m, a = first.shape
     gamma_rows = frames.christoffels.reshape(b, m, -1).swapaxes(1, 2)  # [(j, k), p]
-    third_rows, lead_rows = _gathers(m)[4:]  # (2, pairs * m): rows (i, j, k), then (j, i, k)
+    third_rows, lead_rows = _gathers(m)[2:4]  # (2, pairs * m): rows (i, j, k), then (j, i, k)
     # Gamma^p_jk x_ip = Gamma^p_jk x_pi, formed as [j, k, i], at those rows, each when read
     leads = ((gamma_rows @ x.reshape(b, m, -1)).reshape(b, -1, a).take(lead_rows, axis=1)
              for x in (frames.second, frames.sff))
@@ -290,13 +309,29 @@ def codazzi_residual(frames: FrameBatch) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)  # one entry per dimension m met
 def _gathers(m: int) -> tuple[np.ndarray, ...]:
-    """Read-only, built once per m: the slot pairs i < j; the flat positions of a
-    C-ordered block's [l, j, i, k] and [i, k, j, l] at each [l, i, j, k]; and of
-    rows (i, j, k), then (j, i, k), of each pair in [i, j, k] and in [j, k, i]."""
+    """Read-only, built once per m: the flat positions of a C-ordered block's
+    [l, j, i, k] and [i, k, j, l] at each [l, i, j, k]; of rows (i, j, k), then
+    (j, i, k), of each slot pair i < j in [i, j, k] and in [j, k, i]; then, for
+    inverse and each order k = 2..m, the positions (term, minor) of each term's
+    minor of order k - 1 and of its entry of g, in g's negated copy where the
+    term's sign is -; and where adj[j, i] reads C_ij, with its sign."""
     i, j = np.triu_indices(m, 1)
     cube, block = np.arange(m**3).reshape((m,) * 3), np.arange(m**4).reshape((m,) * 4)
-    flat = [i, j, block.transpose(0, 2, 1, 3).ravel(), block.transpose(3, 0, 2, 1).ravel()]
+    flat = [block.transpose(0, 2, 1, 3).ravel(), block.transpose(3, 0, 2, 1).ravel()]
     flat += [np.stack([x[i, j].ravel(), x[j, i].ravel()]) for x in (cube, cube.transpose(2, 0, 1))]
+    full, drop = tuple(range(m)), lambda x, t: x[:t] + x[t + 1 :]
+    # the minors [rows, cols] of each order: all m^2 of order m - 1, and those they read
+    kept = {m: [(full, full)], m - 1: [(drop(full, i), drop(full, j)) for i in full for j in full]}
+    for k in range(m - 1, 2, -1):
+        kept[k - 1] = sorted({(rows[:-1], drop(cols, t)) for rows, cols in kept[k] for t in range(k)})
+    at = {((), ()): 0} | {((r,), (c,)): r * m + c for r in full for c in full}  # 1, then g
+    for k in range(2, m + 1):
+        flat += [np.array([[at[rows[:-1], drop(cols, t)] for rows, cols in kept[k]] for t in range(k)]),
+                 np.array([[rows[-1] * m + cols[t] + (k - 1 + t) % 2 * m * m for rows, cols in kept[k]]
+                           for t in range(k)])]
+        at |= {pair: n for n, pair in enumerate(kept[k])}
+    flat += [np.array([at[drop(full, i), drop(full, j)] for j in full for i in full]),
+             np.array([[(-1.0) ** (i + j)] for j in full for i in full])]
     for x in flat:
         x.flags.writeable = False
     return tuple(flat)

@@ -835,7 +835,7 @@ class TestDegenerateSpecs:
         spec = parse(text)
         report = run_suite(spec, CFG, quadric=quadric)
         point = tuple(sample_points(spec, CFG.num_points, CFG.seed)[0].tolist())
-        degenerate = f"induced metric degenerate at {point}: |det| = 0.000e+00"
+        degenerate = f"induced metric degenerate at {point}: |det(g / max|g_ij|)| = 0.000e+00"
         assert not report.passed and report.transform is None
         got = [(n, e.status, e.reason) for n, e in report.checks.items()]
         return got, degenerate

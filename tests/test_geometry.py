@@ -6,9 +6,12 @@ every tensor below was derived by hand before the implementation existed.
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagkit import sampling
 from lagkit.ambient import Signature, apply_j_flat, metric_diagonal
@@ -16,13 +19,15 @@ from lagkit.catalog import catalog, catalog_entry, catalog_names
 from lagkit.checks import SampleConfig, run_suite
 from lagkit import jets
 from lagkit.dsl import evaluate_map_jets, parse
-from lagkit.errors import DegenerateMetricError
+from lagkit.errors import DegenerateMetricError, SingularEvaluationError
 from lagkit.geometry import (
     CHUNK,
     _gathers,
+    assemble_frame,
     build_frame,
     codazzi_residual,
     gauss_residual,
+    inverse,
     project,
     riemann_tensor,
     sectional_curvature,
@@ -329,6 +334,132 @@ SPEC_W5 = parse(
 BEYOND_CATALOG = ("m3_s2", "m4_circle_product", "m5_whitney")
 
 
+def _metric(m, index, decades, planes, seed):
+    """A symmetric m x m metric of the given index, its eigenvalue magnitudes
+    spread over `decades` decades: Q diag(lambda) Q^T for a random rotation Q,
+    or, when planes > 0, a permuted sum of up to `planes` hyperbolic planes
+    [[0, a], [a, 0]] and diagonal entries, whose coordinate vectors in the
+    planes are null, so that LU solves it only with pivoting."""
+    rng = np.random.default_rng(seed)
+    magnitudes = 10.0 ** rng.uniform(-decades, 0.0, m) * 10.0 ** rng.uniform(-3, 3)
+    if planes:
+        p = min(planes, index, m - index)
+        g = np.diag(np.r_[np.zeros(2 * p), -magnitudes[: index - p], magnitudes[index - p : m - 2 * p]])
+        for q in range(p):
+            g[2 * q, 2 * q + 1] = g[2 * q + 1, 2 * q] = magnitudes[m - 1 - q]
+        perm = rng.permutation(m)
+        return g[np.ix_(perm, perm)]
+    rotation, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    g = (rotation * np.r_[-magnitudes[:index], magnitudes[index:]]) @ rotation.T
+    return 0.5 * (g + g.T)
+
+
+_METRIC_BATCHES = st.integers(1, 5).flatmap(
+    lambda m: st.tuples(
+        st.just(m), st.integers(0, m), st.floats(0.0, 14.0), st.integers(0, 2),
+        st.integers(1, 6), st.integers(0, 2**32 - 1),
+    )
+)
+
+
+class TestInverseByMinors:
+    """inverse, the expansion in minors that assemble_frame inverts the metric
+    with, against numpy.linalg on symmetric metrics of every index."""
+
+    @given(_METRIC_BATCHES)
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_matches_numpy_linalg(self, params):
+        m, index, decades, planes, batch, seed = params
+        g = np.stack([_metric(m, index, decades, planes, seed + row) for row in range(batch)])
+        scale, det, inv = inverse(g)
+        assert inv.flags.c_contiguous
+        np.testing.assert_array_equal(scale, np.abs(g).max(axis=(1, 2)))
+        want = np.linalg.det(g / scale[:, None, None])
+        away = (np.abs(want) < 0.5e-10) | (np.abs(want) > 2e-10)  # from the threshold
+        np.testing.assert_array_equal((np.abs(det) < 1e-10)[away], (np.abs(want) < 1e-10)[away])
+        np.testing.assert_allclose(det, want, rtol=0, atol=1e-13)
+        for got, metric, scaled_det in zip(inv, g, want):
+            if abs(scaled_det) >= 1e-3:
+                ref = np.linalg.inv(metric)
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            [[0.0, 1.0], [1.0, 0.0]],
+            [[0.0, 2.0], [2.0, 0.0]],
+            [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]],
+            [[0.0, 3.0, 0.0], [3.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
+            [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 4.0], [1.0, 0.0, 0.0, 0.0], [0.0, 4.0, 0.0, 0.0]],
+        ],
+    )
+    def test_null_coordinate_vectors(self, g):
+        g = np.array(g)
+        _, det, inv = inverse(g[None])
+        np.testing.assert_array_equal(inv[0], np.linalg.inv(g))
+        assert det[0] == np.linalg.det(g / np.abs(g).max())
+
+    def test_null_chart_frames(self):
+        # u + v, u - v in C^2_1: d_u and d_v are null, g = [[0, -2], [-2, 0]]
+        spec = parse("params u:[0,1], v:[0,1];\nsignature 2 1;\nmap u + v, u - v;\n")
+        fr = build_frame(spec, sample_points(spec, 5, seed=1), need_third=True)
+        np.testing.assert_array_equal(fr.metric, np.broadcast_to([[0.0, -2.0], [-2.0, 0.0]], (5, 2, 2)))
+        np.testing.assert_array_equal(fr.metric_inv, np.broadcast_to([[0.0, -0.5], [-0.5, 0.0]], (5, 2, 2)))
+
+    @pytest.mark.parametrize("units", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("eps, degenerate", [(2e-11, True), (5e-11, True), (2e-10, False), (1e-9, False)])
+    def test_conditioning_threshold_in_any_units(self, eps, degenerate, units):
+        # g = units^2 diag(1, eps), so |det(g / max |g_ij|)| = eps, tested against 1e-10,
+        # where det g itself under- or overflows
+        spec = SimpleNamespace(signature=Signature(2, 0))
+        first = units * np.array([[[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, math.sqrt(eps), 0.0]]])
+        args = (spec, np.zeros((1, 2)), np.zeros((1, 4)), first, np.zeros((1, 2, 2, 4)))
+        if not degenerate:
+            np.testing.assert_allclose(assemble_frame(*args).metric_inv[0], np.diag([1.0, 1.0 / eps]) / units**2)
+            return
+        with pytest.raises(DegenerateMetricError, match=f"\\|det\\(g / max\\|g_ij\\|\\)\\| = {eps:.3e}$"):
+            assemble_frame(*args)
+
+    @given(st.integers(1, 5).flatmap(
+        lambda m: st.tuples(st.just(m), st.integers(0, m), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    ))
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_first_failing_row(self, params):
+        # integer tangent vectors, so every metric is exact and a singular one has det 0;
+        # some rows get a repeated or zero vector, some a non-finite entry
+        m, s, batch, seed = params
+        rng = np.random.default_rng(seed)
+        first = rng.integers(-2, 3, size=(batch, m, 2 * m)).astype(float)
+        for row, kind in enumerate(rng.integers(0, 6, batch)):
+            if kind == 0:
+                first[row, -1] = first[row, 0]
+            elif kind == 1:
+                first[row] = 0.0
+            elif kind == 2:
+                first[row, rng.integers(m), rng.integers(2 * m)] = rng.choice([np.inf, -np.inf, np.nan])
+        spec = SimpleNamespace(signature=Signature(m, s))
+        points = np.arange(batch * m, dtype=float).reshape(batch, m)
+        with np.errstate(invalid="ignore"):
+            metrics = np.einsum("bia,a,bja->bij", first, metric_diagonal(spec.signature), first)
+        # the point-by-point reference: the first non-finite metric, else the first
+        # whose |det(g / max |g_ij|)| is below 1e-10 by numpy.linalg
+        finite = np.isfinite(metrics).all(axis=(1, 2))
+        if not finite.all():
+            failing, error = np.flatnonzero(~finite), SingularEvaluationError
+        else:
+            scale = np.maximum(np.abs(metrics).max(axis=(1, 2)), 1e-300)[:, None, None]
+            failing = np.flatnonzero(~(np.abs(np.linalg.det(metrics / scale)) >= 1e-10))
+            error = DegenerateMetricError
+        args = (spec, points, np.zeros((batch, 2 * m)), first, np.zeros((batch, m, m, 2 * m)))
+        if not len(failing):
+            ref = np.linalg.inv(metrics)
+            np.testing.assert_allclose(assemble_frame(*args).metric_inv, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+            return
+        with pytest.raises(error) as info:
+            assemble_frame(*args)
+        assert info.value.row == failing[0] and str(tuple(points[failing[0]].tolist())) in str(info.value)
+
+
 def _spec(name):
     """A catalog entry, or one of the specs of BEYOND_CATALOG."""
     beyond = dict(zip(BEYOND_CATALOG, (SPEC_M3_S2, SPEC_M4, SPEC_W5)))
@@ -448,13 +579,16 @@ def _assert_read_only(array):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-def test_codazzi_pairs_are_triu_indices_built_once_and_read_only(m):
+def test_codazzi_gathers_are_built_once_and_read_only(m):
     gathers = _gathers(m)
-    i, j = gathers[:2]
-    want_i, want_j = np.triu_indices(m, 1)
-    np.testing.assert_array_equal(i, want_i)
-    np.testing.assert_array_equal(j, want_j)
-    assert i.dtype == want_i.dtype and j.dtype == want_j.dtype
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+
+    def rows(at):  # the flat positions of rows (i, j, k), then (j, i, k), of each pair
+        return [[at(i, j, k) for i, j in pairs for k in range(m)], [at(j, i, k) for i, j in pairs for k in range(m)]]
+
+    third_rows, lead_rows = gathers[2:4]
+    assert third_rows.tolist() == rows(lambda i, j, k: (i * m + j) * m + k)  # in [i, j, k]
+    assert lead_rows.tolist() == rows(lambda i, j, k: (j * m + k) * m + i)  # in [j, k, i]
     assert all(again is x for again, x in zip(_gathers(m), gathers, strict=True))
     for x in gathers:
         _assert_read_only(x)
