@@ -161,8 +161,9 @@ def assemble_frame(spec, points, position, first, second, third=None) -> FrameBa
     """The frames at points (B, m) of a map with these derivatives there.
 
     Raises SingularEvaluationError when the metric is not finite, and
-    DegenerateMetricError when |det(g / max |g_ij|)| < 1e-10, at some point;
-    the error names, by row too, the first such point met by the failing test.
+    DegenerateMetricError when |det(g / max |g_ij|)| < 1e-10 or g^-1 is not
+    finite, at some point; the error names, by row too, the first such point
+    met by the failing test.
     """
     eta = metric_diagonal(spec.signature)
     weighted = first * eta  # <x, L_j> is contract(x, weighted)
@@ -180,6 +181,10 @@ def assemble_frame(spec, points, position, first, second, third=None) -> FrameBa
         i = int(np.argmax(degenerate))
         tested = abs(det[i]) if scale[i] else 0.0
         bad = f"{tuple(points[i].tolist())}: |det(g / max|g_ij|)| = {tested:.3e}"
+        raise DegenerateMetricError(f"induced metric degenerate at {bad}", row=i)
+    if not np.logical_and.reduce(np.isfinite(metric_inv), axis=None):  # g ~ 1e-320: 1/g overflows
+        i = int(np.argmin(np.isfinite(metric_inv).reshape(len(points), -1).all(axis=1)))
+        bad = f"{tuple(points[i].tolist())}: g^-1 not finite"
         raise DegenerateMetricError(f"induced metric degenerate at {bad}", row=i)
 
     pairs = contract(second, weighted)  # [i, j, l] = <L_ij, L_l>

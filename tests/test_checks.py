@@ -3,6 +3,7 @@
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -453,7 +454,7 @@ def test_normalized_frames_equal_those_of_the_normalized_spec(spec, num_points):
     cfg = SampleConfig(num_points=num_points, seed=7)
     frames = frames_of(spec, cfg, need_third=True)
     report = run_suite(spec, cfg, checks=["lagrangian", "spherical"])
-    derived, _, _ = _structure_with_fit(frames, report.checks, report.sphere_fit)
+    derived, _, _ = _structure_with_fit(frames, report.sphere_fit, report.transform)
     reference = frames_of(reference_normalized_spec(spec, report.transform), cfg)
     assert derived.third is derived.dchristoffels is None
     for name in FrameBatch._fields:
@@ -536,6 +537,117 @@ def test_failed_frames_leave_no_reference_cycle():
             gc.enable()
         entry = report.checks["lagrangian"]
         assert entry.status == "error" and entry.reason.startswith(f"{reason} at (")
+
+
+# full runs: the _reduce stacks of each catalog entry with its declared quadric
+# and without one.  Both chains reduce lagrangian, spherical, gauss and codazzi
+# as one stack when a verdict the later checks read is pending there, and the
+# rows of the later checks as another: a Legendrian entry with its quadric skips
+# the fit, so all its rows are one stack, and control_non_lagrangian, which
+# fails lagrangian, has no row of a later check.
+FULL_RUN_STACKS = {
+    "real_circle_S3": (1, 1),  # real points: without a quadric the fit is an error
+    "clifford_torus": (2, 2),
+    "real_sphere_S5": (1, 1),  # real points too
+    "product_S1xS2": (2, 2),
+    "minimal_legendrian_torus_S5": (1, 2),
+    "whitney_sphere": (2, 2),
+    "pseudo_legendrian_H3": (1, 1),
+    "pseudo_legendrian_S3_index1": (1, 1),
+    "theorem42_example": (2, 2),
+    "theorem43_example": (2, 2),
+    "control_non_lagrangian": (1, 1),
+    "control_non_horizontal": (1, 1),
+}
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_work_per_spec(name, monkeypatch):
+    # the _reduce stacks of each run, and the structure bundle: formed exactly
+    # once where a transform exists and a check reads it, never otherwise
+    import lagkit.checks as module
+
+    assert set(FULL_RUN_STACKS) == set(catalog_names())
+    calls = {}
+    for attr in ("_reduce", "_structure_with_fit"):
+        def counted(*args, attr=attr, run=getattr(module, attr)):
+            calls[attr] += 1
+            return run(*args)
+
+        monkeypatch.setattr(module, attr, counted)
+    entry = catalog_entry(name)
+    lagrangian = entry.spec.num_params == entry.spec.signature.n
+    for spec, stacks in zip((entry.spec, entry.spec.replace(quadric=None)), FULL_RUN_STACKS[name]):
+        for checks in (None, ["lagrangian"], ["gauss"]):
+            calls.update(_reduce=0, _structure_with_fit=0)
+            if checks == ["lagrangian"] and not lagrangian:
+                with pytest.raises(LagkitError, match="gets no check lagrangian"):
+                    run_suite(spec, CFG, checks=checks)
+                continue
+            report = run_suite(spec, CFG, checks=checks)
+            assert calls["_reduce"] == (stacks if checks is None else 1), checks
+            bundle = checks is None and report.transform is not None
+            assert calls["_structure_with_fit"] == bundle, checks
+
+
+def test_reduce_takes_the_mean_term_by_term_where_the_sum_would_overflow():
+    # 20 residuals of 1e308 sum past the float range while their max does not:
+    # that row's mean is the sum of its terms over B, finite, and every other
+    # row keeps the bits of its own .mean()
+    points = sample_points(catalog("clifford_torus"), 20, 7)
+    rng = np.random.default_rng(11)
+    rows = {
+        "legendrian": (rng.random(20), None),
+        "umbilical": (np.full(20, 1e308), None),
+        "gauss": (rng.random(20) * 1e306, None),  # its sum, 1e307 at most, fits
+        "codazzi": (np.where(np.arange(20) == 4, 1.7e308, 1e300), None),
+    }
+    with np.errstate(over="raise"):
+        entries = {entry.name: entry for entry in _reduce(CFG, points, rows)}
+    for name in ("legendrian", "gauss"):
+        assert entries[name].mean_residual == float(rows[name][0].mean())
+    assert entries["umbilical"].status == "ok" and entries["umbilical"].max_residual == 1e308
+    assert entries["umbilical"].mean_residual == pytest.approx(1e308, rel=1e-15)
+    assert entries["codazzi"].max_residual == 1.7e308
+    assert entries["codazzi"].mean_residual == pytest.approx((1.7e308 + 19e300) / 20, rel=1e-15)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_extreme_scales_give_a_report(name):
+    # pytest makes a RuntimeWarning an error, so none escapes run_suite: <L, L>
+    # past the float range makes the fit, and a check against a declared
+    # quadric, an error naming its first point, and a metric so small that its
+    # inverse overflows makes each check an error
+    entry = catalog_entry(name)
+    n = entry.spec.signature.n
+    first = sample_points(entry.spec, CFG.num_points, CFG.seed)[0]
+    far = f"<L, L> not finite at {tuple(first.tolist())}"
+    for shift in (1e154, 1e160):  # each <L, L> of an indefinite signature is finite at 1e154
+        report = run_suite(translate(entry.spec, [shift] * n), CFG)
+        report.to_json()  # strict JSON, or it raises
+        assert report.checks["spherical"].status == "error"
+    assert report.checks["spherical"].reason == far
+    report = run_suite(translate(entry.spec, [1e160] * n), CFG, entry.quadric or SPHERE)
+    report.to_json()
+    assert (report.checks["umbilical"].status, report.checks["umbilical"].reason) == ("error", far)
+    report = run_suite(dilate(entry.spec, 1e-160), CFG)
+    report.to_json()
+    for check in report.checks.values():
+        assert check.status in ("error", "skipped"), check.name
+        if check.status == "error":
+            assert re.fullmatch(r"induced metric degenerate at \(.*\): g\^-1 not finite", check.reason)
+
+
+@pytest.mark.parametrize("name, c", [("real_circle_S3", 1e-308), ("pseudo_legendrian_H3", -1e-308)])
+def test_a_quadric_of_radius_1e154_gives_finite_means(name, c):
+    # each point lies 1e308 off <L, L> = 1/c: legendrian fails with a finite
+    # mean, umbilical is a membership error, and the JSON is strict
+    report = run_suite(catalog(name), CFG, AmbientQuadric(c))
+    legendrian = report.checks["legendrian"]
+    assert (legendrian.status, legendrian.passed) == ("ok", False)
+    assert math.isfinite(legendrian.mean_residual)
+    assert report.checks["umbilical"].reason.startswith("membership failure at (")
+    json.loads(report.to_json(), parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
 
 
 class TestCheckSubsets:

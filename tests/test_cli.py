@@ -185,6 +185,21 @@ class TestCheckCommand:
         assert run_main("check", "pseudo_legendrian_H3", "--quadric", "0:-1") == 2
         assert run_main("check", "pseudo_legendrian_H3", "--quadric", "nope") == 2
 
+    @pytest.mark.parametrize(
+        "name, quadric", [("real_circle_S3", "0:1e-308"), ("pseudo_legendrian_H3", "1:-1e-308")]
+    )
+    def test_a_quadric_of_radius_1e154_prints_strict_json(self, name, quadric):
+        # each residual of legendrian is 1e308, and their sum passes the float
+        # range: the mean is taken term by term, so the JSON stays strict
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "lagkit.cli", "check", name,
+             "--quadric", quadric, "--json"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+        legendrian = json.loads(proc.stdout, parse_constant=reject_constant)["checks"]["legendrian"]
+        assert legendrian["status"] == "ok" and legendrian["mean"] > 1e307
+
     def test_file_input(self, tmp_path, capsys):
         path = tmp_path / "spec.imm"
         path.write_text(
