@@ -5,11 +5,11 @@ catalog_data/, which stays byte-identical to serialize(catalog(name)).  The
 sources of the four product entries are serialize(circle_product(base)) of
 their base entries, which the tests pin, so the catalog loads no constructor.
 
-Names, parameter counts, signatures, quadrics, summaries and expectations
-are a static table, so listing the catalog builds no spec.  An entry's
-spec is built on its first catalog_entry or catalog call, and the same objects
-come back on every later call (the crosscheck oracle caches its compiled map
-per spec object).
+An entry is its parsed source plus what only the catalog knows, in a static
+table: its declared quadric, summary and expectations.  Its parameter count
+and signature are its spec's.  The spec is built on the first catalog_entry or
+catalog call, and the same objects come back on every later call (the
+crosscheck oracle caches its compiled map per spec object).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 from importlib import resources
 
-from .ambient import AmbientQuadric, Signature
+from .ambient import AmbientQuadric
 from .dsl import ImmersionSpec, parse
 from .errors import UnknownSpecError
 from .record import Record
@@ -70,42 +70,34 @@ _LAGRANGIAN_OK = {
     "umbilical": True,
 }
 
-# name -> the summary and expects of its CatalogEntry, and the spec's parameter
-# count and signature (so the table needs no spec); quadric and expected_index
-# (the metric index) are what the spec parsed from its shipped source declares
+# name -> the quadric its spec declares, and the summary and expects of its CatalogEntry
 _ROWS = {
     "real_circle_S3": dict(
-        params=1, signature=Signature(2, 0), expected_index=0,
         quadric=_SPHERE,
         summary="great circle of the unit 3-sphere, horizontal and Legendrian",
         expects=dict(_LEGENDRIAN_OK, horizontal=True),
     ),
     "clifford_torus": dict(
-        params=2, signature=Signature(2, 0), expected_index=0,
         quadric=_SPHERE,
         summary="flat square torus exp(i t) (cos u, sin u) inside the unit 3-sphere",
         expects=dict(_LAGRANGIAN_OK),
     ),
     "real_sphere_S5": dict(
-        params=2, signature=Signature(3, 0), expected_index=0,
         quadric=_SPHERE,
         summary="totally real round 2-sphere inside the unit 5-sphere",
         expects=dict(_LEGENDRIAN_OK, horizontal=True),
     ),
     "product_S1xS2": dict(
-        params=3, signature=Signature(3, 0), expected_index=0,
         quadric=_SPHERE,
         summary="circle times round 2-sphere, Lagrangian in C^3",
         expects=dict(_LAGRANGIAN_OK),
     ),
     "minimal_legendrian_torus_S5": dict(
-        params=2, signature=Signature(3, 0), expected_index=0,
         quadric=_SPHERE,
         summary="minimal Legendrian torus (exp(iu), exp(iv), exp(-i(u+v)))/sqrt(3)",
         expects=dict(_LEGENDRIAN_OK, horizontal=True),
     ),
     "whitney_sphere": dict(
-        params=2, signature=Signature(2, 0),
         quadric=None,
         summary="Whitney 2-sphere: Lagrangian with conical double point, not spherical",
         expects={
@@ -117,37 +109,31 @@ _ROWS = {
         },
     ),
     "pseudo_legendrian_H3": dict(
-        params=1, signature=Signature(2, 1), expected_index=0,
         quadric=_HYPERBOLIC,
         summary="spacelike curve (cosh u, sinh u) in the anti-de-Sitter quadric of C^2_1",
         expects=dict(_LEGENDRIAN_OK),
     ),
     "pseudo_legendrian_S3_index1": dict(
-        params=1, signature=Signature(2, 1), expected_index=1,
         quadric=_SPHERE,
         summary="timelike curve (sinh u, cosh u) in the indefinite unit sphere of C^2_1",
         expects=dict(_LEGENDRIAN_OK, horizontal=True),
     ),
     "theorem42_example": dict(
-        params=2, signature=Signature(2, 1), expected_index=1,
         quadric=_SPHERE,
         summary="Lorentzian product surface exp(i t) (sinh u, cosh u) in the indefinite unit sphere",
         expects=dict(_LAGRANGIAN_OK),
     ),
     "theorem43_example": dict(
-        params=2, signature=Signature(2, 1), expected_index=1,
         quadric=_HYPERBOLIC,
         summary="Lorentzian product surface exp(i t) (cosh u, sinh u) in the anti-de-Sitter quadric",
         expects=dict(_LAGRANGIAN_OK),
     ),
     "control_non_lagrangian": dict(
-        params=2, signature=Signature(2, 0),
         quadric=None,
         summary="complex line parameterized twice over: fails isotropy by a fixed margin",
         expects={"lagrangian": False},
     ),
     "control_non_horizontal": dict(
-        params=1, signature=Signature(2, 0),
         quadric=_SPHERE,
         summary="Hopf fiber direction on the unit 3-sphere: fails horizontality by 1",
         expects={"legendrian": False, "horizontal": False},
@@ -158,9 +144,7 @@ _ROWS = {
 @functools.cache
 def _entry(name: str) -> CatalogEntry:
     row = _ROWS[name]
-    spec = parse(_read_source(name)).replace(
-        name=name, expected_index=row.get("expected_index"), quadric=row["quadric"]
-    )
+    spec = parse(_read_source(name)).replace(name=name, quadric=row["quadric"])
     return CatalogEntry(name, spec, row["summary"], row["expects"])
 
 
@@ -173,12 +157,6 @@ def _known(name: str) -> str:
         known = ", ".join(catalog_names())
         raise UnknownSpecError(f"unknown catalog spec {name!r}; known: {known}")
     return name
-
-
-def _listing(name: str) -> dict:
-    """What `lagkit catalog` lists of an entry, read off the table: no spec is built."""
-    row = _ROWS[_known(name)]
-    return {key: row[key] for key in ("params", "signature", "quadric", "summary")}
 
 
 def catalog_entry(name: str) -> CatalogEntry:

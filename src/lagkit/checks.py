@@ -219,10 +219,12 @@ _NEEDS_FIT = "requires the quadric fit and Lagrangian check to pass"
 
 def _transform(entries, fit):
     """(the Transform onto the fitted quadric, None), or (None, the reason there
-    is none), from the lagrangian and spherical entries and the fit."""
+    is none), from the lagrangian and spherical entries and the fit, if formed."""
     if not entries["lagrangian"].passed:
         return None, _NEEDS_LAGRANGIAN
-    if fit is None or not entries["spherical"].passed:
+    if fit is None:  # an error, which shows nothing of the image
+        return None, _NEEDS_FIT
+    if not entries["spherical"].passed:
         return None, "image is not contained in a central quadric"
     if abs(fit.radius_sq_signed) < 1e-6:
         return None, "fitted quadric is degenerate (signed r^2 ~ 0)"

@@ -18,12 +18,11 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import os
 import sys
 
 from .ambient import AmbientQuadric
-from .catalog import _listing, catalog_entry, catalog_names
+from .catalog import catalog_entry, catalog_names
 from .checks import SampleConfig, run_suite
 from .dsl import ImmersionSpec, parse, serialize
 from .errors import LagkitError
@@ -75,10 +74,10 @@ def _parse_quadric(text: str, spec: ImmersionSpec) -> AmbientQuadric:
         s == spec.signature.s,
         f"--quadric index {s} does not match the spec signature index {spec.signature.s}",
     )
-    _require(
-        math.isfinite(c) and c != 0, f"--quadric curvature must be finite and nonzero, got {c!r}"
-    )
-    return AmbientQuadric(c)
+    try:
+        return AmbientQuadric(c)
+    except ValueError as exc:
+        raise _UsageError(f"--quadric: {exc}") from exc
 
 
 def _config(args) -> SampleConfig:
@@ -193,10 +192,10 @@ def _cmd_crosscheck(args) -> int:
 def _cmd_catalog(args) -> int:
     rows = []
     for name in catalog_names():
-        row = _listing(name)
-        sig, quad = row["signature"], row["quadric"]
-        rows.append(dict(name=name, params=row["params"], ambient=f"C^{sig.n}_{sig.s}",
-                         quadric="-" if quad is None else f"c={quad.c:g}", summary=row["summary"]))
+        entry = catalog_entry(name)
+        sig, quad = entry.spec.signature, entry.quadric
+        rows.append(dict(name=name, params=entry.spec.num_params, ambient=f"C^{sig.n}_{sig.s}",
+                         quadric="-" if quad is None else f"c={quad.c:g}", summary=entry.summary))
     if args.json:
         print(json.dumps(rows, indent=2, sort_keys=True))
         return 0

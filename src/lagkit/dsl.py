@@ -42,15 +42,7 @@ import sys
 import numpy as np
 
 from .ambient import Signature
-from .errors import (
-    ArityError,
-    DomainError,
-    DslError,
-    DslSyntaxError,
-    SingularEvaluationError,
-    UndeclaredParameterError,
-    UnknownFunctionError,
-)
+from .errors import DomainError, DslError, DslSyntaxError, SingularEvaluationError
 from . import jets
 from .record import Record
 
@@ -144,14 +136,13 @@ class Param(Record):
 class ImmersionSpec(Record):
     """Parsed immersion: parameter box, ambient signature, component map.
 
-    name, expected_index (the metric index) and quadric (the declared ambient
-    quadric, an AmbientQuadric, which run_suite checks against when the
-    caller passes none) are metadata: serialize() writes none of them.
+    name and quadric (the declared ambient quadric, an AmbientQuadric, which
+    run_suite checks against when the caller passes none) are metadata:
+    serialize() writes neither.
     """
 
-    _fields = ("params", "signature", "components", "name", "expected_index", "quadric")
+    _fields = ("params", "signature", "components", "name", "quadric")
     name = "unnamed"
-    expected_index = None
     quadric = None
 
     def __post_init__(self):
@@ -180,7 +171,7 @@ class ImmersionSpec(Record):
         return tuple(p.name for p in self.params)
 
     def same_structure(self, other: "ImmersionSpec") -> bool:
-        """Structural equality ignoring metadata (name, expected_index, quadric)."""
+        """Structural equality ignoring metadata (name, quadric)."""
         return (
             self.params == other.params
             and self.signature == other.signature
@@ -361,20 +352,14 @@ class _Parser:
                 return Imag()
             if self._accept("("):
                 if tok.text not in FUNCTION_NAMES:
-                    raise UnknownFunctionError(
-                        f"unknown function {tok.text!r}", tok.line, tok.column
-                    )
+                    self._fail(f"unknown function {tok.text!r}", tok)
                 arg, comma = self._expr(), self.cur
                 if self._accept(","):
-                    raise ArityError(
-                        f"{tok.text} takes exactly one argument", comma.line, comma.column
-                    )
+                    self._fail(f"{tok.text} takes exactly one argument", comma)
                 self._expect_op(")")
                 return Call(tok.text, arg)
             if tok.text not in self.param_names:
-                raise UndeclaredParameterError(
-                    f"undeclared parameter {tok.text!r}", tok.line, tok.column
-                )
+                self._fail(f"undeclared parameter {tok.text!r}", tok)
             return Ref(tok.text)
         if self._accept("("):
             node = self._expr()

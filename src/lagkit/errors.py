@@ -43,15 +43,3 @@ class DslError(LagkitError, ValueError):
 
 class DslSyntaxError(DslError):
     pass
-
-
-class UndeclaredParameterError(DslError):
-    pass
-
-
-class UnknownFunctionError(DslError):
-    pass
-
-
-class ArityError(DslError):
-    pass

@@ -50,8 +50,9 @@ def circle_product(psi: ImmersionSpec, t_name: str = "t") -> ImmersionSpec:
 
     The input must have one parameter fewer than the ambient complex
     dimension (the half-dimension count of the output).  t_name must name a
-    parameter as parse allows (ValueError otherwise).  The product takes
-    none of the input's metadata (expected_index, quadric), only a name.
+    parameter as parse allows (ValueError otherwise).  The product keeps
+    none of the input's metadata: it has a name of its own and declares no
+    quadric.
     """
     n = psi.signature.n
     if psi.num_params != n - 1:
@@ -66,7 +67,6 @@ def circle_product(psi: ImmersionSpec, t_name: str = "t") -> ImmersionSpec:
         signature=psi.signature,
         components=components,
         name=f"{psi.name}_circle_product",
-        expected_index=None,
     )
 
 

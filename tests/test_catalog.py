@@ -67,31 +67,33 @@ def test_catalog_names_parses_no_source():
     assert proc.stdout.split() == ["0", "1"]
 
 
-def test_listing_reads_the_table_alone():
-    # the parameter count and signature that `lagkit catalog` prints come from
-    # the static table, which must agree with the specs ...
-    from lagkit.catalog import _listing
-
-    for name in catalog_names():
-        row, spec = _listing(name), catalog(name)
-        assert (row["params"], row["signature"]) == (spec.num_params, spec.signature), name
-    # ... so listing it, in a fresh process, parses no source and builds no product
+def test_listing_reads_each_entry():
+    # `lagkit catalog` lists what each entry holds, in catalog order: the
+    # parameter count and ambient of its parsed source, and its quadric and
+    # summary; in a fresh process, so that it is seen to build no product
     script = (
         "import sys\n"
-        "import lagkit.dsl as dsl\n"
-        "calls = []\n"
-        "parse = dsl.parse\n"
-        "dsl.parse = lambda text: calls.append(text) or parse(text)\n"
         "from lagkit.cli import main\n"
         "main(['catalog', '--json'])\n"
-        "print(len(calls), 'lagkit.products' in sys.modules, file=sys.stderr)\n"
+        "print('lagkit.products' in sys.modules, file=sys.stderr)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.split() == ["0", "False"]
-    assert [row["name"] for row in json.loads(proc.stdout)] == list(catalog_names())
+    assert proc.stderr.split() == ["False"]
+    rows = json.loads(proc.stdout)
+    assert [row["name"] for row in rows] == list(catalog_names())
+    for row in rows:
+        entry = catalog_entry(row["name"])
+        sig, quad = entry.spec.signature, entry.quadric
+        assert row == {
+            "name": entry.name,
+            "params": entry.spec.num_params,
+            "ambient": f"C^{sig.n}_{sig.s}",
+            "quadric": "-" if quad is None else f"c={quad.c:g}",
+            "summary": entry.summary,
+        }
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -151,10 +153,3 @@ def test_non_examples_fail_their_suite(name):
     entry = catalog_entry(name)
     report = run_suite(entry.spec, CFG, quadric=entry.quadric)
     assert not report.passed
-
-
-def test_entry_metadata():
-    assert catalog("theorem42_example").expected_index == 1
-    assert catalog("theorem43_example").expected_index == 1
-    assert catalog("clifford_torus").expected_index == 0
-    assert catalog("whitney_sphere").expected_index is None

@@ -988,3 +988,23 @@ class TestDegenerateSpecs:
             ("gauss", "error", bad),
             ("codazzi", "error", bad),
         ]
+
+
+@pytest.mark.parametrize(
+    "spec, cfg, spherical, reason",
+    [
+        # too few points to form the fit: the torus lies on the unit sphere all the same
+        ("clifford_torus", SampleConfig(num_points=3), "error", TestDegenerateSpecs.FIT),
+        # a plane: the fit's normal system is rank deficient
+        ("params u:[0,1], v:[0,1];\nsignature 2 1;\nmap u + v, u - v;\n", CFG, "error",
+         TestDegenerateSpecs.FIT),
+        # the fit is formed and finds no central quadric
+        ("whitney_sphere", CFG, "ok", "image is not contained in a central quadric"),
+    ],
+    ids=["few_points", "null_chart", "whitney_sphere"],
+)
+def test_structure_skip_reason_follows_the_fit(spec, cfg, spherical, reason):
+    report = run_suite(catalog(spec) if spec in catalog_names() else parse(spec), cfg)
+    assert report.checks["lagrangian"].passed
+    assert report.checks["spherical"].status == spherical and not report.checks["spherical"].passed
+    assert {report.checks[name].reason for name in STRUCTURE_CHECKS} == {reason}

@@ -280,6 +280,18 @@ def test_bad_flag_value_is_a_usage_error(argv, capsys):
     assert err.startswith("lagkit: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("curvature", ["inf", "0"])
+def test_quadric_curvature_is_the_records_rule(curvature, capsys):
+    # --quadric builds an AmbientQuadric and reports the ValueError it raises
+    assert run_main("check", "clifford_torus", "--quadric", f"0:{curvature}") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "lagkit: --quadric: quadric curvature c must be finite and nonzero, "
+        f"got {float(curvature)!r}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, verb, path",
     [

@@ -23,7 +23,6 @@ def test_declared_quadric_is_not_carried_into_another_image():
     assert circle_product(spec).quadric is None
     assert dilate(spec, 2.0).quadric is None
     assert translate(spec, (0.5, 0.0)).quadric is None
-    assert dilate(spec, 2.0).expected_index == spec.expected_index
 
 
 class TestCircleProduct:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lagkit import dsl, jets
-from lagkit.ambient import Signature
+from lagkit.ambient import AmbientQuadric, Signature
 from lagkit.catalog import catalog, catalog_names
 from lagkit.dsl import (
     MAX_DEPTH,
@@ -31,15 +31,7 @@ from lagkit.dsl import (
     serialize,
     serialize_expr,
 )
-from lagkit.errors import (
-    ArityError,
-    DomainError,
-    DslError,
-    DslSyntaxError,
-    SingularEvaluationError,
-    UndeclaredParameterError,
-    UnknownFunctionError,
-)
+from lagkit.errors import DomainError, DslError, DslSyntaxError, SingularEvaluationError
 from lagkit.dsl import check_point_in_domain, evaluate_map_jets
 from lagkit.findiff import eval_map_numeric
 from lagkit.sampling import sample_points
@@ -87,15 +79,15 @@ class TestParse:
             parse("params sin:[0,1];\nsignature 1 0;\nmap sin;")
 
     def test_undeclared_parameter(self):
-        with pytest.raises(UndeclaredParameterError, match="w"):
+        with pytest.raises(DslSyntaxError, match="w"):
             parse("params u:[0,1];\nsignature 1 0;\nmap w;")
 
     def test_unknown_function(self):
-        with pytest.raises(UnknownFunctionError, match="tan"):
+        with pytest.raises(DslSyntaxError, match="tan"):
             parse("params u:[0,1];\nsignature 1 0;\nmap tan(u);")
 
     def test_function_arity(self):
-        with pytest.raises(ArityError):
+        with pytest.raises(DslSyntaxError):
             parse("params u:[0,1];\nsignature 1 0;\nmap sin(u, u);")
 
     def test_power_requires_integer(self):
@@ -204,9 +196,9 @@ _OUTCOMES = {
     "exponent_name": (_text("u^-u"), DslSyntaxError, "expected an integer, found 'u'", 3, 8),
     "infinite_literal": (_text("1e999*u"), DslSyntaxError,
                          "numeric literal is not a finite number", 3, 5),
-    "arity": (_text("sin(u, u)"), ArityError, "sin takes exactly one argument", 3, 10),
-    "unknown_function": (_text("tan(u)"), UnknownFunctionError, "unknown function 'tan'", 3, 5),
-    "undeclared": (_text("w"), UndeclaredParameterError, "undeclared parameter 'w'", 3, 5),
+    "arity": (_text("sin(u, u)"), DslSyntaxError, "sin takes exactly one argument", 3, 10),
+    "unknown_function": (_text("tan(u)"), DslSyntaxError, "unknown function 'tan'", 3, 5),
+    "undeclared": (_text("w"), DslSyntaxError, "undeclared parameter 'w'", 3, 5),
     "dangling_operator": (_text("u +"), DslSyntaxError, "expected an expression, found ';'", 3, 8),
     "unclosed": (_text("(u"), DslSyntaxError, "expected ')', found ';'", 3, 7),
     "double_semicolon": (_text("u;"), DslSyntaxError, "trailing input ';'", 3, 7),
@@ -429,10 +421,10 @@ class TestEvaluation:
             eval_map_numeric(spec, (750.0,))
 
     def test_metadata_survives_transformations(self):
-        spec = parse(GOOD).replace(name="probe", expected_index=0)
+        spec = parse(GOOD).replace(name="probe", quadric=AmbientQuadric(1.0))
         assert spec.name == "probe"
-        assert spec.expected_index == 0
-        assert spec.replace(name="other").expected_index == 0
+        assert spec.quadric == AmbientQuadric(1.0)
+        assert spec.replace(name="other").quadric == AmbientQuadric(1.0)
 
 
 # Reference evaluator: the recursive walk of the expression tree that the plan
@@ -877,9 +869,9 @@ class TestRecords:
 
     def test_metadata_defaults_and_replace(self):
         spec = parse(GOOD)
-        assert (spec.name, spec.expected_index, spec.quadric) == ("unnamed", None, None)
-        named = spec.replace(name="probe", expected_index=1)
-        assert named.replace(name="unnamed", expected_index=None) == spec
+        assert (spec.name, spec.quadric) == ("unnamed", None)
+        named = spec.replace(name="probe", quadric=AmbientQuadric(-1.0))
+        assert named.replace(name="unnamed", quadric=None) == spec
         assert named.same_structure(spec) and named != spec
 
     def test_a_pickled_spec_hashes_afresh(self):
