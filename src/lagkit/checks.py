@@ -1,8 +1,8 @@
 """Residual checks certifying the defining identities of an immersion.
 
 run_suite, the one way to run a check, builds the frames of the immersion at
-the deterministic interior sample points as one FrameBatch, with one
-build_frame call (whose error names the first failing point).  Every check is
+the deterministic interior sample points as one FrameBatch, to second order,
+with one build_frame call (whose error names the first failing point).  Every check is
 a pure function of that batch: a named residual row, one value per point, whose
 max and mean its entry reports together with the worst offender.  The products
 that several checks read (J L, J dL_i, <dL_i, J L>, the membership residual)
@@ -378,8 +378,8 @@ class _Suite:
 _ON_FIT = ("lagrangian", "spherical")
 # The checks a spec gets by n - m, in report order, with the checks each rests
 # on: 0 for m = n (the Lagrangian chain), 1 for m = n - 1 (the Legendrian one),
-# None for any other.  Every spec gets those of None, the only checks that read
-# third derivatives, held to tol_third.
+# None for any other.  Every spec gets those of None, the curvature identities,
+# held to tol_third.
 _CHAINS = {
     0: {"lagrangian": (), "spherical": (), "gauss": (), "codazzi": (),
         "cubic_symmetry": ("lagrangian",),
@@ -388,7 +388,7 @@ _CHAINS = {
         "umbilical": ("spherical",), "gauss": (), "codazzi": ()},
     None: {"gauss": (), "codazzi": ()},
 }
-_THIRD_ORDER = frozenset(_CHAINS[None])
+_THIRD_ORDER = frozenset(_CHAINS[None])  # the checks held to tol_third
 
 
 def run_suite(spec: ImmersionSpec, cfg: SampleConfig | None = None,
@@ -396,8 +396,8 @@ def run_suite(spec: ImmersionSpec, cfg: SampleConfig | None = None,
     """The checks of the spec's chain in _CHAINS, in its order: all, or those
     named in checks and the checks they rest on.
 
-    The map is evaluated once per chunk of sample points, to third order only
-    when a check to run reads third derivatives.  The Legendrian chain checks
+    The map is evaluated once per chunk of sample points, to second order: no
+    check reads third derivatives.  The Legendrian chain checks
     against the declared quadric (the quadric argument, else spec.quadric), or
     the fitted one when the fit lands on a central quadric.  A report of named
     checks also carries, for each one skipped, the checks it rests on that did
@@ -414,7 +414,7 @@ def run_suite(spec: ImmersionSpec, cfg: SampleConfig | None = None,
     wanted = {*(chain if checks is None else checks), *_ON_FIT}
     points = sample_points(spec, cfg.num_points, cfg.seed)  # a bad count raises
     try:
-        frames = build_frame(spec, points, not _THIRD_ORDER.isdisjoint(wanted))
+        frames = build_frame(spec, points)
     except LagkitError as exc:  # each check reports it, by its reason alone
         frames = str(exc)
     quadric = spec.quadric if quadric is None else quadric

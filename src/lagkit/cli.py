@@ -215,7 +215,7 @@ def _add_sampling_args(p):
     p.add_argument("--tol", type=float, default=SampleConfig.tol,
                    help="tolerance for second-order checks")
     p.add_argument("--tol-third", type=float, default=SampleConfig.tol_third,
-                   help="tolerance for third-order checks")
+                   help="tolerance for the gauss and codazzi checks")
 
 
 class _Parser(argparse.ArgumentParser):

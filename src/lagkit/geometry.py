@@ -2,25 +2,25 @@
 
 A FrameBatch holds, at B points (every array's leading axis), the map's
 derivatives in interleaved real coordinates, the induced metric, the
-Christoffel symbols (at third order with their derivatives) and the second
-fundamental form.  build_frame evaluates the map per chunk of at most CHUNK
-points and assembles the whole batch at once; curvature, the Gauss and Codazzi
-residuals and the tangent field of J L come from the batch alone.
+Christoffel symbols of both kinds and the second fundamental form.
+build_frame evaluates the map per chunk of at most CHUNK points and assembles
+the whole batch at once; curvature, the Gauss and Codazzi residuals and the
+tangent field of J L come from its first- and second-order data alone.
 
 Each contraction is one matmul per point on (B, rows, k) reshapes (contract),
 never one per point and index, and each elementwise step reads C-ordered
 operands: an intermediate is formed in the layout its next step reads, and a
-permuted read is one np.take of positions built once per m (_gathers).  So
-d_p Gamma^k_ij is formed as [k, p, i, j] and R as [l, i, j, k], both viewed in
-the conventions below; second and sff are read as L_ij = L_ji, third as it is.
+permuted read is one np.take of positions built once per m (_gathers).  So R
+is formed as [i, l, j, k] (_curvature_terms) and viewed in the conventions
+below; second and sff are read as L_ij = L_ji.
 The metric's inverse and its conditioning test come from one expansion in minors
 of g / max |g_ij| (inverse), by such gathers, for every m and with no LAPACK
 call: the determinant is tested against 1e-10, and the cofactors over it give g^-1.
 
 Index conventions, pinned by tests on the round-sphere factor (b is the point):
   dmetric[b, k, i, j]      = d_k g_ij
+  christoffels_lowered[b, i, j, l] = Gamma_ij,l = <L_ij, L_l>
   christoffels[b, k, i, j] = Gamma^k_ij
-  dchristoffels[b, p, k, i, j] = d_p Gamma^k_ij
   riemann R[b, i, j, k, l] = <R(d_i, d_j) d_k, d_l>, so the Gauss identity reads
   R[i, j, k, l] = <h_il, h_jk> - <h_ik, h_jl>.
 """
@@ -69,11 +69,10 @@ class FrameBatch(Record):
         "metric",  # (B, m, m)
         "metric_inv",
         "dmetric",  # (B, m, m, m): d_k g_ij
+        "christoffels_lowered",  # (B, m, m, m): Gamma_ij,l = <L_ij, L_l>
         "christoffels",  # (B, m, m, m): Gamma^k_ij
         "sff",  # (B, m, m, 2n): second fundamental form vectors
-        "dchristoffels",  # (B, m, m, m, m) when need_third, else None
     )
-    dchristoffels = None
 
     def shared(self, product, *args) -> np.ndarray:
         """product(self, *args), formed by its first call and kept with the batch:
@@ -94,9 +93,9 @@ class FrameBatch(Record):
     def rescaled(self, center, k: float) -> "FrameBatch":
         """The frames of (L - center) * k at the same points, to second order,
         in closed form: the derivatives and the second fundamental form scale by
-        k, the metric and its derivatives by k^2 and its inverse by 1/k^2, while
-        the Christoffel symbols stay as they are.  No check on them reads
-        third-order data, so they carry none."""
+        k, the metric, its derivatives and the lowered Christoffel symbols by k^2
+        and its inverse by 1/k^2, while the Christoffel symbols stay as they are.
+        No check reads third-order data, so they carry none."""
         k2 = k * k
         return self.replace(
             position=(self.position - center) * k,
@@ -105,9 +104,9 @@ class FrameBatch(Record):
             metric=self.metric * k2,
             metric_inv=self.metric_inv / k2,
             dmetric=self.dmetric * k2,
+            christoffels_lowered=self.christoffels_lowered * k2,
             sff=self.sff * k,
             third=None,
-            dchristoffels=None,
         )
 
 
@@ -187,30 +186,20 @@ def assemble_frame(spec, points, position, first, second, third=None) -> FrameBa
         bad = f"{tuple(points[i].tolist())}: g^-1 not finite"
         raise DegenerateMetricError(f"induced metric degenerate at {bad}", row=i)
 
-    pairs = contract(second, weighted)  # [i, j, l] = <L_ij, L_l>
+    lowered = contract(second, weighted)  # [i, j, l] = Gamma_ij,l = <L_ij, L_l>
     # d_k g_ij = <L_ik, L_j> + <L_i, L_jk> = <L_ki, L_j> + <L_kj, L_i>
-    dmetric = pairs + pairs.swapaxes(2, 3)
+    dmetric = lowered + lowered.swapaxes(2, 3)
     # Gamma^k_ij = g^{kl} <L_ij, L_l>, the tangent part of L_ij
-    christoffels = contract(metric_inv, pairs)
+    christoffels = contract(metric_inv, lowered)
 
     # h_ij = L_ij - Gamma^k_ij L_k
     b, m = metric.shape[:2]
     gamma_rows = christoffels.reshape(b, m, -1).swapaxes(1, 2)  # [(i, j), k]
     sff = second - (gamma_rows @ first).reshape(second.shape)
 
-    dchristoffels = None
-    if third is not None:
-        # d_p Gamma^k_ij = g^{kl} (d_p <L_ij, L_l> - d_p g_lq Gamma^q_ij), since
-        # d_p(g^-1) = -g^-1 d_p g g^-1, with d_p <L_ij, L_l> = <L_pij, L_l> + <L_ij, L_pl>
-        lowered = contract(second * eta, second)  # [l, p, i, j] = <L_lp, L_ij>
-        lowered += contract(weighted, third).reshape(lowered.shape)  # <L_pij, L_l>
-        slopes = dmetric.swapaxes(1, 2).reshape(b, m * m, m)  # [(l, p), q] = d_p g_lq
-        lowered -= (slopes @ christoffels.reshape(b, m, -1)).reshape(lowered.shape)
-        raised = metric_inv @ lowered.reshape(b, m, -1)  # [k, (p, i, j)]
-        dchristoffels = raised.reshape(lowered.shape).swapaxes(1, 2)
     return FrameBatch(
         points, position, first, second, third, eta,
-        metric, metric_inv, dmetric, christoffels, sff, dchristoffels,
+        metric, metric_inv, dmetric, lowered, christoffels, sff,
     )
 
 
@@ -232,7 +221,7 @@ def inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     signed = np.concatenate((flat, -flat))
     scale = np.maximum.reduce(signed, axis=0)  # max(g_ij, -g_ij), propagating nan
     signed /= scale
-    *tables, adj_at, adj_sign = _gathers(m)[4:]
+    *tables, adj_at, adj_sign = _gathers(m)[2:]
     below, minors = np.ones((1, b)), signed[: m * m]  # the minors of order 0 and 1
     for minor_at, entry_at in zip(tables[::2], tables[1::2]):  # orders 2 .. m
         terms = minors.take(minor_at, axis=0) * signed.take(entry_at, axis=0)
@@ -242,22 +231,21 @@ def inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return scale, minors[0], inv
 
 
-def _require_third(frames: FrameBatch):
-    if frames.dchristoffels is None:
-        raise ValueError("frames were built without third derivatives; pass need_third=True")
+def _curvature_terms(frames: FrameBatch) -> tuple[np.ndarray, np.ndarray]:
+    """T[b, i, l, j, k] = <L_il, L_jk> - Gamma_il,q Gamma^q_jk, which is <h_il, h_jk>,
+    as (B, m^4), and the positions of its [j, l, i, k]: R_ijkl = T[i, l, j, k] - T[j, l, i, k]."""
+    second, gamma = frames.second, frames.christoffels
+    b, m = gamma.shape[:2]
+    terms = contract(second * frames.eta, second).reshape(b, m * m, -1)
+    terms -= frames.christoffels_lowered.reshape(b, m * m, m) @ gamma.reshape(b, m, -1)
+    return terms.reshape(b, -1), _gathers(m)[0]
 
 
 def riemann_tensor(frames: FrameBatch) -> np.ndarray:
     """Fully lowered curvature R[b, i, j, k, l] = <R(d_i, d_j) d_k, d_l>."""
-    _require_third(frames)
-    dgamma, gamma = frames.dchristoffels, frames.christoffels
-    b, m = gamma.shape[:2]
-    # x[l, i, j, k] = d_i Gamma^l_jk + Gamma^l_iq Gamma^q_jk; R^l_ijk is x - x[l, j, i, k]
-    prod = gamma.reshape(b, m * m, m) @ gamma.reshape(b, m, -1)  # [(l, i), (j, k)]
-    x = (dgamma.swapaxes(1, 2) + prod.reshape(dgamma.shape)).reshape(b, -1)
-    x -= x.take(_gathers(m)[0], axis=1)
-    lowered = frames.metric.swapaxes(1, 2) @ x.reshape(b, m, -1)  # [l, (i, j, k)]
-    return lowered.reshape(dgamma.shape).transpose(0, 2, 3, 4, 1)
+    terms, mirror = _curvature_terms(frames)
+    r = terms - terms.take(mirror, axis=1)  # [i, l, j, k]
+    return r.reshape(frames.christoffels.shape + (-1,)).transpose(0, 1, 3, 4, 2)
 
 
 def sectional_curvature(frames: FrameBatch, i: int, j: int, riemann=None) -> np.ndarray:
@@ -275,12 +263,12 @@ def sectional_curvature(frames: FrameBatch, i: int, j: int, riemann=None) -> np.
 
 
 def gauss_residual(frames: FrameBatch) -> np.ndarray:
-    """Max deviation in the Gauss identity R_ijkl = <h_il,h_jk> - <h_ik,h_jl>, per point."""
-    r = riemann_tensor(frames).transpose(0, 4, 1, 2, 3)  # [l, i, j, k], C-ordered
-    pairs = contract(frames.sff, frames.sff * frames.eta)  # [l, i, j, k] = <h_li, h_jk>
-    r -= pairs  # then + <h_ik, h_jl>, pairs read at [i, k, j, l]
-    r += pairs.reshape(len(r), -1).take(_gathers(r.shape[1])[1], axis=1).reshape(r.shape)
-    return point_max(r)
+    """Max deviation in the Gauss identity R_ijkl = <h_il,h_jk> - <h_ik,h_jl>, per point:
+    D[i, l, j, k] - D[j, l, i, k] for D = T - <h_il, h_jk> (_curvature_terms)."""
+    terms, mirror = _curvature_terms(frames)
+    terms -= contract(frames.sff, frames.sff * frames.eta).reshape(terms.shape)
+    terms -= terms.take(mirror, axis=1)
+    return point_max(terms)
 
 
 def codazzi_residual(frames: FrameBatch) -> np.ndarray:
@@ -288,23 +276,21 @@ def codazzi_residual(frames: FrameBatch) -> np.ndarray:
 
     (nabla h)(X, Y, Z) = D_X h(Y, Z) - h(nabla_X Y, Z) - h(Y, nabla_X Z) must be
     symmetric in X, Y for an immersion into a flat ambient space; one value
-    per point.  Its part skew in i, j is, for each pair i < j,
-    nor(L_ijk - L_jik - Gamma^p_jk L_ip + Gamma^p_ik L_jp) - (Gamma^p_ik h_jp -
-    Gamma^p_jk h_ip): d_i Gamma^p_jk L_p is tangent, so the normal projection
-    nor removes it, and Gamma^p_ij h_pk is symmetric in i, j.  It reads third
-    as it is, second and sff as x_ip = x_pi: a batch built by hand keeps that.
+    per point.  Its part skew in i, j is, for each pair i < j, nor(L_ijk - L_jik
+    + Gamma^p_ik L_jp - Gamma^p_jk L_ip) - (Gamma^p_ik h_jp - Gamma^p_jk h_ip), as
+    d_i Gamma^p_jk L_p is tangent and Gamma^p_ij h_pk symmetric in i, j; L_ijk = L_jik
+    drops out.  It reads second and sff as x_ip = x_pi: a batch built by hand keeps that.
     """
-    _require_third(frames)
-    first, third = frames.first, frames.third
+    first = frames.first
     b, m, a = first.shape
     gamma_rows = frames.christoffels.reshape(b, m, -1).swapaxes(1, 2)  # [(j, k), p]
-    third_rows, lead_rows = _gathers(m)[2:4]  # (2, pairs * m): rows (i, j, k), then (j, i, k)
+    lead_rows = _gathers(m)[1]  # (2, pairs * m): rows (i, j, k), then (j, i, k)
     # Gamma^p_jk x_ip = Gamma^p_jk x_pi, formed as [j, k, i], at those rows, each when read
     leads = ((gamma_rows @ x.reshape(b, m, -1)).reshape(b, -1, a).take(lead_rows, axis=1)
              for x in (frames.second, frames.sff))
-    ambient = third.reshape(b, -1, a).take(third_rows, axis=1) - next(leads)
-    skew = ambient[:, 0] - ambient[:, 1]
-    del ambient
+    gamma_l = next(leads)
+    skew = gamma_l[:, 1] - gamma_l[:, 0]
+    del gamma_l
     # its tangential part, by the dual frame g^{pq} L_q formed transposed
     skew -= skew @ ((first * frames.eta).swapaxes(1, 2) @ frames.metric_inv.swapaxes(1, 2)) @ first
     gamma_h = next(leads)
@@ -315,15 +301,15 @@ def codazzi_residual(frames: FrameBatch) -> np.ndarray:
 @functools.lru_cache(maxsize=None)  # one entry per dimension m met
 def _gathers(m: int) -> tuple[np.ndarray, ...]:
     """Read-only, built once per m: the flat positions of a C-ordered block's
-    [l, j, i, k] and [i, k, j, l] at each [l, i, j, k]; of rows (i, j, k), then
-    (j, i, k), of each slot pair i < j in [i, j, k] and in [j, k, i]; then, for
-    inverse and each order k = 2..m, the positions (term, minor) of each term's
-    minor of order k - 1 and of its entry of g, in g's negated copy where the
-    term's sign is -; and where adj[j, i] reads C_ij, with its sign."""
+    [j, l, i, k] at each [i, l, j, k]; of rows (i, j, k), then (j, i, k), of
+    each slot pair i < j in [j, k, i]; then, for inverse and each order
+    k = 2..m, the positions (term, minor) of each term's minor of order k - 1
+    and of its entry of g, in g's negated copy where the term's sign is -; and
+    where adj[j, i] reads C_ij, with its sign."""
     i, j = np.triu_indices(m, 1)
-    cube, block = np.arange(m**3).reshape((m,) * 3), np.arange(m**4).reshape((m,) * 4)
-    flat = [block.transpose(0, 2, 1, 3).ravel(), block.transpose(3, 0, 2, 1).ravel()]
-    flat += [np.stack([x[i, j].ravel(), x[j, i].ravel()]) for x in (cube, cube.transpose(2, 0, 1))]
+    cube = np.arange(m**3).reshape((m,) * 3).transpose(2, 0, 1)
+    flat = [np.arange(m**4).reshape((m,) * 4).transpose(2, 1, 0, 3).ravel()]
+    flat += [np.stack([cube[i, j].ravel(), cube[j, i].ravel()])]
     full, drop = tuple(range(m)), lambda x, t: x[:t] + x[t + 1 :]
     # the minors [rows, cols] of each order: all m^2 of order m - 1, and those they read
     kept = {m: [(full, full)], m - 1: [(drop(full, i), drop(full, j)) for i in full for j in full]}

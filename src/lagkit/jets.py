@@ -103,13 +103,24 @@ def _weights(m: int, k: int) -> np.ndarray:
     return np.array([columns[i] for i in indices]).T
 
 
+@functools.cache
+def _sorted_weights(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """W_3's columns at the sorted multi-indices (the least flat index among each
+    one's permutations), and the row among them of each flat index."""
+    cube = np.arange(m**_DEGREE).reshape((m,) * _DEGREE)
+    least = np.minimum.reduce([cube.transpose(p) for p in itertools.permutations(range(_DEGREE))])
+    columns, rows = np.unique(least, return_inverse=True)
+    return _weights(m, _DEGREE)[:, columns], rows.ravel()
+
+
 def _interpolate(m, order, size, pairs, out=None) -> list[np.ndarray]:
     """The blocks (value, gradient, hessian, third) up to order of n (value,
     high) pairs or numbers (constant jets) at size points, stacked along a last
     axis of length n: complex (size, m, ..., m, n), written into the arrays
     out if given, else new.  Per degree, the coefficients of all n are staged
     as complex (D, size, n), a seed's broadcast along the points, and
-    multiplied by W_k in one real matrix product on their float view."""
+    multiplied by W_k in one real matrix product on their float view, which may
+    round equal columns apart: the third block is read from its sorted indices' rows."""
     n, rows = len(pairs), len(_directions(m))
     if out is None:
         out = [np.empty((size,) + (m,) * k + (n,), dtype=complex) for k in range(order + 1)]
@@ -119,7 +130,8 @@ def _interpolate(m, order, size, pairs, out=None) -> list[np.ndarray]:
     for k in range(1, order + 1):
         for c, u in enumerate(pairs):
             high[..., c] = u[1][k - 1].reshape(rows, -1) if type(u) is tuple else 0
-        t = (_weights(m, k).T @ high.view(float).reshape(rows, -1)).view(complex)
+        weights, at = _sorted_weights(m) if k == _DEGREE else (_weights(m, k), slice(None))
+        t = (weights.T @ high.view(float).reshape(rows, -1)).view(complex)[at]
         out[k][...] = t.reshape((m,) * k + (size, n)).transpose(k, *range(k), k + 1)
     return out
 

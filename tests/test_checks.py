@@ -17,6 +17,7 @@ from lagkit.checks import (
     CheckEntry,
     CheckReport,
     SampleConfig,
+    _CHAINS,
     _isotropy,
     _product_metric,
     _reduce,
@@ -450,15 +451,15 @@ def reference_normalized_spec(spec, transform):
 def test_normalized_frames_equal_those_of_the_normalized_spec(spec, num_points):
     # the rescaled frames are those of the normalized spec to rounding: each
     # field within 1e-12 of its largest entry (or of 1); they are built to
-    # second order, as no check on them reads third-order data
+    # second order, as no check reads third-order data
     cfg = SampleConfig(num_points=num_points, seed=7)
     frames = frames_of(spec, cfg, need_third=True)
     report = run_suite(spec, cfg, checks=["lagrangian", "spherical"])
     derived, _, _ = _structure_with_fit(frames, report.sphere_fit, report.transform)
     reference = frames_of(reference_normalized_spec(spec, report.transform), cfg)
-    assert derived.third is derived.dchristoffels is None
+    assert derived.third is None
     for name in FrameBatch._fields:
-        if name not in ("third", "dchristoffels"):
+        if name != "third":
             ours, theirs = getattr(derived, name), getattr(reference, name)
             assert ours.shape == theirs.shape, name
             bound = 1e-12 * max(1.0, np.abs(theirs).max())
@@ -650,15 +651,23 @@ def test_a_quadric_of_radius_1e154_gives_finite_means(name, c):
     json.loads(report.to_json(), parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
 
 
+# one spec of each chain: m = n, m = n - 1, and a curve in C^3 (n - m = 2)
+CHAIN_SPECS = {
+    0: catalog("product_S1xS2"),
+    1: catalog("real_circle_S3"),
+    None: parse("params u:[0.1,0.9];\nsignature 3 0;\nmap cos(u), sin(u), u;\n"),
+}
+
+
 class TestCheckSubsets:
     """run_suite(checks=...) builds the frames that the named checks read, no more."""
 
-    def _run(self, monkeypatch, checks):
+    def _run(self, monkeypatch, spec, checks):
         import lagkit.checks as module
 
         orders, called, build = [], [], module.build_frame
 
-        def counting(spec, points, need_third):
+        def counting(spec, points, need_third=False):
             orders.append(need_third)
             return build(spec, points, need_third)
 
@@ -666,18 +675,25 @@ class TestCheckSubsets:
         for name in ("gauss_residual", "codazzi_residual"):
             residual = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, c=residual, n=name: called.append(n) or c(*a))
-        report = run_suite(catalog("product_S1xS2"), CFG, checks=checks)
+        report = run_suite(spec, CFG, checks=checks)
         return report, orders, called
 
-    def test_second_order_check_builds_no_third_order_frames(self, monkeypatch):
-        report, orders, called = self._run(monkeypatch, ["lagrangian"])
-        assert orders == [False] and called == []
-        assert list(report.checks) == ["lagrangian"] and report.checks["lagrangian"].passed
-
-    def test_gauss_builds_third_order_frames(self, monkeypatch):
-        report, orders, called = self._run(monkeypatch, ["gauss"])
-        assert orders == [True] and called == ["gauss_residual"]
-        assert list(report.checks) == ["gauss"] and report.checks["gauss"].passed
+    @pytest.mark.parametrize(
+        "chain, checks",
+        [(chain, checks) for chain, table in _CHAINS.items()
+         for checks in [None, *([name] for name in table)]],
+        ids=str,
+    )
+    def test_every_chain_and_subset_builds_second_order_frames(self, monkeypatch, chain, checks):
+        # gauss and codazzi too: their identities read first- and second-order data alone
+        report, orders, called = self._run(monkeypatch, CHAIN_SPECS[chain], checks)
+        assert orders == [False]
+        wanted = _CHAINS[chain] if checks is None else checks
+        assert called == [f"{name}_residual" for name in ("gauss", "codazzi") if name in wanted]
+        assert set(wanted) <= report.checks.keys()
+        for name in ("gauss", "codazzi"):
+            if name in wanted:
+                assert report.checks[name].passed, report.checks[name]
 
     @pytest.mark.parametrize(
         "name, check",
@@ -925,7 +941,7 @@ class TestReportSerialization:
         for field in vars(record):
             with pytest.raises(AttributeError, match=f"cannot assign to field {field!r}"):
                 setattr(record, field, None)
-        assert frames.dchristoffels is not None and report.passed
+        assert frames.third is not None and report.passed
 
     def test_entries_own_their_details_and_reports_pickle(self):
         a, b = (CheckEntry("probe", None, None, 0, 1e-8, None) for _ in range(2))

@@ -11,7 +11,7 @@ non-isometric map diag(2, 1, ..., 1) of C^m is put in front.
 import numpy as np
 import pytest
 
-from lagkit.catalog import catalog
+from lagkit.catalog import catalog, catalog_names
 from lagkit.checks import SampleConfig, run_suite
 from lagkit.dsl import Bin, Num, parse, serialize
 from lagkit.errors import LagkitError
@@ -131,6 +131,21 @@ def test_a_stretch_in_front_flips_the_lagrangian_verdict(family, m):
     for moved, passed in ((spec, True), (stretched(spec), False)):
         entry = run_suite(moved, cfg, checks=["lagrangian"]).checks["lagrangian"]
         assert entry.status == "ok" and entry.passed is passed, (moved.name, entry)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [*map(catalog, catalog_names()), *(family(m) for family in FAMILIES.values() for m in DIMENSIONS)],
+    ids=lambda spec: spec.name,
+)
+def test_curvature_residuals_stay_at_rounding(spec):
+    # both identities hold exactly for the frames of any immersion, so their
+    # residuals are rounding (at most 1.5e-15 measured): a slip in either
+    # formula shows far above 1e-12, where tol_third = 1e-6 would let it pass
+    report = run_suite(spec, SampleConfig(num_points=200), checks=["gauss", "codazzi"])
+    for name in ("gauss", "codazzi"):
+        entry = report.checks[name]
+        assert entry.status == "ok" and entry.max_residual <= 1e-12, (name, entry)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -185,37 +185,43 @@ class TestCurvatureSymmetries:
             assert codazzi_residual(fr) < 1e-10
 
 
-class TestThirdOrderChecksReadTheirData:
-    """Gauss and Codazzi hold identically for exact jets, so each is pinned to
-    the third-order data it certifies: corrupting it must show."""
+class TestCurvatureChecksReadTheirData:
+    """Gauss and Codazzi hold identically for exact frames, so each is pinned to
+    the second-order data it certifies: corrupting it on a batch built by hand
+    must show."""
 
     DELTA = 1e-3
 
     @pytest.fixture(scope="class")
     def frames(self):
         spec = catalog("product_S1xS2")
-        return build_frame(spec, sample_points(spec, 5, seed=13), need_third=True)
+        return build_frame(spec, sample_points(spec, 5, seed=13))
 
-    def test_skew_third_derivative_is_the_codazzi_residual(self, frames):
-        # a unit normal direction per point (max component 1), set into one
-        # (i, j) slot of L_ijk and not into its mirror (j, i): its skew part
+    def test_perturbed_christoffel_symbol_fails_gauss(self, frames):
+        # Gamma^1_00 += delta moves T[i, l, 0, 0] by -Gamma_il,1 delta, so
+        # R_i00l for i != 0, and R_0j0l by the mirror, by delta |Gamma_il,1|
+        tol = SampleConfig().tolerance_for("gauss")
+        assert gauss_residual(frames).max() < 1e-12
+        gamma = frames.christoffels.copy()
+        gamma[:, 1, 0, 0] += self.DELTA
+        got = gauss_residual(frames.replace(christoffels=gamma))
+        want = self.DELTA * np.abs(frames.christoffels_lowered[:, 1:, :, 1]).max(axis=(1, 2))
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+        assert got.min() > tol
+
+    def test_perturbed_second_fundamental_form_fails_codazzi(self, frames):
+        # a unit normal direction per point (max component 1) added to h_22: the
+        # skew part of nabla h moves by -Gamma^2_ik delta normal for i < 2
+        tol = SampleConfig().tolerance_for("codazzi")
         _, normal = project(frames, frames.position)
         normal /= np.abs(normal).max(axis=1, keepdims=True)
-        third = frames.third.copy()
-        third[:, 0, 1, 2] += self.DELTA * normal
+        sff = frames.sff.copy()
+        sff[:, 2, 2] += self.DELTA * normal
         assert codazzi_residual(frames).max() < 1e-12
-        got = codazzi_residual(frames.replace(third=third))
-        np.testing.assert_allclose(got, self.DELTA, rtol=1e-9)
-        third[:, 1, 0, 2] += self.DELTA * normal  # the mirror too: no skew part left
-        assert codazzi_residual(frames.replace(third=third)).max() < 1e-12
-
-    def test_perturbed_christoffel_derivatives_fail_gauss(self, frames):
-        tol = SampleConfig().tolerance_for("gauss")
-        assert gauss_residual(frames).max() <= tol
-        dgamma = frames.dchristoffels.copy()
-        dgamma[:, 0, 0, 1, 1] += self.DELTA  # d_0 Gamma^0_11
-        worst = gauss_residual(frames.replace(dchristoffels=dgamma)).max()
-        assert worst > tol and worst > 0.1 * self.DELTA
+        got = codazzi_residual(frames.replace(sff=sff))
+        want = self.DELTA * np.abs(frames.christoffels[:, 2, :2]).max(axis=(1, 2))
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+        assert got.min() > tol
 
 
 class TestMetricIndex:
@@ -284,11 +290,6 @@ class TestDegeneracy:
         spec = parse("params u:[0,1];\nsignature 2 0;\nmap 1, 1;\n")
         with pytest.raises(DegenerateMetricError):
             build_frame(spec, (0.5,))
-
-    def test_riemann_needs_third_order(self):
-        fr = build_frame(catalog("clifford_torus"), (0.5, 0.5))
-        with pytest.raises(ValueError, match="third"):
-            riemann_tensor(fr)
 
     def test_null_plane_sectional_curvature_rejected(self):
         spec = catalog("theorem42_example")
@@ -491,6 +492,7 @@ def reference_geometry(fr):
     half = np.einsum("bika,a,bja->bkij", second, eta, first)
     out["dmetric"] = dg = half + half.transpose(0, 1, 3, 2)
     bracket = _reference_bracket(dg)
+    out["christoffels_lowered"] = 0.5 * np.einsum("blij->bijl", bracket)
     out["christoffels"] = gamma = 0.5 * np.einsum("bkl,blij->bkij", ginv, bracket)
     out["sff"] = h = second - np.einsum("bkij,bka->bija", gamma, first)
 
@@ -548,12 +550,13 @@ class TestContractionsMatchEinsum:
         spec = _spec(name)
         fr = build_frame(spec, sample_points(spec, batch, seed=17), need_third=True)
         want = reference_geometry(fr)
-        for key in ("metric", "metric_inv", "dmetric", "christoffels", "sff", "dchristoffels"):
+        for key in ("metric", "metric_inv", "dmetric", "christoffels_lowered", "christoffels", "sff"):
             _assert_relative(getattr(fr, key), want[key])
+        # R from second-order data against its intrinsic form by d Gamma
         r = riemann_tensor(fr)
         _assert_relative(r, want["riemann"])
         _assert_relative(gauss_residual(fr), want["gauss"], np.abs(want["riemann"]).max())
-        scale = max(np.abs(fr.third).max(), np.abs(fr.dchristoffels).max())
+        scale = max(np.abs(fr.third).max(), np.abs(want["dchristoffels"]).max())
         _assert_relative(codazzi_residual(fr), want["codazzi"], scale)
         for got, ref in zip(tangent_field(fr), want["tangent_field"]):
             _assert_relative(got, ref)
@@ -567,7 +570,7 @@ class TestSymmetriesTheKernelsRead:
     def _assert_bitwise(x, y):
         assert x.tobytes() == y.tobytes(), np.abs(x - y).max()
 
-    @pytest.mark.parametrize("batch", [1, 200, 513])
+    @pytest.mark.parametrize("batch", [1, 50, 200, 513])
     @pytest.mark.parametrize("name", list(catalog_names()) + list(BEYOND_CATALOG))
     def test_frames_are_bitwise_symmetric(self, name, batch):
         spec = _spec(name)
@@ -589,15 +592,16 @@ def _assert_read_only(array):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-def test_codazzi_gathers_are_built_once_and_read_only(m):
+def test_curvature_gathers_are_built_once_and_read_only(m):
     gathers = _gathers(m)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
 
     def rows(at):  # the flat positions of rows (i, j, k), then (j, i, k), of each pair
         return [[at(i, j, k) for i, j in pairs for k in range(m)], [at(j, i, k) for i, j in pairs for k in range(m)]]
 
-    third_rows, lead_rows = gathers[2:4]
-    assert third_rows.tolist() == rows(lambda i, j, k: (i * m + j) * m + k)  # in [i, j, k]
+    mirror, lead_rows = gathers[:2]
+    flat = lambda i, l, j, k: ((i * m + l) * m + j) * m + k  # noqa: E731
+    assert mirror.tolist() == [flat(j, l, i, k) for i, l, j, k in itertools.product(range(m), repeat=4)]
     assert lead_rows.tolist() == rows(lambda i, j, k: (j * m + k) * m + i)  # in [j, k, i]
     assert all(again is x for again, x in zip(_gathers(m), gathers, strict=True))
     for x in gathers:
