@@ -59,22 +59,16 @@ STRUCTURE_CHECKS = (
 class SampleConfig(Record):
     """Sampling and tolerance knobs shared by all checks."""
 
-    _fields = ("num_points", "seed", "tol", "tol_third")
+    _fields = ("num_points", "seed", "tol")
     num_points = 20
     seed = 42
     tol = 1e-8
-    tol_third = 1e-6
 
     def __post_init__(self):
         if self.num_points < 1:
             raise ValueError(f"num_points must be at least 1, got {self.num_points}")
-        for name in ("tol", "tol_third"):  # the JSON report holds no NaN or Infinity
-            tol = getattr(self, name)
-            if not 0 <= tol < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative, got {tol!r}")
-
-    def tolerance_for(self, check_name: str) -> float:
-        return self.tol_third if check_name in _THIRD_ORDER else self.tol
+        if not 0 <= self.tol < math.inf:  # the JSON report holds no NaN or Infinity
+            raise ValueError(f"tol must be finite and non-negative, got {self.tol!r}")
 
 
 class CheckEntry(Record):
@@ -122,11 +116,10 @@ def _reduce(cfg, points, rows: dict) -> list[CheckEntry]:
         stack[big] /= divisor
         divisor = np.where(big, 1.0, divisor)
     means = (np.add.reduce(stack, axis=1) / divisor).tolist()
-    entries = []
+    tol, entries = cfg.tol, []
     for (name, (_, details)), t, finite, mean, point in zip(
         rows.items(), top.tolist(), np.isfinite(top).tolist(), means, points[worst].tolist()
     ):
-        tol = cfg.tolerance_for(name)
         entries.append(CheckEntry(  # positionally, in _fields order: Record's fast path
             name, t, mean, len(points), tol, t <= tol, "ok", None, tuple(point), dict(details or {})
         ) if finite else _errored(name, cfg, f"non-finite residual at {tuple(point)}"))
@@ -135,8 +128,8 @@ def _reduce(cfg, points, rows: dict) -> list[CheckEntry]:
 
 def _errored(name, cfg, reason, status="error") -> CheckEntry:
     """An entry without residuals: an error fails the report, a skip does not."""
-    tol, failed = cfg.tolerance_for(name), False if status == "error" else None
-    return CheckEntry(name, None, None, 0, tol, failed, status, reason, None, None)
+    failed = False if status == "error" else None
+    return CheckEntry(name, None, None, 0, cfg.tol, failed, status, reason, None, None)
 
 
 def _isotropy(frames: FrameBatch) -> np.ndarray:
@@ -284,7 +277,7 @@ def _umbilical(frames: FrameBatch, cfg: SampleConfig, quadric: AmbientQuadric) -
     first; the factor c equals the usual sign epsilon on unit quadrics.
     """
     membership = frames.shared(_membership, quadric)
-    outside = membership > 1e4 * max(cfg.tolerance_for("umbilical"), 1e-10)
+    outside = membership > 1e4 * max(cfg.tol, 1e-10)
     if np.logical_or.reduce(outside):
         i = int(outside.argmax())
         gap = f"|<L,L> - 1/c| = {membership[i]:.3e}"
@@ -378,8 +371,7 @@ class _Suite:
 _ON_FIT = ("lagrangian", "spherical")
 # The checks a spec gets by n - m, in report order, with the checks each rests
 # on: 0 for m = n (the Lagrangian chain), 1 for m = n - 1 (the Legendrian one),
-# None for any other.  Every spec gets those of None, the curvature identities,
-# held to tol_third.
+# None for any other.  Every spec gets those of None, the curvature identities.
 _CHAINS = {
     0: {"lagrangian": (), "spherical": (), "gauss": (), "codazzi": (),
         "cubic_symmetry": ("lagrangian",),
@@ -388,7 +380,6 @@ _CHAINS = {
         "umbilical": ("spherical",), "gauss": (), "codazzi": ()},
     None: {"gauss": (), "codazzi": ()},
 }
-_THIRD_ORDER = frozenset(_CHAINS[None])  # the checks held to tol_third
 
 
 def run_suite(spec: ImmersionSpec, cfg: SampleConfig | None = None,

@@ -83,7 +83,7 @@ def _parse_quadric(text: str, spec: ImmersionSpec) -> AmbientQuadric:
 def _config(args) -> SampleConfig:
     """The SampleConfig of the sampling flags; one it refuses is a usage error."""
     try:
-        return SampleConfig(args.samples, args.seed, args.tol, args.tol_third)
+        return SampleConfig(args.samples, args.seed, args.tol)
     except ValueError as exc:
         raise _UsageError(f"bad sampling flag: {exc}") from exc
 
@@ -212,10 +212,7 @@ def _add_sampling_args(p):
     p.add_argument("--samples", type=int, default=SampleConfig.num_points,
                    help="sample points per check")
     p.add_argument("--seed", type=int, default=SampleConfig.seed, help="sampling seed")
-    p.add_argument("--tol", type=float, default=SampleConfig.tol,
-                   help="tolerance for second-order checks")
-    p.add_argument("--tol-third", type=float, default=SampleConfig.tol_third,
-                   help="tolerance for the gauss and codazzi checks")
+    p.add_argument("--tol", type=float, default=SampleConfig.tol, help="tolerance of every check")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -1,11 +1,11 @@
 """Induced geometry of an immersion: metric, connection, curvature.
 
 A FrameBatch holds, at B points (every array's leading axis), the map's
-derivatives in interleaved real coordinates, the induced metric, the
-Christoffel symbols of both kinds and the second fundamental form.
-build_frame evaluates the map per chunk of at most CHUNK points and assembles
-the whole batch at once; curvature, the Gauss and Codazzi residuals and the
-tangent field of J L come from its first- and second-order data alone.
+derivatives to second order in interleaved real coordinates, the induced
+metric, the Christoffel symbols of both kinds and the second fundamental form.
+build_frame evaluates the map's second-order jets per chunk of at most CHUNK
+points and assembles the whole batch at once; curvature, the Gauss and Codazzi
+residuals and the tangent field of J L come from that data alone.
 
 Each contraction is one matmul per point on (B, rows, k) reshapes (contract),
 never one per point and index, and each elementwise step reads C-ordered
@@ -55,8 +55,8 @@ CHUNK = 256
 
 
 class FrameBatch(Record):
-    """Derivative and metric data of an immersion at B points: second, sff and christoffels
-    are symmetric in i, j bit for bit, third in all its slots, and a hand-built batch keeps that."""
+    """Derivative and metric data of an immersion at B points, to second order: second,
+    sff and christoffels are symmetric in i, j bit for bit, and a hand-built batch keeps that."""
 
     __slots__ = ("_shared",)  # product key -> value (see shared), outside the fields
     _fields = (
@@ -64,7 +64,6 @@ class FrameBatch(Record):
         "position",  # (B, 2n)
         "first",  # (B, m, 2n)
         "second",  # (B, m, m, 2n)
-        "third",  # (B, m, m, m, 2n) when requested, else None
         "eta",  # (2n,), shared by all points
         "metric",  # (B, m, m)
         "metric_inv",
@@ -94,8 +93,7 @@ class FrameBatch(Record):
         """The frames of (L - center) * k at the same points, to second order,
         in closed form: the derivatives and the second fundamental form scale by
         k, the metric, its derivatives and the lowered Christoffel symbols by k^2
-        and its inverse by 1/k^2, while the Christoffel symbols stay as they are.
-        No check reads third-order data, so they carry none."""
+        and its inverse by 1/k^2, while the Christoffel symbols stay as they are."""
         k2 = k * k
         return self.replace(
             position=(self.position - center) * k,
@@ -106,7 +104,6 @@ class FrameBatch(Record):
             dmetric=self.dmetric * k2,
             christoffels_lowered=self.christoffels_lowered * k2,
             sff=self.sff * k,
-            third=None,
         )
 
 
@@ -120,24 +117,24 @@ def j_of(frames: FrameBatch, field: str) -> np.ndarray:
     return apply_j_flat(getattr(frames, field))
 
 
-def build_frame(spec: ImmersionSpec, points, need_third: bool = False) -> FrameBatch:
+def build_frame(spec: ImmersionSpec, points) -> FrameBatch:
     """Evaluate the immersion at a batch of points and assemble its geometry.
 
     points is one point (m,) or a batch (B, m); a single point gives a batch
-    of one.  The map is evaluated once per chunk of at most CHUNK points, into
-    the chunk's rows of the frames' arrays, and the frames of all B points are
-    assembled at once.  Raises the first error of a point-by-point walk: what
-    evaluate_map_jets (its row shifted to the batch) or assemble_frame raises
-    names the first point to fail that test, and an earlier point may fail a
-    later test, so the points before its row are built too.
+    of one.  The map is evaluated to second order once per chunk of at most
+    CHUNK points, into the chunk's rows of the frames' arrays, and the frames
+    of all B points are assembled at once.  Raises the first error of a
+    point-by-point walk: what evaluate_map_jets (its row shifted to the batch)
+    or assemble_frame raises names the first point to fail that test, and an
+    earlier point may fail a later test, so the points before its row are
+    built too.
     """
     pts = np.array(points, dtype=float, ndmin=2)
-    order = 3 if need_third else 2
     m, n = spec.num_params, spec.signature.n
     # a complex128 array is stored as (re, im) pairs, so the component jets
     # laid along a last axis and viewed as float give the ambient layout; one
     # buffer for all blocks took fewer page faults than one array per block
-    shapes = [(len(pts),) + (m,) * k + (n,) for k in range(order + 1)]
+    shapes = [(len(pts),) + (m,) * k + (n,) for k in range(3)]  # value, first, second
     ends = np.add.accumulate([math.prod(shape) for shape in shapes]).tolist()
     buffer = np.empty(ends[-1], dtype=complex)
     blocks = [buffer[end - math.prod(s) : end].reshape(s) for s, end in zip(shapes, ends)]
@@ -145,18 +142,18 @@ def build_frame(spec: ImmersionSpec, points, need_third: bool = False) -> FrameB
         for start in range(0, len(pts), CHUNK):
             chunk = slice(start, start + CHUNK)
             try:
-                evaluate_map_jets(spec, pts[chunk], order, [block[chunk] for block in blocks])
+                evaluate_map_jets(spec, pts[chunk], 2, [block[chunk] for block in blocks])
             except LagkitError as exc:  # its row in the chunk, now in the batch
                 exc.row += start
                 raise
         return assemble_frame(spec, pts, *(block.view(float) for block in blocks))
     except LagkitError as exc:  # unbound when the handler exits: no reference cycle
         if exc.row:
-            build_frame(spec, pts[: exc.row], need_third)
+            build_frame(spec, pts[: exc.row])
         raise
 
 
-def assemble_frame(spec, points, position, first, second, third=None) -> FrameBatch:
+def assemble_frame(spec, points, position, first, second) -> FrameBatch:
     """The frames at points (B, m) of a map with these derivatives there.
 
     Raises SingularEvaluationError when the metric is not finite, and
@@ -198,7 +195,7 @@ def assemble_frame(spec, points, position, first, second, third=None) -> FrameBa
     sff = second - (gamma_rows @ first).reshape(second.shape)
 
     return FrameBatch(
-        points, position, first, second, third, eta,
+        points, position, first, second, eta,
         metric, metric_inv, dmetric, lowered, christoffels, sff,
     )
 

@@ -3,13 +3,15 @@
 A jet is a real or complex quantity f of m real variables at B points as
 univariate Taylor series (Griewank, Utke & Walther, Math. Comp. 69, 2000;
 Griewank & Walther, Evaluating Derivatives, ch. 13): the coefficients f_k of
-t -> f(x + t s), k <= order <= 3, along the D = C(m+2, 3) directions s in N^m
-with |s| = 3, one direction set for every order.  It is one stacked pair: the
-value f_0 (B,), held as (1, 1, B), and `high`, degrees 1..order as
-(order, D, B), so the value broadcasts over degrees and directions along the
-contiguous point axis; a number's jet (_number) has no point axis.  An array
-is float64 while it is real (seeds, jets of real values), else complex128: a
-kernel's result has the type of all its operands, one code path for both.
+t -> f(x + t s), k <= order <= 3, along the D = C(m+d-1, d) directions s in
+N^m with |s| = d, one direction set per degree d = max(order, 1): C(m+1, 2)
+directions for the second-order jets of the checks, C(m+2, 3) for the
+third-order ones of the cross-check.  It is one stacked pair: the value f_0
+(B,), held as (1, 1, B), and `high`, degrees 1..order as (order, D, B), so
+the value broadcasts over degrees and directions along the contiguous point
+axis; a number's jet (_number) has no point axis.  An array is float64 while
+it is real (seeds, jets of real values), else complex128: a kernel's result
+has the type of all its operands, one code path for both.
 
 The arithmetic is kernels on such pairs, which dsl's compiled plans call, an
 operator's through _OPERATORS: the truncated Cauchy product, and for exp,
@@ -25,7 +27,8 @@ The derivative tensors come back by interpolation: T_k = f_k @ W_k for fixed
 (D, m^k) weights, exact rationals rounded once.  `_interpolate` applies W_k
 once per degree to the coefficients of all its jets stacked, as one real
 matrix product on the complex-as-float view, into new complex blocks or the
-caller's (build_frame's frames).
+caller's (build_frame's frames); every degree is read from its sorted
+multi-indices' columns, so each tensor is symmetric bit for bit.
 
 The guards act per point, the first offending point raising one
 SingularEvaluationError with its row for the whole jet (_guard): division and
@@ -48,7 +51,6 @@ _DIV_GUARD = 1e-300
 _DIV_WARN = 1e-12
 _SQRT_GUARD = 1e-12
 _SQRT_IMAG = 1e-9
-_DEGREE = 3  # every direction s has |s| = 3
 
 
 def _seeds(points: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -57,7 +59,7 @@ def _seeds(points: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     broadcast: seed k is (values[k], highs[k])."""
     if order not in (0, 1, 2, 3):
         raise ValueError(f"jet order must be in 0..3, got {order}")
-    dirs = _directions(points.shape[1]).T
+    dirs = _directions(points.shape[1], max(order, 1)).T
     high = np.zeros((len(dirs), order, dirs.shape[1], 1))
     high[:, :1] = dirs[:, None, :, None]  # degree 1, if any
     return np.ascontiguousarray(points.T, dtype=float)[:, None, None], high
@@ -67,50 +69,51 @@ def _seeds(points: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _directions(m: int) -> np.ndarray:
-    """The D = C(m+2, 3) directions s in N^m with |s| = 3, as rows (D, m)."""
-    picks = itertools.combinations_with_replacement(range(m), _DEGREE)
+def _directions(m: int, degree: int) -> np.ndarray:
+    """The D = C(m+degree-1, degree) directions s in N^m with |s| = degree, as rows (D, m)."""
+    picks = itertools.combinations_with_replacement(range(m), degree)
     return np.array([[pick.count(t) for t in range(m)] for pick in picks])
 
 
 @functools.cache
-def _weights(m: int, k: int) -> np.ndarray:
+def _weights(m: int, k: int, degree: int) -> np.ndarray:
     """(D, m^k) matrix W with T = f_k @ W for the flattened k-th derivative
-    tensor T of a function with degree-k coefficients f_k along the directions:
+    tensor T, k <= degree, of a function with degree-k coefficients f_k along
+    the directions of that degree d:
     T_i = sum_s gamma(i, s) f_k(s) for the multi-index i, |i| = k, where
-    gamma(i, s) = sum_{0 < j <= i} (-1)^(k - |j|) binom(i, j) binom(3 j / |j|, s)
-    (|j| / 3)^k, binomials taken coordinatewise (Griewank, Utke & Walther).
-    With binom(3 j / |j|, s) = prod_t prod_{q < s_t} (3 j_t - q |j|) / (|j|^3 s!)
-    and |j|^(k - 3) cleared by `scale`, gamma is an integer over an integer.
+    gamma(i, s) = sum_{0 < j <= i} (-1)^(k - |j|) binom(i, j) binom(d j / |j|, s)
+    (|j| / d)^k, binomials taken coordinatewise (Griewank, Utke & Walther).
+    With binom(d j / |j|, s) = prod_t prod_{q < s_t} (d j_t - q |j|) / (|j|^d s!)
+    and |j|^(k - d) cleared by `scale`, gamma is an integer over an integer.
     """
-    scale = math.lcm(*range(1, k + 1)) ** (_DEGREE - k)
+    scale = math.lcm(*range(1, k + 1)) ** (degree - k)
 
     def gamma(i, s) -> float:
         if any(st and not it for it, st in zip(i, s)):
-            return 0.0  # each term has a factor 3 j_t - 0 |j| = 0
+            return 0.0  # each term has a factor d j_t - 0 |j| = 0
         total = 0
         for j in itertools.product(*(range(n + 1) for n in i)):
             size = sum(j)
             if size:
-                term = (-1) ** (k - size) * scale * size**k // size**_DEGREE
+                term = (-1) ** (k - size) * scale * size**k // size**degree
                 for it, jt, st in zip(i, j, s):
-                    term *= math.comb(it, jt) * math.prod(3 * jt - q * size for q in range(st))
+                    term *= math.comb(it, jt) * math.prod(degree * jt - q * size for q in range(st))
                 total += term
-        return total / (scale * 3**k * math.prod(map(math.factorial, s)))
+        return total / (scale * degree**k * math.prod(map(math.factorial, s)))
 
     indices = [tuple(map(index.count, range(m))) for index in itertools.product(range(m), repeat=k)]
-    columns = {i: [gamma(i, s) for s in _directions(m).tolist()] for i in set(indices)}
+    columns = {i: [gamma(i, s) for s in _directions(m, degree).tolist()] for i in set(indices)}
     return np.array([columns[i] for i in indices]).T
 
 
 @functools.cache
-def _sorted_weights(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """W_3's columns at the sorted multi-indices (the least flat index among each
+def _sorted_weights(m: int, k: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """W_k's columns at the sorted multi-indices (the least flat index among each
     one's permutations), and the row among them of each flat index."""
-    cube = np.arange(m**_DEGREE).reshape((m,) * _DEGREE)
-    least = np.minimum.reduce([cube.transpose(p) for p in itertools.permutations(range(_DEGREE))])
+    cube = np.arange(m**k).reshape((m,) * k)
+    least = np.minimum.reduce([cube.transpose(p) for p in itertools.permutations(range(k))])
     columns, rows = np.unique(least, return_inverse=True)
-    return _weights(m, _DEGREE)[:, columns], rows.ravel()
+    return _weights(m, k, degree)[:, columns], rows.ravel()
 
 
 def _interpolate(m, order, size, pairs, out=None) -> list[np.ndarray]:
@@ -119,9 +122,11 @@ def _interpolate(m, order, size, pairs, out=None) -> list[np.ndarray]:
     axis of length n: complex (size, m, ..., m, n), written into the arrays
     out if given, else new.  Per degree, the coefficients of all n are staged
     as complex (D, size, n), a seed's broadcast along the points, and
-    multiplied by W_k in one real matrix product on their float view, which may
-    round equal columns apart: the third block is read from its sorted indices' rows."""
-    n, rows = len(pairs), len(_directions(m))
+    multiplied by W_k's columns at the sorted multi-indices in one real matrix
+    product on their float view; every other index reads its sorted one's row,
+    so equal entries of a symmetric tensor are equal bits."""
+    degree = max(order, 1)
+    n, rows = len(pairs), len(_directions(m, degree))
     if out is None:
         out = [np.empty((size,) + (m,) * k + (n,), dtype=complex) for k in range(order + 1)]
     for c, u in enumerate(pairs):
@@ -130,7 +135,7 @@ def _interpolate(m, order, size, pairs, out=None) -> list[np.ndarray]:
     for k in range(1, order + 1):
         for c, u in enumerate(pairs):
             high[..., c] = u[1][k - 1].reshape(rows, -1) if type(u) is tuple else 0
-        weights, at = _sorted_weights(m) if k == _DEGREE else (_weights(m, k), slice(None))
+        weights, at = _sorted_weights(m, k, degree)
         t = (weights.T @ high.view(float).reshape(rows, -1)).view(complex)[at]
         out[k][...] = t.reshape((m,) * k + (size, n)).transpose(k, *range(k), k + 1)
     return out

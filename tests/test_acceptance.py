@@ -127,13 +127,13 @@ def test_criterion_5_curvature_values():
     spec = catalog("product_S1xS2")
     worst_sec = 0.0
     for pt in sample_points(spec, 10, seed=6):
-        fr = build_frame(spec, pt, need_third=True)
+        fr = build_frame(spec, pt)
         r = riemann_tensor(fr)
         worst_sec = max(worst_sec, abs(sectional_curvature(fr, 1, 2, r) - 1.0))
     clifford = catalog("clifford_torus")
     worst_flat = 0.0
     for pt in sample_points(clifford, 10, seed=6):
-        fr = build_frame(clifford, pt, need_third=True)
+        fr = build_frame(clifford, pt)
         worst_flat = max(worst_flat, float(np.max(np.abs(riemann_tensor(fr)))))
     ok = worst_sec < 1e-6 and worst_flat < 1e-8
     criterion(5, "sphere block curvature and flat torus", ok,

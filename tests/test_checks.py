@@ -29,15 +29,16 @@ from lagkit.errors import LagkitError, SingularEvaluationError
 from lagkit.geometry import CHUNK, FrameBatch, build_frame
 from lagkit.products import dilate, translate
 from lagkit.sampling import sample_points
+from test_symmetry import boost, transformed
 
 CFG = SampleConfig(num_points=12, seed=7)
 SPHERE = AmbientQuadric(1.0)
 
 
-def frames_of(name_or_spec, cfg=CFG, need_third=False):
+def frames_of(name_or_spec, cfg=CFG):
     """The frames of a catalog entry or spec at the sample points of cfg."""
     spec = catalog(name_or_spec) if isinstance(name_or_spec, str) else name_or_spec
-    return build_frame(spec, sample_points(spec, cfg.num_points, cfg.seed), need_third)
+    return build_frame(spec, sample_points(spec, cfg.num_points, cfg.seed))
 
 
 def check_of(name_or_spec, check, cfg=CFG, quadric=None):
@@ -61,12 +62,12 @@ def pole_spec(num_points):
     return parse(box + f"map u + i*v + 1/(u - {u0!r}), v + i*u;\n"), (u0, v0)
 
 
-def walk_first_error(spec, points, need_third):
+def walk_first_error(spec, points):
     """(index, type, message) of the first point at which build_frame, called
     point by point, raises; None when none does."""
     for i, pt in enumerate(points):
         try:
-            build_frame(spec, pt, need_third)
+            build_frame(spec, pt)
         except LagkitError as exc:
             return i, type(exc), str(exc)
     return None
@@ -77,19 +78,47 @@ class TestSampleConfig:
         with pytest.raises(ValueError):
             SampleConfig(num_points=0)
 
-    @pytest.mark.parametrize("field", ["tol", "tol_third"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
-    def test_rejects_a_tolerance_the_report_cannot_hold(self, field, value):
+    def test_rejects_a_tolerance_the_report_cannot_hold(self, value):
         # NaN and Infinity have no JSON form, and a negative bound fails every check
-        with pytest.raises(ValueError, match=f"^{field} must be finite and non-negative"):
-            SampleConfig(**{field: value})
-        assert getattr(SampleConfig(**{field: 0.0}), field) == 0.0  # zero is a bound
+        with pytest.raises(ValueError, match="^tol must be finite and non-negative"):
+            SampleConfig(tol=value)
+        assert SampleConfig(tol=0.0).tol == 0.0  # zero is a bound
 
-    def test_tolerance_tiers(self):
-        cfg = SampleConfig(tol=1e-9, tol_third=1e-5)
-        assert cfg.tolerance_for("lagrangian") == 1e-9
-        assert cfg.tolerance_for("gauss") == 1e-5
-        assert cfg.tolerance_for("codazzi") == 1e-5
+    def test_a_max_equal_to_the_tolerance_passes(self):
+        # lagrangian's max on control_non_lagrangian is exactly 2.0 at the default
+        # sampling: a check passes when its max is at most tol, and one below fails it
+        for tol, passed in ((2.0, True), (math.nextafter(2.0, 0), False)):
+            entry = check_of("control_non_lagrangian", "lagrangian", SampleConfig(tol=tol))
+            assert (entry.max_residual, entry.tolerance, entry.passed) == (2.0, tol, passed)
+
+    def test_every_check_is_held_to_the_one_tolerance(self):
+        for spec in CHAIN_SPECS.values():
+            report = run_suite(spec, SampleConfig(tol=1e-9))
+            assert {entry.tolerance for entry in report.checks.values()} == {1e-9}, spec.name
+
+
+def _curvature_inputs():
+    """The catalog dilated by 2^k, k = -20, -10, 10, and its index-1 entries
+    boosted at rapidity 6 and 8: scales at which gauss and codazzi hold to the
+    one tolerance (the worst residual, gauss at rapidity 8, is 3.0e-9; at 2^20
+    and rapidity 12 they fail at 1e-6 too)."""
+    for name in catalog_names():
+        spec = catalog(name)
+        for k in (-20, -10, 10):
+            yield dilate(spec, 2.0**k).replace(name=f"{name}_dilated_2^{k}")
+        if spec.signature.s == 1:
+            for rapidity in (6.0, 8.0):
+                u = boost(spec.signature.n, 1, rapidity, 3202)
+                yield transformed(spec, u).replace(name=f"{name}_boosted_{rapidity:g}")
+
+
+@pytest.mark.parametrize("spec", list(_curvature_inputs()), ids=lambda spec: spec.name)
+def test_curvature_identities_hold_to_the_one_tolerance(spec):
+    report = run_suite(spec, SampleConfig(), checks=["gauss", "codazzi"])
+    for name in ("gauss", "codazzi"):
+        entry = report.checks[name]
+        assert entry.status == "ok" and entry.passed and entry.tolerance == 1e-8, (name, entry)
 
 
 def test_stacked_reduction_is_each_rows_own_reduction():
@@ -430,6 +459,12 @@ def test_one_map_evaluation_per_point_per_spec(name, num_points, monkeypatch):
     assert calls["build_frame"] == 1
 
 
+SHEARED_TORUS = parse(
+    "params t:[0,6.283185307179586], u:[0,6.283185307179586];\nsignature 2 0;\n"
+    "map exp(i*(t + 0.3*sin(u)))*cos(u), exp(i*(t + 0.3*sin(u)))*sin(u);\n"
+).replace(name="sheared_clifford_torus")
+
+
 def reference_normalized_spec(spec, transform):
     """The spec (L - center) / scale, written out as translate and dilate."""
     c = transform.center
@@ -445,25 +480,26 @@ def reference_normalized_spec(spec, transform):
         *map(catalog, ["clifford_torus", "product_S1xS2", "theorem42_example"]),
         catalog("theorem43_example"),
         translate(dilate(catalog("clifford_torus"), 3.0), (0.25, 0.125j)),
+        # sheared by t -> t + 0.3 sin(u): still Lagrangian and spherical, with a
+        # metric that varies (|d g| up to 0.3), so dmetric's scaling shows
+        translate(dilate(SHEARED_TORUS, 3.0), (0.25, 0.125j)),
     ],
     ids=lambda spec: spec.name,
 )
 def test_normalized_frames_equal_those_of_the_normalized_spec(spec, num_points):
     # the rescaled frames are those of the normalized spec to rounding: each
-    # field within 1e-12 of its largest entry (or of 1); they are built to
-    # second order, as no check reads third-order data
+    # field within 1e-12 of its largest entry (or of 1)
     cfg = SampleConfig(num_points=num_points, seed=7)
-    frames = frames_of(spec, cfg, need_third=True)
+    frames = frames_of(spec, cfg)
     report = run_suite(spec, cfg, checks=["lagrangian", "spherical"])
+    assert report.passed
     derived, _, _ = _structure_with_fit(frames, report.sphere_fit, report.transform)
     reference = frames_of(reference_normalized_spec(spec, report.transform), cfg)
-    assert derived.third is None
     for name in FrameBatch._fields:
-        if name != "third":
-            ours, theirs = getattr(derived, name), getattr(reference, name)
-            assert ours.shape == theirs.shape, name
-            bound = 1e-12 * max(1.0, np.abs(theirs).max())
-            assert np.abs(ours - theirs).max() <= bound, name
+        ours, theirs = getattr(derived, name), getattr(reference, name)
+        assert ours.shape == theirs.shape, name
+        bound = 1e-12 * max(1.0, np.abs(theirs).max())
+        assert np.abs(ours - theirs).max() <= bound, name
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -665,18 +701,18 @@ class TestCheckSubsets:
     def _run(self, monkeypatch, spec, checks):
         import lagkit.checks as module
 
-        orders, called, build = [], [], module.build_frame
+        builds, called, build = [], [], module.build_frame
 
-        def counting(spec, points, need_third=False):
-            orders.append(need_third)
-            return build(spec, points, need_third)
+        def counting(spec, points):
+            builds.append(len(points))
+            return build(spec, points)
 
         monkeypatch.setattr(module, "build_frame", counting)
         for name in ("gauss_residual", "codazzi_residual"):
             residual = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, c=residual, n=name: called.append(n) or c(*a))
         report = run_suite(spec, CFG, checks=checks)
-        return report, orders, called
+        return report, builds, called
 
     @pytest.mark.parametrize(
         "chain, checks",
@@ -686,8 +722,8 @@ class TestCheckSubsets:
     )
     def test_every_chain_and_subset_builds_second_order_frames(self, monkeypatch, chain, checks):
         # gauss and codazzi too: their identities read first- and second-order data alone
-        report, orders, called = self._run(monkeypatch, CHAIN_SPECS[chain], checks)
-        assert orders == [False]
+        report, builds, called = self._run(monkeypatch, CHAIN_SPECS[chain], checks)
+        assert builds == [CFG.num_points]
         wanted = _CHAINS[chain] if checks is None else checks
         assert called == [f"{name}_residual" for name in ("gauss", "codazzi") if name in wanted]
         assert set(wanted) <= report.checks.keys()
@@ -722,8 +758,8 @@ class TestChunks:
     @pytest.mark.parametrize("name", catalog_names())
     def test_chunked_frames_equal_single_point_frames(self, name):
         entry = catalog_entry(name)
-        chunked = frames_of(entry.spec, self.CFG, need_third=True)
-        singles = [build_frame(entry.spec, pt, need_third=True) for pt in self._points(entry.spec)]
+        chunked = frames_of(entry.spec, self.CFG)
+        singles = [build_frame(entry.spec, pt) for pt in self._points(entry.spec)]
         assert len(chunked) == len(singles) == self.CFG.num_points
         for name in FrameBatch._fields:
             parts = [getattr(frame, name) for frame in singles]
@@ -740,7 +776,7 @@ class TestChunks:
         assert min(abs(a - b), *np.abs(others - a), *np.abs(others - b)) > 1e-7
         # spikes of width 1e-9 that vanish (underflow) at every other point: at u = a
         # the bump exp(400 - (1e9 (u - a + 1e-9))^2) is finite with its derivatives up
-        # to third order, but its slope ~2e9 e^399 squares past the float range in
+        # to second order, but its slope ~2e9 e^399 squares past the float range in
         # the metric; at u = b the value of exp(1000 - (1e9 (u - b))^2) overflows
         spec = parse(
             "params u:[0,1];\nsignature 1 0;\n"
@@ -750,7 +786,7 @@ class TestChunks:
         walk = []
         for i, pt in enumerate(self._points(spec)):
             try:
-                build_frame(spec, pt, need_third=True)
+                build_frame(spec, pt)
             except LagkitError as exc:
                 walk.append((i, str(exc)))
         (index, first), messages = walk[0], [message for _, message in walk]
@@ -764,7 +800,7 @@ class TestChunks:
             for message in messages
         )
         with pytest.raises(SingularEvaluationError) as info:
-            build_frame(spec, self._points(spec), need_third=True)
+            build_frame(spec, self._points(spec))
         assert str(info.value) == first
         report = run_suite(spec, self.CFG)
         assert report.checks["lagrangian"].reason == first
@@ -792,7 +828,7 @@ class TestFallbackCost:
         walk = []
         for i, pt in enumerate(sample_points(spec, cfg.num_points, cfg.seed)):
             try:
-                build_frame(spec, pt, need_third=True)
+                build_frame(spec, pt)
             except LagkitError as exc:
                 walk.append((i, str(exc)))
         message = f"map cannot be evaluated at ({c!r},): math range error"
@@ -801,7 +837,7 @@ class TestFallbackCost:
         build = geometry.build_frame
         monkeypatch.setattr(geometry, "build_frame", lambda *a: calls.append(a) or build(*a))
         with pytest.raises(SingularEvaluationError) as info:
-            geometry.build_frame(spec, sample_points(spec, cfg.num_points, cfg.seed), True)
+            geometry.build_frame(spec, sample_points(spec, cfg.num_points, cfg.seed))
         assert str(info.value) == walk[0][1] and info.value.row == cfg.num_points - 1
         assert len(calls) <= self.BOUND
 
@@ -876,14 +912,13 @@ class TestPlantedFaults:
                 ),
             )
         ),
-        st.booleans(),
     )
     # an earlier point fails a later test than the batch's error: a retry
-    @example((40, [(30, "overflow"), (10, "metric")]), False)
+    @example((40, [(30, "overflow"), (10, "metric")]))
     # the batch fails in its second chunk, a point of the first at assembly
-    @example((CHUNK + 44, [(CHUNK + 20, "division"), (3, "degenerate")]), True)
+    @example((CHUNK + 44, [(CHUNK + 20, "division"), (3, "degenerate")]))
     @settings(max_examples=40, deadline=None)
-    def test_first_error_of_the_point_walk(self, case, need_third):
+    def test_first_error_of_the_point_walk(self, case):
         num_points, faults = case
         cfg = SampleConfig(num_points=num_points, seed=7)
         box = parse("params u:[0,1];\nsignature 1 0;\nmap u;\n")
@@ -893,10 +928,10 @@ class TestPlantedFaults:
             FAULTS[kind].format(c=float(us[i]), c_left=float(us[i]) - 1e-9) for i, kind in faults
         ]
         spec = parse(f"params u:[0,1];\nsignature 1 0;\nmap u + {' + '.join(terms)};\n")
-        index, kind, message = walk_first_error(spec, us[:, None], need_third)
+        index, kind, message = walk_first_error(spec, us[:, None])
         assert index == min(i for i, _ in faults)
         with pytest.raises(LagkitError) as info:
-            build_frame(spec, sample_points(spec, cfg.num_points, cfg.seed), need_third)
+            build_frame(spec, sample_points(spec, cfg.num_points, cfg.seed))
         assert (type(info.value), str(info.value)) == (kind, message)
 
 
@@ -935,13 +970,13 @@ class TestReportSerialization:
     def test_records_refuse_assignment(self, kind):
         spec = catalog("clifford_torus")
         report = run_suite(spec, CFG)
-        frames = frames_of(spec, CFG, need_third=True)
+        frames = frames_of(spec, CFG)
         records = (frames, report.checks["lagrangian"], report.sphere_fit, report.transform, report)
         (record,) = [r for r in records if type(r).__name__ == kind]
         for field in vars(record):
             with pytest.raises(AttributeError, match=f"cannot assign to field {field!r}"):
                 setattr(record, field, None)
-        assert frames.third is not None and report.passed
+        assert report.passed
 
     def test_entries_own_their_details_and_reports_pickle(self):
         a, b = (CheckEntry("probe", None, None, 0, 1e-8, None) for _ in range(2))

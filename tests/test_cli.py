@@ -215,12 +215,12 @@ class TestCheckCommand:
         assert run_main("check", str(path)) == 2
         assert "cannot parse" in capsys.readouterr().err
 
-    def test_tolerance_flags(self):
-        # absurdly tight tolerance turns machine noise into failures
-        assert (
-            run_main("check", "clifford_torus", "--tol", "1e-30", "--tol-third", "1e-30")
-            == 1
-        )
+    def test_tolerance_flags(self, capsys):
+        # absurdly tight tolerance turns machine noise into failures; it bounds
+        # every check, gauss and codazzi too
+        assert run_main("check", "clifford_torus", "--tol", "1e-30", "--json") == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert {entry["tol"] for entry in checks.values()} == {1e-30}
 
     def test_a_pole_at_a_sample_point_is_an_error_naming_it(self, tmp_path, capsys):
         spec, (u0, v0) = pole_spec(SampleConfig.num_points)  # at the last default sample point
@@ -260,7 +260,7 @@ class TestCheckCommand:
         ("check", "clifford_torus", "--checks", ","),
         ("check", "clifford_torus", "--checks", ",", "--json"),
         ("check", "clifford_torus", "--tol", "nan", "--json"),
-        ("check", "clifford_torus", "--tol-third", "inf", "--json"),
+        ("check", "clifford_torus", "--tol", "inf", "--json"),
         ("check", "clifford_torus", "--tol", "-1"),
         ("construct", "pseudo_legendrian_H3", "--verify", "--samples", "0"),
         ("crosscheck", "clifford_torus", "--step", "-1"),

@@ -466,7 +466,7 @@ def walk_map_jets(spec, points, order, dtype=float):
     """The walk's tensors; with dtype=complex every seed is complex, so every
     step that meets a parameter runs in complex arithmetic."""
     pts = np.array(points, dtype=float, ndmin=2)
-    m, dirs = spec.num_params, jets._directions(spec.num_params)
+    m, dirs = spec.num_params, jets._directions(spec.num_params, max(order, 1))
     check_point_in_domain(spec, pts)
     env = {}
     for k, p in enumerate(spec.params):  # x_k: value pts[:, k], degree 1 the directions' s_k

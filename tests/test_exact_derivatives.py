@@ -117,27 +117,32 @@ def assert_jets_exact(spec, points, order=3):
             assert (error <= 1e-12 * scale).all(), (k, c, (error / scale).max())
 
 
-def _monomials(m: int, k: int) -> np.ndarray:
+def _monomials(m: int, k: int, degree: int) -> np.ndarray:
     """(m^k, D) matrix taking a flattened k-th derivative tensor T to the
-    coefficients T[s, ..., s] / k! along the directions."""
-    s = _directions(m)
+    coefficients T[s, ..., s] / k! along the directions of that degree."""
+    s = _directions(m, degree)
     rows = itertools.product(range(m), repeat=k)
     return np.array([np.prod(s[:, list(i)], axis=1) for i in rows]) / math.factorial(k)
 
 
-@pytest.mark.parametrize("m, k", [(m, k) for m in (1, 2, 3, 4) for k in (1, 2, 3)])
-def test_weights_invert_the_directional_coefficients(m, k):
+@pytest.mark.parametrize(
+    "m, k, degree", [(m, k, d) for m in (1, 2, 3, 4) for d in (1, 2, 3) for k in range(1, d + 1)]
+)
+def test_weights_invert_the_directional_coefficients(m, k, degree):
     # a symmetric tensor -> its coefficients T[s, ..., s] / k! -> the tensor again
     t = np.random.default_rng(10 * m + k).normal(size=(m,) * k)
     t = sum(t.transpose(p) for p in itertools.permutations(range(k))).reshape(-1)
-    np.testing.assert_allclose(t @ _monomials(m, k) @ _weights(m, k), t, rtol=0, atol=1e-14 * np.abs(t).max())
-    assert _weights(m, k).shape == (math.comb(m + 2, 3), m**k)
+    weights = _weights(m, k, degree)
+    np.testing.assert_allclose(t @ _monomials(m, k, degree) @ weights, t, rtol=0, atol=1e-14 * np.abs(t).max())
+    assert weights.shape == (math.comb(m + degree - 1, degree), m**k)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("name", catalog_names())
-def test_catalog_jets_match_exact_derivatives(name):
+def test_catalog_jets_match_exact_derivatives(name, order):
+    # order 2 is the direction set of run_suite's frames, order 3 the cross-check's
     spec = catalog(name)
-    assert_jets_exact(spec, np.array(sample_points(spec, 40, seed=17)))
+    assert_jets_exact(spec, np.array(sample_points(spec, 40, seed=17)), order)
 
 
 _UV = (Param("u", -1.0, 1.0), Param("v", 0.0, 2.0))

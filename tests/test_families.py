@@ -108,15 +108,15 @@ def test_a_pole_at_the_last_of_three_chunks_raises_the_walks_first_error():
     walk = []
     for point in points:  # to the first point that fails
         try:
-            build_frame(spec, point, need_third=True)
+            build_frame(spec, point)
         except LagkitError as exc:
             walk.append(exc)
             break
     with pytest.raises(LagkitError) as pole:
-        build_frame(spec, points[-1], need_third=True)
+        build_frame(spec, points[-1])
     assert str(walk[0]) != str(pole.value)  # the retry's, not the pole's
     with pytest.raises(LagkitError) as batch:
-        build_frame(spec, points, need_third=True)
+        build_frame(spec, points)
     assert (type(batch.value), str(batch.value)) == (type(walk[0]), str(walk[0]))
     report = run_suite(spec, SampleConfig(num_points=num_points))
     errors = {entry.reason for entry in report.checks.values() if entry.status == "error"}
@@ -141,7 +141,7 @@ def test_a_stretch_in_front_flips_the_lagrangian_verdict(family, m):
 def test_curvature_residuals_stay_at_rounding(spec):
     # both identities hold exactly for the frames of any immersion, so their
     # residuals are rounding (at most 1.5e-15 measured): a slip in either
-    # formula shows far above 1e-12, where tol_third = 1e-6 would let it pass
+    # formula shows far above 1e-12, where the check's tol = 1e-8 could let it pass
     report = run_suite(spec, SampleConfig(num_points=200), checks=["gauss", "codazzi"])
     for name in ("gauss", "codazzi"):
         entry = report.checks[name]

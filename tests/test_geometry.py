@@ -49,20 +49,20 @@ class TestFramesOnTheJetsBuffer:
         monkeypatch.setattr(
             jets, "_interpolate", lambda *a: written.append(interpolate(*a)) or written[-1]
         )
-        fr = build_frame(spec, sample_points(spec, batch, seed=3), need_third=True)
+        fr = build_frame(spec, sample_points(spec, batch, seed=3))
         (blocks,) = written
-        for got, block in zip((fr.position, fr.first, fr.second, fr.third), blocks, strict=True):
+        for got, block in zip((fr.position, fr.first, fr.second), blocks, strict=True):
             assert np.shares_memory(got, block) and got.shape == block.view(float).shape
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_several_chunks_match_their_chunks_row_for_row(self, name):
         spec = catalog(name)
         pts = sample_points(spec, 2 * CHUNK + 1, seed=3)
-        fr = build_frame(spec, pts, need_third=True)
+        fr = build_frame(spec, pts)
         for start in range(0, len(pts), CHUNK):
             rows = slice(start, start + CHUNK)
-            tensors = evaluate_map_jets(spec, pts[rows], 3)
-            frames = (fr.position, fr.first, fr.second, fr.third)
+            tensors = evaluate_map_jets(spec, pts[rows], 2)
+            frames = (fr.position, fr.first, fr.second)
             for got, want in zip(frames, tensors, strict=True):
                 assert got[rows].tobytes() == want.view(float).tobytes()
 
@@ -83,7 +83,7 @@ CLIFFORD_PT = (0.8, 0.45)
 
 @pytest.fixture(scope="module")
 def frame():
-    return build_frame(catalog("clifford_torus"), CLIFFORD_PT, need_third=True)
+    return build_frame(catalog("clifford_torus"), CLIFFORD_PT)
 
 
 class TestCliffordFrame:
@@ -142,7 +142,7 @@ class TestRoundSphere:
     def test_curvature_is_plus_one(self):
         spec = catalog(self.SPEC)
         for u, v in [(0.2, 1.0), (-0.9, 5.3)]:
-            fr = build_frame(spec, (u, v), need_third=True)
+            fr = build_frame(spec, (u, v))
             r = riemann_tensor(fr)
             # R_uvvu = g_uu g_vv on a unit sphere
             assert r[0, 0, 1, 1, 0] == pytest.approx(math.cos(u) ** 2, abs=1e-12)
@@ -168,7 +168,7 @@ class TestCurvatureSymmetries:
     def test_riemann_symmetries_and_first_bianchi(self, name):
         spec = catalog(name)
         pt = sample_points(spec, 1, seed=9)[0]
-        fr = build_frame(spec, pt, need_third=True)
+        fr = build_frame(spec, pt)
         r = riemann_tensor(fr)[0]
         np.testing.assert_allclose(r, -np.einsum("jikl->ijkl", r), atol=1e-10)
         np.testing.assert_allclose(r, -np.einsum("ijlk->ijkl", r), atol=1e-10)
@@ -180,7 +180,7 @@ class TestCurvatureSymmetries:
         # both identities are automatic in a flat ambient space
         spec = catalog("real_sphere_S5")
         for pt in sample_points(spec, 4, seed=3):
-            fr = build_frame(spec, pt, need_third=True)
+            fr = build_frame(spec, pt)
             assert gauss_residual(fr) < 1e-10
             assert codazzi_residual(fr) < 1e-10
 
@@ -200,7 +200,7 @@ class TestCurvatureChecksReadTheirData:
     def test_perturbed_christoffel_symbol_fails_gauss(self, frames):
         # Gamma^1_00 += delta moves T[i, l, 0, 0] by -Gamma_il,1 delta, so
         # R_i00l for i != 0, and R_0j0l by the mirror, by delta |Gamma_il,1|
-        tol = SampleConfig().tolerance_for("gauss")
+        tol = SampleConfig().tol
         assert gauss_residual(frames).max() < 1e-12
         gamma = frames.christoffels.copy()
         gamma[:, 1, 0, 0] += self.DELTA
@@ -212,7 +212,7 @@ class TestCurvatureChecksReadTheirData:
     def test_perturbed_second_fundamental_form_fails_codazzi(self, frames):
         # a unit normal direction per point (max component 1) added to h_22: the
         # skew part of nabla h moves by -Gamma^2_ik delta normal for i < 2
-        tol = SampleConfig().tolerance_for("codazzi")
+        tol = SampleConfig().tol
         _, normal = project(frames, frames.position)
         normal /= np.abs(normal).max(axis=1, keepdims=True)
         sff = frames.sff.copy()
@@ -293,20 +293,20 @@ class TestDegeneracy:
 
     def test_null_plane_sectional_curvature_rejected(self):
         spec = catalog("theorem42_example")
-        fr = build_frame(spec, (0.3, 0.3), need_third=True)
+        fr = build_frame(spec, (0.3, 0.3))
         # g = diag(1, -1): the plane is fine, but a null direction pair is not
         with pytest.raises(DegenerateMetricError):
             sectional_curvature(fr, 0, 0)
 
     def test_null_plane_error_names_its_row(self):
         spec = catalog("theorem42_example")
-        fr = build_frame(spec, sample_points(spec, 4, seed=5), need_third=True)
+        fr = build_frame(spec, sample_points(spec, 4, seed=5))
         with pytest.raises(DegenerateMetricError, match="plane \\(0,0\\)") as info:
             sectional_curvature(fr, 0, 0)
         assert info.value.row == 0 and str(fr.point(0)) in str(info.value)
         # the first degenerate row of a batch whose other rows are not
         spec = catalog("clifford_torus")
-        fr = build_frame(spec, sample_points(spec, 6, seed=5), need_third=True)
+        fr = build_frame(spec, sample_points(spec, 6, seed=5))
         metric = fr.metric.copy()
         metric[3] = metric[4] = [[1.0, 1.0], [1.0, 1.0]]
         with pytest.raises(DegenerateMetricError) as info:
@@ -320,8 +320,8 @@ class TestDegeneracy:
         k = 2.0**-20
         spec = catalog(name)
         points = sample_points(spec, 20, seed=3)
-        want = sectional_curvature(build_frame(spec, points, need_third=True), *plane)
-        got = sectional_curvature(build_frame(dilate(spec, k), points, need_third=True), *plane)
+        want = sectional_curvature(build_frame(spec, points), *plane)
+        got = sectional_curvature(build_frame(dilate(spec, k), points), *plane)
         np.testing.assert_allclose(got, want / k**2, rtol=1e-12, atol=1e-12 / k**2)
 
 
@@ -413,7 +413,7 @@ class TestInverseByMinors:
     def test_null_chart_frames(self):
         # u + v, u - v in C^2_1: d_u and d_v are null, g = [[0, -2], [-2, 0]]
         spec = parse("params u:[0,1], v:[0,1];\nsignature 2 1;\nmap u + v, u - v;\n")
-        fr = build_frame(spec, sample_points(spec, 5, seed=1), need_third=True)
+        fr = build_frame(spec, sample_points(spec, 5, seed=1))
         np.testing.assert_array_equal(fr.metric, np.broadcast_to([[0.0, -2.0], [-2.0, 0.0]], (5, 2, 2)))
         np.testing.assert_array_equal(fr.metric_inv, np.broadcast_to([[0.0, -0.5], [-0.5, 0.0]], (5, 2, 2)))
 
@@ -481,10 +481,11 @@ def _reference_bracket(dg):
     return np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg
 
 
-def reference_geometry(fr):
+def reference_geometry(fr, third):
     """The frame arrays, curvature, Gauss and Codazzi residuals and tangent
-    field of fr's derivative arrays, by the einsum form of every contraction."""
-    eta, position, first, second, third = fr.eta, fr.position, fr.first, fr.second, fr.third
+    field of fr's derivative arrays and the map's third derivatives (B, m, m,
+    m, 2n) at its points, by the einsum form of every contraction."""
+    eta, position, first, second = fr.eta, fr.position, fr.first, fr.second
     out = {}
     metric = np.einsum("bia,a,bja->bij", first, eta, first)
     out["metric"] = g = 0.5 * (metric + metric.transpose(0, 2, 1))
@@ -548,15 +549,16 @@ class TestContractionsMatchEinsum:
     @pytest.mark.parametrize("name", list(catalog_names()) + list(BEYOND_CATALOG))
     def test_frames_curvature_and_residuals(self, name, batch):
         spec = _spec(name)
-        fr = build_frame(spec, sample_points(spec, batch, seed=17), need_third=True)
-        want = reference_geometry(fr)
+        points = sample_points(spec, batch, seed=17)
+        fr, third = build_frame(spec, points), evaluate_map_jets(spec, points, 3)[3].view(float)
+        want = reference_geometry(fr, third)
         for key in ("metric", "metric_inv", "dmetric", "christoffels_lowered", "christoffels", "sff"):
             _assert_relative(getattr(fr, key), want[key])
         # R from second-order data against its intrinsic form by d Gamma
         r = riemann_tensor(fr)
         _assert_relative(r, want["riemann"])
         _assert_relative(gauss_residual(fr), want["gauss"], np.abs(want["riemann"]).max())
-        scale = max(np.abs(fr.third).max(), np.abs(want["dchristoffels"]).max())
+        scale = max(np.abs(third).max(), np.abs(want["dchristoffels"]).max())
         _assert_relative(codazzi_residual(fr), want["codazzi"], scale)
         for got, ref in zip(tangent_field(fr), want["tangent_field"]):
             _assert_relative(got, ref)
@@ -564,7 +566,8 @@ class TestContractionsMatchEinsum:
 
 class TestSymmetriesTheKernelsRead:
     """build_frame gives second and sff symmetric in i, j bit for bit, as the
-    kernels read them, and christoffels too, and third in all three slots."""
+    kernels read them, and christoffels too; the order-3 jets of the cross-check
+    give the third derivatives symmetric in all three slots."""
 
     @staticmethod
     def _assert_bitwise(x, y):
@@ -574,12 +577,15 @@ class TestSymmetriesTheKernelsRead:
     @pytest.mark.parametrize("name", list(catalog_names()) + list(BEYOND_CATALOG))
     def test_frames_are_bitwise_symmetric(self, name, batch):
         spec = _spec(name)
-        fr = build_frame(spec, sample_points(spec, batch, seed=29), need_third=True)
+        points = sample_points(spec, batch, seed=29)
+        fr = build_frame(spec, points)
         self._assert_bitwise(fr.second, fr.second.swapaxes(1, 2))
         self._assert_bitwise(fr.sff, fr.sff.swapaxes(1, 2))
         self._assert_bitwise(fr.christoffels, fr.christoffels.swapaxes(2, 3))
+        *_, second, third = evaluate_map_jets(spec, points, 3)
+        self._assert_bitwise(second, second.swapaxes(1, 2))
         for axes in itertools.permutations((1, 2, 3)):
-            self._assert_bitwise(fr.third, fr.third.transpose(0, *axes, 4))
+            self._assert_bitwise(third, third.transpose(0, *axes, 4))
 
 
 # -- constants built once per dimension, and a dimension the catalog lacks -------

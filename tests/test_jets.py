@@ -48,7 +48,7 @@ def coordinate(values, order=3):
 def constant(values, m, order=3):
     """The jet of m variables with the given values (B,), every derivative zero."""
     values = np.asarray(values)
-    high = np.zeros((order, len(jets._directions(m)), len(values)), values.dtype)
+    high = np.zeros((order, len(jets._directions(m, max(order, 1))), len(values)), values.dtype)
     return values[None, None], high
 
 
