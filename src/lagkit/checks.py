@@ -229,44 +229,32 @@ def _structure_with_fit(frames, fit, transform):
 
     On that immersion the tangential part V of J L must satisfy: V actually
     tangential, <V, V> = epsilon, h(Z, V) = JZ, h(V, V) = -position, and
-    nabla V = 0.  Its frames are those of L rescaled in closed form
+    nabla V = 0.  A parallel V with <V, V> = +-1 splits the metric locally as a
+    product with the line of V (de Rham), in any chart: product_metric is that
+    conclusion, and its g_tt the mean <V, V>, g_tt of a chart whose first
+    coordinate field is V.  Its frames are those of L rescaled in closed form
     (FrameBatch.rescaled with k = 1 / scale), keeping their spec, so the
     normalized spec is neither evaluated nor assembled.  Returns (normalized
-    frames, their unit quadric AmbientQuadric(epsilon), the structure checks'
-    (row, details) by name).
+    frames, their unit quadric AmbientQuadric(epsilon), the (row, details) of
+    the structure checks and product_metric by name).
     """
     unit = AmbientQuadric(1.0 if fit.radius_sq_signed > 0 else -1.0)  # c = epsilon
     fr = frames.rescaled(fit.center, 1.0 / transform.scale)
-    coeffs, grads = tangent_field(fr)
+    coeffs, nabla_v = tangent_field(fr)
     normal = fr.shared(j_of, "position") - (coeffs[:, None, :] @ fr.first)[:, 0]  # as in project
     vv = (coeffs[:, None, :] @ fr.metric @ coeffs[:, :, None])[:, 0, 0]
     hv = (coeffs[:, None, None] @ fr.sff)[:, :, 0]
     hvv = (coeffs[:, None] @ hv)[:, 0]
-    nabla_v = grads + contract(fr.christoffels, coeffs[:, None])[..., 0]
+    parallel = point_max(nabla_v)
     return fr, unit, {
         "structure_v_tangent": (point_max(normal), None),
         "structure_v_unit": (np.abs(vv - unit.c), {"epsilon": unit.c}),
         "structure_h_mixed": (point_max(hv - fr.shared(j_of, "first")), None),
         "structure_h_vv": (point_max(hvv + fr.position), None),
-        "structure_v_parallel": (point_max(nabla_v), None),
+        "structure_v_parallel": (parallel, None),
+        "product_metric": (np.maximum(np.abs(np.abs(vv) - 1.0), parallel),
+                           {"g_tt": float(np.add.reduce(vv) / len(vv))}),  # np.mean's bits
     }
-
-
-def _product_metric(frames: FrameBatch):
-    """Product block structure in adapted coordinates (first parameter = angle):
-    g_{t u_j} = 0, the u-block independent of t, and g_tt constant of modulus
-    one.  (The residual row, details holding the mean g_tt.)"""
-    g, dg = frames.metric, frames.dmetric
-    gtt = g[:, 0, 0]
-    residuals = np.maximum.reduce(
-        [
-            point_max(g[:, 0, 1:]),  # cross terms
-            point_max(dg[:, 0, 1:, 1:]),  # drift of the u-block along t
-            point_max(dg[:, :, 0, 0]),  # drift of g_tt
-            np.abs(np.abs(gtt) - 1.0),
-        ]
-    )
-    return residuals, {"g_tt": float(np.add.reduce(gtt) / len(gtt))}  # np.mean's bits
 
 
 def _umbilical(frames: FrameBatch, cfg: SampleConfig, quadric: AmbientQuadric) -> np.ndarray:
@@ -436,7 +424,6 @@ def run_suite(spec: ImmersionSpec, cfg: SampleConfig | None = None,
         elif any(chain[name] == _ON_FIT for name in suite.wanted):  # a check reads the bundle
             normalized, unit, rows = _structure_with_fit(frames, fit, transform)
             suite.pending.update((name, row) for name, row in rows.items() if name in suite.wanted)
-            suite.run("product_metric", _product_metric, normalized)
             suite.run("umbilical", _umbilical, normalized, cfg, unit)
     elif m == n - 1:
         if quadric is None and entries["spherical"].passed:  # the fit, on a central quadric

@@ -18,7 +18,6 @@ of g / max |g_ij| (inverse), by such gathers, for every m and with no LAPACK
 call: the determinant is tested against 1e-10, and the cofactors over it give g^-1.
 
 Index conventions, pinned by tests on the round-sphere factor (b is the point):
-  dmetric[b, k, i, j]      = d_k g_ij
   christoffels_lowered[b, i, j, l] = Gamma_ij,l = <L_ij, L_l>
   christoffels[b, k, i, j] = Gamma^k_ij
   riemann R[b, i, j, k, l] = <R(d_i, d_j) d_k, d_l>, so the Gauss identity reads
@@ -67,7 +66,6 @@ class FrameBatch(Record):
         "eta",  # (2n,), shared by all points
         "metric",  # (B, m, m)
         "metric_inv",
-        "dmetric",  # (B, m, m, m): d_k g_ij
         "christoffels_lowered",  # (B, m, m, m): Gamma_ij,l = <L_ij, L_l>
         "christoffels",  # (B, m, m, m): Gamma^k_ij
         "sff",  # (B, m, m, 2n): second fundamental form vectors
@@ -92,7 +90,7 @@ class FrameBatch(Record):
     def rescaled(self, center, k: float) -> "FrameBatch":
         """The frames of (L - center) * k at the same points, to second order,
         in closed form: the derivatives and the second fundamental form scale by
-        k, the metric, its derivatives and the lowered Christoffel symbols by k^2
+        k, the metric and the lowered Christoffel symbols by k^2
         and its inverse by 1/k^2, while the Christoffel symbols stay as they are."""
         k2 = k * k
         return self.replace(
@@ -101,7 +99,6 @@ class FrameBatch(Record):
             second=self.second * k,
             metric=self.metric * k2,
             metric_inv=self.metric_inv / k2,
-            dmetric=self.dmetric * k2,
             christoffels_lowered=self.christoffels_lowered * k2,
             sff=self.sff * k,
         )
@@ -184,8 +181,6 @@ def assemble_frame(spec, points, position, first, second) -> FrameBatch:
         raise DegenerateMetricError(f"induced metric degenerate at {bad}", row=i)
 
     lowered = contract(second, weighted)  # [i, j, l] = Gamma_ij,l = <L_ij, L_l>
-    # d_k g_ij = <L_ik, L_j> + <L_i, L_jk> = <L_ki, L_j> + <L_kj, L_i>
-    dmetric = lowered + lowered.swapaxes(2, 3)
     # Gamma^k_ij = g^{kl} <L_ij, L_l>, the tangent part of L_ij
     christoffels = contract(metric_inv, lowered)
 
@@ -196,7 +191,7 @@ def assemble_frame(spec, points, position, first, second) -> FrameBatch:
 
     return FrameBatch(
         points, position, first, second, eta,
-        metric, metric_inv, dmetric, lowered, christoffels, sff,
+        metric, metric_inv, lowered, christoffels, sff,
     )
 
 
@@ -338,13 +333,14 @@ def project(frames: FrameBatch, v: np.ndarray):
 
 
 def tangent_field(frames: FrameBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient field of the tangential part of J L, with first derivatives.
+    """The tangential part V of J L, by its coefficients, and its covariant derivative.
 
-    The coefficients a solve g a = r with r_k = <L_k, J L>.  Differentiating
-    the solve gives d_i a = g^-1 (d_i r - d_i g a), where
-    d_i r_k = <L_ik, J L> + <L_k, J L_i>, so no finite differencing and no
-    further map evaluation is needed.  Returns (values (B, m), gradients
-    (B, m, m) with grad[b, i, k] = d_i a^k).
+    The coefficients a solve g a = r with r_l = <L_l, J L>.  Differentiating
+    r_l = g_lj a^j, with d_i g_lj = Gamma_il,j + Gamma_ij,l, gives
+    nabla_i V^k = d_i a^k + Gamma^k_ij a^j = g^{kl} (d_i r_l - Gamma_il,j a^j), where
+    d_i r_l = <L_il, J L> + <L_l, J L_i>, so no finite differencing and no
+    further map evaluation is needed.  Returns (values (B, m), covariant
+    derivatives (B, m, m) with nabla[b, i, k] = nabla_i V^k).
     """
     eta = frames.eta
     jpos = frames.shared(j_of, "position")
@@ -352,5 +348,5 @@ def tangent_field(frames: FrameBatch) -> tuple[np.ndarray, np.ndarray]:
     drhs = contract(frames.second, (eta * jpos)[:, None])[..., 0] + contract(
         frames.shared(j_of, "first"), frames.first * eta
     )
-    slope = drhs - contract(frames.dmetric, values[:, None])[..., 0]
+    slope = drhs - contract(frames.christoffels_lowered, values[:, None])[..., 0]
     return values, slope @ frames.metric_inv

@@ -10,21 +10,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lagkit.ambient import AmbientQuadric, Signature
+from lagkit.ambient import AmbientQuadric, Signature, apply_j_flat
 from lagkit.catalog import catalog, catalog_entry, catalog_names
 from lagkit.checks import (
     STRUCTURE_CHECKS,
     CheckEntry,
     CheckReport,
     SampleConfig,
+    Transform,
     _CHAINS,
     _isotropy,
-    _product_metric,
     _reduce,
     _structure_with_fit,
     run_suite,
 )
-from lagkit.dsl import Bin, Call, ImmersionSpec, Param, Pow, Ref, parse
+from lagkit.dsl import Bin, Call, ImmersionSpec, Neg, Num, Param, Pow, Ref, parse
 from lagkit.errors import LagkitError, SingularEvaluationError
 from lagkit.geometry import CHUNK, FrameBatch, build_frame
 from lagkit.products import dilate, translate
@@ -52,6 +52,40 @@ def fit_of(name_or_spec, cfg=CFG):
     spec = catalog(name_or_spec) if isinstance(name_or_spec, str) else name_or_spec
     report = run_suite(spec, cfg, checks=["spherical"])
     return report.sphere_fit, report.checks["spherical"]
+
+
+# the Clifford torus in a chart that is not adapted: t -> t + 0.3 sin(u), the same image
+SHEARED_TORUS = parse(
+    "params t:[0,6.283185307179586], u:[0,6.283185307179586];\nsignature 2 0;\n"
+    "map exp(i*(t + 0.3*sin(u)))*cos(u), exp(i*(t + 0.3*sin(u)))*sin(u);\n"
+).replace(name="sheared_clifford_torus")
+
+
+def sheared(spec, amplitude, j, order):
+    """spec with its first parameter t read as t + amplitude sin(x_j), j > 0 (the
+    same image, by a change of parameters of Jacobian determinant 1), and its
+    parameters then listed in the given order."""
+    t = spec.params[0].name
+    shift = Bin("*", Num(abs(amplitude)), Call("sin", Ref(spec.params[j].name)))
+    angle = Bin("+" if amplitude >= 0 else "-", Ref(t), shift)
+
+    def substituted(e):
+        if isinstance(e, Ref):
+            return angle if e.name == t else e
+        if isinstance(e, Neg):
+            return Neg(substituted(e.arg))
+        if isinstance(e, Bin):
+            return Bin(e.op, substituted(e.left), substituted(e.right))
+        if isinstance(e, Pow):
+            return Pow(substituted(e.base), e.exponent)
+        if isinstance(e, Call):
+            return Call(e.fn, substituted(e.arg))
+        return e  # Num, Imag
+    return spec.replace(
+        params=tuple(spec.params[k] for k in order),
+        components=tuple(map(substituted, spec.components)),
+        name=f"{spec.name}_sheared",
+    )
 
 
 def pole_spec(num_points):
@@ -310,11 +344,63 @@ class TestProductMetric:
         assert entry.passed
         assert entry.details["g_tt"] == pytest.approx(-1.0)
 
-    def test_whitney_is_not_a_product(self):
-        # the suite skips it on an image that lies on no quadric: the row on raw frames
-        frames = frames_of("whitney_sphere")
-        (entry,) = _reduce(CFG, frames.points, {"product_metric": _product_metric(frames)})
-        assert not entry.passed
+    @pytest.mark.parametrize("num_points", [20, 2 * CHUNK + 1])
+    @pytest.mark.parametrize(
+        "spec", [SHEARED_TORUS, translate(dilate(SHEARED_TORUS, 3.0), (0.25, 0.125j))],
+        ids=lambda spec: spec.name,
+    )
+    def test_a_chart_that_is_not_adapted(self, spec, num_points):
+        # V is d_t, but g_tu = 0.3 cos(u), so the chart is no product chart; V is
+        # parallel and unit all the same, so the torus is a product
+        report = run_suite(spec, SampleConfig(num_points=num_points, seed=7))
+        entry = report.checks["product_metric"]
+        assert entry.passed, entry.max_residual
+        assert entry.details["g_tt"] == pytest.approx(1.0)
+        assert report.passed
+
+    @given(
+        st.sampled_from(["clifford_torus", "product_S1xS2", "theorem42_example", "theorem43_example"])
+        .map(catalog)
+        .flatmap(lambda spec: st.tuples(
+            st.just(spec), st.floats(-0.5, 0.5), st.integers(1, spec.num_params - 1),
+            st.permutations(range(spec.num_params)),
+        ))
+    )
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    def test_no_change_of_parameters_flips_a_verdict(self, case):
+        # a shear of the circle's angle and a permutation of the parameters
+        spec, amplitude, j, order = case
+        cfg = SampleConfig(num_points=20, seed=7)
+
+        def verdicts(spec):
+            return {name: (e.status, e.passed) for name, e in run_suite(spec, cfg).checks.items()}
+
+        assert verdicts(sheared(spec, amplitude, j, order)) == verdicts(spec)
+
+    def test_whitney_with_its_own_fit_fails_every_row(self):
+        # the suite skips the bundle on an image that lies on no quadric; on the
+        # frames normalized by Whitney's own fit (r^2 ~ 0.533) every row fails,
+        # at every point (each row's minimum is at least 6e-3 here)
+        cfg = SampleConfig(num_points=200, seed=8)
+        frames = frames_of("whitney_sphere", cfg)
+        fit, _ = fit_of("whitney_sphere", cfg)
+        transform = Transform(fit.center, math.sqrt(abs(fit.radius_sq_signed)))
+        normalized, _, rows = _structure_with_fit(frames, fit, transform)
+        assert list(rows) == [*STRUCTURE_CHECKS, "product_metric"]
+        for entry in _reduce(cfg, frames.points, rows):
+            assert not entry.passed, entry.name
+            assert rows[entry.name][0].min() > 1e-3, entry.name
+        # structure_h_vv's row is max |h(V, V) + L|, V = a^i L_i with g a = <L_i, J L>,
+        # and product_metric's the larger of ||<V, V>| - 1| and structure_v_parallel's
+        fr = normalized
+        rhs = np.einsum("bia,a,ba->bi", fr.first, fr.eta, apply_j_flat(fr.position))
+        a = np.linalg.solve(fr.metric, rhs[..., None])[..., 0]
+        want = np.abs(np.einsum("bi,bija,bj->ba", a, fr.sff, a) + fr.position).max(axis=1)
+        np.testing.assert_allclose(rows["structure_h_vv"][0], want, rtol=1e-12)
+        vv = np.einsum("bi,bij,bj->b", a, fr.metric, a)
+        want = np.maximum(np.abs(np.abs(vv) - 1.0), rows["structure_v_parallel"][0])
+        np.testing.assert_allclose(rows["product_metric"][0], want, rtol=1e-12)
+        assert rows["product_metric"][1]["g_tt"] == pytest.approx(vv.mean(), rel=1e-12)
 
 
 class TestUmbilical:
@@ -459,12 +545,6 @@ def test_one_map_evaluation_per_point_per_spec(name, num_points, monkeypatch):
     assert calls["build_frame"] == 1
 
 
-SHEARED_TORUS = parse(
-    "params t:[0,6.283185307179586], u:[0,6.283185307179586];\nsignature 2 0;\n"
-    "map exp(i*(t + 0.3*sin(u)))*cos(u), exp(i*(t + 0.3*sin(u)))*sin(u);\n"
-).replace(name="sheared_clifford_torus")
-
-
 def reference_normalized_spec(spec, transform):
     """The spec (L - center) / scale, written out as translate and dilate."""
     c = transform.center
@@ -481,7 +561,8 @@ def reference_normalized_spec(spec, transform):
         catalog("theorem43_example"),
         translate(dilate(catalog("clifford_torus"), 3.0), (0.25, 0.125j)),
         # sheared by t -> t + 0.3 sin(u): still Lagrangian and spherical, with a
-        # metric that varies (|d g| up to 0.3), so dmetric's scaling shows
+        # metric that varies (|d g| up to 0.3), so the lowered Christoffel
+        # symbols' scaling shows
         translate(dilate(SHEARED_TORUS, 3.0), (0.25, 0.125j)),
     ],
     ids=lambda spec: spec.name,
